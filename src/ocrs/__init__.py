@@ -11,7 +11,8 @@ from .core import (ElementSubset, FractionalPoint, GroundSet, SeedSpec,
                    downsample_active, fragment_from_json, sample_active_set,
                    scale_point)
 from .matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
-                       Matroid, MatroidView, PartitionMatroid, UniformMatroid,
+                       Matroid, MatroidPolytope, MatroidView,
+                       PartitionMatroid, UniformMatroid,
                        check_matroid_axioms, contract_restrict,
                        in_scaled_matroid_polytope, matroid_from_json,
                        max_weight_independent, random_point_in_polytope)

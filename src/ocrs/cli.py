@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .applications import (ProbingInstance, ProphetInstance,
                            brute_force_prophet_opt, estimate_competitive_ratio,
                            prepare_probing, prepare_prophet,
@@ -29,12 +27,11 @@ from .applications import (ProbingInstance, ProphetInstance,
 from .core import FractionalPoint, SeedSpec, num_blocks
 from .harness import (knapsack_deterministic_impossibility,
                       report_from_counts, selectability_counts)
-from .matroids import (Matroid, check_matroid_axioms, in_scaled_matroid_polytope,
-                       matroid_from_json, random_point_in_polytope)
+from .matroids import (MatroidPolytope, check_matroid_axioms,
+                       in_scaled_matroid_polytope, matroid_from_json,
+                       random_point_in_polytope)
 from .optimize import KnapsackConstraint, distribution_from_json
-from .schemes import (GreedyOcrsFactory, IntersectionFactory,
-                      KnapsackFactory, MatchingFactory, MatroidChainFactory,
-                      graph_from_json)
+from .schemes import GreedyOcrsFactory, MatroidChainFactory, factory_from_json
 from .submodular import (half_subsample_value, multilinear_exact,
                          ocrs_submodular_value, run_submodular_probing,
                          submodular_from_json)
@@ -72,6 +69,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise InstanceError("trials must be at least 1")
+        if self.workers < 1:
+            raise InstanceError("workers must be at least 1")
         if self.instance is not None and not os.path.exists(self.instance):
             raise InstanceError(f"instance file not found: {self.instance}")
 
@@ -121,7 +120,8 @@ def constraint_from_json(obj: dict, path: str):
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -144,101 +144,30 @@ def _write_values_csv(path: str, values) -> None:
 def _fit_point_to_factory(x: FractionalPoint,
                           factory: GreedyOcrsFactory) -> FractionalPoint:
     """Scale a candidate point down until it lies in the factory's b * P."""
-    scale = 1.0
-    if isinstance(factory, IntersectionFactory):
-        for part in factory.parts:
-            fitted = _fit_point_to_factory(x, part)
-            ratios = np.divide(fitted.values, x.values,
-                               out=np.ones_like(x.values),
-                               where=x.values > 0)
-            scale = min(scale, float(ratios.min()))
-    elif isinstance(factory, MatroidChainFactory):
-        m = factory.matroid
-        if m.size() > 16:
-            raise InstanceError(
-                "supply an explicit 'x'; point fitting enumerates subsets "
-                "and is limited to 16 elements")
-        worst = 0.0
-        for mask in range(1, 1 << m.size()):
-            r = m.rank(mask)
-            if r == 0:
-                continue
-            load = sum(x.values[e] for e in range(m.n) if (mask >> e) & 1)
-            worst = max(worst, load / r)
-        if worst > factory.b:
-            scale = factory.b / worst * (1 - 1e-12)
-    elif isinstance(factory, MatchingFactory):
-        worst = float(factory.graph.degree_loads(x.values).max())
-        if worst > factory.b:
-            scale = factory.b / worst * (1 - 1e-12)
-    elif isinstance(factory, KnapsackFactory):
-        load = float(np.dot(factory.structure.sizes, x.values))
-        if load > factory.b:
-            scale = factory.b / load * (1 - 1e-12)
-    else:
-        raise InstanceError("cannot fit a point for this scheme type")
+    load = factory.load(x)
+    scale = factory.b / load * (1 - 1e-12) if load > factory.b else 1.0
     return FractionalPoint(x.values * scale)
 
 
-def build_selectability_factory(scheme: str, instance: dict, path: str,
-                                b: float, eps: float,
-                                exact: Optional[bool]) -> GreedyOcrsFactory:
-    if scheme == "matroid":
-        matroid = matroid_from_json(_require(instance, "matroid", path))
-        kwargs = {} if exact is None else {"exact": exact}
-        return MatroidChainFactory(matroid, b, eps=eps, **kwargs)
-    if scheme == "matching":
-        graph = graph_from_json(_require(instance, "graph", path))
-        return MatchingFactory(graph, b,
-                               deterministic=bool(instance.get("deterministic",
-                                                               False)))
-    if scheme == "knapsack":
-        return KnapsackFactory(_require(instance, "sizes", path), b)
-    if scheme == "intersect":
-        parts = _require(instance, "parts", path)
-        if not isinstance(parts, list) or not parts:
-            raise InstanceError(f"'parts' in {path} must be a nonempty list")
-        built = []
-        for part in parts:
-            kind = part.get("scheme")
-            if kind not in ("matroid", "matching", "knapsack"):
-                raise InstanceError(
-                    f"part in {path} needs scheme one of matroid/matching/"
-                    "knapsack")
-            built.append(build_selectability_factory(kind, part, path, b, eps,
-                                                     exact))
-        return IntersectionFactory(built)
-    raise InstanceError(f"unknown scheme '{scheme}'")
+def _point_from_json(obj: dict, path: str) -> FractionalPoint:
+    try:
+        return FractionalPoint(obj["x"])
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"bad 'x' in {path}: {exc}") from exc
 
 
-def _default_point(scheme: str, instance: dict, path: str,
-                   factory: GreedyOcrsFactory, seed: SeedSpec,
-                   n: int) -> FractionalPoint:
+def _default_point(instance: dict, path: str, factory: GreedyOcrsFactory,
+                   seed: SeedSpec) -> FractionalPoint:
     if "x" in instance:
-        x = FractionalPoint(instance["x"])
-        if x.n != n:
+        x = _point_from_json(instance, path)
+        if x.n != factory.n:
             raise InstanceError(f"'x' in {path} has the wrong length")
         return x
     gen = seed.stream(99)
     if isinstance(factory, MatroidChainFactory):
         return random_point_in_polytope(factory.matroid, factory.b, gen)
-    raw = FractionalPoint(0.25 + 0.75 * gen.random(n))
+    raw = FractionalPoint(0.25 + 0.75 * gen.random(factory.n))
     return _fit_point_to_factory(raw, factory)
-
-
-def _factory_ground_size(factory: GreedyOcrsFactory) -> int:
-    if isinstance(factory, MatroidChainFactory):
-        return factory.matroid.n
-    if isinstance(factory, MatchingFactory):
-        return factory.graph.n_edges
-    if isinstance(factory, KnapsackFactory):
-        return factory.structure.n
-    if isinstance(factory, IntersectionFactory):
-        sizes = {_factory_ground_size(p) for p in factory.parts}
-        if len(sizes) != 1:
-            raise InstanceError("intersect parts disagree on the ground size")
-        return sizes.pop()
-    raise InstanceError("unknown factory type")
 
 
 _WORKER_STATE: dict = {}
@@ -247,8 +176,7 @@ _WORKER_STATE: dict = {}
 def _worker_init(scheme: str, instance: dict, b: float, eps: float,
                  exact: Optional[bool], x_values: list, trials: int,
                  master_seed: int) -> None:
-    factory = build_selectability_factory(scheme, instance, "<worker>", b,
-                                          eps, exact)
+    factory = factory_from_json(scheme, instance, b, eps, exact)
     _WORKER_STATE["factory"] = factory
     _WORKER_STATE["x"] = FractionalPoint(x_values)
     _WORKER_STATE["trials"] = trials
@@ -266,11 +194,13 @@ def _worker_counts(block_range: tuple[int, int]) -> dict[int, int]:
 def cmd_verify_selectability(args) -> int:
     instance = _load_json(args.instance)
     seed = SeedSpec(args.seed)
-    factory = build_selectability_factory(args.scheme, instance,
-                                          args.instance, args.b, args.eps,
-                                          args.exact)
-    n = _factory_ground_size(factory)
-    x = _default_point(args.scheme, instance, args.instance, factory, seed, n)
+    try:
+        factory = factory_from_json(args.scheme, instance, args.b, args.eps,
+                                    args.exact)
+    except ValueError as exc:
+        raise InstanceError(f"bad instance {args.instance}: {exc}") from exc
+    n = factory.n
+    x = _default_point(instance, args.instance, factory, seed)
     log.info("scheme=%s b=%s bound=%s (%s) trials=%d seed=%d", args.scheme,
              args.b, factory.bound(), factory.bound_expr, args.trials,
              args.seed)
@@ -481,7 +411,7 @@ def cmd_submodular(args) -> int:
     b = float(obj.get("b", args.b))
     factory = MatroidChainFactory(matroid, b, eps=args.eps)
     if "x" in obj:
-        x = FractionalPoint(obj["x"])
+        x = _point_from_json(obj, args.instance)
         if not in_scaled_matroid_polytope(matroid, x, b):
             raise InstanceError(f"'x' in {args.instance} is outside b * P")
     else:
@@ -520,17 +450,9 @@ def cmd_validate_matroid(args) -> int:
     checks = {"axioms": report.ok}
     if not report.ok:
         checks["failure"] = report.failure
-    # rank monotonicity and submodularity, exhaustive
     if matroid.size() <= 10:
-        ok_rank = True
-        masks = [m for m in range(1 << matroid.n)
-                 if m & ~matroid.ground_mask == 0]
-        ranks = {m: matroid.rank(m) for m in masks}
-        for a in masks:
-            for bmask in masks:
-                if ranks[a] + ranks[bmask] < ranks[a | bmask] + ranks[a & bmask]:
-                    ok_rank = False
-        checks["rank_submodular_monotone"] = ok_rank
+        checks["rank_submodular_monotone"] = (
+            MatroidPolytope(matroid).is_submodular())
     span_ok = all(matroid.span(matroid.span(m)) == matroid.span(m)
                   for m in range(min(1 << matroid.size(), 1 << 10)))
     checks["span_idempotent"] = span_ok

@@ -201,6 +201,8 @@ class FractionalPoint:
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("x must be a nonempty vector")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coordinates must be finite")
         if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
             raise ValueError("coordinates must lie in [0, 1]")
         arr = np.clip(arr, 0.0, 1.0)
@@ -259,7 +261,13 @@ def pack_mask(bits: np.ndarray) -> int:
 
 
 def pack_mask_rows(bits: np.ndarray) -> np.ndarray:
-    """Row-wise bitmask packing of a boolean (T, n) array into int64 masks."""
+    """Row-wise bitmask packing of a boolean (T, n) array into int64 masks.
+
+    Raises ValueError for n >= 64, which int64 masks cannot hold.
+    """
+    if bits.shape[1] >= 64:
+        raise ValueError(f"int64 mask packing holds at most 63 elements, "
+                         f"got {bits.shape[1]}")
     powers = (1 << np.arange(bits.shape[1], dtype=np.int64))
     return bits.astype(np.int64) @ powers
 
@@ -288,19 +296,3 @@ def downsample_active(active: ElementSubset, b: float,
         if coins[e] < b:
             kept |= 1 << e
     return ElementSubset(kept, active.n)
-
-
-def downsample_mask(mask: int, n: int, b: float,
-                    row: np.ndarray) -> int:
-    """Mask-level downsampling using pre-drawn uniforms ``row`` (length n)."""
-    if b == 1.0:
-        return mask
-    kept = 0
-    m = mask
-    while m:
-        low = m & -m
-        e = low.bit_length() - 1
-        if row[e] < b:
-            kept |= low
-        m ^= low
-    return kept

@@ -4,6 +4,13 @@ The independence query is the primitive; rank and span are derived by the
 matroid greedy and memoized per subset bitmask (desk scale, n <= ~24).
 Oracles are immutable after construction; memo dicts only cache pure
 functions, so concurrent readers always observe consistent results.
+
+:class:`MatroidPolytope` answers every question about the scaled polytope
+``b*P = {x >= 0 : x(S) <= b*r(S) for all S}``: membership, the largest
+feasible step along a coordinate, the smallest feasible scale and the rank
+rows of a linear program.  It enumerates all subsets of the ground set, so
+it is limited to ``EXHAUSTIVE_LIMIT`` elements; callers may set lower
+limits of their own.
 """
 
 from __future__ import annotations
@@ -14,9 +21,8 @@ import numpy as np
 
 from .core import FractionalPoint, iter_bits
 
-#: Exhaustive subset enumeration (polytope membership, axiom audits) is
-#: limited to this many elements; beyond it only sampled violation checks
-#: are offered.
+#: Exhaustive subset enumeration (polytope oracle, axiom audits) is limited
+#: to this many elements.
 EXHAUSTIVE_LIMIT = 24
 
 
@@ -293,59 +299,79 @@ def max_weight_independent(m: Matroid, weights: Sequence[float]) -> int:
     return kept
 
 
-def in_scaled_matroid_polytope(m: Matroid, x: FractionalPoint, b: float,
-                               tol: float = 1e-9, exact: bool = True,
-                               samples: int = 2000,
-                               gen: Optional[np.random.Generator] = None) -> bool:
-    """Whether ``x(S) <= b * rank(S)`` holds for every subset of the ground set.
+class MatroidPolytope:
+    """The polytope ``P = {x >= 0 : x(S) <= r(S) for all S}`` of a matroid,
+    by enumeration of every subset S of the ground set.
 
-    Exact mode enumerates all subsets (requires ``size <= EXHAUSTIVE_LIMIT``
-    and is practical well below it).  Sampled mode only certifies violations:
-    a True result is not a membership proof.
+    ``masks[i]`` and ``ranks[i]`` are the i-th subset in ascending mask order
+    and its rank.  Bit j of ``i`` stands for the j-th ground element, so
+    index arithmetic (``i | k``, ``i & k``) is set arithmetic.  Subset sums
+    are built by doubling in ascending element order, which adds up x(S) in
+    the same order as ``sum(x[e] for e in iter_bits(S))``.
     """
+
+    def __init__(self, m: Matroid):
+        if m.size() > EXHAUSTIVE_LIMIT:
+            raise ValueError(f"exhaustive membership check limited to "
+                             f"{EXHAUSTIVE_LIMIT} elements")
+        self.elements = list(iter_bits(m.ground_mask))
+        # the greedy basis of S + e (e above every element of S) is the
+        # greedy basis of S, plus e if that stays independent: the same
+        # ascending scan that Matroid.rank makes
+        bases = [0]
+        masks = [0]
+        for e in self.elements:
+            bit = 1 << e
+            bases += [base | bit if m.indep(base | bit) else base
+                      for base in bases]
+            masks += [mask | bit for mask in masks]
+        self.masks = masks
+        self.ranks = np.array([base.bit_count() for base in bases])
+
+    def subset_sums(self, values: np.ndarray) -> np.ndarray:
+        """``x(S)`` for every subset, in the order of ``masks``."""
+        sums = np.zeros(1)
+        for e in self.elements:
+            sums = np.concatenate([sums, sums + values[e]])
+        return sums
+
+    def max_violation(self, values: np.ndarray, b: float) -> float:
+        """Largest ``x(S) - b*r(S)``; x is in b*P iff this is at most 0."""
+        return float((self.subset_sums(values) - b * self.ranks).max())
+
+    def max_step(self, values: np.ndarray, e: int) -> float:
+        """Largest d >= 0 with x + d * unit_e in P: the least slack
+        ``r(S) - x(S)`` over the subsets S that contain e."""
+        j = self.elements.index(e)
+        slack = self.ranks - self.subset_sums(values)
+        return max(float(slack.reshape(-1, 2, 1 << j)[:, 1, :].min()), 0.0)
+
+    def min_scale(self, values: np.ndarray) -> float:
+        """Smallest s >= 0 with ``x(S) <= s*r(S)`` on every subset S of
+        positive rank (subsets of rank 0 are not constrained)."""
+        positive = self.ranks > 0
+        ratios = self.subset_sums(values)[positive] / self.ranks[positive]
+        return float(ratios.max(initial=0.0))
+
+    def rank_rows(self) -> list[tuple[int, int]]:
+        """``(mask, rank)`` of every nonempty subset, in ascending mask order."""
+        return list(zip(self.masks[1:], self.ranks[1:].tolist()))
+
+    def is_submodular(self) -> bool:
+        """Whether ``r(A) + r(B) >= r(A | B) + r(A & B)`` for all A, B."""
+        r = self.ranks
+        idx = np.arange(r.size)
+        return all(bool(np.all(r[a] + r >= r[a | idx] + r[a & idx]))
+                   for a in range(r.size))
+
+
+def in_scaled_matroid_polytope(m: Matroid, x: FractionalPoint, b: float,
+                               tol: float = 1e-9) -> bool:
+    """Whether ``x(S) - b * rank(S) <= tol`` holds for every subset of the
+    ground set (exhaustive; at most ``EXHAUSTIVE_LIMIT`` elements)."""
     if x.n != m.n:
         raise ValueError("point dimension must match the ground set")
-    size = m.size()
-    values = x.values
-    if exact:
-        if size > EXHAUSTIVE_LIMIT:
-            raise ValueError(
-                f"exhaustive membership check limited to {EXHAUSTIVE_LIMIT} "
-                "elements; use exact=False for a sampled violation check")
-        elements = list(iter_bits(m.ground_mask))
-        # subset sums by doubling over the ground elements
-        sums = np.zeros(1)
-        for e in elements:
-            sums = np.concatenate([sums, sums + values[e]])
-        for idx in range(1, 1 << size):
-            mask = 0
-            rem = idx
-            while rem:
-                low = rem & -rem
-                mask |= 1 << elements[low.bit_length() - 1]
-                rem ^= low
-            if sums[idx] > b * m.rank(mask) + tol:
-                return False
-        return True
-    gen = gen if gen is not None else np.random.default_rng(0)
-    # prefix-of-largest heuristic plus uniform random subsets
-    order = sorted(iter_bits(m.ground_mask), key=lambda e: -values[e])
-    prefix = 0
-    for e in order:
-        prefix |= 1 << e
-        closed = m.span(prefix)
-        for mask in (prefix, closed):
-            if float(sum(values[e2] for e2 in iter_bits(mask))) > b * m.rank(mask) + tol:
-                return False
-    for _ in range(samples):
-        mask = 0
-        coins = gen.random(m.n)
-        for e in iter_bits(m.ground_mask):
-            if coins[e] < 0.5:
-                mask |= 1 << e
-        if float(sum(values[e2] for e2 in iter_bits(mask))) > b * m.rank(mask) + tol:
-            return False
-    return True
+    return MatroidPolytope(m).max_violation(x.values, b) <= tol
 
 
 class AxiomReport:

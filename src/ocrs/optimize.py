@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import FractionalPoint, iter_bits
-from .matroids import Matroid
+from .matroids import Matroid, MatroidPolytope
 
 _TOL = 1e-12
 
@@ -138,26 +138,6 @@ class TailFunction:
                 for (p0, v0), (p1, v1) in zip(pts, pts[1:]) if p1 > p0]
 
 
-def _max_step_in_polytope(matroid: Matroid, x: np.ndarray, e: int) -> float:
-    """Largest d with x + d * unit_e still in the matroid polytope.
-
-    Exact minimization of rank(S) - x(S) over subsets containing e;
-    exhaustive, so meant for small ground sets.
-    """
-    best = float("inf")
-    others = matroid.ground_mask & ~(1 << e)
-    sub = others
-    while True:
-        mask = sub | (1 << e)
-        slack = matroid.rank(mask) - float(sum(x[g] for g in iter_bits(mask)))
-        if slack < best:
-            best = slack
-        if sub == 0:
-            break
-        sub = (sub - 1) & others
-    return max(best, 0.0)
-
-
 def solve_prophet_relaxation(
         matroid: Matroid,
         dists: Sequence[DiscreteDistribution]) -> tuple[FractionalPoint, float]:
@@ -174,6 +154,7 @@ def solve_prophet_relaxation(
         raise ValueError("one distribution per element required")
     if matroid.size() > 20:
         raise ValueError("exhaustive polytope stepping limited to 20 elements")
+    polytope = MatroidPolytope(matroid)
     pieces = []
     for e in range(n):
         d = dists[e]
@@ -189,7 +170,7 @@ def solve_prophet_relaxation(
             break
         if not (matroid.ground_mask >> e) & 1:
             continue
-        step = min(width, _max_step_in_polytope(matroid, x, e), 1.0 - x[e])
+        step = min(width, polytope.max_step(x, e), 1.0 - x[e])
         if step > 0.0:
             x[e] += step
     objective = float(sum(tail_value(dists[e], x[e]) for e in range(n)))
@@ -379,12 +360,10 @@ def polytope_rows(spec: ConstraintSpec, multipliers: Sequence[Fraction],
     if isinstance(spec, Matroid):
         if spec.size() > 16:
             raise LpError("rank-constraint enumeration limited to 16 elements")
-        for mask in range(1, 1 << n):
-            if mask & ~spec.ground_mask:
-                continue
+        for mask, rank in MatroidPolytope(spec).rank_rows():
             coeffs = [multipliers[e] if (mask >> e) & 1 else Fraction(0)
                       for e in range(n)]
-            rows.append((coeffs, Fraction(spec.rank(mask))))
+            rows.append((coeffs, Fraction(rank)))
     else:
         coeffs = [Fraction(spec.sizes[e]) * multipliers[e] for e in range(n)]
         rows.append((coeffs, Fraction(1)))

@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import ElementSubset, FractionalPoint, iter_bits, iter_submasks, pack_mask
-from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidView,
-                       in_scaled_matroid_polytope)
+from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
+                       MatroidView, in_scaled_matroid_polytope,
+                       matroid_from_json)
 
 #: Above this many elements in a level, chain span probabilities switch from
 #: exact enumeration to Monte-Carlo estimation.
@@ -651,14 +652,22 @@ class _IntersectionSampler(SchemeSampler):
 
 
 class GreedyOcrsFactory:
-    """Scheme description bound to a scale b; `bind` attaches a point x."""
+    """Scheme description bound to a scale b; `bind` attaches a point x.
 
+    ``n`` is the size of the ground set the scheme's points live on.
+    """
+
+    n: int
     b: float
     bound_expr: str
     construction_slack: float = 0.0
 
     def bound(self) -> float:
         """The proven selectability constant for points in b * P."""
+        raise NotImplementedError
+
+    def load(self, x: FractionalPoint) -> float:
+        """Smallest s with x in s * P, for the scheme's relaxation P."""
         raise NotImplementedError
 
     def bind(self, x: FractionalPoint,
@@ -672,6 +681,7 @@ class MatroidChainFactory(GreedyOcrsFactory):
     def __init__(self, matroid: Matroid, b: float, eps: float = 0.05,
                  alpha: float = 1.0, exact: Optional[bool] = None):
         self.matroid = matroid
+        self.n = matroid.n
         self.b = b
         self.eps = eps
         self.alpha = alpha
@@ -680,6 +690,15 @@ class MatroidChainFactory(GreedyOcrsFactory):
 
     def bound(self) -> float:
         return 1.0 - self.b
+
+    def load(self, x: FractionalPoint) -> float:
+        """The polytope oracle's ``min_scale``; it enumerates subsets, so
+        it is limited to 16 elements."""
+        if self.matroid.size() > 16:
+            raise SchemeError(
+                "supply an explicit 'x'; point fitting enumerates subsets "
+                "and is limited to 16 elements")
+        return MatroidPolytope(self.matroid).min_scale(x.values)
 
     def bind(self, x, stream=None) -> SchemeSampler:
         chain = matroid_chain_decompose(self.matroid, x, self.b, eps=self.eps,
@@ -693,6 +712,7 @@ class MatchingFactory(GreedyOcrsFactory):
         if not 0.0 <= b <= 1.0:
             raise SchemeError("matching scheme requires b in [0, 1]")
         self.graph = graph
+        self.n = graph.n_edges
         self.b = b
         self.deterministic = deterministic
         self.bound_expr = "(1-b)^2" if deterministic else "exp(-2b)"
@@ -702,11 +722,14 @@ class MatchingFactory(GreedyOcrsFactory):
             return (1.0 - self.b) ** 2
         return math.exp(-2.0 * self.b)
 
+    def load(self, x: FractionalPoint) -> float:
+        """The largest per-vertex degree load of x."""
+        return float(self.graph.degree_loads(x.values).max())
+
     def bind(self, x, stream=None) -> SchemeSampler:
-        if x.n != self.graph.n_edges:
+        if x.n != self.n:
             raise ValueError("point dimension must match the edge count")
-        loads = self.graph.degree_loads(x.values)
-        if np.any(loads > self.b + _TOL):
+        if self.load(x) > self.b + _TOL:
             raise PolytopeMembershipError(
                 "x violates the scaled per-vertex degree bounds")
         with np.errstate(invalid="ignore"):
@@ -725,17 +748,21 @@ class KnapsackFactory(GreedyOcrsFactory):
         if not 0.0 <= b <= 0.5:
             raise SchemeError("knapsack scheme requires b in [0, 1/2]")
         self.structure = _KnapsackStructure(sizes)
+        self.n = self.structure.n
         self.b = b
 
     def bound(self) -> float:
         return (1.0 - 2.0 * self.b) / (2.0 - 2.0 * self.b)
 
+    def load(self, x: FractionalPoint) -> float:
+        """The knapsack occupancy ``sizes . x``."""
+        return float(np.dot(np.array(self.structure.sizes), x.values))
+
     def bind(self, x, stream=None) -> SchemeSampler:
         st = self.structure
         if x.n != st.n:
             raise ValueError("point dimension must match the size vector")
-        occupancy = float(np.dot(np.array(st.sizes), x.values))
-        if occupancy > self.b + _TOL:
+        if self.load(x) > self.b + _TOL:
             raise PolytopeMembershipError(
                 "x violates the scaled knapsack capacity")
         b_big = float(sum(st.sizes[e] * x.values[e]
@@ -750,7 +777,10 @@ class IntersectionFactory(GreedyOcrsFactory):
             raise ValueError("at least one factory required")
         if len({p.b for p in parts}) != 1:
             raise SchemeError("combined schemes must share the scale b")
+        if len({p.n for p in parts}) != 1:
+            raise SchemeError("intersect parts disagree on the ground size")
         self.parts = tuple(parts)
+        self.n = parts[0].n
         self.b = parts[0].b
         self.bound_expr = " * ".join(f"({p.bound_expr})" for p in parts)
         self.construction_slack = sum(p.construction_slack for p in parts)
@@ -758,51 +788,48 @@ class IntersectionFactory(GreedyOcrsFactory):
     def bound(self) -> float:
         return math.prod(p.bound() for p in self.parts)
 
+    def load(self, x: FractionalPoint) -> float:
+        return max(p.load(x) for p in self.parts)
+
     def bind(self, x, stream=None) -> SchemeSampler:
         return _IntersectionSampler([p.bind(x, stream) for p in self.parts])
 
 
-def factory_from_json(obj: dict, constraints: Optional[dict] = None,
-                      default_b: Optional[float] = None,
-                      default_eps: float = 0.05) -> GreedyOcrsFactory:
-    """Build a scheme factory from its JSON descriptor.
+def factory_from_json(kind: str, obj: dict, b: float, eps: float,
+                      exact: Optional[bool]) -> GreedyOcrsFactory:
+    """Build the ``kind`` scheme factory from an instance object.
 
-    Descriptors carry the scheme kind, scale and scheme-specific data, e.g.
-    ``{"scheme": "knapsack", "b": 0.25, "sizes": [...]}``.  Matroid and
-    matching descriptors take their constraint either inline (``matroid`` /
-    ``graph`` fields) or from the ``constraints`` context object.
+    The object carries the scheme's constraint: ``matroid`` (a matroid
+    descriptor), ``graph`` (plus an optional ``deterministic`` flag),
+    ``sizes``, or for ``intersect`` a nonempty list ``parts`` of objects
+    that each name their ``scheme`` (matroid, matching or knapsack).  The
+    scale, the chain tolerance and exactness come from the caller.
     """
-    from .matroids import matroid_from_json
 
-    if not isinstance(obj, dict) or "scheme" not in obj:
-        raise ValueError("scheme descriptor must be an object with 'scheme'")
-    context = constraints or {}
-    kind = obj["scheme"]
-    b = obj.get("b", default_b)
-    if b is None:
-        raise ValueError("scheme descriptor needs a scale 'b'")
+    def field(name: str):
+        if name not in obj:
+            raise SchemeError(f"missing field '{name}'")
+        return obj[name]
+
     if kind == "matroid":
-        source = obj.get("matroid", context.get("matroid"))
-        if source is None:
-            raise ValueError("matroid scheme needs a 'matroid' descriptor")
-        return MatroidChainFactory(matroid_from_json(source), float(b),
-                                   eps=float(obj.get("eps", default_eps)))
+        return MatroidChainFactory(matroid_from_json(field("matroid")), b,
+                                   eps=eps, exact=exact)
     if kind == "matching":
-        source = obj.get("graph", context.get("graph"))
-        if source is None:
-            raise ValueError("matching scheme needs a 'graph' descriptor")
-        return MatchingFactory(graph_from_json(source), float(b),
+        return MatchingFactory(graph_from_json(field("graph")), b,
                                deterministic=bool(obj.get("deterministic",
                                                           False)))
     if kind == "knapsack":
-        if "sizes" not in obj:
-            raise ValueError("knapsack scheme needs 'sizes'")
-        return KnapsackFactory(obj["sizes"], float(b))
+        return KnapsackFactory(field("sizes"), b)
     if kind == "intersect":
-        parts = obj.get("parts")
-        if not parts:
-            raise ValueError("intersect scheme needs nonempty 'parts'")
-        return IntersectionFactory(
-            [factory_from_json(part, constraints=context, default_b=b,
-                               default_eps=default_eps) for part in parts])
-    raise ValueError(f"unknown scheme kind {kind!r}")
+        parts = field("parts")
+        if not isinstance(parts, list) or not parts:
+            raise SchemeError("'parts' must be a nonempty list")
+        for part in parts:
+            if not (isinstance(part, dict) and part.get("scheme")
+                    in ("matroid", "matching", "knapsack")):
+                raise SchemeError("each of 'parts' needs 'scheme' one of "
+                                  "matroid/matching/knapsack")
+        return IntersectionFactory([
+            factory_from_json(part["scheme"], part, b, eps, exact)
+            for part in parts])
+    raise SchemeError(f"unknown scheme '{kind}'")

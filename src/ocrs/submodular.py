@@ -18,8 +18,8 @@ from .core import (FractionalPoint, ElementSubset, SeedSpec, iter_bits,
                    pack_mask_rows, uniform_blocks)
 from .harness import MeanEstimate
 from .matroids import Matroid, in_scaled_matroid_polytope, max_weight_independent
-from .optimize import (ConstraintSpec, LinearProgram, polytope_rows,
-                       simplex_solve)
+from .optimize import (ConstraintSpec, LinearProgram, constraint_member,
+                       polytope_rows, simplex_solve)
 from .schemes import FeasibleFamily, GreedyOcrsFactory, run_greedy_mask
 
 _AUDIT_LIMIT = 8
@@ -451,8 +451,8 @@ def run_submodular_probing(f: SubmodularOracle, p: Sequence[float],
     use_order = tuple(order) if order is not None else tuple(range(n))
     k_in = inner_sampler.draw_count
     width = 2 * n + k_in + outer_sampler.draw_count
-    in_member = (inner.indep if isinstance(inner, Matroid) else inner.member)
-    out_member = (outer.indep if isinstance(outer, Matroid) else outer.member)
+    in_member = constraint_member(inner)
+    out_member = constraint_member(outer)
     total = 0.0
     total_sq = 0.0
     for _start, block in uniform_blocks(seed, _DOMAIN_TRIALS, trials, width):

@@ -102,6 +102,31 @@ def test_error_names_offending_field(tmp_path, capsys):
     assert "'w'" in err
 
 
+def test_non_finite_x_is_an_input_error(tmp_path, capsys):
+    inst = _write(tmp_path, "nan.json",
+                  {"graph": {"vertices": 3, "edges": [[0, 1], [1, 2]]},
+                   "x": [float("nan"), 0.2]})
+    out = tmp_path / "nan_out.json"
+    assert main(["verify-selectability", "--scheme", "matching", inst,
+                 "--trials", "100", "--out-json", str(out)]) == 2
+    assert "'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_below_one_is_an_input_error(tmp_path):
+    inst = _write(tmp_path, "k4.json", K4)
+    assert main(["verify-selectability", "--scheme", "matroid", inst,
+                 "--trials", "100", "--workers", "0"]) == 2
+
+
+def test_ground_set_of_64_or_more_is_an_input_error(tmp_path):
+    edges = [[u, v] for u in range(12) for v in range(u + 1, 12)]
+    inst = _write(tmp_path, "k12.json",
+                  {"graph": {"vertices": 12, "edges": edges}})
+    assert main(["verify-selectability", "--scheme", "matching", inst,
+                 "--trials", "100"]) == 2
+
+
 def test_impossibility_command(tmp_path, capsys):
     assert main(["impossibility", "--n", "3", "--b", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

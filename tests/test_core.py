@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrs.core import (ElementSubset, FractionalPoint, GroundSet, SeedSpec,
                        downsample_active, fragment_from_json, iter_submasks,
@@ -48,6 +50,9 @@ def test_fractional_point_validation():
         FractionalPoint([1.2])
     with pytest.raises(ValueError):
         FractionalPoint([])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            FractionalPoint([0.5, bad])
     with pytest.raises(AttributeError):
         x.values = None
 
@@ -141,3 +146,19 @@ def test_uniform_blocks_partition_invariance():
     hi = np.concatenate([blk for _s, blk in
                          uniform_blocks(seed, 2, trials, 3, block_range=(1, None))])
     assert np.array_equal(full, np.concatenate([lo, hi]))
+
+
+@pytest.mark.parametrize("n", [1, 63])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pack_mask_rows_round_trip(n, data):
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                              min_size=1, max_size=6))
+    packed = pack_mask_rows(np.array(rows, dtype=bool)).tolist()
+    assert packed == [sum(1 << e for e in range(n) if row[e]) for row in rows]
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_pack_mask_rows_rejects_64_or_more_columns(n):
+    with pytest.raises(ValueError, match="63"):
+        pack_mask_rows(np.ones((2, n), dtype=bool))

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrs.core import FractionalPoint, SeedSpec, iter_bits
 from ocrs.matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
+                           Matroid, MatroidPolytope, MatroidView,
                            PartitionMatroid, UniformMatroid,
                            check_matroid_axioms, contract_restrict,
                            in_scaled_matroid_polytope, matroid_from_json,
@@ -182,9 +185,68 @@ def test_polytope_membership():
     # uniform value t is feasible up to t = rank(N)/|N| = 1/2 on K4
     assert in_scaled_matroid_polytope(g, FractionalPoint([0.5] * 6), 1.0)
     assert not in_scaled_matroid_polytope(g, FractionalPoint([0.51] * 6), 1.0)
-    # sampled mode certifies this violation too
-    assert not in_scaled_matroid_polytope(g, FractionalPoint([0.51] * 6), 1.0,
-                                          exact=False)
+
+
+ORACLE_MATROIDS = [
+    UniformMatroid(8, 3),
+    PartitionMatroid([[0, 1, 2], [3, 4], [5, 6, 7]], [1, 2, 1]),
+    GraphicMatroid(4, K4_EDGES),
+    LaminarMatroid(8, [[0, 1, 2, 3], [0, 1], [4, 5, 6, 7]], [2, 1, 2]),
+    MatroidView(GraphicMatroid(4, K4_EDGES), contracted=0b000001,
+                kept=0b110110),
+]
+
+
+def _literal_polytope(m, x, b):
+    """The polytope questions answered by a plain loop over every subset."""
+    violation, worst = -np.inf, 0.0
+    slack = {e: np.inf for e in iter_bits(m.ground_mask)}
+    rows = []
+    for mask in range(1 << m.n):
+        if mask & ~m.ground_mask:
+            continue
+        r = m.rank(mask)
+        load = sum(x[e] for e in iter_bits(mask))
+        violation = max(violation, load - b * r)
+        if r:
+            worst = max(worst, load / r)
+        if mask:
+            rows.append((mask, r))
+        for e in iter_bits(mask):
+            slack[e] = min(slack[e], r - load)
+    steps = {e: max(v, 0.0) for e, v in slack.items()}
+    return violation, steps, worst, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, len(ORACLE_MATROIDS) - 1),
+       x=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+       b=st.floats(0.0, 1.0))
+def test_polytope_oracle_matches_subset_loop(which, x, b):
+    m = ORACLE_MATROIDS[which]
+    x = np.array(x[:m.n])
+    polytope = MatroidPolytope(m)
+    violation, steps, worst, rows = _literal_polytope(m, x, b)
+    assert polytope.max_violation(x, b) == violation
+    assert {e: polytope.max_step(x, e) for e in steps} == steps
+    assert polytope.min_scale(x) == worst
+    assert polytope.rank_rows() == rows
+
+
+class _GreedyOnly(Matroid):
+    """Not a matroid: {0, 2} is dependent while {0, 1, 2} is independent."""
+
+    def _indep(self, mask):
+        return mask in (0b000, 0b001, 0b010, 0b100, 0b011, 0b111)
+
+
+def test_polytope_submodularity_matches_pair_loop():
+    for m in ORACLE_MATROIDS + [_GreedyOnly(3)]:
+        masks = [k for k in range(1 << m.n) if not k & ~m.ground_mask]
+        expected = all(m.rank(a) + m.rank(c) >= m.rank(a | c) + m.rank(a & c)
+                       for a in masks for c in masks)
+        assert MatroidPolytope(m).is_submodular() == expected
+    assert not MatroidPolytope(_GreedyOnly(3)).is_submodular()
 
 
 def test_random_point_in_polytope():

@@ -398,6 +398,21 @@ def test_combined_selectability_disjoint_supports():
     assert both.bound_expr == "(1-b) * (1-b)"
 
 
+def test_factory_ground_size_and_load():
+    x = FractionalPoint([0.1, 0.3])
+    mfac = MatroidChainFactory(UniformMatroid(2, 1), 0.5)
+    gfac = MatchingFactory(Graph(3, [(0, 1), (1, 2)]), 0.5)
+    kfac = KnapsackFactory([0.5, 1.0], 0.5)
+    assert (mfac.n, gfac.n, kfac.n) == (2, 2, 2)
+    assert mfac.load(x) == 0.1 + 0.3
+    assert gfac.load(x) == 0.1 + 0.3
+    assert kfac.load(x) == pytest.approx(0.5 * 0.1 + 1.0 * 0.3)
+    both = IntersectionFactory([mfac, kfac])
+    assert both.n == 2 and both.load(x) == mfac.load(x)
+    with pytest.raises(ValueError, match="ground size"):
+        IntersectionFactory([mfac, KnapsackFactory([0.5], 0.5)])
+
+
 def test_intersection_requires_common_b():
     with pytest.raises(ValueError):
         IntersectionFactory([MatroidChainFactory(UniformMatroid(2, 1), 0.5),
@@ -448,27 +463,29 @@ def test_single_sample_family_helpers():
 
 
 def test_factory_from_json_descriptors():
-    fac = factory_from_json({"scheme": "matroid", "b": 0.5, "eps": 0.05},
-                            constraints={"matroid": {"type": "uniform",
-                                                     "n": 3, "k": 1}})
+    fac = factory_from_json("matroid",
+                            {"matroid": {"type": "uniform", "n": 3, "k": 1}},
+                            0.5, 0.05, None)
     assert isinstance(fac, MatroidChainFactory) and fac.b == 0.5
-    fac = factory_from_json({"scheme": "matching", "b": 0.5,
-                             "deterministic": True,
-                             "graph": {"vertices": 2, "edges": [[0, 1]]}})
+    fac = factory_from_json("matching",
+                            {"deterministic": True,
+                             "graph": {"vertices": 2, "edges": [[0, 1]]}},
+                            0.5, 0.05, None)
     assert isinstance(fac, MatchingFactory) and fac.deterministic
-    fac = factory_from_json({"scheme": "knapsack", "b": 0.25,
-                             "sizes": [0.6, 0.3]})
+    fac = factory_from_json("knapsack", {"sizes": [0.6, 0.3]}, 0.25, 0.05,
+                            None)
     assert isinstance(fac, KnapsackFactory)
     fac = factory_from_json(
-        {"scheme": "intersect", "b": 0.25,
-         "parts": [{"scheme": "matroid",
+        "intersect",
+        {"parts": [{"scheme": "matroid",
                     "matroid": {"type": "uniform", "n": 2, "k": 1}},
-                   {"scheme": "knapsack", "sizes": [0.6, 0.3]}]})
+                   {"scheme": "knapsack", "sizes": [0.6, 0.3]}]},
+        0.25, 0.05, None)
     assert isinstance(fac, IntersectionFactory) and fac.b == 0.25
+    with pytest.raises(ValueError, match="'matroid'"):
+        factory_from_json("matroid", {}, 0.5, 0.05, None)
     with pytest.raises(ValueError):
-        factory_from_json({"scheme": "matroid"})
-    with pytest.raises(ValueError):
-        factory_from_json({"scheme": "mystery", "b": 0.5})
+        factory_from_json("mystery", {}, 0.5, 0.05, None)
 
 
 def test_greedy_selectable_selected_under_every_order():
