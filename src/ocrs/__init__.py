@@ -1,15 +1,14 @@
 """Online contention resolution schemes with verification harness.
 
-Subpackages follow the pipeline: `core` (activation sampling, seeded
-streams), `matroids` (oracles), `schemes` (the OCRS constructions),
+Subpackages follow the pipeline: `core` (seeded streams and the trial
+decoder), `matroids` (oracles), `schemes` (the OCRS constructions),
 `harness` (statistical verification), `optimize` (relaxation solvers),
 `applications` (prophet and probing pipelines), `submodular` (multilinear
 machinery), and `cli` (the batch runner).
 """
 
-from .core import (ElementSubset, FractionalPoint, GroundSet, SeedSpec,
-                   downsample_active, fragment_from_json, sample_active_set,
-                   scale_point)
+from .core import (ElementSubset, FractionalPoint, SeedSpec, scale_point,
+                   trial_columns)
 from .matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
                        Matroid, MatroidPolytope, MatroidView,
                        PartitionMatroid, UniformMatroid,
@@ -34,10 +33,9 @@ from .optimize import (DiscreteDistribution, KnapsackConstraint,
 from .applications import (ProbingInstance, ProphetInstance, RatioReport,
                            brute_force_prophet_opt, deadline_matroid,
                            estimate_competitive_ratio, prepare_probing,
-                           prepare_prophet, probing_mean_value,
-                           prophet_thresholds, prophet_worst_order,
-                           run_probing, run_probing_with_deadlines,
-                           run_prophet)
+                           prepare_prophet, probe, probing_mean_value,
+                           probing_trial_states, prophet_thresholds,
+                           prophet_trial_states, prophet_worst_order)
 from .submodular import (MultilinearEvaluator, SubmodularOracle,
                          characteristic_crs, continuous_greedy,
                          coverage_function, directed_cut, half_subsample_value,

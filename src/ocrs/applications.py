@@ -7,14 +7,14 @@ online; feasibility of every produced set is asserted on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (ElementSubset, FractionalPoint, SeedSpec, iter_bits,
-                   pack_mask_rows, scale_point, uniform_blocks)
+from .core import (FractionalPoint, SeedSpec, iter_bits, pack_mask_rows,
+                   scale_point, trial_columns)
 from .harness import (AdversarySearchResult, MeanEstimate, worst_order_value)
 from .matroids import LaminarMatroid, Matroid, max_weight_independent
 from .optimize import (ConstraintSpec, DiscreteDistribution,
@@ -107,11 +107,20 @@ class ProphetPipeline:
     sampler: SchemeSampler
     b: float
 
-    @property
-    def draw_width(self) -> int:
-        # per trial: value quantile, tie coin, and downsampling coin per
-        # element, then the family draws
-        return 3 * self.instance.n + self.sampler.draw_count
+    def value(self, state, order: Sequence[int]) -> float:
+        """Value of one greedy OCRS run over a trial state in ``order``.
+
+        Asserts, under every order, that the selection is independent in the
+        matroid and contains every active element whose selectable event
+        held.
+        """
+        family, active, z = state
+        selected = run_greedy_mask(family, order, active)
+        if not self.instance.matroid.indep(selected):
+            raise AssertionError("prophet selection violated the matroid")
+        if family.selectable_mask(active) & active & ~selected:
+            raise AssertionError("selectable active element was not selected")
+        return sum(z[e] for e in iter_bits(selected))
 
 
 def prepare_prophet(instance: ProphetInstance, factory: GreedyOcrsFactory,
@@ -131,81 +140,59 @@ def prepare_prophet(instance: ProphetInstance, factory: GreedyOcrsFactory,
                            sampler=sampler, b=factory.b)
 
 
-def _prophet_trial_from_row(pipeline: ProphetPipeline,
-                            row: np.ndarray) -> tuple[FeasibleFamily, int, list[float]]:
-    n = pipeline.instance.n
-    z = [pipeline.instance.dists[e].quantile(row[e]) for e in range(n)]
-    active = 0
-    for e in range(n):
-        q, tie = pipeline.thresholds[e]
-        if pipeline.x[e] <= 0.0:
-            continue
-        if z[e] > q or (z[e] == q and row[n + e] < tie):
-            if row[2 * n + e] < pipeline.b:
-                active |= 1 << e
-    family = pipeline.sampler.sample_from_row(row[3 * n:])
-    return family, active, z
-
-
-def run_prophet(pipeline: ProphetPipeline, order: Sequence[int],
-                gen: np.random.Generator) -> tuple[ElementSubset, float]:
-    """One online run: draw values, activate, play the greedy OCRS."""
-    row = gen.random(pipeline.draw_width)
-    family, active, z = _prophet_trial_from_row(pipeline, row)
-    selected = run_greedy_mask(family, order, active)
-    if not pipeline.instance.matroid.indep(selected):
-        raise AssertionError("prophet selection violated the matroid")
-    return (ElementSubset(selected, pipeline.instance.n),
-            float(sum(z[e] for e in iter_bits(selected))))
-
-
 def prophet_trial_states(pipeline: ProphetPipeline, trials: int,
-                         seed: SeedSpec) -> list[tuple[FeasibleFamily, int, list[float]]]:
-    """Fixed per-trial randomness for common-random-number order search."""
+                         seed: SeedSpec) -> list[tuple[FeasibleFamily, int, tuple[float, ...]]]:
+    """Per-trial (family, active mask, values) for common random numbers.
+
+    Per trial: a value quantile and a tie coin per element, a downsampling
+    coin per element (kept below b), then the family draws.  Element e is
+    active when its value beats its threshold, or ties it and the coin falls
+    below the tie probability, and its downsampling coin keeps it.  Values
+    are the distributions' own support floats.
+    """
+    n = pipeline.instance.n
     states = []
-    for _start, block in uniform_blocks(seed, _DOMAIN_TRIALS, trials,
-                                        pipeline.draw_width):
-        for i in range(block.shape[0]):
-            states.append(_prophet_trial_from_row(pipeline, block[i]))
+    # equal value vectors share one tuple, so memory grows with the distinct
+    # vectors rather than with the trials
+    shared: dict[tuple[float, ...], tuple[float, ...]] = {}
+    for _start, (u, coins, kept, families) in trial_columns(
+            seed, _DOMAIN_TRIALS, trials,
+            [n, n, np.full(n, pipeline.b), pipeline.sampler]):
+        beats = np.zeros(u.shape, dtype=bool)
+        values = []
+        for e, d in enumerate(pipeline.instance.dists):
+            q, tie = pipeline.thresholds[e]
+            index = d.quantile_index(u[:, e])
+            realized = np.asarray(d.support)[index]
+            beats[:, e] = ((realized > q)
+                           | ((realized == q) & (coins[:, e] < tie)))
+            values.append([d.support[i] for i in index.tolist()])
+        for family, a, k, z in zip(families, pack_mask_rows(beats).tolist(),
+                                   kept, zip(*values)):
+            states.append((family, a & k, shared.setdefault(z, z)))
     return states
 
 
 def prophet_value_under_order(pipeline: ProphetPipeline, states,
-                              order: Sequence[int]) -> MeanEstimate:
-    matroid = pipeline.instance.matroid
-    total = 0.0
-    total_sq = 0.0
-    for family, active, z in states:
-        selected = run_greedy_mask(family, order, active)
-        if not matroid.indep(selected):
-            raise AssertionError("prophet selection violated the matroid")
-        guaranteed = family.selectable_mask(active) & active
-        if guaranteed & ~selected:
-            raise AssertionError("selectable active element was not selected")
-        v = sum(z[e] for e in iter_bits(selected))
-        total += v
-        total_sq += v * v
-    return MeanEstimate.from_moments(total, total_sq, len(states))
+                              order: Sequence[int],
+                              collect: Optional[list] = None) -> MeanEstimate:
+    """Mean value over trial states in one order; ``collect``, if given,
+    receives every per-trial value in trial order."""
+    return MeanEstimate.from_stream(
+        (pipeline.value(state, order) for state in states), collect)
 
 
 def prophet_worst_order(pipeline: ProphetPipeline, trials: int,
-                        seed: SeedSpec,
-                        mode: str = "exhaustive") -> tuple[AdversarySearchResult, MeanEstimate]:
+                        seed: SeedSpec, mode: str = "exhaustive",
+                        collect: Optional[list] = None
+                        ) -> tuple[AdversarySearchResult, MeanEstimate]:
     """Worst arrival order over common random numbers, plus its mean value."""
     states = prophet_trial_states(pipeline, trials, seed)
-    matroid = pipeline.instance.matroid
-
-    def trial_value(state, order) -> float:
-        family, active, z = state
-        selected = run_greedy_mask(family, order, active)
-        if not matroid.indep(selected):
-            raise AssertionError("prophet selection violated the matroid")
-        return sum(z[e] for e in iter_bits(selected))
-
-    result = worst_order_value(lambda t: states[t], trial_value,
+    result = worst_order_value(lambda t: states[t], pipeline.value,
                                pipeline.instance.n, trials, mode=mode,
                                seed=seed)
-    estimate = prophet_value_under_order(pipeline, states, result.worst_order)
+    estimate = prophet_value_under_order(pipeline, states, result.worst_order,
+                                         collect)
     return result, estimate
 
 
@@ -253,9 +240,11 @@ class ProbingInstance:
         if len(self.w) != n:
             raise ValueError("weights and probabilities must share the length")
         if any(not 0.0 <= v <= 1.0 for v in self.p):
-            raise ValueError("activation probabilities must lie in [0, 1]")
-        if any(v < 0 for v in self.w):
-            raise ValueError("weights must be nonnegative")
+            raise ValueError("activation probabilities 'p' must lie in [0, 1]")
+        if any(not 0.0 <= v < math.inf for v in self.w):
+            raise ValueError("weights 'w' must be finite and nonnegative")
+        if not 0.0 <= self.b <= 1.0:
+            raise ValueError("scale 'b' must lie in [0, 1]")
         if self.deadlines is not None:
             if len(self.deadlines) != n:
                 raise ValueError("one deadline per element required")
@@ -298,11 +287,23 @@ class ProbingPipeline:
     outer_point: FractionalPoint
     inner_point: FractionalPoint
     laminar: Optional[LaminarMatroid] = None
+    inner_member: Callable[[int], bool] = field(init=False, repr=False)
+    outer_member: Callable[[int], bool] = field(init=False, repr=False)
 
-    @property
-    def draw_width(self) -> int:
-        return (2 * self.instance.n + self.inner_sampler.draw_count
-                + self.outer_sampler.draw_count)
+    def __post_init__(self) -> None:
+        # the deadline matroid is part of the outer family it was intersected
+        # into, so the probed set is checked against both
+        self.inner_member = constraint_member(self.instance.inner)
+        outer = constraint_member(self.instance.outer)
+        laminar = self.laminar
+        self.outer_member = (outer if laminar is None else
+                             lambda mask: outer(mask) and laminar.indep(mask))
+
+    def value(self, state, order: Sequence[int]) -> float:
+        """Weight of the selection of one probing run over a trial state."""
+        _probed, selected = probe(order, *state, self.inner_member,
+                                  self.outer_member, self.instance.deadlines)
+        return sum(self.instance.w[e] for e in iter_bits(selected))
 
 
 def prepare_probing(instance: ProbingInstance, seed: SeedSpec,
@@ -358,11 +359,18 @@ def prepare_probing(instance: ProbingInstance, seed: SeedSpec,
                            inner_point=inner_point, laminar=laminar)
 
 
-def _probing_trial(pipeline: ProbingPipeline, a_out: int, act: int,
-                   fam_in: FeasibleFamily, fam_out: FeasibleFamily,
-                   order: Sequence[int]) -> tuple[int, int, float]:
-    instance = pipeline.instance
-    deadlines = instance.deadlines
+def probe(order: Sequence[int], a_out: int, act: int, fam_in: FeasibleFamily,
+          fam_out: FeasibleFamily, inner_member: Callable[[int], bool],
+          outer_member: Callable[[int], bool],
+          deadlines: Optional[Sequence[int]] = None) -> tuple[int, int]:
+    """One oblivious probing run; returns the (probed Q, selected S) masks.
+
+    Scanning ``order``, an element of A_out is probed iff adding it keeps Q
+    in the outer family and S in the inner family, and selected iff it is
+    also active.  Asserts S = Q & active, S feasible for the inner
+    constraint, Q feasible for the outer one and, with deadlines, that the
+    k-th probe has deadline at least k.
+    """
     probed = 0
     selected = 0
     position = 0
@@ -380,49 +388,25 @@ def _probing_trial(pipeline: ProbingPipeline, a_out: int, act: int,
                 selected |= bit
     if selected != probed & act & a_out:
         raise AssertionError("selected set must be the active probed elements")
-    if not constraint_member(instance.inner)(selected):
+    if not inner_member(selected):
         raise AssertionError("selection violated the inner family")
-    if not constraint_member(instance.outer)(probed):
+    if not outer_member(probed):
         raise AssertionError("probes violated the outer family")
-    if pipeline.laminar is not None and not pipeline.laminar.indep(probed):
-        raise AssertionError("probes violated the deadline matroid")
-    value = sum(instance.w[e] for e in iter_bits(selected))
-    return probed, selected, value
+    return probed, selected
 
 
-def run_probing(pipeline: ProbingPipeline, gen: np.random.Generator,
-                order: Optional[Sequence[int]] = None
-                ) -> tuple[ElementSubset, ElementSubset, float]:
-    """One probing run; returns (probed set Q, selected set S, value w(S))."""
-    n = pipeline.instance.n
-    row = gen.random(pipeline.draw_width)
-    a_out = sum(1 << e for e in range(n)
-                if row[e] < pipeline.outer_point[e])
-    act = sum(1 << e for e in range(n) if row[n + e] < pipeline.instance.p[e])
-    at = 2 * n
-    fam_in = pipeline.inner_sampler.sample_from_row(
-        row[at:at + pipeline.inner_sampler.draw_count])
-    at += pipeline.inner_sampler.draw_count
-    fam_out = pipeline.outer_sampler.sample_from_row(
-        row[at:at + pipeline.outer_sampler.draw_count])
-    probed, selected, value = _probing_trial(
-        pipeline, a_out, act, fam_in, fam_out,
-        pipeline.order if order is None else order)
-    return (ElementSubset(probed, n), ElementSubset(selected, n), value)
+def probing_trial_states(pipeline: ProbingPipeline, trials: int,
+                         seed: SeedSpec) -> Iterator[tuple[int, int, FeasibleFamily, FeasibleFamily]]:
+    """Per-trial (A_out, active, inner family, outer family), in trial order.
 
-
-def run_probing_with_deadlines(pipeline: ProbingPipeline,
-                               gen: np.random.Generator
-                               ) -> tuple[ElementSubset, ElementSubset, float]:
-    """One deadline-respecting probing run in ascending-deadline order.
-
-    The pipeline must come from an instance with deadlines; probing order
-    and the laminar outer restriction were fixed by prepare_probing, and the
-    per-run position assertion fires if a probe lands past its deadline.
+    A_out is drawn from R(b*x*), the active set from R(p), then the inner
+    and outer families.
     """
-    if pipeline.instance.deadlines is None:
-        raise ValueError("pipeline has no deadlines; use run_probing")
-    return run_probing(pipeline, gen)
+    for _start, columns in trial_columns(
+            seed, _DOMAIN_TRIALS, trials,
+            [pipeline.outer_point.values, pipeline.instance.p,
+             pipeline.inner_sampler, pipeline.outer_sampler]):
+        yield from zip(*columns)
 
 
 def probing_mean_value(pipeline: ProbingPipeline, trials: int, seed: SeedSpec,
@@ -432,31 +416,10 @@ def probing_mean_value(pipeline: ProbingPipeline, trials: int, seed: SeedSpec,
 
     ``collect``, if given, receives every per-trial value in trial order.
     """
-    instance = pipeline.instance
-    n = instance.n
-    xv = pipeline.outer_point.values
-    pv = np.asarray(instance.p)
     use_order = tuple(pipeline.order if order is None else order)
-    k_in = pipeline.inner_sampler.draw_count
-    total = 0.0
-    total_sq = 0.0
-    for _start, block in uniform_blocks(seed, _DOMAIN_TRIALS, trials,
-                                        pipeline.draw_width):
-        a_outs = pack_mask_rows(block[:, :n] < xv)
-        acts = pack_mask_rows(block[:, n:2 * n] < pv)
-        fams_in = pipeline.inner_sampler.sample_block(
-            block[:, 2 * n:2 * n + k_in])
-        fams_out = pipeline.outer_sampler.sample_block(
-            block[:, 2 * n + k_in:])
-        for a_out, act, fin, fout in zip(a_outs.tolist(), acts.tolist(),
-                                         fams_in, fams_out):
-            _q, _s, value = _probing_trial(pipeline, a_out, act, fin, fout,
-                                           use_order)
-            total += value
-            total_sq += value * value
-            if collect is not None:
-                collect.append(value)
-    return MeanEstimate.from_moments(total, total_sq, trials)
+    return MeanEstimate.from_stream(
+        (pipeline.value(state, use_order)
+         for state in probing_trial_states(pipeline, trials, seed)), collect)
 
 
 def probing_worst_order(pipeline: ProbingPipeline, trials: int,
@@ -465,28 +428,12 @@ def probing_worst_order(pipeline: ProbingPipeline, trials: int,
     """Adversarial probe order search (no-deadline instances only)."""
     if pipeline.instance.deadlines is not None:
         raise ValueError("deadline instances fix their probe order")
-    n = pipeline.instance.n
-    states = []
-    k_in = pipeline.inner_sampler.draw_count
-    xv = pipeline.outer_point.values
-    pv = np.asarray(pipeline.instance.p)
-    for _start, block in uniform_blocks(seed, _DOMAIN_TRIALS, trials,
-                                        pipeline.draw_width):
-        a_outs = pack_mask_rows(block[:, :n] < xv)
-        acts = pack_mask_rows(block[:, n:2 * n] < pv)
-        fams_in = pipeline.inner_sampler.sample_block(
-            block[:, 2 * n:2 * n + k_in])
-        fams_out = pipeline.outer_sampler.sample_block(block[:, 2 * n + k_in:])
-        states.extend(zip(a_outs.tolist(), acts.tolist(), fams_in, fams_out))
-
-    def trial_value(state, order) -> float:
-        a_out, act, fin, fout = state
-        return _probing_trial(pipeline, a_out, act, fin, fout, order)[2]
-
-    result = worst_order_value(lambda t: states[t], trial_value, n, trials,
-                               mode=mode, seed=seed)
-    totals = [trial_value(s, result.worst_order) for s in states]
-    return result, MeanEstimate.from_values(totals)
+    states = list(probing_trial_states(pipeline, trials, seed))
+    result = worst_order_value(lambda t: states[t], pipeline.value,
+                               pipeline.instance.n, trials, mode=mode,
+                               seed=seed)
+    return result, MeanEstimate.from_stream(
+        pipeline.value(state, result.worst_order) for state in states)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from collections import Counter
@@ -279,8 +280,10 @@ def cmd_prophet(args) -> int:
     bound_expr = "b * (1-b)"
     log.info("prophet: b=%s bound=%s (%s) trials=%d seed=%d", args.b, bound,
              bound_expr, args.trials, args.seed)
+    collect: Optional[list] = [] if args.out_csv else None
     if instance.arrival_order == "worst" and instance.n <= 6:
-        result, estimate = prophet_worst_order(pipeline, args.trials, seed)
+        result, estimate = prophet_worst_order(pipeline, args.trials, seed,
+                                               collect=collect)
         order = result.worst_order
     else:
         if isinstance(instance.arrival_order, tuple):
@@ -288,7 +291,8 @@ def cmd_prophet(args) -> int:
         else:
             order = tuple(range(instance.n))
         states = prophet_trial_states(pipeline, args.trials, seed)
-        estimate = prophet_value_under_order(pipeline, states, order)
+        estimate = prophet_value_under_order(pipeline, states, order,
+                                             collect=collect)
     report = estimate_competitive_ratio(estimate, benchmark, bound, bound_expr)
     payload = {
         "relaxation_value": pipeline.relaxation_value,
@@ -305,14 +309,7 @@ def cmd_prophet(args) -> int:
     }
     _write_json(args.out_json, payload)
     if args.out_csv:
-        states = prophet_trial_states(pipeline, args.trials, seed)
-        from .schemes import run_greedy_mask
-        from .core import iter_bits
-        values = []
-        for family, active, z in states:
-            selected = run_greedy_mask(family, order, active)
-            values.append(sum(z[e] for e in iter_bits(selected)))
-        _write_values_csv(args.out_csv, values)
+        _write_values_csv(args.out_csv, collect)
     return EXIT_PASS if report.passes() else EXIT_FAIL
 
 
@@ -380,6 +377,9 @@ def cmd_probing_deadlines(args) -> int:
 def cmd_submodular(args) -> int:
     obj = _load_json(args.instance)
     f = submodular_from_json(_require(obj, "f", args.instance))
+    b = float(obj.get("b", args.b))
+    if not 0.0 <= b <= 1.0:
+        raise InstanceError(f"'b' in {args.instance} must lie in [0, 1]")
     seed = SeedSpec(args.seed)
     log.info("submodular: kind=%s monotone=%s trials=%d seed=%d", f.kind,
              f.monotone, args.trials, args.seed)
@@ -388,7 +388,6 @@ def cmd_submodular(args) -> int:
                                      args.instance)
         outer = constraint_from_json(_require(obj, "outer", args.instance),
                                      args.instance)
-        b = float(obj.get("b", args.b))
         result = run_submodular_probing(f, obj["p"], inner, outer, b,
                                         args.trials, seed)
         ok = (result.estimate.mean + 3 * result.estimate.halfwidth
@@ -408,7 +407,6 @@ def cmd_submodular(args) -> int:
         _write_json(args.out_json, payload)
         return EXIT_PASS if ok else EXIT_FAIL
     matroid = matroid_from_json(_require(obj, "matroid", args.instance))
-    b = float(obj.get("b", args.b))
     factory = MatroidChainFactory(matroid, b, eps=args.eps)
     if "x" in obj:
         x = _point_from_json(obj, args.instance)
@@ -465,6 +463,16 @@ def cmd_validate_matroid(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ocrs",
@@ -474,9 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, instance=True):
         if instance:
             p.add_argument("instance", help="instance JSON file")
-        p.add_argument("--b", type=float, default=0.5,
+        p.add_argument("--b", type=_finite_float, default=0.5,
                        help="polytope scale (default 0.5)")
-        p.add_argument("--eps", type=float, default=0.05,
+        p.add_argument("--eps", type=_finite_float, default=0.05,
                        help="chain construction tolerance")
         p.add_argument("--trials", type=int, default=100000)
         p.add_argument("--seed", type=int, default=0)

@@ -1,14 +1,15 @@
-"""Ground-set bookkeeping, independent activation sampling, and seeded streams.
+"""Bitmask subsets, fractional points, seeded streams and the trial decoder.
 
 Element subsets are machine-word bitmasks wrapped in :class:`ElementSubset`;
 all randomness flows from a single 64-bit master seed through a published
 counter-based derivation (Philox keyed by mixed path indices), so trial i is
-bit-identical across runs and worker counts.
+bit-identical across runs and worker counts.  Every trial loop takes its
+randomness from :func:`trial_columns`, which decodes the per-trial uniform
+rows into activation masks, raw columns and sampled families.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -86,27 +87,50 @@ def num_blocks(trials: int) -> int:
     return (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """A ground set of ``n`` elements identified by indices ``0..n-1``."""
+def trial_columns(seed: SeedSpec, domain: int, trials: int,
+                  segments: Sequence,
+                  block_range: Optional[tuple[int, int]] = None
+                  ) -> Iterator[tuple[int, list]]:
+    """Yield ``(start_trial, columns)`` blocks of decoded per-trial randomness.
 
-    n: int
-    labels: Optional[tuple[str, ...]] = None
+    A trial loop declares its uniform row once, as an ordered list of
+    segments; each segment owns the next columns of the row, and
+    ``columns[k]`` holds segment k decoded for every trial of the block:
 
-    def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise ValueError("ground set must be nonempty")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels must have length n")
+    - a probability vector ``p``: ``len(p)`` columns, decoded to a list of
+      int masks with bit e set iff the trial's uniform in column e is < p[e]
+      (so ``[x]`` draws R(x), and ``np.full(n, b)`` thins at rate b);
+    - an int ``k``: ``k`` raw columns, as the block's (count, k) array;
+    - a scheme sampler (``draw_count`` and ``sample_block``): its
+      ``draw_count`` columns, decoded to one feasible family per trial.
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def label(self, e: int) -> str:
-        if self.labels is not None:
-            return self.labels[e]
-        return str(e)
+    Rows come from :func:`uniform_blocks`, so counts over disjoint
+    ``block_range`` values add up to the full-range counts.
+    """
+    layout = []
+    width = 0
+    for segment in segments:
+        if hasattr(segment, "sample_block"):
+            count = segment.draw_count
+        elif isinstance(segment, int):
+            count = segment
+        else:
+            segment = np.asarray(segment, dtype=float)
+            count = segment.size
+        layout.append((segment, width, width + count))
+        width += count
+    for start, block in uniform_blocks(seed, domain, trials, width,
+                                       block_range):
+        columns = []
+        for segment, lo, hi in layout:
+            cols = block[:, lo:hi]
+            if isinstance(segment, int):
+                columns.append(cols)
+            elif isinstance(segment, np.ndarray):
+                columns.append(pack_mask_rows(cols < segment).tolist())
+            else:
+                columns.append(segment.sample_block(cols))
+        yield start, columns
 
 
 class ElementSubset:
@@ -234,25 +258,6 @@ def scale_point(x: FractionalPoint, b: float) -> FractionalPoint:
     return FractionalPoint(b * x.values)
 
 
-def fragment_from_json(obj: dict) -> tuple[GroundSet, FractionalPoint, SeedSpec]:
-    """Parse the common instance fragment {"n": int, "x": [...], "seed": int}."""
-    if not isinstance(obj, dict):
-        raise ValueError("instance fragment must be a JSON object")
-    for fld in ("n", "x", "seed"):
-        if fld not in obj:
-            raise ValueError(f"instance fragment is missing field '{fld}'")
-    ground = GroundSet(int(obj["n"]))
-    x = FractionalPoint(obj["x"])
-    if x.n != ground.n:
-        raise ValueError("'x' length must equal 'n'")
-    return ground, x, SeedSpec(int(obj["seed"]))
-
-
-def sample_active_mask(values: np.ndarray, gen: np.random.Generator) -> int:
-    """Bitmask of R(x): element e included independently w.p. values[e]."""
-    return pack_mask(gen.random(values.size) < values)
-
-
 def pack_mask(bits: np.ndarray) -> int:
     mask = 0
     for i in np.flatnonzero(bits):
@@ -270,29 +275,3 @@ def pack_mask_rows(bits: np.ndarray) -> np.ndarray:
                          f"got {bits.shape[1]}")
     powers = (1 << np.arange(bits.shape[1], dtype=np.int64))
     return bits.astype(np.int64) @ powers
-
-
-def sample_active_set(x: FractionalPoint,
-                      gen: np.random.Generator) -> ElementSubset:
-    """Independent activation set R(x)."""
-    return ElementSubset(sample_active_mask(x.values, gen), x.n)
-
-
-def downsample_active(active: ElementSubset, b: float,
-                      gen: np.random.Generator) -> ElementSubset:
-    """Keep each member independently with probability ``b``.
-
-    Applied before the online loop, this converts a scheme selectable at
-    scale ``b`` into one usable on unscaled points (selection probabilities
-    shrink by the factor ``b``).
-    """
-    if not 0.0 <= b <= 1.0:
-        raise ValueError("retention probability must lie in [0, 1]")
-    if b == 1.0:
-        return active
-    coins = gen.random(active.n)
-    kept = 0
-    for e in iter_bits(active.mask):
-        if coins[e] < b:
-            kept |= 1 << e
-    return ElementSubset(kept, active.n)

@@ -14,12 +14,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import (FractionalPoint, SeedSpec, iter_bits, iter_submasks,
-                   pack_mask_rows, uniform_blocks)
+                   trial_columns)
 from .schemes import FeasibleFamily, GreedyOcrsFactory, run_greedy_mask
 
 Z_99 = 2.576
@@ -50,10 +50,20 @@ class MeanEstimate:
                    trials=trials)
 
     @classmethod
-    def from_values(cls, values: Sequence[float]) -> "MeanEstimate":
-        arr = np.asarray(values, dtype=float)
-        return cls.from_moments(float(arr.sum()), float(np.dot(arr, arr)),
-                                arr.size)
+    def from_stream(cls, values: Iterable[float],
+                    collect: Optional[list] = None) -> "MeanEstimate":
+        """Moments summed in iteration order; ``collect``, if given,
+        receives every value."""
+        total = 0.0
+        total_sq = 0.0
+        trials = 0
+        for v in values:
+            total += v
+            total_sq += v * v
+            trials += 1
+            if collect is not None:
+                collect.append(v)
+        return cls.from_moments(total, total_sq, trials)
 
 
 @dataclass
@@ -123,24 +133,17 @@ def selectability_counts(factory: GreedyOcrsFactory, x: FractionalPoint,
     workers can split ranges without changing the reduced result.
     """
     sampler = factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT))
-    n = x.n
-    xv = x.values
-    width = n + sampler.draw_count
     counts: Counter[int] = Counter()
     if sampler.deterministic:
         family = sampler.sample()
-        for _start, block in uniform_blocks(seed, _DOMAIN_TRIALS, trials,
-                                            width, block_range):
-            actives = pack_mask_rows(block[:, :n] < xv)
-            for a in actives.tolist():
-                counts[family.selectable_mask(a)] += 1
+        for _start, (actives,) in trial_columns(seed, _DOMAIN_TRIALS, trials,
+                                                [x.values], block_range):
+            counts.update(family.selectable_mask(a) for a in actives)
     else:
         memo: dict[tuple, int] = {}
-        for _start, block in uniform_blocks(seed, _DOMAIN_TRIALS, trials,
-                                            width, block_range):
-            actives = pack_mask_rows(block[:, :n] < xv)
-            families = sampler.sample_block(block[:, n:])
-            for a, fam in zip(actives.tolist(), families):
+        for _start, (actives, families) in trial_columns(
+                seed, _DOMAIN_TRIALS, trials, [x.values, sampler], block_range):
+            for a, fam in zip(actives, families):
                 key = (fam.cache_key(), a)
                 mask = memo.get(key)
                 if mask is None:

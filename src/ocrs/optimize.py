@@ -9,6 +9,7 @@ piecewise-linear concave objectives over matroid polytopes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -29,6 +30,10 @@ class DiscreteDistribution:
         pr = [float(p) for p in probs]
         if len(sup) != len(pr) or not sup:
             raise ValueError("support and probs must be equal-length, nonempty")
+        if not all(math.isfinite(v) for v in sup):
+            raise ValueError("'support' values must be finite")
+        if not all(math.isfinite(p) for p in pr):
+            raise ValueError("'probs' must be finite")
         if any(b <= a for a, b in zip(sup, sup[1:])):
             raise ValueError("support must be ascending and distinct")
         if any(p <= 0 for p in pr):
@@ -55,10 +60,14 @@ class DiscreteDistribution:
                 return p
         return 0.0
 
+    def quantile_index(self, u: np.ndarray) -> np.ndarray:
+        """Support index of the smallest value whose CDF reaches u, per u."""
+        idx = np.searchsorted(self._cum, u, side="left")
+        return np.minimum(idx, len(self.support) - 1)
+
     def quantile(self, u: float) -> float:
         """Smallest support value whose CDF reaches u (inverse CDF)."""
-        idx = int(np.searchsorted(self._cum, u, side="left"))
-        return self.support[min(idx, len(self.support) - 1)]
+        return self.support[int(self.quantile_index(u))]
 
     @property
     def min_value(self) -> float:

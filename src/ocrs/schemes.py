@@ -184,8 +184,8 @@ class _KnapsackStructure:
 
     def __init__(self, sizes: Sequence[float]):
         arr = tuple(float(s) for s in sizes)
-        if any(s < 0 or s > 1 for s in arr):
-            raise ValueError("sizes must lie in [0, 1]")
+        if any(not 0 <= s <= 1 for s in arr):
+            raise ValueError("'sizes' must lie in [0, 1]")
         self.sizes = arr
         self.n = len(arr)
         # strictly greater than one half: items of size exactly 1/2 are small
@@ -680,6 +680,8 @@ class MatroidChainFactory(GreedyOcrsFactory):
 
     def __init__(self, matroid: Matroid, b: float, eps: float = 0.05,
                  alpha: float = 1.0, exact: Optional[bool] = None):
+        if not 0.0 <= b <= 1.0:
+            raise SchemeError("matroid scheme requires b in [0, 1]")
         self.matroid = matroid
         self.n = matroid.n
         self.b = b

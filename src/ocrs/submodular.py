@@ -8,6 +8,8 @@ mode (full 2^n sum) and a sampled mode with confidence half-widths.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -15,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (FractionalPoint, ElementSubset, SeedSpec, iter_bits,
-                   pack_mask_rows, uniform_blocks)
+                   pack_mask_rows, trial_columns)
 from .harness import MeanEstimate
 from .matroids import Matroid, in_scaled_matroid_polytope, max_weight_independent
 from .optimize import (ConstraintSpec, LinearProgram, constraint_member,
@@ -83,8 +85,8 @@ def coverage_function(universe_weights: Sequence[float],
                       validate: bool = True) -> SubmodularOracle:
     """Weighted coverage: value of the union of the chosen elements' sets."""
     weights = np.asarray(universe_weights, dtype=float)
-    if np.any(weights < 0):
-        raise ValueError("universe weights must be nonnegative")
+    if not np.all((weights >= 0) & np.isfinite(weights)):
+        raise ValueError("'universe_weights' must be finite and nonnegative")
     cover_masks = []
     for s in covers:
         m = 0
@@ -108,8 +110,8 @@ def weighted_matroid_rank(matroid: Matroid, weights: Sequence[float],
                           validate: bool = True) -> SubmodularOracle:
     """f(S) = maximum weight of an independent subset of S."""
     w = [float(v) for v in weights]
-    if any(v < 0 for v in w):
-        raise ValueError("weights must be nonnegative")
+    if any(not 0 <= v < math.inf for v in w):
+        raise ValueError("weights must be finite and nonnegative")
 
     def fn(mask: int) -> float:
         order = sorted(iter_bits(mask), key=lambda e: (-w[e], e))
@@ -129,8 +131,10 @@ def directed_cut(num_nodes: int, arcs: Sequence[tuple[int, int, float]],
                  validate: bool = True) -> SubmodularOracle:
     """f(S) = total weight of arcs from S to its complement (non-monotone)."""
     for u, v, w in arcs:
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes) or w < 0:
-            raise ValueError("arcs need valid endpoints and nonneg weights")
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes
+                and 0 <= w < math.inf):
+            raise ValueError("'arcs' need valid endpoints and finite "
+                             "nonnegative weights")
 
     def fn(mask: int) -> float:
         return float(sum(w for u, v, w in arcs
@@ -185,14 +189,11 @@ def multilinear_exact(f: SubmodularOracle, x: FractionalPoint) -> float:
 
 def multilinear_sampled(f: SubmodularOracle, x: FractionalPoint, trials: int,
                         seed: SeedSpec) -> MeanEstimate:
-    total = 0.0
-    total_sq = 0.0
-    for _start, block in uniform_blocks(seed, _DOMAIN_TRIALS, trials, x.n):
-        for mask in pack_mask_rows(block < x.values).tolist():
-            v = f.value(mask)
-            total += v
-            total_sq += v * v
-    return MeanEstimate.from_moments(total, total_sq, trials)
+    return MeanEstimate.from_stream(
+        f.value(mask)
+        for _start, (masks,) in trial_columns(seed, _DOMAIN_TRIALS, trials,
+                                              [x.values])
+        for mask in masks)
 
 
 def multilinear_F(f: SubmodularOracle, x: FractionalPoint,
@@ -244,26 +245,19 @@ def _ocrs_value_loop(f: SubmodularOracle, factory: GreedyOcrsFactory,
     n = x.n
     sampler = factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT_OUT))
     use_order = tuple(order) if order is not None else tuple(range(n))
-    width = n + sampler.draw_count + (n if half_subsample else 0)
-    total = 0.0
-    total_sq = 0.0
-    for _start, block in uniform_blocks(seed, _DOMAIN_TRIALS, trials, width):
-        actives = pack_mask_rows(block[:, :n] < x.values)
-        families = sampler.sample_block(block[:, n:n + sampler.draw_count])
-        for i, (a, fam) in enumerate(zip(actives.tolist(), families)):
-            selected = run_greedy_mask(fam, use_order, a)
-            if half_subsample:
-                coins = block[i, n + sampler.draw_count:]
-                kept = 0
-                for e in iter_bits(selected):
-                    if coins[e] < 0.5:
-                        kept |= 1 << e
-                v = f.value(kept)
-            else:
-                v = f.value(selected)
-            total += v
-            total_sq += v * v
-    return MeanEstimate.from_moments(total, total_sq, trials)
+    segments = [x.values, sampler]
+    if half_subsample:
+        # coins that keep each selected element with probability one half
+        segments.append(np.full(n, 0.5))
+
+    def values():
+        for _start, (actives, families, *coins) in trial_columns(
+                seed, _DOMAIN_TRIALS, trials, segments):
+            kept = coins[0] if coins else itertools.repeat(-1)
+            for a, fam, k in zip(actives, families, kept):
+                yield f.value(run_greedy_mask(fam, use_order, a) & k)
+
+    return MeanEstimate.from_stream(values())
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +427,7 @@ def run_submodular_probing(f: SubmodularOracle, p: Sequence[float],
                            order: Optional[Sequence[int]] = None) -> SubmodularProbingResult:
     """Continuous greedy then online probing; compares E[f(S)] to the
     product of the scheme constants times F(p o x~)."""
-    from .applications import default_factory  # local to avoid cycle
+    from .applications import default_factory, probe  # local: avoids a cycle
 
     n = f.n
     if len(p) != n:
@@ -449,40 +443,23 @@ def run_submodular_probing(f: SubmodularOracle, p: Sequence[float],
     outer_sampler = outer_factory.bind(x_tilde,
                                        seed.stream(_DOMAIN_CONSTRUCT_OUT))
     use_order = tuple(order) if order is not None else tuple(range(n))
-    k_in = inner_sampler.draw_count
-    width = 2 * n + k_in + outer_sampler.draw_count
     in_member = constraint_member(inner)
     out_member = constraint_member(outer)
-    total = 0.0
-    total_sq = 0.0
-    for _start, block in uniform_blocks(seed, _DOMAIN_TRIALS, trials, width):
-        a_outs = pack_mask_rows(block[:, :n] < x_tilde.values)
-        acts = pack_mask_rows(block[:, n:2 * n] < pv)
-        fams_in = inner_sampler.sample_block(block[:, 2 * n:2 * n + k_in])
-        fams_out = outer_sampler.sample_block(block[:, 2 * n + k_in:])
-        for a_out, act, fin, fout in zip(a_outs.tolist(), acts.tolist(),
-                                         fams_in, fams_out):
-            probed = 0
-            selected = 0
-            for e in use_order:
-                bit = 1 << e
-                if (a_out & bit and fin.member(selected | bit)
-                        and fout.member(probed | bit)):
-                    probed |= bit
-                    if act & bit:
-                        selected |= bit
-            if selected != probed & act:
-                raise AssertionError("selection must be the active probes")
-            if not (in_member(selected) and out_member(probed)):
-                raise AssertionError("probing produced an infeasible set")
-            v = f.value(selected)
-            total += v
-            total_sq += v * v
+
+    def values():
+        for _start, columns in trial_columns(
+                seed, _DOMAIN_TRIALS, trials,
+                [x_tilde.values, pv, inner_sampler, outer_sampler]):
+            for state in zip(*columns):
+                _probed, selected = probe(use_order, *state, in_member,
+                                          out_member)
+                yield f.value(selected)
+
     constant = inner_factory.bound() * outer_factory.bound()
     expr = (f"({inner_factory.bound_expr}) * ({outer_factory.bound_expr})")
     return SubmodularProbingResult(
         x_tilde=x_tilde,
-        estimate=MeanEstimate.from_moments(total, total_sq, trials),
+        estimate=MeanEstimate.from_stream(values()),
         multilinear_benchmark=multilinear_exact(f, inner_point),
         scheme_constant=constant,
         bound_expr=expr)

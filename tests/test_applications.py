@@ -7,19 +7,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ocrs.core import FractionalPoint, SeedSpec, iter_bits
+from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, iter_bits,
+                       uniform_blocks)
 from ocrs.applications import (ProbingInstance, ProphetInstance,
                                brute_force_prophet_opt, deadline_matroid,
                                estimate_competitive_ratio, prepare_probing,
-                               prepare_prophet, probing_mean_value,
-                               probing_worst_order, prophet_thresholds,
-                               prophet_trial_states, prophet_value_under_order,
-                               prophet_worst_order, run_probing,
-                               run_probing_with_deadlines, run_prophet)
+                               prepare_prophet, probe, probing_mean_value,
+                               probing_trial_states, probing_worst_order,
+                               prophet_thresholds, prophet_trial_states,
+                               prophet_value_under_order, prophet_worst_order)
 from ocrs.harness import MeanEstimate
 from ocrs.matroids import UniformMatroid
 from ocrs.optimize import DiscreteDistribution, KnapsackConstraint
-from ocrs.schemes import MatroidChainFactory
+from ocrs.schemes import FeasibleFamily, MatroidChainFactory, run_greedy_mask
 
 SEED = SeedSpec(202)
 
@@ -74,6 +74,35 @@ def test_activation_marginals_monte_carlo():
         assert abs(freq[e] - target) <= 4 * math.sqrt(max(target, 1e-4) / 50_000) + 1e-3
 
 
+def test_prophet_trial_states_match_per_trial_reference():
+    # the block-wise decode equals a per-element loop over each uniform row
+    # (value quantile, tie coin and downsampling coin per element), and the
+    # values are the distributions' own support floats
+    from ocrs.applications import _DOMAIN_TRIALS
+
+    dists = (_dist([0.0, 1.0, 2.0], [0.5, 0.3, 0.2]),
+             _dist([1.0, 3.0], [0.6, 0.4]), _dist([0.5, 4.0], [0.9, 0.1]))
+    inst = ProphetInstance(UniformMatroid(3, 1), dists)
+    pipeline = prepare_prophet(inst, MatroidChainFactory(inst.matroid, 0.5),
+                               SEED)
+    assert pipeline.sampler.draw_count == 0
+    assert any(0.0 < tie < 1.0 for _q, tie in pipeline.thresholds)
+    trials = TRIAL_BLOCK + 50
+    states = prophet_trial_states(pipeline, trials, SEED)
+    rows = np.concatenate([block for _start, block in uniform_blocks(
+        SEED, _DOMAIN_TRIALS, trials, 9)])
+    assert len(states) == trials
+    for (_family, active, z), row in zip(states, rows):
+        expect_z = [d.quantile(row[e]) for e, d in enumerate(dists)]
+        expect = 0
+        for e, (q, tie) in enumerate(pipeline.thresholds):
+            beats = expect_z[e] > q or (expect_z[e] == q and row[3 + e] < tie)
+            if beats and row[6 + e] < 0.5:
+                expect |= 1 << e
+        assert active == expect
+        assert all(v is w for v, w in zip(z, expect_z))
+
+
 # ---------------------------------------------------------------------------
 # prophet runs
 
@@ -83,10 +112,9 @@ def test_run_prophet_zero_values():
                            (_dist([0], [1.0]), _dist([0], [1.0])))
     factory = MatroidChainFactory(inst.matroid, 0.5)
     pipeline = prepare_prophet(inst, factory, SEED)
-    gen = SEED.stream(5)
-    for _ in range(50):
-        _sel, value = run_prophet(pipeline, [0, 1], gen)
-        assert value == 0.0
+    for state in prophet_trial_states(pipeline, 50, SEED.child(5)):
+        for order in ((0, 1), (1, 0)):
+            assert pipeline.value(state, order) == 0.0
 
 
 def test_run_prophet_single_element_mean():
@@ -103,11 +131,47 @@ def test_prophet_feasibility_asserted():
     inst = classic_instance()
     factory = MatroidChainFactory(inst.matroid, 0.5)
     pipeline = prepare_prophet(inst, factory, SEED)
-    gen = SEED.stream(6)
-    for _ in range(200):
-        selected, _value = run_prophet(pipeline, [1, 0], gen)
-        assert inst.matroid.indep(selected.mask)
-        assert len(selected) <= 1
+    for family, active, z in prophet_trial_states(pipeline, 200,
+                                                  SEED.child(6)):
+        selected = run_greedy_mask(family, [1, 0], active)
+        assert inst.matroid.indep(selected)
+        assert bin(selected).count("1") <= 1
+        value = pipeline.value((family, active, z), [1, 0])
+        assert value == sum(z[e] for e in iter_bits(selected))
+
+
+class _Family(FeasibleFamily):
+    """A family given by its membership test that claims ``claimed``
+    selectable whatever the active set."""
+
+    def __init__(self, member, claimed):
+        self.n = 2
+        self.member = member
+        self.claimed = claimed
+
+    def selectable_mask(self, active_mask):
+        return self.claimed
+
+
+def test_prophet_value_asserts_under_every_order():
+    inst = classic_instance()
+    pipeline = prepare_prophet(inst, MatroidChainFactory(inst.matroid, 0.5),
+                               SEED)
+    z = [1.0, 2.0]
+    # a family admitting both active elements breaks U(2, 1)
+    with pytest.raises(AssertionError, match="matroid"):
+        pipeline.value((_Family(lambda m: True, 0), 0b11, z), (0, 1))
+
+    def only_first(mask):
+        return mask in (0, 0b01)
+
+    # a selectable claim on an inactive element is harmless
+    assert pipeline.value((_Family(only_first, 0b10), 0b01, z), (1, 0)) == 1.0
+    # an active element claimed selectable but left out is caught in every
+    # order
+    for order in ((0, 1), (1, 0)):
+        with pytest.raises(AssertionError, match="selectable"):
+            pipeline.value((_Family(only_first, 0b10), 0b11, z), order)
 
 
 def test_prophet_worst_order_ratio_bound():
@@ -177,15 +241,20 @@ def test_ratio_report_conventions():
 # probing
 
 
+def _probe(pipeline, state, order=None):
+    return probe(pipeline.order if order is None else order, *state,
+                 pipeline.inner_member, pipeline.outer_member,
+                 pipeline.instance.deadlines)
+
+
 def test_probing_zero_probability_selects_nothing():
     inst = ProbingInstance(p=(0.0, 0.0), w=(3.0, 2.0),
                            inner=UniformMatroid(2, 1),
                            outer=UniformMatroid(2, 2), b=0.5)
     pipeline = prepare_probing(inst, SEED)
-    gen = SEED.stream(7)
-    for _ in range(100):
-        _q, s, value = run_probing(pipeline, gen)
-        assert s.mask == 0 and value == 0.0
+    for state in probing_trial_states(pipeline, 100, SEED.child(7)):
+        _q, s = _probe(pipeline, state)
+        assert s == 0 and pipeline.value(state, pipeline.order) == 0.0
 
 
 def test_probing_single_element_closed_form():
@@ -200,11 +269,8 @@ def test_probing_single_element_closed_form():
 
 
 def test_probing_activation_marginals():
-    # the trial loops draw A_out against b*x* and activity against p; replay
-    # the same seeded blocks and check the empirical marginals
-    from ocrs.core import pack_mask_rows, uniform_blocks
-    from ocrs.applications import _DOMAIN_TRIALS
-
+    # the trial states draw A_out against b*x* and activity against p;
+    # check the empirical marginals
     inst = ProbingInstance(p=(0.9, 0.6, 0.8), w=(3.0, 2.0, 1.0),
                            inner=UniformMatroid(3, 1),
                            outer=UniformMatroid(3, 2), b=0.5)
@@ -213,16 +279,12 @@ def test_probing_activation_marginals():
     n = inst.n
     out_freq = np.zeros(n)
     act_freq = np.zeros(n)
-    for _start, block in uniform_blocks(SEED, _DOMAIN_TRIALS, trials,
-                                        pipeline.draw_width):
-        for mask in pack_mask_rows(
-                block[:, :n] < pipeline.outer_point.values).tolist():
-            for e in iter_bits(mask):
-                out_freq[e] += 1
-        for mask in pack_mask_rows(block[:, n:2 * n]
-                                   < np.asarray(inst.p)).tolist():
-            for e in iter_bits(mask):
-                act_freq[e] += 1
+    for a_out, act, _fin, _fout in probing_trial_states(pipeline, trials,
+                                                        SEED):
+        for e in iter_bits(a_out):
+            out_freq[e] += 1
+        for e in iter_bits(act):
+            act_freq[e] += 1
     out_freq /= trials
     act_freq /= trials
     for e in range(n):
@@ -315,16 +377,14 @@ def test_run_probing_with_deadlines_single_runs():
                            outer=UniformMatroid(2, 2), b=0.5,
                            deadlines=(1, 2))
     pipeline = prepare_probing(inst, SEED)
-    gen = SEED.stream(8)
-    for _ in range(200):
-        q, s, _value = run_probing_with_deadlines(pipeline, gen)
-        assert s.issubset(q)
-    plain = prepare_probing(ProbingInstance(p=(1.0,), w=(1.0,),
-                                            inner=UniformMatroid(1, 1),
-                                            outer=UniformMatroid(1, 1),
-                                            b=0.5), SEED)
-    with pytest.raises(ValueError):
-        run_probing_with_deadlines(plain, gen)
+    states = list(probing_trial_states(pipeline, 200, SEED.child(8)))
+    for state in states:
+        q, s = _probe(pipeline, state)
+        assert s & ~q == 0
+    # probing out of deadline order trips the per-run position assertion
+    with pytest.raises(AssertionError, match="deadline"):
+        for state in states:
+            _probe(pipeline, state, order=(1, 0))
 
 
 def test_deadline_instance_rejects_explicit_order():

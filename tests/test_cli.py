@@ -152,6 +152,86 @@ def test_prophet_command(tmp_path):
     assert payload["benchmark_expected_max"] == pytest.approx(1.99)
 
 
+def test_prophet_csv_matches_report(tmp_path):
+    # the CSV rows come from the pass that makes the report, in trial order
+    inst = _write(tmp_path, "p3.json", {
+        "matroid": {"type": "uniform", "n": 3, "k": 1},
+        "dists": [{"support": [0.0, 1.5], "probs": [0.5, 0.5]},
+                  {"support": [0.0, 4.0], "probs": [0.8, 0.2]},
+                  {"support": [1.0, 2.0], "probs": [0.5, 0.5]}],
+    })
+    trials = 3000
+    for order in ("worst", "identity"):
+        out = tmp_path / f"p3_{order}.json"
+        csv_out = tmp_path / f"p3_{order}.csv"
+        assert main(["prophet", inst, "--order", order, "--trials",
+                     str(trials), "--seed", "4", "--out-json", str(out),
+                     "--out-csv", str(csv_out)]) == 0
+        rows = csv_out.read_text().splitlines()
+        assert rows[0] == "trial,value"
+        assert len(rows) == trials + 1
+        total = 0.0
+        for i, row in enumerate(rows[1:]):
+            index, value = row.split(",")
+            assert int(index) == i
+            total += float(value)
+        assert total / trials == json.loads(out.read_text())["mean"]
+
+
+_U3 = {"type": "uniform", "n": 3, "k": 1}
+_PROPHET = {"matroid": _U3,
+            "dists": [{"support": [0.0, 1.0], "probs": [0.5, 0.5]}] * 3}
+
+
+@pytest.mark.parametrize("command, instance, extra, field", [
+    ("probing", {"p": [0.5, 0.5], "w": [float("inf"), 1.0],
+                 "inner": {"type": "uniform", "n": 2, "k": 1},
+                 "outer": {"type": "uniform", "n": 2, "k": 1}}, [], "'w'"),
+    ("probing", {"p": [0.5, 0.5], "w": [1.0, 1.0], "b": float("nan"),
+                 "inner": {"type": "uniform", "n": 2, "k": 1},
+                 "outer": {"type": "uniform", "n": 2, "k": 1}}, [], "'b'"),
+    ("verify-selectability", {"sizes": [float("nan"), 0.3, 0.2]},
+     ["--scheme", "knapsack", "--b", "0.25"], "'sizes'"),
+    ("prophet", dict(_PROPHET, dists=[{"support": [0.0, 1.0],
+                                       "probs": [float("nan"), 0.5]}] * 3),
+     [], "'probs'"),
+    ("prophet", dict(_PROPHET, dists=[{"support": [0.0, float("nan")],
+                                       "probs": [0.5, 0.5]}] * 3),
+     [], "'support'"),
+    ("prophet", dict(_PROPHET, dists=[{"support": [0.0, float("inf")],
+                                       "probs": [0.5, 0.5]}] * 3),
+     [], "'support'"),
+    ("submodular", {"f": {"universe_weights": [float("nan"), 1.0],
+                          "covers": [[0], [1], [0, 1]]},
+                    "matroid": _U3}, [], "'universe_weights'"),
+    ("submodular", {"f": {"arcs": [[0, 1, float("nan")], [1, 2, 1.0]]},
+                    "matroid": _U3}, [], "'arcs'"),
+    ("submodular", {"f": {"universe_weights": [1.0, 1.0],
+                          "covers": [[0], [1], [0, 1]]},
+                    "p": [0.5, 0.5, 0.5], "inner": _U3, "outer": _U3,
+                    "b": float("nan")}, [], "'b'"),
+    ("verify-selectability", {"matroid": _U3},
+     ["--scheme", "matroid", "--b", "nan"], "--b"),
+    ("prophet", _PROPHET, ["--b", "inf"], "--b"),
+], ids=["probing-w-inf", "probing-b-nan", "knapsack-sizes-nan",
+        "prophet-probs-nan", "prophet-support-nan", "prophet-support-inf",
+        "coverage-weights-nan", "cut-arc-weight-nan",
+        "submodular-probing-b-nan", "matroid-flag-b-nan",
+        "prophet-flag-b-inf"])
+def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, command,
+                                                    instance, extra, field):
+    path = _write(tmp_path, "inst.json", instance)
+    out = tmp_path / "out.json"
+    try:
+        code = main([command, path, *extra, "--trials", "100",
+                     "--out-json", str(out)])
+    except SystemExit as exc:  # argparse rejects a bad flag value
+        code = exc.code
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_probing_commands(tmp_path):
     inst = _write(tmp_path, "pr.json", {
         "p": [1.0, 1.0], "w": [3.0, 2.0],

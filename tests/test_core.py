@@ -1,26 +1,26 @@
-"""Activation sampling, stream derivation, and subset plumbing."""
+"""Activation sampling, the trial decoder, stream derivation, and subsets."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrs.core import (ElementSubset, FractionalPoint, GroundSet, SeedSpec,
-                       downsample_active, fragment_from_json, iter_submasks,
-                       pack_mask_rows, sample_active_set, scale_point,
-                       uniform_blocks)
+from ocrs.core import (TRIAL_BLOCK, ElementSubset, FractionalPoint, SeedSpec,
+                       iter_submasks, pack_mask_rows, scale_point,
+                       trial_columns, uniform_blocks)
+from ocrs.schemes import Graph, KnapsackFactory, MatchingFactory
 
 
-def test_ground_set_labels():
-    gs = GroundSet(3, labels=("a", "b", "c"))
-    assert gs.label(1) == "b"
-    assert GroundSet(2).label(1) == "1"
-    with pytest.raises(ValueError):
-        GroundSet(2, labels=("a",))
-    with pytest.raises(ValueError):
-        GroundSet(0)
+def _masks(seed, domain, trials, segments, block_range=None):
+    """Every trial's decoded columns, flattened over blocks."""
+    out = []
+    for _start, columns in trial_columns(seed, domain, trials, segments,
+                                         block_range):
+        out.extend(zip(*columns))
+    return out
 
 
 def test_element_subset_basics():
@@ -67,12 +67,10 @@ def test_scale_point():
 
 
 def test_sample_active_zero_and_one():
-    gen = SeedSpec(1).stream(0)
     zero = FractionalPoint([0.0, 0.0, 0.0])
     one = FractionalPoint([1.0, 1.0, 1.0])
-    for _ in range(50):
-        assert sample_active_set(zero, gen).mask == 0
-        assert sample_active_set(one, gen).mask == 0b111
+    for (a, b) in _masks(SeedSpec(1), 0, 50, [zero.values, one.values]):
+        assert a == 0 and b == 0b111
 
 
 def test_sample_active_marginals():
@@ -80,18 +78,21 @@ def test_sample_active_marginals():
     trials = 100_000
     x = FractionalPoint([0.5, 0.5, 0.5, 0.5])
     counts = np.zeros(4)
-    for _start, block in uniform_blocks(SeedSpec(2), 0, trials, 4):
-        counts += (block < x.values).sum(axis=0)
+    for (mask,) in _masks(SeedSpec(2), 0, trials, [x.values]):
+        for e in range(4):
+            counts[e] += (mask >> e) & 1
     freq = counts / trials
     margin = 4 * math.sqrt(0.25 / trials)
     assert np.all(np.abs(freq - 0.5) <= margin)
 
 
 def test_downsample_identity_and_empty():
-    gen = SeedSpec(3).stream(0)
-    s = ElementSubset.from_iterable([0, 2, 3], 5)
-    assert downsample_active(s, 1.0, gen) == s
-    assert downsample_active(s, 0.0, gen).mask == 0
+    # thinning R(x) at rate 1 keeps it, at rate 0 empties it
+    x = np.array([0.9, 0.0, 0.7, 0.5, 0.0])
+    for active, keep_all, keep_none in _masks(
+            SeedSpec(3), 0, 200, [x, np.full(5, 1.0), np.full(5, 0.0)]):
+        assert active & keep_all == active
+        assert active & keep_none == 0
 
 
 def test_downsample_matches_scaled_sampling():
@@ -102,18 +103,57 @@ def test_downsample_matches_scaled_sampling():
     seed = SeedSpec(4)
     counts_a = np.zeros(8)
     counts_b = np.zeros(8)
-    for _start, block in uniform_blocks(seed, 0, trials, 6):
-        active = block[:, :3] < x.values
-        kept = active & (block[:, 3:] < b)
-        for m in pack_mask_rows(kept).tolist():
-            counts_a[m] += 1
-    for _start, block in uniform_blocks(seed, 1, trials, 3):
-        for m in pack_mask_rows(block < b * x.values).tolist():
-            counts_b[m] += 1
+    for active, kept in _masks(seed, 0, trials, [x.values, np.full(3, b)]):
+        counts_a[active & kept] += 1
+    for (mask,) in _masks(seed, 1, trials, [b * x.values]):
+        counts_b[mask] += 1
     stat = float(np.sum((counts_a - counts_b) ** 2
                         / np.maximum(counts_a + counts_b, 1)))
     # chi-square critical value, 7 degrees of freedom, alpha = 1e-3
     assert stat < 24.32
+
+
+def test_trial_columns_matches_hand_slicing():
+    # a vector, a raw segment and two samplers decode to exactly what slicing
+    # the uniform rows by hand gives, over more than one block
+    graph = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    matching = MatchingFactory(graph, 0.5).bind(
+        FractionalPoint([0.1] * 5), SeedSpec(6).stream(0))
+    knapsack = KnapsackFactory([0.6, 0.3, 0.2], 0.25).bind(
+        FractionalPoint([0.1, 0.2, 0.1]))
+    assert matching.draw_count == 5 and knapsack.draw_count == 1
+    x = np.array([0.3, 0.9, 0.0, 0.5])
+    seed = SeedSpec(5)
+    trials = TRIAL_BLOCK + 300
+    decoded = trial_columns(seed, 7, trials, [x, 2, matching, knapsack])
+    by_hand = uniform_blocks(seed, 7, trials, 4 + 2 + 5 + 1)
+    blocks = 0
+    for (start, columns), (start_u, block) in zip(decoded, by_hand):
+        assert start == start_u
+        masks, raw, fams_m, fams_k = columns
+        assert masks == pack_mask_rows(block[:, :4] < x).tolist()
+        assert np.array_equal(raw, block[:, 4:6])
+        assert ([f.cache_key() for f in fams_m]
+                == [f.cache_key() for f in
+                    matching.sample_block(block[:, 6:11])])
+        assert ([f.cache_key() for f in fams_k]
+                == [f.cache_key() for f in
+                    knapsack.sample_block(block[:, 11:])])
+        blocks += 1
+    assert blocks == 2
+
+
+def test_trial_columns_block_ranges_add_up():
+    x = np.array([0.4, 0.7, 0.2])
+    seed = SeedSpec(8)
+    trials = 2 * TRIAL_BLOCK + 100
+    full = Counter(_masks(seed, 3, trials, [x, np.full(3, 0.5)]))
+    merged = Counter()
+    for block_range in [(0, 1), (1, 2), (2, None)]:
+        merged.update(_masks(seed, 3, trials, [x, np.full(3, 0.5)],
+                             block_range))
+    assert merged == full
+    assert sum(full.values()) == trials
 
 
 def test_seed_spec_reproducible_and_distinct():
@@ -124,16 +164,6 @@ def test_seed_spec_reproducible_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-
-
-def test_fragment_from_json():
-    ground, x, seed = fragment_from_json({"n": 3, "x": [0.1, 0.2, 0.3],
-                                          "seed": 42})
-    assert ground.n == 3 and x.n == 3 and seed.master_seed == 42
-    with pytest.raises(ValueError):
-        fragment_from_json({"n": 2, "x": [0.1, 0.2, 0.3], "seed": 1})
-    with pytest.raises(ValueError):
-        fragment_from_json({"n": 2, "x": [0.1, 0.2]})
 
 
 def test_uniform_blocks_partition_invariance():

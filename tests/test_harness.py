@@ -195,7 +195,9 @@ def test_worst_order_heuristic_mode():
 
 def test_mean_estimate_moments():
     values = [1.0, 3.0, 2.0, 2.0]
-    est = MeanEstimate.from_values(values)
+    collected = []
+    est = MeanEstimate.from_stream(iter(values), collected)
+    assert collected == values and est.trials == 4
     assert est.mean == pytest.approx(2.0)
     var = np.var(values)
     assert est.halfwidth == pytest.approx(2.576 * math.sqrt(var / 4))
