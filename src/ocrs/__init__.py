@@ -18,9 +18,8 @@ from .matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
 from .schemes import (ChainDecomposition, FeasibleFamily, Graph,
                       GreedyOcrsFactory, IntersectionFactory, KnapsackFactory,
                       MatchingFactory, MatroidChainFactory, combine_families,
-                      factory_from_json, graph_from_json, knapsack_family,
-                      matching_family, matroid_chain_decompose,
-                      matroid_family, run_greedy_ocrs)
+                      factory_from_json, graph_from_json,
+                      matroid_chain_decompose, run_greedy_ocrs)
 from .harness import (AdversarySearchResult, MeanEstimate,
                       SelectabilityReport, brute_force_selectability,
                       estimate_selectability,

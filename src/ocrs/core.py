@@ -215,13 +215,11 @@ def iter_submasks(mask: int) -> Iterator[int]:
 
 
 class FractionalPoint:
-    """A point ``x`` in ``[0,1]^n``; optionally tagged with the scale ``b``
-    whose polytope membership it was validated against."""
+    """A point ``x`` in ``[0,1]^n`` with finite coordinates."""
 
-    __slots__ = ("values", "validated_scale")
+    __slots__ = ("values",)
 
-    def __init__(self, values: Sequence[float],
-                 validated_scale: Optional[float] = None):
+    def __init__(self, values: Sequence[float]):
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("x must be a nonempty vector")
@@ -232,7 +230,6 @@ class FractionalPoint:
         arr = np.clip(arr, 0.0, 1.0)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "validated_scale", validated_scale)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("FractionalPoint is immutable")
@@ -247,12 +244,9 @@ class FractionalPoint:
     def __repr__(self) -> str:
         return f"FractionalPoint({self.values.tolist()})"
 
-    def with_validated_scale(self, b: float) -> "FractionalPoint":
-        return FractionalPoint(self.values, validated_scale=b)
-
 
 def scale_point(x: FractionalPoint, b: float) -> FractionalPoint:
-    """Coordinate-wise product ``b * x``; forgets any validation tag."""
+    """Coordinate-wise product ``b * x``."""
     if not 0.0 <= b <= 1.0:
         raise ValueError("scale must lie in [0, 1]")
     return FractionalPoint(b * x.values)

@@ -134,22 +134,10 @@ def selectability_counts(factory: GreedyOcrsFactory, x: FractionalPoint,
     """
     sampler = factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT))
     counts: Counter[int] = Counter()
-    if sampler.deterministic:
-        family = sampler.sample()
-        for _start, (actives,) in trial_columns(seed, _DOMAIN_TRIALS, trials,
-                                                [x.values], block_range):
-            counts.update(family.selectable_mask(a) for a in actives)
-    else:
-        memo: dict[tuple, int] = {}
-        for _start, (actives, families) in trial_columns(
-                seed, _DOMAIN_TRIALS, trials, [x.values, sampler], block_range):
-            for a, fam in zip(actives, families):
-                key = (fam.cache_key(), a)
-                mask = memo.get(key)
-                if mask is None:
-                    mask = fam.selectable_mask(a)
-                    memo[key] = mask
-                counts[mask] += 1
+    for _start, (actives, families) in trial_columns(
+            seed, _DOMAIN_TRIALS, trials, [x.values, sampler], block_range):
+        counts.update(fam.selectable_mask(a)
+                      for a, fam in zip(actives, families))
     return counts
 
 

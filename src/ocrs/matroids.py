@@ -465,7 +465,7 @@ def random_point_in_polytope(m: Matroid, b: float,
     """Random x in b * P by a convex combination of independent-set vertices.
 
     Each vertex is a random-weight greedy basis thinned by coin flips;
-    membership is exact by convexity, so the point carries validated_scale=b.
+    membership in b * P is exact by convexity.
     """
     k = mixtures if mixtures is not None else m.n + 2
     weights_total = np.zeros(m.n)
@@ -481,8 +481,7 @@ def random_point_in_polytope(m: Matroid, b: float,
                 chosen |= 1 << e
         for e in iter_bits(chosen):
             weights_total[e] += lam[i]
-    x = FractionalPoint(b * weights_total)
-    return x.with_validated_scale(b)
+    return FractionalPoint(b * weights_total)
 
 
 def matroid_from_json(obj: dict) -> Matroid:

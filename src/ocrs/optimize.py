@@ -183,7 +183,7 @@ def solve_prophet_relaxation(
         if step > 0.0:
             x[e] += step
     objective = float(sum(tail_value(dists[e], x[e]) for e in range(n)))
-    return FractionalPoint(x).with_validated_scale(1.0), objective
+    return FractionalPoint(x), objective
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +379,30 @@ def polytope_rows(spec: ConstraintSpec, multipliers: Sequence[Fraction],
     return rows
 
 
+def probing_lp(objective: list[Fraction], p: Sequence[float],
+               inner: ConstraintSpec, outer: ConstraintSpec,
+               extra_outer: Optional[ConstraintSpec] = None) -> LinearProgram:
+    """max objective.x over {x : p o x in P_in, x in P_out, x in [0, 1]^n}.
+
+    Rows, in order: the inner rows with multipliers p (floats convert
+    exactly to rationals), the outer rows, the ``extra_outer`` rows if any,
+    and one unit box row per element.
+    """
+    n = len(p)
+    pf = [Fraction(float(v)) for v in p]
+    ones = [Fraction(1)] * n
+    rows = polytope_rows(inner, pf, n) + polytope_rows(outer, ones, n)
+    if extra_outer is not None:
+        rows += polytope_rows(extra_outer, ones, n)
+    for e in range(n):
+        unit = [Fraction(0)] * n
+        unit[e] = Fraction(1)
+        rows.append((unit, Fraction(1)))
+    return LinearProgram(objective=objective,
+                         rows=[r for r, _ in rows],
+                         rhs=[rhs for _, rhs in rows])
+
+
 @dataclass
 class ProbingLpResult:
     x: FractionalPoint
@@ -397,24 +421,11 @@ def solve_probing_lp(p: Sequence[float], w: Sequence[float],
     solved by the rational simplex, so the optimum certifies Lp upper
     bounds in exact arithmetic.
     """
-    n = len(p)
-    if len(w) != n:
+    if len(w) != len(p):
         raise ValueError("weights and probabilities must share the length")
-    pf = [Fraction(float(v)) for v in p]
-    ones = [Fraction(1)] * n
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    rows += polytope_rows(inner, pf, n)
-    rows += polytope_rows(outer, ones, n)
-    if extra_outer is not None:
-        rows += polytope_rows(extra_outer, ones, n)
-    for e in range(n):
-        unit = [Fraction(0)] * n
-        unit[e] = Fraction(1)
-        rows.append((unit, Fraction(1)))
-    objective = [Fraction(float(w[e])) * pf[e] for e in range(n)]
-    lp = LinearProgram(objective=objective,
-                       rows=[r for r, _ in rows],
-                       rhs=[rhs for _, rhs in rows])
+    objective = [Fraction(float(we)) * Fraction(float(pe))
+                 for we, pe in zip(w, p)]
+    lp = probing_lp(objective, p, inner, outer, extra_outer)
     value, solution = simplex_solve(lp)
     x = FractionalPoint([float(v) for v in solution])
     return ProbingLpResult(x=x, x_exact=solution, value=float(value),

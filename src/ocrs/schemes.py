@@ -1,10 +1,11 @@
 """Greedy OCRS constructions: sampled feasible subfamilies and the online loop.
 
 Each scheme is a factory that, bound to a fractional point x in b*P, yields
-one down-closed feasible subfamily per trial (deterministic factories reuse
-a single family).  Families answer membership and a fast per-element
-`selectable` query; the online loop selects an arriving active element iff
-adding it keeps the selected set in the subfamily.
+a sampler; the sampler decodes a block of per-trial uniform rows into one
+down-closed feasible subfamily per trial (a sampler that draws no columns
+reuses a single family).  Families answer membership and a fast
+`selectable_mask` query; the online loop selects an arriving active element
+iff adding it keeps the selected set in the subfamily.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ElementSubset, FractionalPoint, iter_bits, iter_submasks, pack_mask
+from .core import (ElementSubset, FractionalPoint, iter_bits, iter_submasks,
+                   pack_mask, pack_mask_rows)
 from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
                        MatroidView, in_scaled_matroid_polytope,
                        matroid_from_json)
@@ -62,11 +64,10 @@ class FeasibleFamily:
         I a subset of the active set (the per-element order-free event)."""
         raise NotImplementedError
 
-    def selectable(self, active: ElementSubset, e: int) -> bool:
-        return bool((self.selectable_mask(active.mask) >> e) & 1)
-
     def cache_key(self):
-        """Hashable identity of the sampled instance (for memoized trials)."""
+        """Hashable identity of the sampled instance.  The benchmark's trace
+        (``perfbench/spans.py``) counts distinct ``(cache_key, active)``
+        pairs with it for ``schemes.selectable_mask.distinct_ratio``."""
         raise NotImplementedError
 
 
@@ -167,13 +168,17 @@ class MatchingFamily(FeasibleFamily):
         return self.structure.is_matching(mask)
 
     def selectable_mask(self, active_mask: int) -> int:
+        """Edges of K sharing no endpoint with an active edge of K.
+
+        Adjacency is symmetric, so OR-ing the neighbourhoods of the few
+        active edges of K equals asking each edge of K for an active
+        neighbour.
+        """
         adj = self.structure.graph.adjacent_edges
-        blockers = active_mask & self.k_mask
-        out = 0
-        for e in iter_bits(self.k_mask):
-            if not blockers & adj[e]:
-                out |= 1 << e
-        return out
+        blocked = 0
+        for g in iter_bits(active_mask & self.k_mask):
+            blocked |= adj[g]
+        return self.k_mask & ~blocked
 
     def cache_key(self):
         return ("matching", self.k_mask)
@@ -443,33 +448,6 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
                               exact=use_exact, span_estimates=estimates)
 
 
-def matroid_family(chain: ChainDecomposition) -> MatroidChainFamily:
-    """The greedy OCRS subfamily induced by a chain decomposition."""
-    return MatroidChainFamily(chain)
-
-
-def matching_family(graph: "Graph", x: FractionalPoint,
-                    stream: Optional[np.random.Generator] = None,
-                    b: Optional[float] = None,
-                    deterministic: bool = False) -> MatchingFamily:
-    """One sampled matching subfamily for the point x.
-
-    The scale defaults to the largest per-vertex load of x, i.e. the
-    smallest b with x in b * P.
-    """
-    scale = b if b is not None else float(
-        max(graph.degree_loads(x.values).max(), 0.0))
-    sampler = MatchingFactory(graph, min(scale, 1.0),
-                              deterministic=deterministic).bind(x)
-    return sampler.sample(stream)
-
-
-def knapsack_family(sizes: Sequence[float], x: FractionalPoint, b: float,
-                    stream: Optional[np.random.Generator] = None) -> KnapsackFamily:
-    """One sampled knapsack subfamily (big or small mode) for the point x."""
-    return KnapsackFactory(sizes, b).bind(x).sample(stream)
-
-
 # ---------------------------------------------------------------------------
 # graphs for the matching scheme
 
@@ -514,27 +492,26 @@ def graph_from_json(obj: dict) -> Graph:
 
 
 class SchemeSampler:
-    """Per-trial family sampler for one bound point x."""
+    """Per-trial family sampler for one bound point x.
+
+    ``sample_block`` is the one decode path: it maps each row of a
+    (trials, draw_count) uniform table to that trial's family.  A sampler
+    with ``draw_count == 0`` returns one shared family for every row.
+    """
 
     draw_count: int = 0
-    deterministic: bool = True
-
-    def sample_from_row(self, row: np.ndarray) -> FeasibleFamily:
-        raise NotImplementedError
-
-    def sample(self, gen: Optional[np.random.Generator] = None) -> FeasibleFamily:
-        if self.draw_count == 0:
-            return self.sample_from_row(np.empty(0))
-        if gen is None:
-            raise ValueError("randomized sampler needs a generator")
-        return self.sample_from_row(gen.random(self.draw_count))
 
     def sample_block(self, rows: np.ndarray) -> list[FeasibleFamily]:
         """One family per row of a (trials, draw_count) uniform table."""
+        raise NotImplementedError
+
+    def sample(self, gen: Optional[np.random.Generator] = None) -> FeasibleFamily:
+        """One family: the single-trial view of ``sample_block``."""
         if self.draw_count == 0:
-            fam = self.sample_from_row(np.empty(0))
-            return [fam] * rows.shape[0]
-        return [self.sample_from_row(rows[i]) for i in range(rows.shape[0])]
+            return self.sample_block(np.empty((1, 0)))[0]
+        if gen is None:
+            raise ValueError("randomized sampler needs a generator")
+        return self.sample_block(gen.random((1, self.draw_count)))[0]
 
     def enumerate_families(self) -> list[tuple[float, FeasibleFamily]]:
         """All (probability, family) outcomes; for brute-force oracles."""
@@ -544,11 +521,9 @@ class SchemeSampler:
 class _ChainSampler(SchemeSampler):
     def __init__(self, family: MatroidChainFamily):
         self.family = family
-        self.draw_count = 0
-        self.deterministic = True
 
-    def sample_from_row(self, row: np.ndarray) -> FeasibleFamily:
-        return self.family
+    def sample_block(self, rows: np.ndarray) -> list[FeasibleFamily]:
+        return [self.family] * rows.shape[0]
 
     def enumerate_families(self):
         return [(1.0, self.family)]
@@ -563,16 +538,10 @@ class _MatchingSampler(SchemeSampler):
         self.draw_count = 0 if deterministic else structure.graph.n_edges
         self._full = (1 << structure.graph.n_edges) - 1
 
-    def sample_from_row(self, row: np.ndarray) -> FeasibleFamily:
-        if self.deterministic:
-            return MatchingFamily(self.structure, self._full)
-        return MatchingFamily(self.structure, pack_mask(row < self.k_probs))
-
     def sample_block(self, rows: np.ndarray) -> list[FeasibleFamily]:
         if self.deterministic:
             fam = MatchingFamily(self.structure, self._full)
             return [fam] * rows.shape[0]
-        from .core import pack_mask_rows
         masks = pack_mask_rows(rows < self.k_probs)
         return [MatchingFamily(self.structure, int(k)) for k in masks]
 
@@ -598,12 +567,8 @@ class _KnapsackSampler(SchemeSampler):
         self.structure = structure
         self.p_big = p_big
         self.draw_count = 1
-        self.deterministic = False
         self._big = KnapsackFamily(structure, True)
         self._small = KnapsackFamily(structure, False)
-
-    def sample_from_row(self, row: np.ndarray) -> FeasibleFamily:
-        return self._big if row[0] < self.p_big else self._small
 
     def sample_block(self, rows: np.ndarray) -> list[FeasibleFamily]:
         return [self._big if u else self._small
@@ -622,15 +587,6 @@ class _IntersectionSampler(SchemeSampler):
     def __init__(self, parts: Sequence[SchemeSampler]):
         self.parts = tuple(parts)
         self.draw_count = sum(p.draw_count for p in parts)
-        self.deterministic = all(p.deterministic for p in parts)
-
-    def sample_from_row(self, row: np.ndarray) -> FeasibleFamily:
-        families = []
-        at = 0
-        for p in self.parts:
-            families.append(p.sample_from_row(row[at:at + p.draw_count]))
-            at += p.draw_count
-        return combine_families(families)
 
     def sample_block(self, rows: np.ndarray) -> list[FeasibleFamily]:
         columns = []
@@ -706,7 +662,7 @@ class MatroidChainFactory(GreedyOcrsFactory):
         chain = matroid_chain_decompose(self.matroid, x, self.b, eps=self.eps,
                                         alpha=self.alpha, stream=stream,
                                         exact=self.exact)
-        return _ChainSampler(matroid_family(chain))
+        return _ChainSampler(MatroidChainFamily(chain))
 
 
 class MatchingFactory(GreedyOcrsFactory):

@@ -20,8 +20,8 @@ from .core import (FractionalPoint, ElementSubset, SeedSpec, iter_bits,
                    pack_mask_rows, trial_columns)
 from .harness import MeanEstimate
 from .matroids import Matroid, in_scaled_matroid_polytope, max_weight_independent
-from .optimize import (ConstraintSpec, LinearProgram, constraint_member,
-                       polytope_rows, simplex_solve)
+from .optimize import (ConstraintSpec, constraint_member, probing_lp,
+                       simplex_solve)
 from .schemes import FeasibleFamily, GreedyOcrsFactory, run_greedy_mask
 
 _AUDIT_LIMIT = 8
@@ -315,7 +315,7 @@ def continuous_greedy(f: SubmodularOracle, matroid: Matroid, b: float,
     n = matroid.n
     x = np.zeros(n)
     if b == 0.0:
-        return FractionalPoint(x).with_validated_scale(0.0)
+        return FractionalPoint(x)
     use_exact = (exact_gradients if exact_gradients is not None
                  else f.n <= _EXACT_LIMIT)
     if not use_exact and stream is None:
@@ -340,7 +340,7 @@ def continuous_greedy(f: SubmodularOracle, matroid: Matroid, b: float,
         if matroid.size() <= 12:
             assert in_scaled_matroid_polytope(matroid, FractionalPoint(point()), b), \
                 "continuous greedy stepped outside b * P"
-    return FractionalPoint(point()).with_validated_scale(b)
+    return FractionalPoint(point())
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +362,8 @@ class SubmodularProbingResult:
 
 def _direction_lp(gains: np.ndarray, p: Sequence[float],
                   inner: ConstraintSpec, outer: ConstraintSpec) -> np.ndarray:
-    n = gains.size
-    pf = [Fraction(float(v)) for v in p]
-    ones = [Fraction(1)] * n
-    rows = polytope_rows(inner, pf, n) + polytope_rows(outer, ones, n)
-    for e in range(n):
-        unit = [Fraction(0)] * n
-        unit[e] = Fraction(1)
-        rows.append((unit, Fraction(1)))
     objective = [Fraction(float(max(g, 0.0))) for g in gains]
-    lp = LinearProgram(objective=objective, rows=[r for r, _ in rows],
-                       rhs=[rhs for _, rhs in rows])
-    _value, solution = simplex_solve(lp)
+    _value, solution = simplex_solve(probing_lp(objective, p, inner, outer))
     return np.array([float(v) for v in solution])
 
 
@@ -392,7 +382,7 @@ def continuous_greedy_probing(f: SubmodularOracle, p: Sequence[float],
     pv = np.asarray(p, dtype=float)
     x = np.zeros(n)
     if b == 0.0:
-        return FractionalPoint(x).with_validated_scale(0.0)
+        return FractionalPoint(x)
     steps = max(1, round(b * steps_per_unit))
     vertex_sum = np.zeros(n)
     for _ in range(steps):
@@ -404,7 +394,7 @@ def continuous_greedy_probing(f: SubmodularOracle, p: Sequence[float],
     point = FractionalPoint(x)
     _assert_scaled_membership(FractionalPoint(pv * x), inner, b)
     _assert_scaled_membership(point, outer, b)
-    return point.with_validated_scale(b)
+    return point
 
 
 def _assert_scaled_membership(y: FractionalPoint, spec: ConstraintSpec,

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, reports, determinism, workers."""
 
 import json
+import os
 
 import pytest
 
@@ -321,3 +322,24 @@ def test_experiment_config_api(tmp_path):
     with pytest.raises(InstanceError):
         run(ExperimentConfig(command="mystery", instance=inst))
     assert run(ExperimentConfig(command="impossibility", n=2, b="0.5")) == 0
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name,scheme,b", [
+    ("knapsack", "knapsack", "0.25"),
+    ("intersect3", "intersect", "0.25"),
+    ("matching-det", "matching", "0.4"),
+])
+def test_golden_selectability_reports(tmp_path, name, scheme, b, workers):
+    """Reports on fixed knapsack, three-part intersect and deterministic
+    matching instances stay byte for byte what they were when recorded."""
+    out = tmp_path / "report.json"
+    assert main(["verify-selectability", os.path.join(GOLDEN, f"{name}.json"),
+                 "--scheme", scheme, "--b", b, "--trials", "30000",
+                 "--seed", "3", "--workers", str(workers),
+                 "--out-json", str(out)]) == 0
+    with open(os.path.join(GOLDEN, f"{name}.report.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()

@@ -1,6 +1,8 @@
 """Estimator-vs-oracle agreement, impossibility enumeration, order search."""
 
+import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -71,6 +73,28 @@ def test_counts_block_ranges_merge():
     merged = Counter(lo)
     merged.update(hi)
     assert merged == full
+
+
+def _counts_peak_bytes(factory, x, trials: int) -> int:
+    tracemalloc.start()
+    try:
+        selectability_counts(factory, x, trials, SEED)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counts_memory_bounded_by_instance_not_trials():
+    """Random matching families on K10: a trial that draws a new (K, active)
+    state must not leave memory behind, so quadrupling the trial count
+    barely moves the peak."""
+    graph = Graph(10, list(itertools.combinations(range(10), 2)))
+    raw = 0.25 + 0.75 * np.random.default_rng(0).random(graph.n_edges)
+    x = FractionalPoint(raw * (0.5 / graph.degree_loads(raw).max()))
+    factory = MatchingFactory(graph, 0.5)
+    growth = (_counts_peak_bytes(factory, x, 65_536)
+              - _counts_peak_bytes(factory, x, 16_384))
+    assert growth < 4 * 2**20, growth
 
 
 def test_brute_force_examples():

@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ocrs.core import ElementSubset, FractionalPoint, SeedSpec, iter_bits
+from ocrs.core import (ElementSubset, FractionalPoint, SeedSpec, iter_bits,
+                       pack_mask)
 from ocrs.matroids import (GraphicMatroid, MatroidView, PartitionMatroid,
                            UniformMatroid, in_scaled_matroid_polytope)
 from ocrs.schemes import (ChainConstructionError, ChainDecomposition, Graph,
                           IntersectionFactory, KnapsackFactory,
-                          MatchingFactory, MatroidChainFactory,
-                          PolytopeMembershipError, combine_families,
-                          factory_from_json, graph_from_json, knapsack_family,
-                          matching_family, matroid_chain_decompose,
-                          matroid_family, run_greedy_mask, run_greedy_ocrs)
+                          MatchingFactory, MatchingFamily,
+                          MatroidChainFactory, MatroidChainFamily,
+                          PolytopeMembershipError, _MatchingStructure,
+                          combine_families, factory_from_json,
+                          graph_from_json, matroid_chain_decompose,
+                          run_greedy_mask, run_greedy_ocrs)
 from ocrs.harness import brute_force_selectability, _quantifier_selectable
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -159,7 +163,7 @@ def _manual_chain(matroid, levels):
 
 def test_matroid_family_membership():
     m = UniformMatroid(2, 1)
-    fam = matroid_family(_manual_chain(m, [0b11, 0]))
+    fam = MatroidChainFamily(_manual_chain(m, [0b11, 0]))
     assert fam.member(0)
     assert fam.member(0b01) and fam.member(0b10)
     assert not fam.member(0b11)
@@ -168,7 +172,7 @@ def test_matroid_family_membership():
 def test_matroid_family_multi_layer_membership():
     # layered family: independence is judged per layer against the view
     m = UniformMatroid(4, 2)
-    fam = matroid_family(_manual_chain(m, [0b1111, 0b1100, 0]))
+    fam = MatroidChainFamily(_manual_chain(m, [0b1111, 0b1100, 0]))
     # layer {0,1} in (M / {2,3}): contracting two elements exhausts rank 2
     assert not fam.member(0b0001)
     # layer {2,3} restricted: plain rank-2 uniform there
@@ -188,13 +192,19 @@ def test_selectable_matches_quantifier_exhaustive():
     cases.append(sampler.enumerate_families())
 
     # a manual two-level chain exercises the per-layer span rule
-    fam2 = matroid_family(_manual_chain(UniformMatroid(4, 2),
-                                        [0b1111, 0b1100, 0]))
+    fam2 = MatroidChainFamily(_manual_chain(UniformMatroid(4, 2),
+                                            [0b1111, 0b1100, 0]))
     cases.append([(1.0, fam2)])
 
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     sampler = MatchingFactory(g, 0.4).bind(
         FractionalPoint([0.1, 0.15, 0.1, 0.05, 0.1]))
+    cases.append(sampler.enumerate_families())
+
+    # a multigraph: parallel edges block each other like adjacent ones
+    g = Graph(3, [(0, 1), (0, 1), (1, 2), (0, 2), (1, 2)])
+    sampler = MatchingFactory(g, 0.4).bind(
+        FractionalPoint([0.05, 0.05, 0.1, 0.1, 0.05]))
     cases.append(sampler.enumerate_families())
 
     sampler = KnapsackFactory([0.8, 0.5, 0.4, 0.3, 0.25], 0.25).bind(
@@ -303,7 +313,7 @@ def test_matching_deterministic_variant():
     fac = MatchingFactory(g, 0.4, deterministic=True)
     assert fac.bound() == pytest.approx(0.36)
     sampler = fac.bind(FractionalPoint([0.15, 0.15, 0.1]))
-    assert sampler.deterministic
+    assert sampler.draw_count == 0
     [(prob, fam)] = sampler.enumerate_families()
     assert prob == 1.0 and fam.k_mask == 0b111
 
@@ -425,7 +435,7 @@ def test_intersection_requires_common_b():
 
 def test_run_greedy_basics():
     m = UniformMatroid(2, 1)
-    fam = matroid_family(_manual_chain(m, [0b11, 0]))
+    fam = MatroidChainFamily(_manual_chain(m, [0b11, 0]))
     empty = run_greedy_ocrs(fam, [0, 1], ElementSubset.empty(2))
     assert empty.mask == 0
     both = ElementSubset.full(2)
@@ -453,13 +463,61 @@ def test_greedy_output_contains_selectable_random():
 
 def test_single_sample_family_helpers():
     g = Graph(2, [(0, 1)])
-    fam = matching_family(g, FractionalPoint([0.3]), SeedSpec(1).stream(0))
+    x = FractionalPoint([0.3])
+    fam = MatchingFactory(g, 0.3).bind(x).sample(SeedSpec(1).stream(0))
     assert fam.n == 1
-    det = matching_family(g, FractionalPoint([0.3]), deterministic=True)
+    det = MatchingFactory(g, 0.3, deterministic=True).bind(x).sample()
     assert det.k_mask == 0b1
-    kf = knapsack_family([0.6, 0.3], FractionalPoint([0.1, 0.1]), 0.25,
-                         SeedSpec(1).stream(1))
+    kf = KnapsackFactory([0.6, 0.3], 0.25).bind(
+        FractionalPoint([0.1, 0.1])).sample(SeedSpec(1).stream(1))
     assert kf.member(0) and kf.n == 2
+
+
+def test_sample_is_one_row_of_sample_block():
+    """``sample(gen)`` decodes the same uniforms as ``gen.random(draw_count)``."""
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    sampler = MatchingFactory(g, 0.4).bind(
+        FractionalPoint([0.1, 0.15, 0.1, 0.05, 0.1]))
+    for i in range(20):
+        fam = sampler.sample(SeedSpec(i).stream(0))
+        row = SeedSpec(i).stream(0).random(sampler.draw_count)
+        assert fam.k_mask == pack_mask(row < sampler.k_probs)
+    with pytest.raises(ValueError):
+        sampler.sample()
+    chain = MatroidChainFactory(UniformMatroid(3, 1), 0.5).bind(
+        FractionalPoint([0.1] * 3))
+    assert chain.draw_count == 0 and chain.sample() is chain.family
+
+
+def _per_edge_selectable(graph: Graph, k_mask: int, active_mask: int) -> int:
+    """The matching rule as first written: scan every edge of K for an
+    active neighbour in K."""
+    blockers = active_mask & k_mask
+    out = 0
+    for e in iter_bits(k_mask):
+        if not blockers & graph.adjacent_edges[e]:
+            out |= 1 << e
+    return out
+
+
+@st.composite
+def _multigraph_masks(draw):
+    vertices = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, vertices - 1),
+                     st.integers(0, vertices - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, min_size=1, max_size=16))
+    full = (1 << len(edges)) - 1
+    return (Graph(vertices, edges), draw(st.integers(0, full)),
+            draw(st.integers(0, full)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multigraph_masks())
+def test_matching_selectable_matches_per_edge_rule(case):
+    graph, k_mask, active_mask = case
+    fam = MatchingFamily(_MatchingStructure(graph), k_mask)
+    assert fam.selectable_mask(active_mask) == _per_edge_selectable(
+        graph, k_mask, active_mask)
 
 
 def test_factory_from_json_descriptors():
