@@ -15,7 +15,8 @@ import numpy as np
 
 from .core import (FractionalPoint, SeedSpec, iter_bits, pack_mask_rows,
                    scale_point, trial_columns)
-from .harness import (AdversarySearchResult, MeanEstimate, worst_order_value)
+from .harness import (AdversarySearchResult, MeanEstimate, group_states,
+                      per_trial_values, worst_order_value)
 from .matroids import LaminarMatroid, Matroid, max_weight_independent
 from .optimize import (ConstraintSpec, DiscreteDistribution,
                        KnapsackConstraint, ProbingLpResult, constraint_member,
@@ -173,26 +174,49 @@ def prophet_trial_states(pipeline: ProphetPipeline, trials: int,
     return states
 
 
+def prophet_state_key(state) -> tuple:
+    """Everything a prophet run's value depends on: the family, the active
+    mask and the values of the active elements (the selection is a subset
+    of the active mask)."""
+    family, active, z = state
+    return (family.cache_key(), active,
+            tuple(map(z.__getitem__, iter_bits(active))))
+
+
 def prophet_value_under_order(pipeline: ProphetPipeline, states,
                               order: Sequence[int],
-                              collect: Optional[list] = None) -> MeanEstimate:
+                              collect: Optional[list] = None, *,
+                              trial_state: Optional[Sequence[int]] = None
+                              ) -> MeanEstimate:
     """Mean value over trial states in one order; ``collect``, if given,
-    receives every per-trial value in trial order."""
+    receives every per-trial value in trial order.
+
+    One run per distinct state; with ``trial_state``, ``states`` are already
+    the distinct states of `group_states` and ``trial_state`` maps trials to
+    them.
+    """
+    if trial_state is None:
+        states, trial_state = group_states(states, prophet_state_key)
     return MeanEstimate.from_stream(
-        (pipeline.value(state, order) for state in states), collect)
+        per_trial_values(pipeline.value, states, trial_state, order), collect)
 
 
 def prophet_worst_order(pipeline: ProphetPipeline, trials: int,
                         seed: SeedSpec, mode: str = "exhaustive",
                         collect: Optional[list] = None
                         ) -> tuple[AdversarySearchResult, MeanEstimate]:
-    """Worst arrival order over common random numbers, plus its mean value."""
-    states = prophet_trial_states(pipeline, trials, seed)
-    result = worst_order_value(lambda t: states[t], pipeline.value,
-                               pipeline.instance.n, trials, mode=mode,
-                               seed=seed)
-    estimate = prophet_value_under_order(pipeline, states, result.worst_order,
-                                         collect)
+    """Worst arrival order over common random numbers, plus its mean value.
+
+    The search runs each order once per distinct trial state.
+    """
+    distinct, trial_state = group_states(
+        prophet_trial_states(pipeline, trials, seed), prophet_state_key)
+    result = worst_order_value(distinct.__getitem__, pipeline.value,
+                               pipeline.instance.n, len(distinct), mode=mode,
+                               seed=seed, trial_state=trial_state)
+    estimate = prophet_value_under_order(pipeline, distinct,
+                                         result.worst_order, collect,
+                                         trial_state=trial_state)
     return result, estimate
 
 
@@ -422,18 +446,30 @@ def probing_mean_value(pipeline: ProbingPipeline, trials: int, seed: SeedSpec,
          for state in probing_trial_states(pipeline, trials, seed)), collect)
 
 
+def probing_state_key(state) -> tuple:
+    """Everything a probing run's value depends on: A_out, the active
+    elements inside it and both families (only elements of A_out are
+    probed)."""
+    a_out, act, fam_in, fam_out = state
+    return (a_out, act & a_out, fam_in.cache_key(), fam_out.cache_key())
+
+
 def probing_worst_order(pipeline: ProbingPipeline, trials: int,
                         seed: SeedSpec,
                         mode: str = "exhaustive") -> tuple[AdversarySearchResult, MeanEstimate]:
-    """Adversarial probe order search (no-deadline instances only)."""
+    """Adversarial probe order search (no-deadline instances only).
+
+    The search runs each order once per distinct trial state.
+    """
     if pipeline.instance.deadlines is not None:
         raise ValueError("deadline instances fix their probe order")
-    states = list(probing_trial_states(pipeline, trials, seed))
-    result = worst_order_value(lambda t: states[t], pipeline.value,
-                               pipeline.instance.n, trials, mode=mode,
-                               seed=seed)
-    return result, MeanEstimate.from_stream(
-        pipeline.value(state, result.worst_order) for state in states)
+    distinct, trial_state = group_states(
+        probing_trial_states(pipeline, trials, seed), probing_state_key)
+    result = worst_order_value(distinct.__getitem__, pipeline.value,
+                               pipeline.instance.n, len(distinct), mode=mode,
+                               seed=seed, trial_state=trial_state)
+    return result, MeanEstimate.from_stream(per_trial_values(
+        pipeline.value, distinct, trial_state, result.worst_order))
 
 
 @dataclass(frozen=True)

@@ -281,9 +281,12 @@ def cmd_prophet(args) -> int:
     log.info("prophet: b=%s bound=%s (%s) trials=%d seed=%d", args.b, bound,
              bound_expr, args.trials, args.seed)
     collect: Optional[list] = [] if args.out_csv else None
-    if instance.arrival_order == "worst" and instance.n <= 6:
+    if instance.arrival_order == "worst":
+        mode = "exhaustive" if instance.n <= 6 else "greedy-heuristic"
+        log.info("prophet: %s worst-order search over %d elements", mode,
+                 instance.n)
         result, estimate = prophet_worst_order(pipeline, args.trials, seed,
-                                               collect=collect)
+                                               mode=mode, collect=collect)
         order = result.worst_order
     else:
         if isinstance(instance.arrival_order, tuple):

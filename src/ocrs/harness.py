@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import itertools
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import (Callable, Hashable, Iterable, Iterator, Optional,
+                    Sequence, TypeVar)
 
 import numpy as np
 
@@ -23,6 +25,10 @@ from .core import (FractionalPoint, SeedSpec, iter_bits, iter_submasks,
 from .schemes import FeasibleFamily, GreedyOcrsFactory, run_greedy_mask
 
 Z_99 = 2.576
+
+log = logging.getLogger("ocrs.harness")
+
+_State = TypeVar("_State")
 
 _DOMAIN_CONSTRUCT = 0
 _DOMAIN_TRIALS = 1
@@ -298,23 +304,72 @@ class AdversarySearchResult:
     values_by_order: dict[tuple[int, ...], float]
 
 
+def group_states(states: Iterable[_State],
+                 key: Callable[[_State], Hashable]
+                 ) -> tuple[list[_State], list[int]]:
+    """Distinct trial states in first-seen order, and each trial's index
+    among them.
+
+    Trials with equal keys share an index, and the first of them stands for
+    all; the key must hold everything a trial's value depends on.
+    """
+    index: dict[Hashable, int] = {}
+    distinct: list[_State] = []
+    trial_state = []
+    for state in states:
+        k = key(state)
+        i = index.get(k)
+        if i is None:
+            i = index[k] = len(distinct)
+            distinct.append(state)
+        trial_state.append(i)
+    return distinct, trial_state
+
+
+def per_trial_values(trial_value: Callable[[_State, Sequence[int]], float],
+                     distinct: Sequence[_State], trial_state: Sequence[int],
+                     order: Sequence[int]) -> Iterator[float]:
+    """Values of every trial in trial order, from one ``trial_value`` call
+    per distinct state."""
+    values = [trial_value(state, order) for state in distinct]
+    return map(values.__getitem__, trial_state)
+
+
 def worst_order_value(prepare_trial: Callable[[int], object],
                       trial_value: Callable[[object, Sequence[int]], float],
                       n: int, trials: int,
                       mode: str = "exhaustive",
                       restarts: int = 8,
-                      seed: Optional[SeedSpec] = None) -> AdversarySearchResult:
+                      seed: Optional[SeedSpec] = None, *,
+                      trial_state: Optional[Sequence[int]] = None
+                      ) -> AdversarySearchResult:
     """Minimize the estimated expected value over arrival permutations.
 
     Common random numbers: each trial's state is prepared once (indexed by
     trial number) and reused for every permutation, so order comparisons are
-    free of sampling noise.  Exhaustive mode enumerates all n! orders
-    (n <= 8); the heuristic mode hill-climbs over adjacent transpositions.
+    free of sampling noise.  With ``trial_state`` (from `group_states`), the
+    ``trials`` prepared states are the distinct ones and trial t has state
+    ``trial_state[t]``; each order's mean is still summed over the trials in
+    trial order, so grouping leaves every value unchanged.  Exhaustive mode
+    enumerates all n! orders (n <= 8); the heuristic mode hill-climbs over
+    adjacent transpositions.
     """
     states = [prepare_trial(t) for t in range(trials)]
+    if trial_state is None:
+        trial_state = range(trials)
+    evaluations = 0
 
     def mean_value(order: Sequence[int]) -> float:
-        return sum(trial_value(s, order) for s in states) / trials
+        nonlocal evaluations
+        evaluations += 1
+        return (sum(per_trial_values(trial_value, states, trial_state, order))
+                / len(trial_state))
+
+    def finish(worst: tuple[int, ...]) -> AdversarySearchResult:
+        log.info("worst-order search (%s): %d trials, %d distinct states, "
+                 "%d orders evaluated, %d value calls", mode,
+                 len(trial_state), trials, evaluations, evaluations * trials)
+        return AdversarySearchResult(worst, values[worst], mode, values)
 
     values: dict[tuple[int, ...], float] = {}
     if mode == "exhaustive":
@@ -322,8 +377,7 @@ def worst_order_value(prepare_trial: Callable[[int], object],
             raise ValueError("exhaustive order search limited to n <= 8")
         for perm in itertools.permutations(range(n)):
             values[perm] = mean_value(perm)
-        worst = min(values, key=lambda p: (values[p], p))
-        return AdversarySearchResult(worst, values[worst], "exhaustive", values)
+        return finish(min(values, key=lambda p: (values[p], p)))
     if mode != "greedy-heuristic":
         raise ValueError("mode must be 'exhaustive' or 'greedy-heuristic'")
     gen = (seed or SeedSpec(0)).stream(2)
@@ -347,8 +401,7 @@ def worst_order_value(prepare_trial: Callable[[int], object],
         if best_perm is None or current < values[best_perm]:
             best_perm = key
     assert best_perm is not None
-    return AdversarySearchResult(best_perm, values[best_perm],
-                                 "greedy-heuristic", values)
+    return finish(best_perm)
 
 
 def ocrs_trial_value_fn(weights: Sequence[float]):

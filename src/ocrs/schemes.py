@@ -65,9 +65,12 @@ class FeasibleFamily:
         raise NotImplementedError
 
     def cache_key(self):
-        """Hashable identity of the sampled instance.  The benchmark's trace
-        (``perfbench/spans.py``) counts distinct ``(cache_key, active)``
-        pairs with it for ``schemes.selectable_mask.distinct_ratio``."""
+        """Hashable identity of the sampled instance: families with equal
+        keys answer ``member`` and ``selectable_mask`` alike.  The
+        worst-order search groups trial states by it
+        (``applications.prophet_state_key`` and ``probing_state_key``), and
+        the benchmark's trace (``perfbench/spans.py``) counts distinct
+        ``(cache_key, active)`` pairs with it."""
         raise NotImplementedError
 
 

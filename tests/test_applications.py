@@ -1,11 +1,13 @@
 """Prophet and probing pipelines: thresholds, feasibility, ratio bounds."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, iter_bits,
                        uniform_blocks)
@@ -13,11 +15,12 @@ from ocrs.applications import (ProbingInstance, ProphetInstance,
                                brute_force_prophet_opt, deadline_matroid,
                                estimate_competitive_ratio, prepare_probing,
                                prepare_prophet, probe, probing_mean_value,
-                               probing_trial_states, probing_worst_order,
+                               probing_state_key, probing_trial_states,
+                               probing_worst_order, prophet_state_key,
                                prophet_thresholds, prophet_trial_states,
                                prophet_value_under_order, prophet_worst_order)
-from ocrs.harness import MeanEstimate
-from ocrs.matroids import UniformMatroid
+from ocrs.harness import MeanEstimate, group_states, per_trial_values
+from ocrs.matroids import PartitionMatroid, UniformMatroid
 from ocrs.optimize import DiscreteDistribution, KnapsackConstraint
 from ocrs.schemes import FeasibleFamily, MatroidChainFactory, run_greedy_mask
 
@@ -321,6 +324,146 @@ def test_probing_worst_order_still_meets_bound():
                                         pipeline.bound, pipeline.bound_expr)
     assert len(result.values_by_order) == 6
     assert report.passes()
+
+
+# ---------------------------------------------------------------------------
+# worst-order search over distinct trial states
+
+
+def _literal_search(states, value, n, mode, seed):
+    """The order search as a literal loop over every trial (the reference
+    the grouped search must reproduce bit for bit)."""
+
+    def mean(order):
+        return sum(value(state, order) for state in states) / len(states)
+
+    values = {}
+    if mode == "exhaustive":
+        for perm in itertools.permutations(range(n)):
+            values[perm] = mean(perm)
+        return min(values, key=lambda p: (values[p], p)), values
+    gen = seed.stream(2)
+    best = None
+    for _ in range(8):
+        perm = [int(v) for v in gen.permutation(n)]
+        current = mean(perm)
+        improved = True
+        while improved:
+            improved = False
+            for i in range(n - 1):
+                perm[i], perm[i + 1] = perm[i + 1], perm[i]
+                candidate = mean(perm)
+                if candidate < current - 1e-15:
+                    current = candidate
+                    improved = True
+                else:
+                    perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        values[tuple(perm)] = current
+        if best is None or current < values[best]:
+            best = tuple(perm)
+    return best, values
+
+
+def _prophet4(matroid):
+    inst = ProphetInstance(matroid, (
+        _dist([0.0, 1.5, 4.0], [0.6, 0.3, 0.1]),
+        _dist([0.0, 2.0], [0.7, 0.3]),
+        _dist([0.0, 1.0, 3.5], [0.5, 0.3, 0.2]),
+        _dist([0.5, 5.0], [0.8, 0.2])))
+    return prepare_prophet(inst, MatroidChainFactory(matroid, 0.5), SEED)
+
+
+def _prophet_u42():
+    return _prophet4(UniformMatroid(4, 2))
+
+
+@functools.lru_cache(maxsize=1)
+def _prophet_partition():
+    return _prophet4(PartitionMatroid([[0, 2], [1, 3]], [1, 1]))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy-heuristic"])
+def test_grouped_prophet_search_matches_per_trial_loop(mode):
+    pipeline = _prophet_u42()
+    trials = 1500
+    states = prophet_trial_states(pipeline, trials, SEED)
+    distinct, _ = group_states(states, prophet_state_key)
+    assert len(distinct) < trials / 4
+    worst, values = _literal_search(states, pipeline.value, 4, mode, SEED)
+    expected_collect = []
+    expected = MeanEstimate.from_stream(
+        (pipeline.value(state, worst) for state in states), expected_collect)
+    collect = []
+    result, estimate = prophet_worst_order(pipeline, trials, SEED, mode=mode,
+                                           collect=collect)
+    assert result.values_by_order == values
+    assert result.worst_order == worst
+    assert estimate == expected
+    assert collect == expected_collect
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy-heuristic"])
+def test_grouped_probing_search_matches_per_trial_loop(mode):
+    # a knapsack outer scheme draws a random family per trial, so the family
+    # is part of the key
+    inst = ProbingInstance(p=(0.9, 0.6, 0.8, 0.5), w=(3.0, 2.0, 10.0, 2.5),
+                           inner=UniformMatroid(4, 2),
+                           outer=KnapsackConstraint((0.5, 0.25, 0.6, 0.3)),
+                           b=0.5)
+    pipeline = prepare_probing(inst, SEED)
+    trials = 1500
+    states = list(probing_trial_states(pipeline, trials, SEED))
+    distinct, _ = group_states(states, probing_state_key)
+    assert len({key[3] for key in map(probing_state_key, distinct)}) > 1
+    assert len(distinct) < trials / 4
+    worst, values = _literal_search(states, pipeline.value, 4, mode, SEED)
+    result, estimate = probing_worst_order(pipeline, trials, SEED, mode=mode)
+    assert result.values_by_order == values
+    assert result.worst_order == worst
+    assert estimate == MeanEstimate.from_stream(
+        pipeline.value(state, worst) for state in states)
+
+
+def test_search_calls_trial_value_once_per_order_and_state():
+    pipeline = _prophet_u42()
+    trials = 1000
+    distinct, _ = group_states(prophet_trial_states(pipeline, trials, SEED),
+                               prophet_state_key)
+    calls = 0
+    value = pipeline.value
+
+    def counting(state, order):
+        nonlocal calls
+        calls += 1
+        return value(state, order)
+
+    pipeline.value = counting
+    prophet_worst_order(pipeline, trials, SEED)
+    # 4! orders in the search, then the worst order once more for the report
+    assert calls == (24 + 1) * len(distinct)
+
+
+_VALUES = st.sampled_from([0.0, 0.5, 1.5, 4.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(states=st.lists(st.tuples(st.integers(0, 15),
+                                 st.tuples(_VALUES, _VALUES, _VALUES,
+                                           _VALUES)),
+                       min_size=1, max_size=60),
+       order=st.permutations(range(4)))
+def test_grouping_then_expanding_gives_per_trial_values(states, order):
+    # a partition matroid, so that which elements are active matters beyond
+    # their values
+    pipeline = _prophet_partition()
+    family = pipeline.sampler.sample()
+    states = [(family, active, z) for active, z in states]
+    distinct, trial_state = group_states(states, prophet_state_key)
+    assert [states[trial_state.index(i)] for i in range(len(distinct))] \
+        == distinct
+    assert (list(per_trial_values(pipeline.value, distinct, trial_state,
+                                  order))
+            == [pipeline.value(state, order) for state in states])
 
 
 # ---------------------------------------------------------------------------

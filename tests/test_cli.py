@@ -1,11 +1,21 @@
 """End-to-end CLI behavior: exit codes, reports, determinism, workers."""
 
 import json
+import logging
 import os
+import subprocess
+import sys
 
 import pytest
 
+import ocrs
+from ocrs.applications import (ProphetInstance, prepare_prophet,
+                               prophet_worst_order)
 from ocrs.cli import ExperimentConfig, InstanceError, main, run
+from ocrs.core import SeedSpec
+from ocrs.matroids import UniformMatroid
+from ocrs.optimize import DiscreteDistribution
+from ocrs.schemes import MatroidChainFactory
 
 K4 = {"matroid": {"type": "graphic", "vertices": 4,
                   "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}}
@@ -182,6 +192,48 @@ def test_prophet_csv_matches_report(tmp_path):
 _U3 = {"type": "uniform", "n": 3, "k": 1}
 _PROPHET = {"matroid": _U3,
             "dists": [{"support": [0.0, 1.0], "probs": [0.5, 0.5]}] * 3}
+
+
+def test_prophet_worst_order_above_six_elements_is_heuristic(tmp_path,
+                                                             caplog):
+    # exhaustive search stops at 6 elements; above that the command runs
+    # the library's greedy-heuristic search rather than the identity order
+    obj = {"matroid": {"type": "uniform", "n": 7, "k": 2},
+           "dists": [{"support": [0.0, 1.0 + 0.25 * e, 6.0 - 0.5 * e],
+                      "probs": [0.6, 0.3, 0.1]} for e in range(7)]}
+    inst = _write(tmp_path, "u72.json", obj)
+    out = tmp_path / "u72_out.json"
+    with caplog.at_level(logging.INFO, logger="ocrs"):
+        code = main(["prophet", inst, "--b", "0.5", "--trials", "2000",
+                     "--seed", "1", "--out-json", str(out)])
+    assert code in (0, 1)
+    assert "greedy-heuristic worst-order search over 7 elements" in caplog.text
+    matroid = UniformMatroid(7, 2)
+    instance = ProphetInstance(matroid, tuple(
+        DiscreteDistribution(d["support"], d["probs"]) for d in obj["dists"]))
+    pipeline = prepare_prophet(instance, MatroidChainFactory(matroid, 0.5),
+                               SeedSpec(1))
+    result, estimate = prophet_worst_order(pipeline, 2000, SeedSpec(1),
+                                           mode="greedy-heuristic")
+    payload = json.loads(out.read_text())
+    assert payload["order"] == list(result.worst_order)
+    assert payload["order"] != list(range(7))
+    assert payload["mean"] == estimate.mean
+
+
+def test_default_log_level_keeps_stderr_quiet(tmp_path):
+    inst = _write(tmp_path, "p.json", _PROPHET)
+    argv = [sys.executable, "-m", "ocrs.cli", "prophet", inst, "--trials",
+            "500", "--out-json", str(tmp_path / "out.json")]
+    env = {k: v for k, v in os.environ.items() if k != "OCRS_LOG"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ocrs.__file__))
+    quiet = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert quiet.returncode == 0 and quiet.stderr == ""
+    loud = subprocess.run(argv, env=dict(env, OCRS_LOG="INFO"),
+                          capture_output=True, text=True)
+    assert loud.returncode == 0
+    assert ("INFO ocrs.harness: worst-order search (exhaustive): 500 trials"
+            in loud.stderr)
 
 
 @pytest.mark.parametrize("command, instance, extra, field", [

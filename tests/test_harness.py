@@ -1,6 +1,7 @@
 """Estimator-vs-oracle agreement, impossibility enumeration, order search."""
 
 import itertools
+import logging
 import math
 import tracemalloc
 from collections import Counter
@@ -11,7 +12,7 @@ import pytest
 
 from ocrs.core import FractionalPoint, SeedSpec
 from ocrs.harness import (MeanEstimate, brute_force_selectability,
-                          ci_halfwidth, estimate_selectability,
+                          ci_halfwidth, estimate_selectability, group_states,
                           knapsack_deterministic_impossibility,
                           selectability_counts, worst_order_value,
                           ocrs_trial_value_fn)
@@ -215,6 +216,29 @@ def test_worst_order_heuristic_mode():
                             mode="greedy-heuristic", seed=SEED)
     assert res.mode == "greedy-heuristic"
     assert res.worst_order in ((0, 1), (1, 0))
+
+
+def test_group_states_first_seen_order():
+    states = ["b1", "a1", "b2", "c1", "a2"]
+    distinct, trial_state = group_states(states, lambda s: s[0])
+    assert distinct == ["b1", "a1", "c1"]
+    assert trial_state == [0, 1, 0, 2, 1]
+
+
+def test_grouped_search_equals_per_trial_search(caplog):
+    fac = MatroidChainFactory(UniformMatroid(3, 1), 0.5)
+    fam = fac.bind(FractionalPoint([0.15, 0.15, 0.15])).sample()
+    gen = SEED.stream(4)
+    actives = [int(v) for v in gen.integers(8, size=3000)]
+    value = ocrs_trial_value_fn([1.0, 7.0, 100.0])
+    plain = worst_order_value(lambda t: (fam, actives[t]), value, 3, 3000)
+    distinct, trial_state = group_states(actives, lambda a: a)
+    with caplog.at_level(logging.INFO, logger="ocrs.harness"):
+        grouped = worst_order_value(lambda i: (fam, distinct[i]), value, 3,
+                                    len(distinct), trial_state=trial_state)
+    assert grouped == plain
+    assert ("worst-order search (exhaustive): 3000 trials, 8 distinct "
+            "states, 6 orders evaluated, 48 value calls") in caplog.text
 
 
 def test_mean_estimate_moments():
