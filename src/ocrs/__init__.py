@@ -7,19 +7,18 @@ decoder), `matroids` (oracles), `schemes` (the OCRS constructions),
 machinery), and `cli` (the batch runner).
 """
 
-from .core import (ElementSubset, FractionalPoint, SeedSpec, scale_point,
-                   trial_columns)
+from .core import FractionalPoint, SeedSpec, scale_point, trial_columns
 from .matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
                        Matroid, MatroidPolytope, MatroidView,
                        PartitionMatroid, UniformMatroid,
-                       check_matroid_axioms, contract_restrict,
-                       in_scaled_matroid_polytope, matroid_from_json,
-                       max_weight_independent, random_point_in_polytope)
+                       check_matroid_axioms, in_scaled_matroid_polytope,
+                       matroid_from_json, max_weight_independent,
+                       random_point_in_polytope)
 from .schemes import (ChainDecomposition, FeasibleFamily, Graph,
                       GreedyOcrsFactory, IntersectionFactory, KnapsackFactory,
                       MatchingFactory, MatroidChainFactory, combine_families,
                       factory_from_json, graph_from_json,
-                      matroid_chain_decompose, run_greedy_ocrs)
+                      matroid_chain_decompose, run_greedy_mask)
 from .harness import (AdversarySearchResult, MeanEstimate,
                       SelectabilityReport, brute_force_selectability,
                       estimate_selectability,
@@ -35,10 +34,9 @@ from .applications import (ProbingInstance, ProphetInstance, RatioReport,
                            prepare_prophet, probe, probing_mean_value,
                            probing_trial_states, prophet_thresholds,
                            prophet_trial_states, prophet_worst_order)
-from .submodular import (MultilinearEvaluator, SubmodularOracle,
-                         characteristic_crs, continuous_greedy,
+from .submodular import (SubmodularOracle, continuous_greedy,
                          coverage_function, directed_cut, half_subsample_value,
-                         multilinear_F, multilinear_exact, multilinear_sampled,
+                         multilinear_exact, multilinear_sampled,
                          ocrs_submodular_value, run_submodular_probing,
                          submodular_from_json, weighted_matroid_rank)
 

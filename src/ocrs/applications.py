@@ -101,7 +101,6 @@ class ProphetPipeline:
     """Relaxation point, thresholds and a bound scheme sampler for one run."""
 
     instance: ProphetInstance
-    factory: GreedyOcrsFactory
     x: FractionalPoint
     relaxation_value: float
     thresholds: list[tuple[float, float]]
@@ -135,8 +134,7 @@ def prepare_prophet(instance: ProphetInstance, factory: GreedyOcrsFactory,
     x, value = solve_prophet_relaxation(instance.matroid, instance.dists)
     sampler = factory.bind(scale_point(x, factory.b),
                            seed.stream(_DOMAIN_CONSTRUCT_OUT))
-    return ProphetPipeline(instance=instance, factory=factory, x=x,
-                           relaxation_value=value,
+    return ProphetPipeline(instance=instance, x=x, relaxation_value=value,
                            thresholds=prophet_thresholds(instance, x),
                            sampler=sampler, b=factory.b)
 
@@ -301,15 +299,12 @@ def deadline_matroid(deadlines: Sequence[int], n: int) -> LaminarMatroid:
 class ProbingPipeline:
     instance: ProbingInstance
     lp: ProbingLpResult
-    inner_factory: GreedyOcrsFactory
-    outer_factory: GreedyOcrsFactory
     inner_sampler: SchemeSampler
     outer_sampler: SchemeSampler
     order: tuple[int, ...]
     bound: float
     bound_expr: str
     outer_point: FractionalPoint
-    inner_point: FractionalPoint
     laminar: Optional[LaminarMatroid] = None
     inner_member: Callable[[int], bool] = field(init=False, repr=False)
     outer_member: Callable[[int], bool] = field(init=False, repr=False)
@@ -343,6 +338,8 @@ def prepare_probing(instance: ProbingInstance, seed: SeedSpec,
     """
     b = instance.b
     n = instance.n
+    if order is not None and sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of the ground set")
     inner_factory = inner_factory or default_factory(instance.inner, b)
     outer_factory = outer_factory or default_factory(instance.outer, b)
     if not (inner_factory.b == outer_factory.b == b):
@@ -374,13 +371,11 @@ def prepare_probing(instance: ProbingInstance, seed: SeedSpec,
     if order is None:
         order = range(n)
     return ProbingPipeline(instance=instance, lp=lp,
-                           inner_factory=inner_factory,
-                           outer_factory=outer_factory,
                            inner_sampler=inner_sampler,
                            outer_sampler=outer_sampler,
                            order=tuple(order), bound=bound,
                            bound_expr=bound_expr, outer_point=outer_point,
-                           inner_point=inner_point, laminar=laminar)
+                           laminar=laminar)
 
 
 def probe(order: Sequence[int], a_out: int, act: int, fam_in: FeasibleFamily,

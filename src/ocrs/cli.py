@@ -16,7 +16,6 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -46,46 +45,6 @@ log = logging.getLogger("ocrs")
 
 class InstanceError(ValueError):
     """Malformed instance input; the message names the offending field."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One batch experiment: command, instance, knobs, and output paths."""
-
-    command: str
-    instance: Optional[str] = None
-    scheme: Optional[str] = None
-    b: float | str = 0.5
-    eps: float = 0.05
-    trials: int = 100_000
-    seed: int = 0
-    workers: int = 1
-    out_csv: Optional[str] = None
-    out_json: Optional[str] = None
-    exact: Optional[bool] = None
-    order: str = "worst"
-    dump_lp: Optional[str] = None
-    n: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise InstanceError("trials must be at least 1")
-        if self.workers < 1:
-            raise InstanceError("workers must be at least 1")
-        if self.instance is not None and not os.path.exists(self.instance):
-            raise InstanceError(f"instance file not found: {self.instance}")
-
-
-def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit code."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise InstanceError(f"unknown command {config.command!r}")
-    if config.command == "impossibility" and config.n is None:
-        raise InstanceError("impossibility needs n")
-    if config.command != "impossibility" and config.instance is None:
-        raise InstanceError(f"{config.command} needs an instance file")
-    return handler(config)
 
 
 def _load_json(path: str) -> dict:
@@ -482,23 +441,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="online contention resolution experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("instance", help="instance JSON file")
+    def common(p, eps: bool, out_csv: bool):
+        p.add_argument("instance", help="instance JSON file")
         p.add_argument("--b", type=_finite_float, default=0.5,
                        help="polytope scale (default 0.5)")
-        p.add_argument("--eps", type=_finite_float, default=0.05,
-                       help="chain construction tolerance")
+        if eps:
+            p.add_argument("--eps", type=_finite_float, default=0.05,
+                           help="chain construction tolerance")
         p.add_argument("--trials", type=int, default=100000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes (affects wall time only)")
-        p.add_argument("--out-csv", default=None)
+        if out_csv:
+            p.add_argument("--out-csv", default=None)
         p.add_argument("--out-json", default=None)
 
     p = sub.add_parser("verify-selectability",
                        help="estimate per-element selectability vs the bound")
-    common(p)
+    common(p, eps=True, out_csv=True)
     p.add_argument("--scheme", required=True,
                    choices=["matroid", "matching", "knapsack", "intersect"])
     p.add_argument("--exact", action="store_const", const=True, default=None,
@@ -511,21 +471,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", default=None)
 
     p = sub.add_parser("prophet", help="prophet pipeline competitive ratio")
-    common(p)
+    common(p, eps=True, out_csv=True)
     p.add_argument("--order", choices=["worst", "identity"], default="worst")
 
     p = sub.add_parser("probing", help="stochastic probing pipeline")
-    common(p)
+    common(p, eps=False, out_csv=True)
     p.add_argument("--dump-lp", default=None,
                    help="write the relaxation tableau to this file")
 
     p = sub.add_parser("probing-deadlines",
                        help="stochastic probing with deadlines")
-    common(p)
+    common(p, eps=False, out_csv=True)
     p.add_argument("--dump-lp", default=None)
 
     p = sub.add_parser("submodular", help="submodular objective pipelines")
-    common(p)
+    common(p, eps=True, out_csv=False)
 
     p = sub.add_parser("validate-matroid", help="exhaustive matroid audits")
     p.add_argument("instance")
@@ -552,22 +512,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = ExperimentConfig(
-            command=args.command,
-            instance=getattr(args, "instance", None),
-            scheme=getattr(args, "scheme", None),
-            b=getattr(args, "b", 0.5),
-            eps=getattr(args, "eps", 0.05),
-            trials=getattr(args, "trials", 100_000),
-            seed=getattr(args, "seed", 0),
-            workers=getattr(args, "workers", 1),
-            out_csv=getattr(args, "out_csv", None),
-            out_json=getattr(args, "out_json", None),
-            exact=getattr(args, "exact", None),
-            order=getattr(args, "order", "worst"),
-            dump_lp=getattr(args, "dump_lp", None),
-            n=getattr(args, "n", None))
-        return run(config)
+        for flag in ("trials", "workers"):
+            if getattr(args, flag, 1) < 1:
+                raise InstanceError(f"{flag} must be at least 1")
+        return _COMMANDS[args.command](args)
     except InstanceError as exc:
         log.error("%s", exc)
         print(f"input error: {exc}", file=sys.stderr)

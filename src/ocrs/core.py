@@ -1,17 +1,17 @@
 """Bitmask subsets, fractional points, seeded streams and the trial decoder.
 
-Element subsets are machine-word bitmasks wrapped in :class:`ElementSubset`;
-all randomness flows from a single 64-bit master seed through a published
-counter-based derivation (Philox keyed by mixed path indices), so trial i is
-bit-identical across runs and worker counts.  Every trial loop takes its
-randomness from :func:`trial_columns`, which decodes the per-trial uniform
-rows into activation masks, raw columns and sampled families.
+Element subsets are machine-word int bitmasks; all randomness flows from a
+single 64-bit master seed through a published counter-based derivation
+(Philox keyed by mixed path indices), so trial i is bit-identical across
+runs and worker counts.  Every trial loop takes its randomness from
+:func:`trial_columns`, which decodes the per-trial uniform rows into
+activation masks, raw columns and sampled families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -131,69 +131,6 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
             else:
                 columns.append(segment.sample_block(cols))
         yield start, columns
-
-
-class ElementSubset:
-    """Immutable subset of ``{0..n-1}`` backed by an integer bitmask."""
-
-    __slots__ = ("mask", "n")
-
-    def __init__(self, mask: int, n: int):
-        if mask < 0 or mask >> n:
-            raise ValueError("mask has bits outside the ground set")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("ElementSubset is immutable")
-
-    @classmethod
-    def from_iterable(cls, members: Iterable[int], n: int) -> "ElementSubset":
-        mask = 0
-        for e in members:
-            if not 0 <= e < n:
-                raise ValueError(f"element {e} outside ground set of size {n}")
-            mask |= 1 << e
-        return cls(mask, n)
-
-    @classmethod
-    def empty(cls, n: int) -> "ElementSubset":
-        return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "ElementSubset":
-        return cls((1 << n) - 1, n)
-
-    def __contains__(self, e: int) -> bool:
-        return bool((self.mask >> e) & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ElementSubset)
-                and self.mask == other.mask and self.n == other.n)
-
-    def __hash__(self) -> int:
-        return hash((self.mask, self.n))
-
-    def __repr__(self) -> str:
-        return f"ElementSubset({sorted(self)}, n={self.n})"
-
-    def union(self, other: "ElementSubset") -> "ElementSubset":
-        return ElementSubset(self.mask | other.mask, self.n)
-
-    def intersect(self, other: "ElementSubset") -> "ElementSubset":
-        return ElementSubset(self.mask & other.mask, self.n)
-
-    def minus(self, other: "ElementSubset") -> "ElementSubset":
-        return ElementSubset(self.mask & ~other.mask, self.n)
-
-    def issubset(self, other: "ElementSubset") -> bool:
-        return self.mask & ~other.mask == 0
 
 
 def iter_bits(mask: int) -> Iterator[int]:

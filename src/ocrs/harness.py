@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (FractionalPoint, SeedSpec, iter_bits, iter_submasks,
                    trial_columns)
-from .schemes import FeasibleFamily, GreedyOcrsFactory, run_greedy_mask
+from .schemes import FeasibleFamily, GreedyOcrsFactory
 
 Z_99 = 2.576
 
@@ -357,31 +357,33 @@ def worst_order_value(prepare_trial: Callable[[int], object],
     states = [prepare_trial(t) for t in range(trials)]
     if trial_state is None:
         trial_state = range(trials)
-    evaluations = 0
+    means: dict[tuple[int, ...], float] = {}
 
     def mean_value(order: Sequence[int]) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return (sum(per_trial_values(trial_value, states, trial_state, order))
-                / len(trial_state))
+        key = tuple(order)
+        mean = means.get(key)
+        if mean is None:
+            mean = means[key] = sum(per_trial_values(
+                trial_value, states, trial_state, key)) / len(trial_state)
+        return mean
 
-    def finish(worst: tuple[int, ...]) -> AdversarySearchResult:
+    def finish(values: dict[tuple[int, ...], float],
+               worst: tuple[int, ...]) -> AdversarySearchResult:
         log.info("worst-order search (%s): %d trials, %d distinct states, "
                  "%d orders evaluated, %d value calls", mode,
-                 len(trial_state), trials, evaluations, evaluations * trials)
+                 len(trial_state), trials, len(means), len(means) * trials)
         return AdversarySearchResult(worst, values[worst], mode, values)
 
-    values: dict[tuple[int, ...], float] = {}
     if mode == "exhaustive":
         if n > 8:
             raise ValueError("exhaustive order search limited to n <= 8")
         for perm in itertools.permutations(range(n)):
-            values[perm] = mean_value(perm)
-        return finish(min(values, key=lambda p: (values[p], p)))
+            mean_value(perm)
+        return finish(means, min(means, key=lambda p: (means[p], p)))
     if mode != "greedy-heuristic":
         raise ValueError("mode must be 'exhaustive' or 'greedy-heuristic'")
     gen = (seed or SeedSpec(0)).stream(2)
-    best_perm: Optional[tuple[int, ...]] = None
+    ends: list[tuple[int, ...]] = []
     for _ in range(restarts):
         perm = [int(v) for v in gen.permutation(n)]
         current = mean_value(perm)
@@ -396,31 +398,6 @@ def worst_order_value(prepare_trial: Callable[[int], object],
                     improved = True
                 else:
                     perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        key = tuple(perm)
-        values[key] = current
-        if best_perm is None or current < values[best_perm]:
-            best_perm = key
-    assert best_perm is not None
-    return finish(best_perm)
-
-
-def ocrs_trial_value_fn(weights: Sequence[float]):
-    """Value function for OCRS adversary search trials.
-
-    The trial state is a pair (family, active_mask); the value of an order
-    is the weight of the greedy selection.  Also asserts the order-free
-    selectable containment: every selectable active element is selected
-    under every order.
-    """
-    w = np.asarray(weights, dtype=float)
-
-    def value(state, order) -> float:
-        family, active_mask = state
-        selected = run_greedy_mask(family, order, active_mask)
-        guaranteed = family.selectable_mask(active_mask) & active_mask
-        if guaranteed & ~selected:
-            raise AssertionError(
-                "greedy run dropped an element whose selectable event held")
-        return float(sum(w[e] for e in iter_bits(selected)))
-
-    return value
+        ends.append(tuple(perm))
+    values = {key: means[key] for key in ends}
+    return finish(values, min(values, key=values.__getitem__))

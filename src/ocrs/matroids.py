@@ -279,11 +279,6 @@ class MatroidView(Matroid):
         return self.rank(mask) == mask.bit_count()
 
 
-def contract_restrict(m: Matroid, contracted: int, kept: int) -> MatroidView:
-    """View of ``m`` with ``contracted`` contracted and ground set ``kept``."""
-    return MatroidView(m, contracted, kept)
-
-
 def max_weight_independent(m: Matroid, weights: Sequence[float]) -> int:
     """Greedy maximum-weight independent set; nonpositive weights dropped.
 

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (ElementSubset, FractionalPoint, iter_bits, iter_submasks,
-                   pack_mask, pack_mask_rows)
+from .core import (FractionalPoint, iter_bits, iter_submasks, pack_mask,
+                   pack_mask_rows)
 from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
                        MatroidView, in_scaled_matroid_polytope,
                        matroid_from_json)
@@ -306,16 +306,9 @@ def combine_families(families: Sequence[FeasibleFamily]) -> FeasibleFamily:
     return IntersectionFamily(families)
 
 
-def run_greedy_ocrs(family: FeasibleFamily, order: Sequence[int],
-                    active: ElementSubset) -> ElementSubset:
-    """Scan ``order``; select an active element iff the selection stays in F_x."""
-    if sorted(order) != list(range(family.n)):
-        raise ValueError("order must be a permutation of the ground set")
-    return ElementSubset(run_greedy_mask(family, order, active.mask), family.n)
-
-
 def run_greedy_mask(family: FeasibleFamily, order: Sequence[int],
                     active_mask: int) -> int:
+    """Scan ``order``; select an active element iff the selection stays in F_x."""
     selected = 0
     for e in order:
         bit = 1 << e
@@ -471,7 +464,6 @@ class Graph:
         for idx, (u, v) in enumerate(self.edges):
             incident[u] |= 1 << idx
             incident[v] |= 1 << idx
-        self.incident_edges = tuple(incident)
         self.adjacent_edges = tuple(
             (incident[u] | incident[v]) & ~(1 << idx)
             for idx, (u, v) in enumerate(self.edges))

@@ -1,5 +1,5 @@
-"""Submodular objectives: multilinear extension, characteristic CRS,
-subsampling bounds, continuous greedy, and submodular probing.
+"""Submodular objectives: multilinear extension, subsampling bounds,
+continuous greedy, and submodular probing.
 
 Oracles audit submodularity (and monotonicity when claimed) exhaustively at
 construction for small ground sets; the multilinear extension has an exact
@@ -16,13 +16,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, ElementSubset, SeedSpec, iter_bits,
-                   pack_mask_rows, trial_columns)
+from .core import (FractionalPoint, SeedSpec, iter_bits, pack_mask_rows,
+                   trial_columns)
 from .harness import MeanEstimate
 from .matroids import Matroid, in_scaled_matroid_polytope, max_weight_independent
 from .optimize import (ConstraintSpec, constraint_member, probing_lp,
                        simplex_solve)
-from .schemes import FeasibleFamily, GreedyOcrsFactory, run_greedy_mask
+from .schemes import GreedyOcrsFactory, run_greedy_mask
 
 _AUDIT_LIMIT = 8
 _EXACT_LIMIT = 14
@@ -159,19 +159,6 @@ def submodular_from_json(obj: dict) -> SubmodularOracle:
 # multilinear extension
 
 
-@dataclass(frozen=True)
-class MultilinearEvaluator:
-    """Exact (full 2^n sum, n <= 14) or sampled evaluation policy."""
-
-    mode: str = "exact"
-    trials: int = 10000
-    seed: SeedSpec = SeedSpec(0)
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError("mode must be 'exact' or 'sampled'")
-
-
 def _inclusion_probs(x: np.ndarray) -> np.ndarray:
     """prob[mask] of R(x) = mask, bit e of mask tracking element e."""
     probs = np.ones(1)
@@ -196,28 +183,8 @@ def multilinear_sampled(f: SubmodularOracle, x: FractionalPoint, trials: int,
         for mask in masks)
 
 
-def multilinear_F(f: SubmodularOracle, x: FractionalPoint,
-                  evaluator: MultilinearEvaluator = MultilinearEvaluator()
-                  ) -> MeanEstimate:
-    if evaluator.mode == "exact":
-        return MeanEstimate(mean=multilinear_exact(f, x), halfwidth=0.0,
-                            trials=0)
-    return multilinear_sampled(f, x, evaluator.trials, evaluator.seed)
-
-
 # ---------------------------------------------------------------------------
-# characteristic CRS and the subsampling bounds
-
-
-def characteristic_crs(family: FeasibleFamily,
-                       active: ElementSubset) -> ElementSubset:
-    """Active elements addable to every family member inside the active set.
-
-    Always a subset of what the greedy online loop selects, under every
-    arrival order.
-    """
-    return ElementSubset(family.selectable_mask(active.mask) & active.mask,
-                         family.n)
+# the subsampling bounds
 
 
 def ocrs_submodular_value(f: SubmodularOracle, factory: GreedyOcrsFactory,

@@ -19,7 +19,7 @@ from ocrs.applications import (ProbingInstance, ProphetInstance,
                                prepare_prophet, probing_mean_value,
                                prophet_worst_order)
 from ocrs.cli import main as cli_main
-from ocrs.core import ElementSubset, FractionalPoint, SeedSpec, iter_bits
+from ocrs.core import FractionalPoint, SeedSpec, iter_bits
 from ocrs.harness import (brute_force_selectability, ci_halfwidth,
                           estimate_selectability,
                           knapsack_deterministic_impossibility,
@@ -32,10 +32,9 @@ from ocrs.optimize import (DiscreteDistribution, KnapsackConstraint,
 from ocrs.schemes import (Graph, IntersectionFactory, KnapsackFactory,
                           MatchingFactory, MatroidChainFactory,
                           run_greedy_mask)
-from ocrs.submodular import (characteristic_crs, coverage_function,
-                             directed_cut, half_subsample_value,
-                             multilinear_exact, ocrs_submodular_value,
-                             run_submodular_probing)
+from ocrs.submodular import (coverage_function, directed_cut,
+                             half_subsample_value, multilinear_exact,
+                             ocrs_submodular_value, run_submodular_probing)
 
 SEED = SeedSpec(20150731)
 EPS = 0.05
@@ -464,7 +463,7 @@ def test_criterion_14_structural_invariants():
                           ksampler.enumerate_families()]
     for fam, size in containment_cases:
         for active in range(1 << size):
-            core = characteristic_crs(fam, ElementSubset(active, size)).mask
+            core = fam.selectable_mask(active) & active
             for order in itertools.permutations(range(size)):
                 if core & ~run_greedy_mask(fam, order, active):
                     failures.append("crs-containment")

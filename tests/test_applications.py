@@ -537,6 +537,16 @@ def test_deadline_instance_rejects_explicit_order():
         prepare_probing(inst, SEED, order=[0])
 
 
+@pytest.mark.parametrize("order", [[0, 1, 5], [2]])
+def test_prepare_probing_rejects_order_that_is_not_a_permutation(order):
+    inst = ProbingInstance(p=(0.5,) * 3, w=(1.0, 2.0, 3.0),
+                           inner=UniformMatroid(3, 2),
+                           outer=UniformMatroid(3, 2), b=0.5)
+    with pytest.raises(ValueError, match="permutation"):
+        prepare_probing(inst, SEED, order=order)
+    assert prepare_probing(inst, SEED, order=[2, 0, 1]).order == (2, 0, 1)
+
+
 def test_prepare_probing_rejects_scale_mismatch():
     inst = ProbingInstance(p=(0.5,), w=(1.0,), inner=UniformMatroid(1, 1),
                            outer=UniformMatroid(1, 1), b=0.5)

@@ -11,7 +11,7 @@ import pytest
 import ocrs
 from ocrs.applications import (ProphetInstance, prepare_prophet,
                                prophet_worst_order)
-from ocrs.cli import ExperimentConfig, InstanceError, main, run
+from ocrs.cli import main
 from ocrs.core import SeedSpec
 from ocrs.matroids import UniformMatroid
 from ocrs.optimize import DiscreteDistribution
@@ -358,22 +358,46 @@ def test_validate_matroid_command(tmp_path):
     assert payload["pass"] and payload["checks"]["axioms"]
 
 
-def test_experiment_config_api(tmp_path):
+def test_experiment_config_api(tmp_path, capsys):
     inst = _write(tmp_path, "k4.json", K4)
     out = tmp_path / "cfg.json"
-    config = ExperimentConfig(command="verify-selectability", instance=inst,
-                              scheme="matroid", b=0.5, trials=5000, seed=7,
-                              out_json=str(out))
-    assert run(config) == 0
+    assert main(["verify-selectability", inst, "--scheme", "matroid",
+                 "--b", "0.5", "--trials", "5000", "--seed", "7",
+                 "--out-json", str(out)]) == 0
     assert json.loads(out.read_text())["all_pass"]
-    with pytest.raises(InstanceError):
-        ExperimentConfig(command="probing", instance=inst, trials=0)
-    with pytest.raises(InstanceError):
-        ExperimentConfig(command="probing",
-                         instance=str(tmp_path / "absent.json"))
-    with pytest.raises(InstanceError):
-        run(ExperimentConfig(command="mystery", instance=inst))
-    assert run(ExperimentConfig(command="impossibility", n=2, b="0.5")) == 0
+    capsys.readouterr()
+    assert main(["verify-selectability", inst, "--scheme", "matroid",
+                 "--trials", "0"]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+    assert main(["probing", str(tmp_path / "absent.json")]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["mystery", inst])
+    assert exc.value.code == 2
+    assert main(["impossibility", "--n", "2", "--b", "0.5"]) == 0
+
+
+@pytest.mark.parametrize("command,instance,flag", [
+    ("submodular", {"f": {"universe_weights": [1.0, 1.0],
+                          "covers": [[0], [1], [0, 1]]},
+                    "matroid": _U3}, "--out-csv"),
+    ("probing", {"p": [0.5] * 3, "w": [1.0, 2.0, 3.0], "inner": _U3,
+                 "outer": _U3}, "--eps"),
+    ("probing-deadlines", {"p": [0.5] * 3, "w": [1.0, 2.0, 3.0],
+                           "inner": _U3, "outer": _U3,
+                           "deadlines": [1, 2, 3]}, "--eps"),
+], ids=["submodular-out-csv", "probing-eps", "probing-deadlines-eps"])
+def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command,
+                                            instance, flag):
+    path = _write(tmp_path, "inst.json", instance)
+    out_json = tmp_path / "out.json"
+    flag_file = tmp_path / "flag.out"
+    value = str(flag_file) if flag == "--out-csv" else "0.1"
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--trials", "100", "--out-json", str(out_json),
+              flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out_json.exists() and not flag_file.exists()
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")

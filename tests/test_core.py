@@ -1,4 +1,4 @@
-"""Activation sampling, the trial decoder, stream derivation, and subsets."""
+"""Activation sampling, the trial decoder, stream derivation, and bitmasks."""
 
 import math
 from collections import Counter
@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrs.core import (TRIAL_BLOCK, ElementSubset, FractionalPoint, SeedSpec,
-                       iter_submasks, pack_mask_rows, scale_point,
-                       trial_columns, uniform_blocks)
+from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, iter_submasks,
+                       pack_mask_rows, scale_point, trial_columns,
+                       uniform_blocks)
 from ocrs.schemes import Graph, KnapsackFactory, MatchingFactory
 
 
@@ -21,20 +21,6 @@ def _masks(seed, domain, trials, segments, block_range=None):
                                          block_range):
         out.extend(zip(*columns))
     return out
-
-
-def test_element_subset_basics():
-    s = ElementSubset.from_iterable([0, 2], 4)
-    assert 0 in s and 2 in s and 1 not in s
-    assert sorted(s) == [0, 2]
-    assert len(s) == 2
-    assert s.union(ElementSubset.from_iterable([1], 4)).mask == 0b0111
-    assert s.minus(ElementSubset.from_iterable([0], 4)).mask == 0b0100
-    assert s.issubset(ElementSubset.full(4))
-    with pytest.raises(ValueError):
-        ElementSubset(1 << 4, 4)
-    with pytest.raises(AttributeError):
-        s.mask = 0
 
 
 def test_iter_submasks_counts():

@@ -10,15 +10,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ocrs.core import FractionalPoint, SeedSpec
+from ocrs.core import FractionalPoint, SeedSpec, iter_bits
 from ocrs.harness import (MeanEstimate, brute_force_selectability,
                           ci_halfwidth, estimate_selectability, group_states,
                           knapsack_deterministic_impossibility,
-                          selectability_counts, worst_order_value,
-                          ocrs_trial_value_fn)
+                          selectability_counts, worst_order_value)
 from ocrs.matroids import GraphicMatroid, UniformMatroid
 from ocrs.schemes import (Graph, IntersectionFactory, KnapsackFactory,
-                          MatchingFactory, MatroidChainFactory)
+                          MatchingFactory, MatroidChainFactory,
+                          run_greedy_mask)
 
 SEED = SeedSpec(101)
 
@@ -161,13 +161,26 @@ def test_impossibility_rejects_large_n():
         knapsack_deterministic_impossibility(5, Fraction(1, 2))
 
 
+def _greedy_weight(weights):
+    """Order-search value of a (family, active mask) trial: the weight of the
+    greedy selection, which must keep every selectable active element."""
+
+    def value(state, order) -> float:
+        family, active = state
+        selected = run_greedy_mask(family, order, active)
+        assert family.selectable_mask(active) & active & ~selected == 0
+        return float(sum(weights[e] for e in iter_bits(selected)))
+
+    return value
+
+
 def test_worst_order_single_element():
     fac = MatroidChainFactory(UniformMatroid(1, 1), 0.5)
     sampler = fac.bind(FractionalPoint([0.4]))
     fam = sampler.sample()
     gen = SEED.stream(0)
     actives = [int(gen.random() < 0.4) for _ in range(500)]
-    value = ocrs_trial_value_fn([2.0])
+    value = _greedy_weight([2.0])
     res = worst_order_value(lambda t: (fam, actives[t]), value, 1, 500)
     assert res.worst_order == (0,)
     assert res.worst_value == pytest.approx(2.0 * sum(actives) / 500)
@@ -182,7 +195,7 @@ def test_worst_order_presents_small_weight_first():
     gen = SEED.stream(1)
     states = [(fam, int(gen.random() < 0.25) | (int(gen.random() < 0.25) << 1))
               for _ in range(4000)]
-    value = ocrs_trial_value_fn([1.0, 100.0])
+    value = _greedy_weight([1.0, 100.0])
     res = worst_order_value(lambda t: states[t], value, 2, 4000)
     assert res.worst_order == (0, 1)
     assert res.values_by_order[(0, 1)] < res.values_by_order[(1, 0)]
@@ -199,7 +212,7 @@ def test_worst_order_value_respects_selectability_bound():
     w = [1.0, 100.0]
     states = [(fam, int(gen.random() < 0.25) | (int(gen.random() < 0.25) << 1))
               for _ in range(trials)]
-    value = ocrs_trial_value_fn(w)
+    value = _greedy_weight(w)
     res = worst_order_value(lambda t: states[t], value, 2, trials)
     target = fac.bound() * sum(xe * we for xe, we in zip(x.values, w))
     sd = 3 * 100.0 / math.sqrt(trials)
@@ -211,11 +224,35 @@ def test_worst_order_heuristic_mode():
     fam = fac.bind(FractionalPoint([0.25, 0.25])).sample()
     gen = SEED.stream(3)
     states = [(fam, int(gen.integers(4))) for _ in range(1000)]
-    value = ocrs_trial_value_fn([1.0, 100.0])
+    value = _greedy_weight([1.0, 100.0])
     res = worst_order_value(lambda t: states[t], value, 2, 1000,
                             mode="greedy-heuristic", seed=SEED)
     assert res.mode == "greedy-heuristic"
     assert res.worst_order in ((0, 1), (1, 0))
+
+
+def test_heuristic_search_evaluates_each_order_once(caplog):
+    # hill-climbing swaps back and restarts revisit orders; each distinct
+    # order is still evaluated once
+    fam = MatroidChainFactory(UniformMatroid(4, 1), 0.5).bind(
+        FractionalPoint([0.1] * 4)).sample()
+    gen = SEED.stream(5)
+    actives = [int(v) for v in gen.integers(16, size=500)]
+    value = _greedy_weight([1.0, 5.0, 20.0, 100.0])
+    calls = Counter()
+
+    def counted(state, order):
+        calls[tuple(order)] += 1
+        return value(state, order)
+
+    with caplog.at_level(logging.INFO, logger="ocrs.harness"):
+        res = worst_order_value(lambda t: (fam, actives[t]), counted, 4, 500,
+                                mode="greedy-heuristic", seed=SEED)
+    assert set(calls.values()) == {500}
+    assert f"{len(calls)} orders evaluated" in caplog.text
+    for order, mean in res.values_by_order.items():
+        assert mean == sum(value((fam, a), order) for a in actives) / 500
+    assert res.worst_value == min(res.values_by_order.values())
 
 
 def test_group_states_first_seen_order():
@@ -230,7 +267,7 @@ def test_grouped_search_equals_per_trial_search(caplog):
     fam = fac.bind(FractionalPoint([0.15, 0.15, 0.15])).sample()
     gen = SEED.stream(4)
     actives = [int(v) for v in gen.integers(8, size=3000)]
-    value = ocrs_trial_value_fn([1.0, 7.0, 100.0])
+    value = _greedy_weight([1.0, 7.0, 100.0])
     plain = worst_order_value(lambda t: (fam, actives[t]), value, 3, 3000)
     distinct, trial_state = group_states(actives, lambda a: a)
     with caplog.at_level(logging.INFO, logger="ocrs.harness"):

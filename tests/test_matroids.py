@@ -9,9 +9,9 @@ from ocrs.core import FractionalPoint, SeedSpec, iter_bits
 from ocrs.matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
                            Matroid, MatroidPolytope, MatroidView,
                            PartitionMatroid, UniformMatroid,
-                           check_matroid_axioms, contract_restrict,
-                           in_scaled_matroid_polytope, matroid_from_json,
-                           max_weight_independent, random_point_in_polytope)
+                           check_matroid_axioms, in_scaled_matroid_polytope,
+                           matroid_from_json, max_weight_independent,
+                           random_point_in_polytope)
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -134,14 +134,14 @@ def test_rank_monotone_submodular_exhaustive():
 
 def test_view_identity():
     m = k4()
-    view = contract_restrict(m, 0, m.ground_mask)
+    view = MatroidView(m, 0, m.ground_mask)
     for mask in range(1 << 6):
         assert view.indep(mask) == m.indep(mask)
         assert view.rank(mask) == m.rank(mask)
 
 
 def test_view_contract_uniform():
-    view = contract_restrict(UniformMatroid(3, 2), 0b001, 0b110)
+    view = MatroidView(UniformMatroid(3, 2), 0b001, 0b110)
     assert view.indep(0b010)
     assert not view.indep(0b110)
 
@@ -150,7 +150,7 @@ def test_view_contract_graphic_equivalence():
     # contracting edge (0,1) of K4 merges its endpoints; remaining edges map
     # onto a 3-vertex multigraph with two parallel pairs
     m = k4()
-    view = contract_restrict(m, 0b000001, 0b111110)
+    view = MatroidView(m, 0b000001, 0b111110)
     merged = GraphicMatroid(3, [(0, 1), (0, 2), (0, 1), (0, 2), (1, 2)])
     for sub in range(1 << 5):
         mask = sub << 1
@@ -159,7 +159,7 @@ def test_view_contract_graphic_equivalence():
 
 def test_view_rejects_overlap():
     with pytest.raises(ValueError):
-        contract_restrict(UniformMatroid(3, 2), 0b011, 0b110)
+        MatroidView(UniformMatroid(3, 2), 0b011, 0b110)
 
 
 def test_max_weight_independent():

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrs.core import (ElementSubset, FractionalPoint, SeedSpec, iter_bits,
-                       pack_mask)
+from ocrs.core import FractionalPoint, SeedSpec, iter_bits, pack_mask
 from ocrs.matroids import (GraphicMatroid, MatroidView, PartitionMatroid,
                            UniformMatroid, in_scaled_matroid_polytope)
 from ocrs.schemes import (ChainConstructionError, ChainDecomposition, Graph,
@@ -19,7 +18,7 @@ from ocrs.schemes import (ChainConstructionError, ChainDecomposition, Graph,
                           PolytopeMembershipError, _MatchingStructure,
                           combine_families, factory_from_json,
                           graph_from_json, matroid_chain_decompose,
-                          run_greedy_mask, run_greedy_ocrs)
+                          run_greedy_mask)
 from ocrs.harness import brute_force_selectability, _quantifier_selectable
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -436,13 +435,9 @@ def test_intersection_requires_common_b():
 def test_run_greedy_basics():
     m = UniformMatroid(2, 1)
     fam = MatroidChainFamily(_manual_chain(m, [0b11, 0]))
-    empty = run_greedy_ocrs(fam, [0, 1], ElementSubset.empty(2))
-    assert empty.mask == 0
-    both = ElementSubset.full(2)
-    assert run_greedy_ocrs(fam, [0, 1], both).mask == 0b01
-    assert run_greedy_ocrs(fam, [1, 0], both).mask == 0b10
-    with pytest.raises(ValueError):
-        run_greedy_ocrs(fam, [0, 0], both)
+    assert run_greedy_mask(fam, [0, 1], 0) == 0
+    assert run_greedy_mask(fam, [0, 1], 0b11) == 0b01
+    assert run_greedy_mask(fam, [1, 0], 0b11) == 0b10
 
 
 def test_greedy_output_contains_selectable_random():

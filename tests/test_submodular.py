@@ -6,17 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from ocrs.core import ElementSubset, FractionalPoint, SeedSpec
+from ocrs.core import FractionalPoint, SeedSpec
 from ocrs.applications import ProbingInstance, prepare_probing, probing_mean_value
 from ocrs.harness import brute_force_selectability
 from ocrs.matroids import GraphicMatroid, UniformMatroid
 from ocrs.schemes import MatroidChainFactory, run_greedy_mask
-from ocrs.submodular import (MultilinearEvaluator, SubmodularOracle,
-                             characteristic_crs, continuous_greedy,
+from ocrs.submodular import (SubmodularOracle, continuous_greedy,
                              continuous_greedy_probing, coverage_function,
                              directed_cut, half_subsample_value,
-                             multilinear_F, multilinear_exact,
-                             multilinear_sampled, ocrs_submodular_value,
+                             multilinear_exact, multilinear_sampled,
+                             ocrs_submodular_value,
                              run_submodular_probing, submodular_from_json,
                              weighted_matroid_rank)
 
@@ -101,8 +100,6 @@ def test_multilinear_sampled_agrees_with_exact():
     exact = multilinear_exact(f, x)
     est = multilinear_sampled(f, x, 40_000, SEED)
     assert abs(est.mean - exact) <= 3 * est.halfwidth
-    dispatch = multilinear_F(f, x, MultilinearEvaluator())
-    assert dispatch.mean == pytest.approx(exact) and dispatch.halfwidth == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +113,9 @@ def _rank_one_family():
 
 def test_characteristic_crs_examples():
     fam = _rank_one_family()
-    assert characteristic_crs(fam, ElementSubset.empty(2)).mask == 0
-    assert characteristic_crs(fam, ElementSubset.from_iterable([0], 2)).mask == 0b01
-    assert characteristic_crs(fam, ElementSubset.full(2)).mask == 0
+    assert fam.selectable_mask(0) & 0 == 0
+    assert fam.selectable_mask(0b01) & 0b01 == 0b01
+    assert fam.selectable_mask(0b11) & 0b11 == 0
 
 
 def test_characteristic_crs_contained_in_every_run():
@@ -126,7 +123,7 @@ def test_characteristic_crs_contained_in_every_run():
     fam = MatroidChainFactory(m, 0.5).bind(
         FractionalPoint([0.15, 0.15, 0.1, 0.2, 0.1])).sample()
     for active in range(1 << 5):
-        core = characteristic_crs(fam, ElementSubset(active, 5)).mask
+        core = fam.selectable_mask(active) & active
         for order in itertools.permutations(range(5)):
             out = run_greedy_mask(fam, order, active)
             assert core & ~out == 0
