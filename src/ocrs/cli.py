@@ -224,7 +224,10 @@ def cmd_prophet(args) -> int:
                                          args.instance))
     dists = tuple(distribution_from_json(d)
                   for d in _require(instance_obj, "dists", args.instance))
-    policy = instance_obj.get("order", args.order)
+    # a given --order wins over the instance's "order", which wins over
+    # the default, worst
+    policy = (args.order if args.order is not None
+              else instance_obj.get("order", "worst"))
     if isinstance(policy, list):
         policy = tuple(int(e) for e in policy)
     try:
@@ -472,7 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prophet", help="prophet pipeline competitive ratio")
     common(p, eps=True, out_csv=True)
-    p.add_argument("--order", choices=["worst", "identity"], default="worst")
+    p.add_argument("--order", choices=["worst", "identity"], default=None,
+                   help="arrival order; overrides the instance's 'order' "
+                        "(default: the instance's, else worst)")
 
     p = sub.add_parser("probing", help="stochastic probing pipeline")
     common(p, eps=False, out_csv=True)

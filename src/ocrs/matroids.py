@@ -15,6 +15,7 @@ limits of their own.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +31,9 @@ class Matroid:
     """Base matroid over index space ``0..n-1`` with ground set ``ground_mask``.
 
     Subclasses implement ``_indep(mask)`` for ``mask`` a subset of the ground
-    set.  ``rank``/``span``/``indep`` are memoized here.
+    set.  ``rank``/``span``/``indep`` are memoized here.  Masks may be any
+    integer type (``numpy.int64`` included); they are coerced to ``int`` on
+    entry, so memo keys are Python ints.
     """
 
     kind = "abstract"
@@ -50,6 +53,7 @@ class Matroid:
             raise ValueError("subset has elements outside the ground set")
 
     def indep(self, mask: int) -> bool:
+        mask = operator.index(mask)
         self._check_ground(mask)
         cached = self._indep_cache.get(mask)
         if cached is None:
@@ -58,8 +62,14 @@ class Matroid:
         return cached
 
     def rank(self, mask: int) -> int:
-        """Size of a maximum independent subset, by the matroid greedy."""
+        """Size of a maximum independent subset of ``mask``."""
+        mask = operator.index(mask)
         self._check_ground(mask)
+        return self._rank(mask)
+
+    def _rank(self, mask: int) -> int:
+        """The matroid greedy, memoized; subclasses with a closed form
+        override it."""
         cached = self._rank_cache.get(mask)
         if cached is None:
             kept = 0
@@ -72,6 +82,7 @@ class Matroid:
 
     def span(self, mask: int) -> int:
         """Elements whose addition does not raise the rank of ``mask``."""
+        mask = operator.index(mask)
         self._check_ground(mask)
         cached = self._span_cache.get(mask)
         if cached is None:
@@ -87,7 +98,8 @@ class Matroid:
 
     def spans(self, mask: int, e: int) -> bool:
         """Whether adding element ``e`` leaves the rank of ``mask`` unchanged."""
-        bit = 1 << e
+        mask = operator.index(mask)
+        bit = 1 << operator.index(e)
         if mask & bit:
             return True
         return self.rank(mask | bit) == self.rank(mask)
@@ -113,8 +125,7 @@ class UniformMatroid(Matroid):
     def _indep(self, mask: int) -> bool:
         return mask.bit_count() <= self.k
 
-    def rank(self, mask: int) -> int:
-        self._check_ground(mask)
+    def _rank(self, mask: int) -> int:
         return min(mask.bit_count(), self.k)
 
 
@@ -150,8 +161,7 @@ class PartitionMatroid(Matroid):
         return all((mask & bm).bit_count() <= c
                    for bm, c in zip(self.block_masks, self.capacities))
 
-    def rank(self, mask: int) -> int:
-        self._check_ground(mask)
+    def _rank(self, mask: int) -> int:
         return sum(min((mask & bm).bit_count(), c)
                    for bm, c in zip(self.block_masks, self.capacities))
 
@@ -267,8 +277,7 @@ class MatroidView(Matroid):
         self.contracted = contracted
         self.contracted_rank = base.rank(contracted)
 
-    def rank(self, mask: int) -> int:
-        self._check_ground(mask)
+    def _rank(self, mask: int) -> int:
         cached = self._rank_cache.get(mask)
         if cached is None:
             cached = self.base.rank(mask | self.contracted) - self.contracted_rank
@@ -322,6 +331,16 @@ class MatroidPolytope:
             masks += [mask | bit for mask in masks]
         self.masks = masks
         self.ranks = np.array([base.bit_count() for base in bases])
+        # on a ground set 0..k-1 (every matroid built from JSON) the index
+        # of a subset is its mask
+        self._identity = m.ground_mask == len(masks) - 1
+
+    def index(self, mask: int) -> int:
+        """Table index of ``mask``, a subset of the ground set."""
+        if self._identity:
+            return mask
+        return sum(1 << j for j, e in enumerate(self.elements)
+                   if mask >> e & 1)
 
     def subset_sums(self, values: np.ndarray) -> np.ndarray:
         """``x(S)`` for every subset, in the order of ``masks``."""
@@ -361,12 +380,17 @@ class MatroidPolytope:
 
 
 def in_scaled_matroid_polytope(m: Matroid, x: FractionalPoint, b: float,
-                               tol: float = 1e-9) -> bool:
+                               tol: float = 1e-9,
+                               table: Optional[MatroidPolytope] = None
+                               ) -> bool:
     """Whether ``x(S) - b * rank(S) <= tol`` holds for every subset of the
-    ground set (exhaustive; at most ``EXHAUSTIVE_LIMIT`` elements)."""
+    ground set (exhaustive; at most ``EXHAUSTIVE_LIMIT`` elements).
+    ``table`` is m's ``MatroidPolytope`` if the caller already has one."""
     if x.n != m.n:
         raise ValueError("point dimension must match the ground set")
-    return MatroidPolytope(m).max_violation(x.values, b) <= tol
+    if table is None:
+        table = MatroidPolytope(m)
+    return table.max_violation(x.values, b) <= tol
 
 
 class AxiomReport:

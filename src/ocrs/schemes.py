@@ -10,6 +10,7 @@ iff adding it keeps the selected set in the subfamily.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -22,8 +23,8 @@ from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
                        MatroidView, in_scaled_matroid_polytope,
                        matroid_from_json)
 
-#: Above this many elements in a level, chain span probabilities switch from
-#: exact enumeration to Monte-Carlo estimation.
+#: Above this many ground elements, chain span probabilities switch from
+#: the exact rank-table sums to Monte-Carlo estimation.
 EXACT_SPAN_LIMIT = 20
 
 #: Monte-Carlo sample count per span-probability estimate is
@@ -33,6 +34,8 @@ EXACT_SPAN_LIMIT = 20
 SAMPLE_CONSTANT = 1.0
 
 _TOL = 1e-9
+
+log = logging.getLogger("ocrs.schemes")
 
 
 class SchemeError(ValueError):
@@ -81,7 +84,8 @@ class ChainDecomposition:
     ``views[i]`` is the base matroid with N_{i+1} contracted, restricted to
     the layer N_i - N_{i+1}.  ``span_estimates[e]`` records the final
     (exact or Monte-Carlo) span probability that fixed e's layer; each is
-    at most b by construction.
+    at most b by construction.  ``table`` is the matroid's rank table, when
+    the construction built one.
     """
 
     matroid: Matroid
@@ -91,6 +95,8 @@ class ChainDecomposition:
     eps: float
     exact: bool
     span_estimates: dict[int, float] = field(repr=False)
+    table: Optional[MatroidPolytope] = field(default=None, repr=False,
+                                             compare=False)
 
     def __post_init__(self) -> None:
         levels = self.levels
@@ -106,20 +112,40 @@ class ChainDecomposition:
 
 
 class MatroidChainFamily(FeasibleFamily):
-    """Per-layer independence in the chain's contracted/restricted views."""
+    """Per-layer independence in the chain's contracted/restricted views.
+
+    A view's rank is r_view(A) = r(A | lower) - r(lower), with ``lower`` the
+    level below its layer.  An exact chain answers ``member`` and
+    ``selectable_mask`` from two lookups over every subset of the ground
+    set, read off the matroid's rank table; a Monte-Carlo chain (too large
+    for the table) asks the views and memoizes ``selectable_mask``.
+    """
 
     def __init__(self, chain: ChainDecomposition):
         self.chain = chain
         self.n = chain.matroid.n
+        self._ground = chain.matroid.ground_mask
         self._layers = list(zip(chain.layers, chain.views))
-        self._selectable_cache: dict[int, int] = {}
+        self._table = None
+        if chain.exact:
+            self._table = (chain.table if chain.table is not None
+                           else MatroidPolytope(chain.matroid))
+            self._member, self._selectable = _chain_lookups(self._table,
+                                                            chain.levels)
+        else:
+            self._selectable_cache: dict[int, int] = {}
 
     def member(self, mask: int) -> bool:
-        if mask & ~self.chain.matroid.ground_mask:
+        if mask & ~self._ground:
             return False
+        if self._table is not None:
+            return self._member[self._table.index(mask)]
         return all(view.indep(mask & layer) for layer, view in self._layers)
 
     def selectable_mask(self, active_mask: int) -> int:
+        if self._table is not None:
+            return self._selectable[self._table.index(active_mask
+                                                      & self._ground)]
         cached = self._selectable_cache.get(active_mask)
         if cached is None:
             cached = 0
@@ -299,6 +325,35 @@ class IntersectionFamily(FeasibleFamily):
         return ("intersect",) + tuple(f.cache_key() for f in self.parts)
 
 
+def _chain_lookups(table: MatroidPolytope, levels: Sequence[int]
+                   ) -> tuple[list[bool], list[int]]:
+    """``member`` and ``selectable_mask`` of a chain family, for every subset
+    A of the ground set in table-index order.
+
+    With L a layer and ``lo`` the level below it, A is a member iff
+    r((A & L) | lo) - r(lo) = |A & L| on every layer, and e in L is
+    selectable iff r((A & L - e) | lo | e) != r((A & L - e) | lo).
+    """
+    ranks = table.ranks
+    index = np.arange(ranks.size)
+    sizes = np.zeros(1, dtype=np.int64)
+    for _ in table.elements:
+        sizes = np.concatenate([sizes, sizes + 1])
+    member = np.ones(ranks.size, dtype=bool)
+    selectable = np.zeros(ranks.size, dtype=np.int64)
+    for hi, lo in zip(levels, levels[1:]):
+        layer = table.index(hi & ~lo)
+        lower = table.index(lo)
+        present = index & layer
+        member &= ranks[present | lower] - ranks[lower] == sizes[present]
+        for j in iter_bits(layer):
+            below = (present & ~(1 << j)) | lower
+            free = ranks[below | (1 << j)] != ranks[below]
+            selectable |= free.astype(np.int64) << j
+    masks = table.masks
+    return member.tolist(), [masks[i] for i in selectable.tolist()]
+
+
 def combine_families(families: Sequence[FeasibleFamily]) -> FeasibleFamily:
     """Intersection family over a common ground set."""
     if len(families) == 1:
@@ -328,21 +383,26 @@ def _mc_sample_count(n: int, eps: float, alpha: float) -> int:
                          / (eps * eps)))
 
 
-def _exact_span_probability(view: Matroid, x: np.ndarray, level_mask: int,
-                            s_mask: int, e: int) -> float:
-    """Pr[e in span((R(x) | S) - e)] with R restricted to the level, exactly."""
-    free = level_mask & ~s_mask & ~(1 << e)
-    free_list = list(iter_bits(free))
-    total = 0.0
-    for t_mask in iter_submasks(free):
-        prob = 1.0
-        for g in free_list:
-            prob *= x[g] if (t_mask >> g) & 1 else 1.0 - x[g]
-        if prob == 0.0:
-            continue
-        if view.spans(t_mask | s_mask, e):
-            total += prob
-    return total
+def _table_span_probability(table: MatroidPolytope, x: np.ndarray,
+                            level_mask: int, s_mask: int, e: int) -> float:
+    """Pr[e in span((R(x) | S) - e)] with R restricted to the level, exactly.
+
+    The sum over T of Pr(R & free = T) * [r(T | S | e) = r(T | S)], with
+    free = level - S - e.  Probabilities are built by doubling over free in
+    ascending element order, and the terms are added in descending T (the
+    order of ``iter_submasks(free)``) by a running sum, so the result is
+    bit-equal to the plain loop over submasks.  Restricting to the level
+    keeps ranks, so the whole matroid's rank table answers every level.
+    """
+    probs = np.ones(1)
+    subsets = np.zeros(1, dtype=np.int64)
+    for g in iter_bits(level_mask & ~s_mask & ~(1 << e)):
+        probs = np.concatenate([probs * (1.0 - x[g]), probs * x[g]])
+        subsets = np.concatenate([subsets, subsets | table.index(1 << g)])
+    subsets |= table.index(s_mask)
+    ranks = table.ranks
+    spanned = ranks[subsets | table.index(1 << e)] == ranks[subsets]
+    return float(np.cumsum(np.where(spanned, probs, 0.0)[::-1])[-1])
 
 
 def _mc_span_probability(view: Matroid, x: np.ndarray, level_mask: int,
@@ -372,14 +432,19 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
                             eps: float = 0.05, alpha: float = 1.0,
                             stream: Optional[np.random.Generator] = None,
                             exact: Optional[bool] = None,
-                            validate_point: bool = True) -> ChainDecomposition:
+                            validate_point: bool = True,
+                            table: Optional[MatroidPolytope] = None
+                            ) -> ChainDecomposition:
     """Build the nested level sets whose per-layer span probabilities are <= b.
 
     Levels are refined by repeatedly absorbing every element whose
     probability of being spanned by the other active elements (plus the
-    already-absorbed set) exceeds b.  Exact enumeration is used up to
-    EXACT_SPAN_LIMIT elements per level; above that, Monte-Carlo estimates
-    with _mc_sample_count samples each (requires ``stream``).
+    already-absorbed set) exceeds b.  Exact probabilities (up to
+    EXACT_SPAN_LIMIT elements by default) come from the matroid's rank
+    table; above that, Monte-Carlo estimates with _mc_sample_count samples
+    each (requires ``stream``).  ``table`` is the matroid's rank table if
+    the caller has one; otherwise it is built here, for exact chains and
+    for the point check, up to EXHAUSTIVE_LIMIT elements.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must lie in [0, 1]")
@@ -391,8 +456,14 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
     use_exact = exact if exact is not None else size <= EXACT_SPAN_LIMIT
     if not use_exact and stream is None:
         raise ValueError("Monte-Carlo chain construction needs a stream")
-    if validate_point and size <= EXHAUSTIVE_LIMIT:
-        if not in_scaled_matroid_polytope(matroid, x, b):
+    if use_exact and size > EXHAUSTIVE_LIMIT:
+        raise SchemeError(f"exact span probabilities enumerate subsets and "
+                          f"are limited to {EXHAUSTIVE_LIMIT} elements")
+    if (table is None and size <= EXHAUSTIVE_LIMIT
+            and (use_exact or validate_point)):
+        table = MatroidPolytope(matroid)
+    if validate_point and table is not None:
+        if not in_scaled_matroid_polytope(matroid, x, b, table=table):
             raise PolytopeMembershipError(
                 "x is outside b * P for the given matroid")
     xv = x.values
@@ -408,8 +479,7 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
 
         def estimate(e: int, s_mask: int) -> float:
             if use_exact:
-                return _exact_span_probability(level_view, xv, current,
-                                               s_mask, e)
+                return _table_span_probability(table, xv, current, s_mask, e)
             return _mc_span_probability(level_view, xv, current, s_mask, e,
                                         samples, eps, stream)
 
@@ -438,10 +508,19 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
 
     views = tuple(MatroidView(matroid, contracted=lo, kept=hi & ~lo)
                   for hi, lo in zip(levels, levels[1:]))
-    return ChainDecomposition(matroid=matroid, levels=tuple(levels),
-                              views=views, b=b,
-                              eps=0.0 if use_exact else eps,
-                              exact=use_exact, span_estimates=estimates)
+    chain = ChainDecomposition(matroid=matroid, levels=tuple(levels),
+                               views=views, b=b,
+                               eps=0.0 if use_exact else eps,
+                               exact=use_exact, span_estimates=estimates,
+                               table=table)
+    log.info("chain: %s; levels %s; layer sizes %s; max span estimate %.6g; "
+             "rank table of %s subsets",
+             "exact" if use_exact else f"Monte-Carlo, {samples} samples per "
+                                        f"estimate",
+             list(chain.levels), [layer.bit_count() for layer in chain.layers],
+             max(estimates.values(), default=0.0),
+             "no" if table is None else table.ranks.size)
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +719,17 @@ class MatroidChainFactory(GreedyOcrsFactory):
         self.alpha = alpha
         self.exact = exact if exact is not None else matroid.size() <= EXACT_SPAN_LIMIT
         self.construction_slack = 0.0 if self.exact else eps
+        self._table: Optional[MatroidPolytope] = None
 
     def bound(self) -> float:
         return 1.0 - self.b
+
+    def _rank_table(self) -> Optional[MatroidPolytope]:
+        """The matroid's rank table, built on first use and shared by
+        ``load`` and every ``bind``; None above EXHAUSTIVE_LIMIT elements."""
+        if self._table is None and self.matroid.size() <= EXHAUSTIVE_LIMIT:
+            self._table = MatroidPolytope(self.matroid)
+        return self._table
 
     def load(self, x: FractionalPoint) -> float:
         """The polytope oracle's ``min_scale``; it enumerates subsets, so
@@ -651,12 +738,13 @@ class MatroidChainFactory(GreedyOcrsFactory):
             raise SchemeError(
                 "supply an explicit 'x'; point fitting enumerates subsets "
                 "and is limited to 16 elements")
-        return MatroidPolytope(self.matroid).min_scale(x.values)
+        return self._rank_table().min_scale(x.values)
 
     def bind(self, x, stream=None) -> SchemeSampler:
         chain = matroid_chain_decompose(self.matroid, x, self.b, eps=self.eps,
                                         alpha=self.alpha, stream=stream,
-                                        exact=self.exact)
+                                        exact=self.exact,
+                                        table=self._rank_table())
         return _ChainSampler(MatroidChainFamily(chain))
 
 

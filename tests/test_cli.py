@@ -189,6 +189,28 @@ def test_prophet_csv_matches_report(tmp_path):
         assert total / trials == json.loads(out.read_text())["mean"]
 
 
+def test_prophet_order_flag_overrides_instance_order(tmp_path):
+    # the instance's order applies without the flag; a given --order wins
+    inst = _write(tmp_path, "po.json", {
+        "matroid": {"type": "partition", "blocks": [[0, 1], [2, 3]],
+                    "capacities": [1, 1]},
+        "dists": [{"support": [0.0, 1.0 + e], "probs": [0.5, 0.5]}
+                  for e in range(4)],
+        "order": [3, 1, 0, 2]})
+    outputs = {}
+    for name, extra in (("instance", []), ("identity", ["--order",
+                                                        "identity"])):
+        out = tmp_path / f"po_{name}.json"
+        csv_out = tmp_path / f"po_{name}.csv"
+        assert main(["prophet", inst, "--trials", "2000", "--seed", "1",
+                     "--out-json", str(out), "--out-csv", str(csv_out),
+                     *extra]) == 0
+        outputs[name] = (json.loads(out.read_text()), csv_out.read_bytes())
+    assert outputs["instance"][0]["order"] == [3, 1, 0, 2]
+    assert outputs["identity"][0]["order"] == [0, 1, 2, 3]
+    assert outputs["instance"][1] != outputs["identity"][1]
+
+
 _U3 = {"type": "uniform", "n": 3, "k": 1}
 _PROPHET = {"matroid": _U3,
             "dists": [{"support": [0.0, 1.0], "probs": [0.5, 0.5]}] * 3}
@@ -408,10 +430,12 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     ("knapsack", "knapsack", "0.25"),
     ("intersect3", "intersect", "0.25"),
     ("matching-det", "matching", "0.4"),
+    ("theta7", "matroid", "0.75"),
 ])
 def test_golden_selectability_reports(tmp_path, name, scheme, b, workers):
-    """Reports on fixed knapsack, three-part intersect and deterministic
-    matching instances stay byte for byte what they were when recorded."""
+    """Reports on fixed knapsack, three-part intersect, deterministic
+    matching and three-level matroid chain (theta graph with seven paths)
+    instances stay byte for byte what they were when recorded."""
     out = tmp_path / "report.json"
     assert main(["verify-selectability", os.path.join(GOLDEN, f"{name}.json"),
                  "--scheme", scheme, "--b", b, "--trials", "30000",

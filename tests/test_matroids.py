@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrs.core import FractionalPoint, SeedSpec, iter_bits
+from ocrs.core import FractionalPoint, SeedSpec, iter_bits, iter_submasks
 from ocrs.matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
                            Matroid, MatroidPolytope, MatroidView,
                            PartitionMatroid, UniformMatroid,
@@ -155,6 +155,35 @@ def test_view_contract_graphic_equivalence():
     for sub in range(1 << 5):
         mask = sub << 1
         assert view.indep(mask) == merged.indep(sub)
+
+
+_COLD_MATROIDS = {
+    "uniform": lambda: UniformMatroid(4, 2),
+    "partition": lambda: PartitionMatroid([[0, 1], [2, 3]], [1, 1]),
+    "graphic": lambda: GraphicMatroid(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    "laminar": lambda: LaminarMatroid(4, [[0, 1], [0, 1, 2, 3]], [1, 2]),
+    "explicit": lambda: ExplicitMatroid(4, [[0, 2], [0, 3], [1, 2], [1, 3]]),
+    "view": lambda: MatroidView(GraphicMatroid(5, [(0, 1), (1, 2), (0, 2),
+                                                   (2, 3), (3, 4)]),
+                                0b10000, 0b01111),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COLD_MATROIDS))
+def test_oracles_accept_numpy_integer_masks(kind):
+    # on a fresh matroid (no memo warmed by Python-int queries) numpy
+    # integer masks answer like ints, and memo keys stay Python ints
+    cold, ref = _COLD_MATROIDS[kind](), _COLD_MATROIDS[kind]()
+    for mask in iter_submasks(ref.ground_mask):
+        for dtype in (np.int64, np.uint8):
+            assert cold.rank(dtype(mask)) == ref.rank(mask)
+            assert cold.indep(dtype(mask)) == ref.indep(mask)
+            assert cold.span(dtype(mask)) == ref.span(mask)
+            for e in iter_bits(ref.ground_mask):
+                assert (cold.spans(dtype(mask), np.int64(e))
+                        == ref.spans(mask, e))
+    for memo in (cold._rank_cache, cold._indep_cache, cold._span_cache):
+        assert all(type(key) is int for key in memo)
 
 
 def test_view_rejects_overlap():

@@ -1,6 +1,7 @@
 """OCRS constructions: chains, sampled families, combination, greedy loop."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -8,17 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrs.core import FractionalPoint, SeedSpec, iter_bits, pack_mask
-from ocrs.matroids import (GraphicMatroid, MatroidView, PartitionMatroid,
-                           UniformMatroid, in_scaled_matroid_polytope)
-from ocrs.schemes import (ChainConstructionError, ChainDecomposition, Graph,
-                          IntersectionFactory, KnapsackFactory,
+from ocrs.core import (FractionalPoint, SeedSpec, iter_bits, iter_submasks,
+                       pack_mask)
+from ocrs.matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
+                           MatroidPolytope, MatroidView, PartitionMatroid,
+                           UniformMatroid, in_scaled_matroid_polytope,
+                           random_point_in_polytope)
+from ocrs.schemes import (_TOL, ChainConstructionError, ChainDecomposition,
+                          Graph, IntersectionFactory, KnapsackFactory,
                           MatchingFactory, MatchingFamily,
                           MatroidChainFactory, MatroidChainFamily,
                           PolytopeMembershipError, _MatchingStructure,
                           combine_families, factory_from_json,
-                          graph_from_json, matroid_chain_decompose,
-                          run_greedy_mask)
+                          _mc_sample_count, graph_from_json,
+                          matroid_chain_decompose, run_greedy_mask)
 from ocrs.harness import brute_force_selectability, _quantifier_selectable
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -112,6 +116,182 @@ def _submasks(mask):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def _loop_span_probability(view, x, level_mask, s_mask, e):
+    """Pr[e in span((R(x) | S) - e)] with R restricted to the level, by one
+    ``spans`` query per submask of the free elements: the reference for the
+    rank-table sweep."""
+    free = level_mask & ~s_mask & ~(1 << e)
+    free_list = list(iter_bits(free))
+    total = 0.0
+    for t_mask in iter_submasks(free):
+        prob = 1.0
+        for g in free_list:
+            prob *= x[g] if (t_mask >> g) & 1 else 1.0 - x[g]
+        if prob == 0.0:
+            continue
+        if view.spans(t_mask | s_mask, e):
+            total += prob
+    return total
+
+
+def _loop_chain(m, x, b):
+    """Levels and span estimates of the exact chain, by the submask loop."""
+    levels = [m.ground_mask]
+    estimates = {}
+    current = m.ground_mask
+    while current:
+        view = MatroidView(m, 0, current)
+        s_mask = 0
+        while True:
+            sweep = {}
+            added = 0
+            for e in iter_bits(current & ~s_mask):
+                p = _loop_span_probability(view, x.values, current, s_mask, e)
+                if p > b + _TOL:
+                    added |= 1 << e
+                    s_mask |= 1 << e
+                else:
+                    sweep[e] = p
+            if not added:
+                break
+        if s_mask == current:
+            raise ChainConstructionError("refinement absorbed a whole level")
+        estimates.update(sweep)
+        levels.append(s_mask)
+        current = s_mask
+    return tuple(levels), estimates
+
+
+def _graphic_edges(draw, vertices, count):
+    pairs = list(itertools.combinations(range(vertices), 2))
+    return [pairs[i] for i in draw(st.lists(
+        st.integers(0, len(pairs) - 1), min_size=count, max_size=count))]
+
+
+@st.composite
+def _small_matroids(draw):
+    """Uniform, partition, graphic, laminar and explicit matroids of at most
+    8 elements, and views whose ground set is not the index range 0..k-1.
+    Only views can have loops (elements spanned by the contracted set)."""
+    kind = draw(st.sampled_from(["uniform", "partition", "graphic",
+                                 "laminar", "explicit", "view"]))
+    n = draw(st.integers(1, 8))
+    if kind == "uniform":
+        return UniformMatroid(n, draw(st.integers(1, n)))
+    if kind == "partition":
+        block_of = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = [[e for e in range(n) if block_of[e] == i]
+                  for i in sorted(set(block_of))]
+        return PartitionMatroid(blocks, [draw(st.integers(1, len(bl)))
+                                         for bl in blocks])
+    if kind == "laminar":
+        inner = draw(st.integers(0, n))
+        outer = draw(st.integers(inner, n))
+        sets = [range(inner), range(outer), range(outer, n)]
+        return LaminarMatroid(n, sets, [draw(st.integers(1, 3))
+                                        for _ in sets])
+    graphic = GraphicMatroid(5, _graphic_edges(draw, 5, n))
+    if kind == "graphic":
+        return graphic
+    if kind == "explicit":
+        rank = graphic.full_rank()
+        bases = [mask for mask in range(1 << n)
+                 if mask.bit_count() == rank and graphic.indep(mask)]
+        return ExplicitMatroid(n, [list(iter_bits(mask)) for mask in bases])
+    kept = draw(st.integers(1, (1 << n) - 1))
+    contracted = draw(st.integers(0, (1 << n) - 1)) & ~kept
+    return MatroidView(graphic, contracted, kept)
+
+
+def _assert_chain_matches_loop(m, x, b):
+    """The rank-table chain has the loop's levels and bit-equal span
+    estimates, and its family lookups equal the per-view rules on every
+    mask.  Returns the chain (None when both constructions fail)."""
+    try:
+        levels, estimates = _loop_chain(m, x, b)
+    except ChainConstructionError:
+        # a loop is spanned with probability 1 at every level
+        with pytest.raises(ChainConstructionError):
+            matroid_chain_decompose(m, x, b)
+        return None
+    chain = matroid_chain_decompose(m, x, b)
+    assert chain.levels == levels
+    assert chain.span_estimates == estimates
+    fam = MatroidChainFamily(chain)
+    layers = list(zip(chain.layers, chain.views))
+    for mask in range(1 << m.n):
+        member = not mask & ~m.ground_mask and all(
+            view.indep(mask & layer) for layer, view in layers)
+        assert fam.member(mask) == member
+        selectable = 0
+        for layer, view in layers:
+            for e in iter_bits(layer):
+                if not view.spans(mask & layer & ~(1 << e), e):
+                    selectable |= 1 << e
+        assert fam.selectable_mask(mask) == selectable
+    return chain
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_matroids(), st.sampled_from([0.2, 0.5, 0.75, 0.95]),
+       st.integers(0, 2 ** 32 - 1))
+def test_table_chain_matches_submask_loop(m, b, seed):
+    x = random_point_in_polytope(m, b, np.random.default_rng(seed))
+    _assert_chain_matches_loop(m, x, b)
+
+
+_GRAPHIC_3_LEVELS = [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (0, 1), (1, 2),
+                     (0, 2)]
+
+
+@pytest.mark.parametrize("make,weights,b", [
+    (lambda: GraphicMatroid(3, _GRAPHIC_3_LEVELS),
+     [0.75, 0.03, 0.05, 29.08, 2.78, 54.68, 5.35, 11.3], 0.75),
+    # the same matroid with its elements at odd indices: a view whose
+    # ground set is not 0..k-1
+    (lambda: MatroidView(GraphicMatroid(3, [e for edge in _GRAPHIC_3_LEVELS
+                                            for e in ((0, 1), edge)]),
+                         0, sum(1 << (2 * i + 1) for i in range(8))),
+     [w for v in [0.75, 0.03, 0.05, 29.08, 2.78, 54.68, 5.35, 11.3]
+      for w in (0.0, v)], 0.75),
+    (lambda: LaminarMatroid(7, [range(2), range(7)], [1, 2]),
+     [2.56, 0.01, 0.16, 1.76, 0.02, 0.11, 0.32], 0.75),
+], ids=["graphic", "view-odd-indices", "laminar"])
+def test_table_chain_matches_submask_loop_multi_level(make, weights, b):
+    # skewed points on the boundary of b * P, found by search, whose chains
+    # have three levels
+    m = make()
+    w = np.array(weights)
+    scale = b / MatroidPolytope(m).min_scale(w) * (1 - 1e-12)
+    chain = _assert_chain_matches_loop(m, FractionalPoint(w * scale), b)
+    assert len(chain.levels) == 3
+
+
+def test_chain_logs_construction_summary(caplog):
+    m = _theta_graph(7)
+    b = 0.75
+    y = (b * m.full_rank() - 0.01) / 14
+    x = FractionalPoint([0.01] + [y] * 14)
+    with caplog.at_level(logging.INFO, logger="ocrs.schemes"):
+        chain = matroid_chain_decompose(m, x, b)
+    sizes = [layer.bit_count() for layer in chain.layers]
+    assert len(sizes) >= 2
+    top = max(chain.span_estimates.values())
+    assert caplog.messages == [
+        f"chain: exact; levels {list(chain.levels)}; layer sizes {sizes}; "
+        f"max span estimate {top:.6g}; rank table of 32768 subsets"]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="ocrs.schemes"):
+        matroid_chain_decompose(GraphicMatroid(4, K4_EDGES),
+                                FractionalPoint([0.2] * 6), 0.5, exact=False,
+                                stream=SeedSpec(1).stream(0))
+    samples = _mc_sample_count(6, 0.05, 1.0)
+    assert len(caplog.messages) == 1
+    assert caplog.messages[0].startswith(
+        f"chain: Monte-Carlo, {samples} samples per estimate; levels [63, 0]")
+    assert caplog.messages[0].endswith("rank table of 64 subsets")
 
 
 def test_chain_monte_carlo_mode():
