@@ -306,7 +306,7 @@ def _run_probing_command(args, need_deadlines: bool) -> int:
              pipeline.bound, pipeline.bound_expr, args.trials, args.seed)
     if args.dump_lp:
         with open(args.dump_lp, "w") as fh:
-            fh.write(pipeline.lp.lp.dump() + "\n")
+            fh.write(pipeline.lp.dump() + "\n")
     collect: Optional[list] = [] if args.out_csv else None
     estimate = probing_mean_value(pipeline, args.trials, seed, collect=collect)
     report = estimate_competitive_ratio(estimate, pipeline.lp.value,
@@ -482,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probing", help="stochastic probing pipeline")
     common(p, eps=False, out_csv=True)
     p.add_argument("--dump-lp", default=None,
-                   help="write the relaxation tableau to this file")
+                   help="write the generated LP rows and the separation "
+                        "certificate to this file")
 
     p = sub.add_parser("probing-deadlines",
                        help="stochastic probing with deadlines")

@@ -85,11 +85,19 @@ class SelectabilityReport:
     scheme: str = ""
     b: float = float("nan")
     seed: Optional[int] = None
+    #: mask of loops: they never arrive, so the bound does not cover them
+    #: and each is held to 0
+    loops: int = 0
     passes: np.ndarray = field(init=False)
+    element_bounds: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        self.element_bounds = np.array(
+            [0.0 if self.loops >> e & 1 else self.bound
+             for e in range(self.estimates.size)])
         self.passes = (self.estimates + self.halfwidths
-                       + self.construction_slack >= self.bound - 1e-15)
+                       + self.construction_slack
+                       >= self.element_bounds - 1e-15)
 
     @property
     def n(self) -> int:
@@ -102,7 +110,7 @@ class SelectabilityReport:
         return [{"element": e,
                  "estimate": float(self.estimates[e]),
                  "ci_halfwidth": float(self.halfwidths[e]),
-                 "bound": self.bound,
+                 "bound": float(self.element_bounds[e]),
                  "pass": bool(self.passes[e])}
                 for e in range(self.n)]
 
@@ -161,7 +169,7 @@ def report_from_counts(counts: Counter, trials: int,
                                bound_expr=factory.bound_expr,
                                construction_slack=factory.construction_slack,
                                scheme=scheme, b=factory.b,
-                               seed=seed.master_seed)
+                               seed=seed.master_seed, loops=factory.loops)
 
 
 def estimate_selectability(factory: GreedyOcrsFactory, x: FractionalPoint,

@@ -7,10 +7,11 @@ functions, so concurrent readers always observe consistent results.
 
 :class:`MatroidPolytope` answers every question about the scaled polytope
 ``b*P = {x >= 0 : x(S) <= b*r(S) for all S}``: membership, the largest
-feasible step along a coordinate, the smallest feasible scale and the rank
-rows of a linear program.  It enumerates all subsets of the ground set, so
-it is limited to ``EXHAUSTIVE_LIMIT`` elements; callers may set lower
-limits of their own.
+feasible step along a coordinate, the smallest feasible scale, the rank
+rows of a linear program and their exact separation (the most violated
+rank row at a rational point).  It enumerates all subsets of the ground
+set, so it is limited to ``EXHAUSTIVE_LIMIT`` elements; callers may set
+lower limits of their own.
 """
 
 from __future__ import annotations
@@ -103,6 +104,11 @@ class Matroid:
         if mask & bit:
             return True
         return self.rank(mask | bit) == self.rank(mask)
+
+    def loops(self) -> int:
+        """Mask of the loops: elements of rank 0, in no independent set."""
+        return sum(1 << e for e in iter_bits(self.ground_mask)
+                   if self.rank(1 << e) == 0)
 
     def full_rank(self) -> int:
         return self.rank(self.ground_mask)
@@ -342,10 +348,13 @@ class MatroidPolytope:
         return sum(1 << j for j, e in enumerate(self.elements)
                    if mask >> e & 1)
 
-    def subset_sums(self, values: np.ndarray) -> np.ndarray:
-        """``x(S)`` for every subset, in the order of ``masks``."""
-        sums = np.zeros(1)
-        for e in self.elements:
+    def subset_sums(self, values: np.ndarray,
+                    elements: Optional[Sequence[int]] = None) -> np.ndarray:
+        """``x(S)`` for every subset S of ``elements`` (default: the ground
+        set), in the order of ``masks``, in the dtype of ``values``: exact
+        Python integers for an object array of them."""
+        sums = np.zeros(1, dtype=values.dtype)
+        for e in self.elements if elements is None else elements:
             sums = np.concatenate([sums, sums + values[e]])
         return sums
 
@@ -367,6 +376,33 @@ class MatroidPolytope:
         ratios = self.subset_sums(values)[positive] / self.ranks[positive]
         return float(ratios.max(initial=0.0))
 
+    def max_excess(self, values: Sequence[int], scale: int) -> tuple[int, int]:
+        """Largest ``y(S) - scale*r(S)`` over the nonempty subsets S, with
+        the first S (ascending mask order) that reaches it, for integer
+        ``values[e]`` = ``scale * y_e``.
+
+        Exact: the sums are Python integers (numpy object arrays), so no
+        magnitude overflows.  Subsets are swept in blocks of
+        ``2**_EXCESS_BLOCK_BITS``: the sums of the low and the high elements
+        are kept apart, 2^12 + 2^(k-12) integers for k elements, not 2^k.
+        """
+        values = np.array(values, dtype=object)
+        low = self.subset_sums(values, self.elements[:_EXCESS_BLOCK_BITS])
+        high = self.subset_sums(values, self.elements[_EXCESS_BLOCK_BITS:])
+        width = low.size
+        best, best_index = None, 0
+        for h, offset in enumerate(high.tolist()):
+            ranks = self.ranks[h * width:(h + 1) * width].astype(object)
+            excess = low + offset - ranks * scale
+            first = 1 if h == 0 else 0  # skip the empty set
+            if excess.size > first:
+                i = first + int(np.argmax(excess[first:]))
+                if best is None or excess[i] > best:
+                    best, best_index = excess[i], h * width + i
+        if best is None:
+            raise ValueError("the ground set is empty")
+        return int(best), self.masks[best_index]
+
     def rank_rows(self) -> list[tuple[int, int]]:
         """``(mask, rank)`` of every nonempty subset, in ascending mask order."""
         return list(zip(self.masks[1:], self.ranks[1:].tolist()))
@@ -377,6 +413,10 @@ class MatroidPolytope:
         idx = np.arange(r.size)
         return all(bool(np.all(r[a] + r >= r[a | idx] + r[a & idx]))
                    for a in range(r.size))
+
+
+#: ``MatroidPolytope.max_excess`` sums subsets of this many elements at once.
+_EXCESS_BLOCK_BITS = 12
 
 
 def in_scaled_matroid_polytope(m: Matroid, x: FractionalPoint, b: float,

@@ -3,21 +3,26 @@ the probing linear program, and an exact rational simplex.
 
 The simplex works entirely in Fractions with Bland's pivoting rule, so
 degenerate matroid constraint systems terminate with certified optima; the
-prophet relaxation instead uses the slope-greedy that is exact for
-piecewise-linear concave objectives over matroid polytopes.
+probing LP is solved by cutting planes, adding only the rank rows that
+exact separation finds violated; the prophet relaxation instead uses the
+slope-greedy that is exact for piecewise-linear concave objectives over
+matroid polytopes.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import FractionalPoint, iter_bits
-from .matroids import Matroid, MatroidPolytope
+from .matroids import EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope
+
+log = logging.getLogger("ocrs.optimize")
 
 _TOL = 1e-12
 
@@ -209,6 +214,8 @@ class LinearProgram:
     objective: list[Fraction]
     rows: list[list[Fraction]]
     rhs: list[Fraction]
+    #: Bland's-rule pivots of the last ``simplex_solve`` (both phases)
+    pivots: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.objective)
@@ -231,22 +238,29 @@ class LinearProgram:
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int,
            col: int) -> None:
     piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
+    pivot_row = [v / piv for v in tableau[row]]
+    tableau[row] = pivot_row
+    # the eliminations touch only the pivot row's nonzero columns (the rank
+    # and box rows are sparse in the slack columns)
+    nonzero = [j for j, v in enumerate(pivot_row) if v]
     for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            factor = line[col]
-            tableau[r] = [a - factor * b for a, b in zip(line, tableau[row])]
+        factor = line[col]
+        if r != row and factor != 0:
+            for j in nonzero:
+                line[j] -= factor * pivot_row[j]
     basis[row] = col
 
 
 def _run_simplex(tableau: list[list[Fraction]], basis: list[int],
-                 num_cols: int) -> None:
-    """Maximize with Bland's rule; objective is the last tableau row."""
+                 num_cols: int) -> int:
+    """Maximize with Bland's rule; objective is the last tableau row.
+    Returns the number of pivots."""
     obj = len(tableau) - 1
+    pivots = 0
     while True:
         col = next((j for j in range(num_cols) if tableau[obj][j] > 0), None)
         if col is None:
-            return
+            return pivots
         ratios = [(tableau[r][-1] / tableau[r][col], r)
                   for r in range(obj) if tableau[r][col] > 0]
         if not ratios:
@@ -254,10 +268,12 @@ def _run_simplex(tableau: list[list[Fraction]], basis: list[int],
         min_ratio = min(q for q, _ in ratios)
         row = min(r for q, r in ratios if q == min_ratio)
         _pivot(tableau, basis, row, col)
+        pivots += 1
 
 
 def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     """Exact optimum of the LP; Bland's rule guarantees termination."""
+    lp.pivots = 0
     n = len(lp.objective)
     m = len(lp.rows)
     # columns: n structural | m slack | (phase-1 artificials) | rhs
@@ -304,7 +320,7 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         for i in art_at:
             obj = [a + b for a, b in zip(obj, tableau[i])]
         tableau.append(obj)
-        _run_simplex(tableau, basis, n + m + num_art)
+        lp.pivots = _run_simplex(tableau, basis, n + m + num_art)
         if tableau[-1][-1] != 0:
             raise LpInfeasible("no feasible point")
         tableau.pop()
@@ -325,7 +341,7 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
             factor = obj[basis[r]]
             obj = [a - factor * b for a, b in zip(obj, tableau[r])]
     tableau.append(obj)
-    _run_simplex(tableau, basis, n + m)
+    lp.pivots += _run_simplex(tableau, basis, n + m)
 
     solution = [Fraction(0)] * n
     for r in range(m):
@@ -363,53 +379,129 @@ def constraint_member(spec: ConstraintSpec) -> Callable[[int], bool]:
 
 
 def polytope_rows(spec: ConstraintSpec, multipliers: Sequence[Fraction],
-                  n: int) -> list[tuple[list[Fraction], Fraction]]:
-    """Inequality rows of {y : diag(mult) x = y in P_spec} over x variables."""
-    rows = []
+                  n: int, masks: Sequence[int] = ()
+                  ) -> list[tuple[list[Fraction], Fraction]]:
+    """Inequality rows of {y : diag(mult) x = y in P_spec} over x variables:
+    the rank rows of the subsets ``masks`` of a matroid, in that order, or
+    the one capacity row of a knapsack (``masks`` is ignored)."""
     if isinstance(spec, Matroid):
-        if spec.size() > 16:
-            raise LpError("rank-constraint enumeration limited to 16 elements")
-        for mask, rank in MatroidPolytope(spec).rank_rows():
-            coeffs = [multipliers[e] if (mask >> e) & 1 else Fraction(0)
-                      for e in range(n)]
-            rows.append((coeffs, Fraction(rank)))
-    else:
-        coeffs = [Fraction(spec.sizes[e]) * multipliers[e] for e in range(n)]
-        rows.append((coeffs, Fraction(1)))
-    return rows
+        return [([multipliers[e] if (mask >> e) & 1 else Fraction(0)
+                  for e in range(n)], Fraction(spec.rank(mask)))
+                for mask in masks]
+    return [([Fraction(spec.sizes[e]) * multipliers[e] for e in range(n)],
+             Fraction(1))]
 
 
-def probing_lp(objective: list[Fraction], p: Sequence[float],
-               inner: ConstraintSpec, outer: ConstraintSpec,
-               extra_outer: Optional[ConstraintSpec] = None) -> LinearProgram:
-    """max objective.x over {x : p o x in P_in, x in P_out, x in [0, 1]^n}.
+@dataclass(frozen=True)
+class Separation:
+    """The last round's separation of one matroid constraint:
+    ``max_excess`` is the exact max over nonempty S of y(S) - r(S), with
+    y = diag(multipliers) x.  The solution lies in the matroid's polytope
+    iff ``max_excess <= 0``."""
 
-    Rows, in order: the inner rows with multipliers p (floats convert
-    exactly to rationals), the outer rows, the ``extra_outer`` rows if any,
-    and one unit box row per element.
-    """
-    n = len(p)
-    pf = [Fraction(float(v)) for v in p]
-    ones = [Fraction(1)] * n
-    rows = polytope_rows(inner, pf, n) + polytope_rows(outer, ones, n)
-    if extra_outer is not None:
-        rows += polytope_rows(extra_outer, ones, n)
-    for e in range(n):
-        unit = [Fraction(0)] * n
-        unit[e] = Fraction(1)
-        rows.append((unit, Fraction(1)))
-    return LinearProgram(objective=objective,
-                         rows=[r for r, _ in rows],
-                         rhs=[rhs for _, rhs in rows])
+    name: str
+    max_excess: Fraction
 
 
 @dataclass
 class ProbingLpResult:
+    """An exact optimum of the probing LP, with the rows it needed.
+
+    ``lp`` is the last round's program: the generated rows, in the full
+    LP's order (``full_rows`` counts the full LP's rows).  ``separations``
+    is the certificate: one entry per matroid constraint, every
+    ``max_excess`` at most 0.
+    """
+
     x: FractionalPoint
     x_exact: list[Fraction]
     value: float
     value_exact: Fraction
     lp: LinearProgram
+    separations: list[Separation]
+    rounds: int
+    pivots: int
+    full_rows: int
+
+    def summary(self) -> str:
+        excess = max((s.max_excess for s in self.separations), default=None)
+        return (f"{self.rounds} rounds; {len(self.lp.rows)} of "
+                f"{self.full_rows} rows; {self.pivots} pivots; max excess "
+                f"{'none' if excess is None else excess}")
+
+    def dump(self) -> str:
+        """The generated rows, then one certificate line per matroid."""
+        lines = [self.lp.dump()]
+        lines += [f"certificate {s.name}: max over S of y(S) - r(S) = "
+                  f"{s.max_excess}" for s in self.separations]
+        return "\n".join(lines)
+
+
+def cutting_plane_lp(objective: list[Fraction], p: Sequence[float],
+                     inner: ConstraintSpec, outer: ConstraintSpec,
+                     extra_outer: Optional[ConstraintSpec] = None
+                     ) -> ProbingLpResult:
+    """max objective.x over {x : p o x in P_in, x in P_out, x in [0, 1]^n}.
+
+    The full program has, in order: the inner rows with multipliers p
+    (floats convert exactly to rationals), the outer rows, the
+    ``extra_outer`` rows if any, and one unit box row per element.  This
+    solves it by cutting planes.  It starts from the box rows and any
+    knapsack row, solves exactly, and adds for each matroid constraint
+    the most violated rank row max_S y(S) - r(S), found exactly by
+    ``MatroidPolytope.max_excess`` over y scaled to integers by the LCM of
+    its denominators.  It stops when no row is violated, so the optimum
+    is the full program's.  The rows stay in the full program's order, so
+    Bland's rule sees the same relative row order.
+    """
+    n = len(p)
+    ones = [Fraction(1)] * n
+    groups = [(inner, [Fraction(float(v)) for v in p], "inner"),
+              (outer, ones, "outer")]
+    if extra_outer is not None:
+        groups.append((extra_outer, ones, "extra"))
+    # rows keyed by (group, mask); the box rows are the last group
+    rows: dict[tuple[int, int], tuple[list[Fraction], Fraction]] = {}
+    tables = []
+    full_rows = n
+    for g, (spec, mult, name) in enumerate(groups):
+        if not isinstance(spec, Matroid):
+            rows[g, 0] = polytope_rows(spec, mult, n)[0]
+            full_rows += 1
+            continue
+        if spec.size() > EXHAUSTIVE_LIMIT:
+            raise LpError(f"probing LP separation enumerates the subsets of "
+                          f"each matroid and is limited to "
+                          f"{EXHAUSTIVE_LIMIT} elements")
+        tables.append((g, name, spec, mult, MatroidPolytope(spec)))
+        full_rows += (1 << spec.size()) - 1
+    for e in range(n):
+        rows[len(groups), e] = ([Fraction(int(j == e)) for j in range(n)],
+                                Fraction(1))
+    rounds = pivots = 0
+    while True:
+        keys = sorted(rows)
+        lp = LinearProgram(objective=objective,
+                           rows=[rows[k][0] for k in keys],
+                           rhs=[rows[k][1] for k in keys])
+        value, solution = simplex_solve(lp)
+        rounds += 1
+        pivots += lp.pivots
+        separations = []
+        for g, name, spec, mult, table in tables:
+            y = [m * v for m, v in zip(mult, solution)]
+            scale = math.lcm(*(v.denominator for v in y))
+            excess, mask = table.max_excess(
+                [v.numerator * (scale // v.denominator) for v in y], scale)
+            separations.append(Separation(name, Fraction(excess, scale)))
+            if excess > 0:
+                rows[g, mask] = polytope_rows(spec, mult, n, [mask])[0]
+        if all(s.max_excess <= 0 for s in separations):
+            return ProbingLpResult(
+                x=FractionalPoint([float(v) for v in solution]),
+                x_exact=solution, value=float(value), value_exact=value,
+                lp=lp, separations=separations, rounds=rounds,
+                pivots=pivots, full_rows=full_rows)
 
 
 def solve_probing_lp(p: Sequence[float], w: Sequence[float],
@@ -418,18 +510,16 @@ def solve_probing_lp(p: Sequence[float], w: Sequence[float],
     """Optimal basic solution of: max w.(p o x), p o x in P_in, x in P_out.
 
     All data is converted to exact rationals (floats convert exactly) and
-    solved by the rational simplex, so the optimum certifies Lp upper
-    bounds in exact arithmetic.
+    solved by ``cutting_plane_lp`` over the rational simplex, so the
+    optimum certifies LP upper bounds in exact arithmetic.
     """
     if len(w) != len(p):
         raise ValueError("weights and probabilities must share the length")
     objective = [Fraction(float(we)) * Fraction(float(pe))
                  for we, pe in zip(w, p)]
-    lp = probing_lp(objective, p, inner, outer, extra_outer)
-    value, solution = simplex_solve(lp)
-    x = FractionalPoint([float(v) for v in solution])
-    return ProbingLpResult(x=x, x_exact=solution, value=float(value),
-                           value_exact=value, lp=lp)
+    res = cutting_plane_lp(objective, p, inner, outer, extra_outer)
+    log.info("probing LP: %s", res.summary())
+    return res
 
 
 def adaptive_probing_optimum(p: Sequence[Fraction], w: Sequence[Fraction],

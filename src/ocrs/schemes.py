@@ -462,8 +462,18 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
     if (table is None and size <= EXHAUSTIVE_LIMIT
             and (use_exact or validate_point)):
         table = MatroidPolytope(matroid)
-    if validate_point and table is not None:
-        if not in_scaled_matroid_polytope(matroid, x, b, table=table):
+    # a loop (rank 0) is spanned by every set, so refinement would absorb
+    # it at every level; x is 0 on it and it never arrives, so it stays out
+    # of refinement, in the top layer, where it is never selectable
+    loops = matroid.loops()
+    if validate_point:
+        for e in iter_bits(loops):
+            if x[e] > 0:
+                raise PolytopeMembershipError(
+                    f"x is outside b * P for the given matroid: element {e} "
+                    f"is a loop (rank 0) but x[{e}] = {x[e]}")
+        if table is not None and not in_scaled_matroid_polytope(
+                matroid, x, b, table=table):
             raise PolytopeMembershipError(
                 "x is outside b * P for the given matroid")
     xv = x.values
@@ -487,7 +497,7 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
         while True:
             sweep: dict[int, float] = {}
             added = 0
-            for e in iter_bits(current & ~s_mask):
+            for e in iter_bits(current & ~s_mask & ~loops):
                 p_hat = estimate(e, s_mask)
                 # strict comparison, at the same numerical tolerance that the
                 # polytope membership check admits boundary points with
@@ -498,7 +508,7 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
                     sweep[e] = p_hat
             if not added:
                 break
-        if s_mask == current:
+        if s_mask and s_mask == current & ~loops:
             raise ChainConstructionError(
                 "refinement absorbed a whole level; x is outside b * P or "
                 "the span estimates failed")
@@ -685,12 +695,16 @@ class GreedyOcrsFactory:
     """Scheme description bound to a scale b; `bind` attaches a point x.
 
     ``n`` is the size of the ground set the scheme's points live on.
+    ``loops`` is the mask of elements that are in no feasible set: every
+    point is 0 on them, so they never arrive and the bound does not cover
+    them.
     """
 
     n: int
     b: float
     bound_expr: str
     construction_slack: float = 0.0
+    loops: int = 0
 
     def bound(self) -> float:
         """The proven selectability constant for points in b * P."""
@@ -719,6 +733,7 @@ class MatroidChainFactory(GreedyOcrsFactory):
         self.alpha = alpha
         self.exact = exact if exact is not None else matroid.size() <= EXACT_SPAN_LIMIT
         self.construction_slack = 0.0 if self.exact else eps
+        self.loops = matroid.loops()
         self._table: Optional[MatroidPolytope] = None
 
     def bound(self) -> float:
@@ -825,6 +840,9 @@ class IntersectionFactory(GreedyOcrsFactory):
         self.b = parts[0].b
         self.bound_expr = " * ".join(f"({p.bound_expr})" for p in parts)
         self.construction_slack = sum(p.construction_slack for p in parts)
+        self.loops = 0
+        for p in parts:
+            self.loops |= p.loops
 
     def bound(self) -> float:
         return math.prod(p.bound() for p in self.parts)

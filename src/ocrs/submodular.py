@@ -19,9 +19,9 @@ import numpy as np
 from .core import (FractionalPoint, SeedSpec, iter_bits, pack_mask_rows,
                    trial_columns)
 from .harness import MeanEstimate
-from .matroids import Matroid, in_scaled_matroid_polytope, max_weight_independent
-from .optimize import (ConstraintSpec, constraint_member, probing_lp,
-                       simplex_solve)
+from .matroids import (EXHAUSTIVE_LIMIT, Matroid, in_scaled_matroid_polytope,
+                       max_weight_independent)
+from .optimize import ConstraintSpec, constraint_member, cutting_plane_lp
 from .schemes import GreedyOcrsFactory, run_greedy_mask
 
 _AUDIT_LIMIT = 8
@@ -330,8 +330,7 @@ class SubmodularProbingResult:
 def _direction_lp(gains: np.ndarray, p: Sequence[float],
                   inner: ConstraintSpec, outer: ConstraintSpec) -> np.ndarray:
     objective = [Fraction(float(max(g, 0.0))) for g in gains]
-    _value, solution = simplex_solve(probing_lp(objective, p, inner, outer))
-    return np.array([float(v) for v in solution])
+    return cutting_plane_lp(objective, p, inner, outer).x.values
 
 
 def continuous_greedy_probing(f: SubmodularOracle, p: Sequence[float],
@@ -367,9 +366,11 @@ def continuous_greedy_probing(f: SubmodularOracle, p: Sequence[float],
 def _assert_scaled_membership(y: FractionalPoint, spec: ConstraintSpec,
                               b: float) -> None:
     if isinstance(spec, Matroid):
-        if spec.size() <= 12:
-            assert in_scaled_matroid_polytope(spec, y, b), \
-                "point left the scaled polytope"
+        if spec.size() > EXHAUSTIVE_LIMIT:
+            raise ValueError(f"the scaled polytope check enumerates subsets "
+                             f"and is limited to {EXHAUSTIVE_LIMIT} elements")
+        assert in_scaled_matroid_polytope(spec, y, b), \
+            "point left the scaled polytope"
     else:
         load = sum(s * v for s, v in zip(spec.sizes, y.values))
         assert load <= b + 1e-9, "point left the scaled knapsack"

@@ -322,6 +322,10 @@ def test_probing_commands(tmp_path):
     assert json.loads(out.read_text())["pass"]
     assert csv_out.read_text().splitlines()[0] == "trial,value"
     assert "max" in (tmp_path / "lp.txt").read_text()
+    # the generated rows, then the certificate: one line per matroid
+    dump = (tmp_path / "lp.txt").read_text().splitlines()
+    assert dump[-2:] == ["certificate inner: max over S of y(S) - r(S) = 0",
+                         "certificate outer: max over S of y(S) - r(S) = 0"]
 
     dl = _write(tmp_path, "dl.json", {
         "p": [1.0, 0.7], "w": [3.0, 2.0],
@@ -443,3 +447,49 @@ def test_golden_selectability_reports(tmp_path, name, scheme, b, workers):
                  "--out-json", str(out)]) == 0
     with open(os.path.join(GOLDEN, f"{name}.report.json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("command,name", [
+    ("probing", "probing6"),
+    ("probing-deadlines", "deadlines4"),
+])
+def test_golden_probing_reports(tmp_path, capsys, command, name):
+    """Reports and per-trial CSVs of a 6-element probing instance (graphic
+    inner with parallel edges, partition outer) and a 4-element deadline
+    instance, both with fractional LP optima, stay byte for byte what they
+    were when recorded; stderr stays empty at the default log level."""
+    out, csv_out = tmp_path / "report.json", tmp_path / "values.csv"
+    assert main([command, os.path.join(GOLDEN, f"{name}.json"),
+                 "--trials", "2000", "--seed", "3", "--out-json", str(out),
+                 "--out-csv", str(csv_out)]) == 0
+    assert capsys.readouterr().err == ""
+    for produced, suffix in [(out, "report.json"), (csv_out, "csv")]:
+        with open(os.path.join(GOLDEN, f"{name}.{suffix}"), "rb") as fh:
+            assert produced.read_bytes() == fh.read()
+
+
+_LOOPS = {"type": "partition", "blocks": [[0, 1], [2, 3]],
+          "capacities": [1, 0]}
+
+
+def test_matroid_with_loops_verifies(tmp_path):
+    """Elements 2 and 3 are loops: x is 0 on them, they never arrive, are
+    never selectable and the bound does not cover them."""
+    inst = _write(tmp_path, "loops.json", {"matroid": _LOOPS})
+    out = tmp_path / "out.json"
+    assert main(["verify-selectability", inst, "--scheme", "matroid",
+                 "--trials", "20000", "--out-json", str(out)]) == 0
+    rows = json.loads(out.read_text())["elements"]
+    assert [(r["estimate"], r["bound"]) for r in rows[2:]] == [(0.0, 0.0)] * 2
+    assert all(r["bound"] == 0.5 and r["pass"] for r in rows[:2])
+
+
+def test_loop_with_positive_x_is_rejected(tmp_path, capsys):
+    inst = _write(tmp_path, "loops.json", {"matroid": _LOOPS,
+                                           "x": [0.2, 0.2, 0.1, 0.0]})
+    out = tmp_path / "out.json"
+    assert main(["verify-selectability", inst, "--scheme", "matroid",
+                 "--trials", "1000", "--out-json", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "x is outside b * P" in err and "element 2 is a loop" in err
+    assert not out.exists()

@@ -311,3 +311,41 @@ def test_matroid_from_json():
 def test_laminar_rejects_crossing_family():
     with pytest.raises(ValueError):
         LaminarMatroid(4, [[0, 1], [1, 2]], [1, 1])
+
+
+def _literal_max_excess(m, values, scale):
+    """max over nonempty S of values(S) - scale * r(S), first S in
+    ascending mask order, by one Python loop over the subsets."""
+    best = None
+    for mask in range(1, 1 << m.n):
+        if mask & ~m.ground_mask:
+            continue
+        excess = sum(values[e] for e in iter_bits(mask)) - scale * m.rank(mask)
+        if best is None or excess > best[0]:
+            best = (excess, mask)
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 14), k=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1, 7, 2 ** 70 + 3]), view=st.booleans())
+def test_max_excess_matches_subset_loop(n, k, seed, scale, view):
+    """Exact separation equals the literal loop, beyond int64 magnitudes
+    and across the 2^12-subset blocks (n > 12); on views the ground set is
+    not the index range."""
+    gen = np.random.default_rng(seed)
+    m = UniformMatroid(n, k)
+    if view and n > 1:
+        m = MatroidView(m, 1, (1 << n) - 2)
+    values = [int(v) * (scale // 4 + 1) for v in gen.integers(-2, 6, n)]
+    assert MatroidPolytope(m).max_excess(values, scale) == \
+        _literal_max_excess(m, values, scale)
+
+
+def test_max_excess_rejects_a_point_that_violates_one_rank_row():
+    """U(4,2) at y = (1, 1, 1/2, 0) (times 2): only S = {0, 1, 2} is
+    violated, by 1/2; a point of P has max excess <= 0."""
+    table = MatroidPolytope(UniformMatroid(4, 2))
+    assert table.max_excess([2, 2, 1, 0], 2) == (1, 0b0111)
+    assert table.max_excess([2, 1, 1, 0], 2) == (0, 0b0001)
+    assert table.max_excess([0, 0, 0, 0], 2) == (-2, 0b0001)

@@ -1,16 +1,22 @@
 """Relaxation solvers and the exact simplex, audited against small oracles."""
 
 import itertools
+import logging
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ocrs.applications import deadline_matroid
 from ocrs.core import FractionalPoint, SeedSpec
-from ocrs.matroids import (GraphicMatroid, UniformMatroid,
+from ocrs.matroids import (GraphicMatroid, LaminarMatroid, Matroid,
+                           PartitionMatroid, UniformMatroid,
                            in_scaled_matroid_polytope)
 from ocrs.optimize import (DiscreteDistribution, KnapsackConstraint,
-                           LinearProgram, LpInfeasible, LpUnbounded,
+                           LinearProgram, LpError, LpInfeasible, LpUnbounded,
                            TailFunction, adaptive_probing_optimum,
                            distribution_from_json, simplex_solve,
                            solve_probing_lp, solve_prophet_relaxation,
@@ -278,3 +284,148 @@ def test_lp_upper_bounds_adaptive_optimum():
             inner, outer)
         assert lp_exact >= adapted
         assert res.value_exact >= adapted
+
+
+# ---------------------------------------------------------------------------
+# cutting planes against the full-row probing LP
+
+
+def _full_probing_lp(objective, p, inner, outer, extra_outer=None):
+    """Every row of the probing LP, in order: the inner rank rows over p o x
+    (every nonempty subset, ascending mask), the outer rank rows, the
+    ``extra_outer`` rows, one unit box row per element.  The oracle for the
+    cutting-plane solver."""
+    n = len(p)
+    pf = [Fraction(float(v)) for v in p]
+    ones = [Fraction(1)] * n
+    rows = []
+    for spec, mult in [(inner, pf), (outer, ones), (extra_outer, ones)]:
+        if spec is None:
+            continue
+        if isinstance(spec, Matroid):
+            for mask in range(1, 1 << n):
+                rows.append(([mult[e] if mask >> e & 1 else Fraction(0)
+                              for e in range(n)], Fraction(spec.rank(mask))))
+        else:
+            rows.append(([Fraction(spec.sizes[e]) * mult[e]
+                          for e in range(n)], Fraction(1)))
+    for e in range(n):
+        rows.append(([Fraction(int(j == e)) for j in range(n)], Fraction(1)))
+    return LinearProgram(objective, [r for r, _ in rows],
+                         [rhs for _, rhs in rows])
+
+
+def _constraint(draw, kind, n):
+    if kind == "uniform":
+        return UniformMatroid(n, draw(st.integers(0, n)))
+    if kind == "partition":
+        block_of = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = [[e for e in range(n) if block_of[e] == i]
+                  for i in sorted(set(block_of))]
+        return PartitionMatroid(blocks, [draw(st.integers(0, len(bl)))
+                                         for bl in blocks])
+    if kind == "graphic":
+        pairs = list(itertools.combinations(range(4), 2))
+        return GraphicMatroid(4, [pairs[i] for i in draw(st.lists(
+            st.integers(0, len(pairs) - 1), min_size=n, max_size=n))])
+    if kind == "laminar":
+        inner = draw(st.integers(0, n))
+        outer = draw(st.integers(inner, n))
+        sets = [range(inner), range(outer), range(outer, n)]
+        return LaminarMatroid(n, sets, [draw(st.integers(0, 3))
+                                        for _ in sets])
+    return KnapsackConstraint(tuple(draw(st.lists(
+        st.sampled_from([0.125, 0.25, 0.3, 0.5, 0.75, 1.0, 1.5]),
+        min_size=n, max_size=n))))
+
+
+@st.composite
+def _probing_instances(draw):
+    """Probing LPs of 1-7 elements: uniform, partition, graphic or laminar
+    matroids (loops allowed), a knapsack inner, with or without deadlines."""
+    n = draw(st.integers(1, 7))
+    matroids = ["uniform", "partition", "graphic", "laminar"]
+    inner = _constraint(draw, draw(st.sampled_from(matroids + ["knapsack"])), n)
+    outer = _constraint(draw, draw(st.sampled_from(matroids)), n)
+    p = draw(st.lists(st.sampled_from([0.125, 0.3, 0.5, 0.7, 0.75, 1.0]),
+                      min_size=n, max_size=n))
+    w = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25, 6.1]),
+                      min_size=n, max_size=n))
+    deadlines = draw(st.none() | st.lists(st.integers(1, n), min_size=n,
+                                          max_size=n))
+    extra = deadline_matroid(deadlines, n) if deadlines else None
+    return p, w, inner, outer, extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(_probing_instances())
+def test_cutting_plane_matches_full_row_lp(instance):
+    """Same exact optimum as the full-row LP; the same vertex, or else a
+    feasible point of the full LP with the same value."""
+    p, w, inner, outer, extra = instance
+    res = solve_probing_lp(p, w, inner, outer, extra_outer=extra)
+    objective = [Fraction(we) * Fraction(pe) for we, pe in zip(w, p)]
+    full = _full_probing_lp(objective, p, inner, outer, extra)
+    value, x = simplex_solve(full)
+    assert res.value_exact == value
+    if res.x_exact != x:
+        assert all(v >= 0 for v in res.x_exact)
+        for row, rhs in zip(full.rows, full.rhs):
+            assert sum(a * v for a, v in zip(row, res.x_exact)) <= rhs
+        assert sum(c * v for c, v in zip(objective, res.x_exact)) == value
+    # the certificate: one entry per matroid, none violated
+    matroids = [spec for spec in (inner, outer, extra)
+                if isinstance(spec, Matroid)]
+    assert len(res.separations) == len(matroids)
+    assert all(s.max_excess <= 0 for s in res.separations)
+    # the generated rows are a subsequence of the full rows
+    full_rows = iter(zip(full.rows, full.rhs))
+    assert all(row in full_rows for row in zip(res.lp.rows, res.lp.rhs))
+
+
+def _uniform_max_excess(y, k):
+    """max over nonempty S of y(S) - min(|S|, k): the top-j sums."""
+    top = sorted(y, reverse=True)
+    return max(sum(top[:j]) - min(j, k) for j in range(1, len(top) + 1))
+
+
+def test_probing_lp_beyond_sixteen_elements():
+    """18 elements: U(18,2) inner, U(18,3) outer; the full LP would have
+    2 * (2^18 - 1) + 18 rows.  The certificate is exact: each matroid's
+    max excess equals the closed form for uniform matroids and is <= 0."""
+    n = 18
+    p = [round(0.3 + 0.025 * e, 3) for e in range(n)]
+    w = [round(1.0 + 0.5 * ((7 * e) % n), 2) for e in range(n)]
+    res = solve_probing_lp(p, w, UniformMatroid(n, 2), UniformMatroid(n, 3))
+    inner, outer = res.separations
+    x = res.x_exact
+    assert inner.max_excess == _uniform_max_excess(
+        [Fraction(pe) * v for pe, v in zip(p, x)], 2) <= 0
+    assert outer.max_excess == _uniform_max_excess(x, 3) <= 0
+    assert all(0 <= v <= 1 for v in x)
+    assert len(res.lp.rows) < 100
+
+
+def test_probing_lp_limit_is_named():
+    with pytest.raises(LpError, match="limited to 24 elements"):
+        solve_probing_lp([0.5] * 25, [1.0] * 25, UniformMatroid(25, 2),
+                         UniformMatroid(25, 3))
+
+
+def test_probing_lp_logs_summary(caplog):
+    p = [0.62, 0.35, 0.71, 0.48, 0.55, 0.4]
+    w = [4.3, 7.9, 2.6, 5.1, 3.8, 6.7]
+    with caplog.at_level(logging.INFO, logger="ocrs.optimize"):
+        res = solve_probing_lp(p, w, UniformMatroid(6, 2),
+                               UniformMatroid(6, 3))
+    assert len(caplog.messages) == 1
+    assert re.fullmatch(r"probing LP: \d+ rounds; \d+ of 132 rows; \d+ "
+                        r"pivots; max excess 0", caplog.messages[0])
+    assert f"; {len(res.lp.rows)} of 132 rows;" in caplog.messages[0]
+    text = res.dump()
+    assert text.startswith(res.lp.dump())
+    inner, outer = res.separations
+    assert text.splitlines()[-2:] == [
+        f"certificate inner: max over S of y(S) - r(S) = {inner.max_excess}",
+        "certificate outer: max over S of y(S) - r(S) = 0"]
+    assert inner.max_excess < 0

@@ -137,17 +137,20 @@ def _loop_span_probability(view, x, level_mask, s_mask, e):
 
 
 def _loop_chain(m, x, b):
-    """Levels and span estimates of the exact chain, by the submask loop."""
+    """Levels and span estimates of the exact chain, by the submask loop.
+    Loops (dependent singletons) stay out of refinement."""
     levels = [m.ground_mask]
     estimates = {}
     current = m.ground_mask
+    loops = sum(1 << e for e in iter_bits(m.ground_mask)
+                if not m.indep(1 << e))
     while current:
         view = MatroidView(m, 0, current)
         s_mask = 0
         while True:
             sweep = {}
             added = 0
-            for e in iter_bits(current & ~s_mask):
+            for e in iter_bits(current & ~s_mask & ~loops):
                 p = _loop_span_probability(view, x.values, current, s_mask, e)
                 if p > b + _TOL:
                     added |= 1 << e
@@ -156,7 +159,7 @@ def _loop_chain(m, x, b):
                     sweep[e] = p
             if not added:
                 break
-        if s_mask == current:
+        if s_mask and s_mask == current & ~loops:
             raise ChainConstructionError("refinement absorbed a whole level")
         estimates.update(sweep)
         levels.append(s_mask)
@@ -212,7 +215,6 @@ def _assert_chain_matches_loop(m, x, b):
     try:
         levels, estimates = _loop_chain(m, x, b)
     except ChainConstructionError:
-        # a loop is spanned with probability 1 at every level
         with pytest.raises(ChainConstructionError):
             matroid_chain_decompose(m, x, b)
         return None
@@ -732,3 +734,25 @@ def test_greedy_selectable_selected_under_every_order():
             for order in itertools.permutations(range(5)):
                 out = run_greedy_mask(fam, order, active)
                 assert safe & ~out == 0
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_chain_leaves_loops_out_of_refinement(exact):
+    """Elements 2 and 3 of this partition matroid are loops.  They stay in
+    the top layer, get no span estimate and are never selectable; mass on
+    a loop is rejected, naming the element."""
+    m = PartitionMatroid([[0, 1], [2, 3]], [1, 0])
+    x = FractionalPoint([0.3, 0.2, 0.0, 0.0])
+    chain = matroid_chain_decompose(m, x, 0.5, exact=exact,
+                                    stream=SeedSpec(4).stream(0))
+    assert chain.layers[0] & 0b1100 == 0b1100
+    assert set(chain.span_estimates) == {0, 1}
+    fam = MatroidChainFamily(chain)
+    assert all(not fam.selectable_mask(mask) & 0b1100
+               and fam.member(mask) == (mask.bit_count() <= 1
+                                        and not mask & 0b1100)
+               for mask in range(16))
+    with pytest.raises(PolytopeMembershipError, match="element 2 is a loop"):
+        matroid_chain_decompose(m, FractionalPoint([0.3, 0.2, 0.1, 0.0]),
+                                0.5, exact=exact,
+                                stream=SeedSpec(4).stream(0))

@@ -9,10 +9,12 @@ import pytest
 from ocrs.core import FractionalPoint, SeedSpec
 from ocrs.applications import ProbingInstance, prepare_probing, probing_mean_value
 from ocrs.harness import brute_force_selectability
-from ocrs.matroids import GraphicMatroid, UniformMatroid
+from ocrs.matroids import (GraphicMatroid, UniformMatroid,
+                           random_point_in_polytope)
 from ocrs.schemes import MatroidChainFactory, run_greedy_mask
-from ocrs.submodular import (SubmodularOracle, continuous_greedy,
-                             continuous_greedy_probing, coverage_function,
+from ocrs.submodular import (SubmodularOracle, _assert_scaled_membership,
+                             continuous_greedy, continuous_greedy_probing,
+                             coverage_function,
                              directed_cut, half_subsample_value,
                              multilinear_exact, multilinear_sampled,
                              ocrs_submodular_value,
@@ -319,3 +321,27 @@ def test_submodular_probing_with_knapsack_inner():
             >= res.target - 1e-15)
     # the inner scheme constant is the knapsack one
     assert res.bound_expr.startswith("((1-2b)/(2-2b))")
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_scaled_membership_checked_beyond_twelve_elements(n):
+    """The final membership assert covers every matroid up to the rank
+    table's limit: a point moved outside b * P on a 13-14 element graphic
+    matroid trips it, the same point scaled back inside passes."""
+    edges = [(i, (i + 1) % 7) for i in range(7)]
+    edges += [(i, (i + 3) % 7) for i in range(n - 7)]
+    m = GraphicMatroid(7, edges)
+    b = 0.5
+    x = random_point_in_polytope(m, b, np.random.default_rng(n))
+    _assert_scaled_membership(x, m, b)
+    # the 7-cycle has rank 6: load it with 0.5 * 6 + 0.1 in total
+    y = x.values.copy()
+    y[:7] = (b * 6 + 0.1) / 7
+    with pytest.raises(AssertionError, match="left the scaled polytope"):
+        _assert_scaled_membership(FractionalPoint(y), m, b)
+
+
+def test_scaled_membership_beyond_the_table_raises():
+    with pytest.raises(ValueError, match="limited to 24 elements"):
+        _assert_scaled_membership(FractionalPoint(np.zeros(25)),
+                                  UniformMatroid(25, 2), 0.5)
