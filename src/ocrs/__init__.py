@@ -24,7 +24,7 @@ from .harness import (AdversarySearchResult, MeanEstimate,
                       estimate_selectability,
                       knapsack_deterministic_impossibility, worst_order_value)
 from .optimize import (DiscreteDistribution, KnapsackConstraint,
-                       LinearProgram, TailFunction, adaptive_probing_optimum,
+                       LinearProgram, adaptive_probing_optimum,
                        distribution_from_json, simplex_solve,
                        solve_probing_lp, solve_prophet_relaxation, tail_value,
                        threshold)

@@ -58,13 +58,15 @@ class ProphetInstance:
 
     def __post_init__(self) -> None:
         if len(self.dists) != self.matroid.n:
-            raise ValueError("one distribution per element required")
+            raise ValueError("'dists' must hold one distribution per element")
         for d in self.dists:
             if d.min_value < 0:
-                raise ValueError("prophet values must be nonnegative")
+                raise ValueError("prophet values in 'dists' must be "
+                                 "nonnegative")
         if not isinstance(self.arrival_order, str):
             if sorted(self.arrival_order) != list(range(self.matroid.n)):
-                raise ValueError("fixed arrival order must be a permutation")
+                raise ValueError("fixed arrival 'order' must be a "
+                                 "permutation")
         elif self.arrival_order not in ("worst", "identity"):
             raise ValueError("arrival_order must be 'worst', 'identity' or "
                              "a permutation")
@@ -218,13 +220,13 @@ def prophet_worst_order(pipeline: ProphetPipeline, trials: int,
     return result, estimate
 
 
-def brute_force_prophet_opt(instance: ProphetInstance,
-                            max_scenarios: int = 10 ** 6) -> float:
-    """Exact E[max-weight independent set] over the product distribution."""
+def brute_force_prophet_opt(instance: ProphetInstance) -> float:
+    """Exact E[max-weight independent set] over the product distribution,
+    of at most 10^6 joint outcomes."""
     scenarios = 1
     for d in instance.dists:
         scenarios *= len(d.support)
-        if scenarios > max_scenarios:
+        if scenarios > 10 ** 6:
             raise ValueError("joint support too large to enumerate")
     n = instance.n
     total = 0.0
@@ -261,6 +263,9 @@ class ProbingInstance:
         n = len(self.p)
         if len(self.w) != n:
             raise ValueError("weights and probabilities must share the length")
+        if self.inner.n != n or self.outer.n != n:
+            raise ValueError("'p' must have one entry per element of 'inner' "
+                             "and 'outer'")
         if any(not 0.0 <= v <= 1.0 for v in self.p):
             raise ValueError("activation probabilities 'p' must lie in [0, 1]")
         if any(not 0.0 <= v < math.inf for v in self.w):
@@ -429,15 +434,14 @@ def probing_trial_states(pipeline: ProbingPipeline, trials: int,
 
 
 def probing_mean_value(pipeline: ProbingPipeline, trials: int, seed: SeedSpec,
-                       order: Optional[Sequence[int]] = None,
                        collect: Optional[list] = None) -> MeanEstimate:
-    """Mean probing value over seeded trials; asserts feasibility per run.
+    """Mean probing value over seeded trials in the pipeline's probe order;
+    asserts feasibility per run.
 
     ``collect``, if given, receives every per-trial value in trial order.
     """
-    use_order = tuple(pipeline.order if order is None else order)
     return MeanEstimate.from_stream(
-        (pipeline.value(state, use_order)
+        (pipeline.value(state, pipeline.order)
          for state in probing_trial_states(pipeline, trials, seed)), collect)
 
 

@@ -24,12 +24,12 @@ from .applications import (ProbingInstance, ProphetInstance,
                            prepare_probing, prepare_prophet,
                            probing_mean_value, prophet_trial_states,
                            prophet_value_under_order, prophet_worst_order)
-from .core import FractionalPoint, SeedSpec, num_blocks
+from .core import (FractionalPoint, SeedSpec, float_list, int_list,
+                   num_blocks, read_field)
 from .harness import (knapsack_deterministic_impossibility,
                       report_from_counts, selectability_counts)
-from .matroids import (MatroidPolytope, check_matroid_axioms,
-                       in_scaled_matroid_polytope, matroid_from_json,
-                       random_point_in_polytope)
+from .matroids import (check_matroid_axioms, in_scaled_matroid_polytope,
+                       matroid_from_json, random_point_in_polytope)
 from .optimize import KnapsackConstraint, distribution_from_json
 from .schemes import GreedyOcrsFactory, MatroidChainFactory, factory_from_json
 from .submodular import (half_subsample_value, multilinear_exact,
@@ -71,8 +71,8 @@ def constraint_from_json(obj: dict, path: str):
         raise InstanceError(
             f"constraint in {path} must be an object with a 'type'")
     if obj["type"] == "knapsack":
-        return KnapsackConstraint(tuple(float(s)
-                                        for s in _require(obj, "sizes", path)))
+        return KnapsackConstraint(tuple(read_field(
+            "sizes", _require(obj, "sizes", path), float_list)))
     try:
         return matroid_from_json(obj)
     except ValueError as exc:
@@ -222,18 +222,21 @@ def cmd_prophet(args) -> int:
     instance_obj = _load_json(args.instance)
     matroid = matroid_from_json(_require(instance_obj, "matroid",
                                          args.instance))
-    dists = tuple(distribution_from_json(d)
-                  for d in _require(instance_obj, "dists", args.instance))
+    dists = read_field("dists", _require(instance_obj, "dists", args.instance),
+                       lambda v: tuple(map(distribution_from_json, v)))
     # a given --order wins over the instance's "order", which wins over
     # the default, worst
     policy = (args.order if args.order is not None
               else instance_obj.get("order", "worst"))
-    if isinstance(policy, list):
-        policy = tuple(int(e) for e in policy)
+    if isinstance(policy, list) and all(type(e) is int for e in policy):
+        policy = tuple(policy)
+    elif policy not in ("worst", "identity"):
+        raise InstanceError(f"'order' in {args.instance} must be 'worst', "
+                            f"'identity' or a list of JSON integers")
     try:
         instance = ProphetInstance(matroid, dists, arrival_order=policy)
     except ValueError as exc:
-        raise InstanceError(f"bad 'order' in {args.instance}: {exc}")
+        raise InstanceError(f"bad instance {args.instance}: {exc}")
     seed = SeedSpec(args.seed)
     factory = MatroidChainFactory(matroid, args.b, eps=args.eps)
     pipeline = prepare_prophet(instance, factory, seed)
@@ -288,14 +291,17 @@ def _load_probing_instance(args, need_deadlines: bool) -> ProbingInstance:
         raise InstanceError(
             "instance has deadlines; use the probing-deadlines command")
     return ProbingInstance(
-        p=tuple(float(v) for v in _require(obj, "p", args.instance)),
-        w=tuple(float(v) for v in _require(obj, "w", args.instance)),
+        p=tuple(read_field("p", _require(obj, "p", args.instance),
+                           float_list)),
+        w=tuple(read_field("w", _require(obj, "w", args.instance),
+                           float_list)),
         inner=constraint_from_json(_require(obj, "inner", args.instance),
                                    args.instance),
         outer=constraint_from_json(_require(obj, "outer", args.instance),
                                    args.instance),
-        b=float(obj.get("b", args.b)),
-        deadlines=tuple(int(d) for d in deadlines) if deadlines else None)
+        b=read_field("b", obj.get("b", args.b), float),
+        deadlines=(tuple(read_field("deadlines", deadlines, int_list))
+                   if deadlines else None))
 
 
 def _run_probing_command(args, need_deadlines: bool) -> int:
@@ -342,19 +348,21 @@ def cmd_probing_deadlines(args) -> int:
 def cmd_submodular(args) -> int:
     obj = _load_json(args.instance)
     f = submodular_from_json(_require(obj, "f", args.instance))
-    b = float(obj.get("b", args.b))
+    b = read_field("b", obj.get("b", args.b), float)
     if not 0.0 <= b <= 1.0:
         raise InstanceError(f"'b' in {args.instance} must lie in [0, 1]")
     seed = SeedSpec(args.seed)
     log.info("submodular: kind=%s monotone=%s trials=%d seed=%d", f.kind,
              f.monotone, args.trials, args.seed)
     if "p" in obj:
+        p = read_field("p", obj["p"], float_list)
         inner = constraint_from_json(_require(obj, "inner", args.instance),
                                      args.instance)
         outer = constraint_from_json(_require(obj, "outer", args.instance),
                                      args.instance)
-        result = run_submodular_probing(f, obj["p"], inner, outer, b,
-                                        args.trials, seed)
+        _check_ground_size(f, {"inner": inner, "outer": outer}, args.instance)
+        result = run_submodular_probing(f, p, inner, outer, b, args.trials,
+                                        seed)
         ok = (result.estimate.mean + 3 * result.estimate.halfwidth
               >= result.target - 1e-15)
         payload = {
@@ -372,6 +380,7 @@ def cmd_submodular(args) -> int:
         _write_json(args.out_json, payload)
         return EXIT_PASS if ok else EXIT_FAIL
     matroid = matroid_from_json(_require(obj, "matroid", args.instance))
+    _check_ground_size(f, {"matroid": matroid}, args.instance)
     factory = MatroidChainFactory(matroid, b, eps=args.eps)
     if "x" in obj:
         x = _point_from_json(obj, args.instance)
@@ -404,6 +413,13 @@ def cmd_submodular(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+def _check_ground_size(f, constraints: dict, path: str) -> None:
+    for name, spec in constraints.items():
+        if spec.n != f.n:
+            raise InstanceError(f"'f' in {path} is over {f.n} elements but "
+                                f"'{name}' has {spec.n}")
+
+
 def cmd_validate_matroid(args) -> int:
     obj = _load_json(args.instance)
     matroid = matroid_from_json(_require(obj, "matroid", args.instance))
@@ -415,7 +431,7 @@ def cmd_validate_matroid(args) -> int:
         checks["failure"] = report.failure
     if matroid.size() <= 10:
         checks["rank_submodular_monotone"] = (
-            MatroidPolytope(matroid).is_submodular())
+            matroid.polytope().is_submodular())
     span_ok = all(matroid.span(matroid.span(m)) == matroid.span(m)
                   for m in range(min(1 << matroid.size(), 1 << 10)))
     checks["span_idempotent"] = span_ok

@@ -11,7 +11,7 @@ activation masks, raw columns and sampled families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -187,6 +187,26 @@ def scale_point(x: FractionalPoint, b: float) -> FractionalPoint:
     if not 0.0 <= b <= 1.0:
         raise ValueError("scale must lie in [0, 1]")
     return FractionalPoint(b * x.values)
+
+
+def read_field(name: str, value, convert: Callable):
+    """``convert(value)`` for the instance field ``name``: a value of the
+    wrong type or shape (a TypeError or ValueError from ``convert``) is a
+    ValueError that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad '{name}': {exc}") from exc
+
+
+def int_list(value) -> list[int]:
+    """A JSON list of integers, each converted by ``int``."""
+    return [int(v) for v in value]
+
+
+def float_list(value) -> list[float]:
+    """A JSON list of numbers, each converted by ``float``."""
+    return [float(v) for v in value]
 
 
 def pack_mask(bits: np.ndarray) -> int:

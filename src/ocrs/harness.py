@@ -347,7 +347,6 @@ def worst_order_value(prepare_trial: Callable[[int], object],
                       trial_value: Callable[[object, Sequence[int]], float],
                       n: int, trials: int,
                       mode: str = "exhaustive",
-                      restarts: int = 8,
                       seed: Optional[SeedSpec] = None, *,
                       trial_state: Optional[Sequence[int]] = None
                       ) -> AdversarySearchResult:
@@ -360,7 +359,7 @@ def worst_order_value(prepare_trial: Callable[[int], object],
     ``trial_state[t]``; each order's mean is still summed over the trials in
     trial order, so grouping leaves every value unchanged.  Exhaustive mode
     enumerates all n! orders (n <= 8); the heuristic mode hill-climbs over
-    adjacent transpositions.
+    adjacent transpositions from 8 random starting orders.
     """
     states = [prepare_trial(t) for t in range(trials)]
     if trial_state is None:
@@ -392,7 +391,7 @@ def worst_order_value(prepare_trial: Callable[[int], object],
         raise ValueError("mode must be 'exhaustive' or 'greedy-heuristic'")
     gen = (seed or SeedSpec(0)).stream(2)
     ends: list[tuple[int, ...]] = []
-    for _ in range(restarts):
+    for _ in range(8):
         perm = [int(v) for v in gen.permutation(n)]
         current = mean_value(perm)
         improved = True

@@ -7,11 +7,12 @@ functions, so concurrent readers always observe consistent results.
 
 :class:`MatroidPolytope` answers every question about the scaled polytope
 ``b*P = {x >= 0 : x(S) <= b*r(S) for all S}``: membership, the largest
-feasible step along a coordinate, the smallest feasible scale, the rank
-rows of a linear program and their exact separation (the most violated
-rank row at a rational point).  It enumerates all subsets of the ground
+feasible step along a coordinate, the smallest feasible scale, and the
+exact separation of a linear program's rank rows (the most violated rank
+row at a rational point).  It enumerates all subsets of the ground
 set, so it is limited to ``EXHAUSTIVE_LIMIT`` elements; callers may set
-lower limits of their own.
+lower limits of their own.  Every caller takes it from
+``Matroid.polytope()``, which builds it once per matroid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import FractionalPoint, iter_bits
+from .core import FractionalPoint, int_list, iter_bits, read_field
 
 #: Exhaustive subset enumeration (polytope oracle, axiom audits) is limited
 #: to this many elements.
@@ -45,6 +46,7 @@ class Matroid:
         self._indep_cache: dict[int, bool] = {}
         self._rank_cache: dict[int, int] = {}
         self._span_cache: dict[int, int] = {}
+        self._polytope: Optional[MatroidPolytope] = None
 
     def _indep(self, mask: int) -> bool:
         raise NotImplementedError
@@ -109,6 +111,14 @@ class Matroid:
         """Mask of the loops: elements of rank 0, in no independent set."""
         return sum(1 << e for e in iter_bits(self.ground_mask)
                    if self.rank(1 << e) == 0)
+
+    def polytope(self) -> "MatroidPolytope":
+        """The matroid's ``MatroidPolytope``, built on first use and shared
+        by every caller after that; ValueError above EXHAUSTIVE_LIMIT
+        elements."""
+        if self._polytope is None:
+            self._polytope = MatroidPolytope(self)
+        return self._polytope
 
     def full_rank(self) -> int:
         return self.rank(self.ground_mask)
@@ -403,10 +413,6 @@ class MatroidPolytope:
             raise ValueError("the ground set is empty")
         return int(best), self.masks[best_index]
 
-    def rank_rows(self) -> list[tuple[int, int]]:
-        """``(mask, rank)`` of every nonempty subset, in ascending mask order."""
-        return list(zip(self.masks[1:], self.ranks[1:].tolist()))
-
     def is_submodular(self) -> bool:
         """Whether ``r(A) + r(B) >= r(A | B) + r(A & B)`` for all A, B."""
         r = self.ranks
@@ -419,18 +425,13 @@ class MatroidPolytope:
 _EXCESS_BLOCK_BITS = 12
 
 
-def in_scaled_matroid_polytope(m: Matroid, x: FractionalPoint, b: float,
-                               tol: float = 1e-9,
-                               table: Optional[MatroidPolytope] = None
+def in_scaled_matroid_polytope(m: Matroid, x: FractionalPoint, b: float
                                ) -> bool:
-    """Whether ``x(S) - b * rank(S) <= tol`` holds for every subset of the
-    ground set (exhaustive; at most ``EXHAUSTIVE_LIMIT`` elements).
-    ``table`` is m's ``MatroidPolytope`` if the caller already has one."""
+    """Whether ``x(S) - b * rank(S) <= 1e-9`` holds for every subset of the
+    ground set (exhaustive; at most ``EXHAUSTIVE_LIMIT`` elements)."""
     if x.n != m.n:
         raise ValueError("point dimension must match the ground set")
-    if table is None:
-        table = MatroidPolytope(m)
-    return table.max_violation(x.values, b) <= tol
+    return m.polytope().max_violation(x.values, b) <= 1e-9
 
 
 class AxiomReport:
@@ -519,14 +520,14 @@ def check_matroid_axioms(m: Matroid) -> AxiomReport:
 
 
 def random_point_in_polytope(m: Matroid, b: float,
-                             gen: np.random.Generator,
-                             mixtures: Optional[int] = None) -> FractionalPoint:
-    """Random x in b * P by a convex combination of independent-set vertices.
+                             gen: np.random.Generator) -> FractionalPoint:
+    """Random x in b * P by a convex combination of n + 2 independent-set
+    vertices.
 
     Each vertex is a random-weight greedy basis thinned by coin flips;
     membership in b * P is exact by convexity.
     """
-    k = mixtures if mixtures is not None else m.n + 2
+    k = m.n + 2
     weights_total = np.zeros(m.n)
     lam = gen.exponential(size=k)
     lam /= lam.sum()
@@ -548,18 +549,31 @@ def matroid_from_json(obj: dict) -> Matroid:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("matroid descriptor must be an object with a 'type'")
     kind = obj["type"]
-    try:
-        if kind == "uniform":
-            return UniformMatroid(int(obj["n"]), int(obj["k"]))
-        if kind == "partition":
-            return PartitionMatroid(obj["blocks"], obj["capacities"])
-        if kind == "graphic":
-            return GraphicMatroid(int(obj["vertices"]),
-                                  [tuple(e) for e in obj["edges"]])
-        if kind == "laminar":
-            return LaminarMatroid(int(obj["n"]), obj["sets"], obj["capacities"])
-        if kind == "explicit":
-            return ExplicitMatroid(int(obj["n"]), obj["bases"])
-    except KeyError as exc:
-        raise ValueError(f"matroid descriptor missing field {exc}") from exc
+
+    def field(name: str, convert):
+        if name not in obj:
+            raise ValueError(f"matroid descriptor missing field '{name}'")
+        return read_field(name, obj[name], convert)
+
+    def int_lists(value) -> list[list[int]]:
+        return [int_list(v) for v in value]
+
+    if kind == "uniform":
+        return UniformMatroid(field("n", int), field("k", int))
+    if kind == "partition":
+        return PartitionMatroid(field("blocks", int_lists),
+                                field("capacities", int_list))
+    if kind == "graphic":
+        return GraphicMatroid(field("vertices", int),
+                              field("edges", edge_list))
+    if kind == "laminar":
+        return LaminarMatroid(field("n", int), field("sets", int_lists),
+                              field("capacities", int_list))
+    if kind == "explicit":
+        return ExplicitMatroid(field("n", int), field("bases", int_lists))
     raise ValueError(f"unknown matroid type {kind!r}")
+
+
+def edge_list(value) -> list[tuple[int, int]]:
+    """A JSON list of ``[u, v]`` vertex pairs."""
+    return [(int(u), int(v)) for u, v in value]

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import FractionalPoint, iter_bits
-from .matroids import EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope
+from .matroids import EXHAUSTIVE_LIMIT, Matroid
 
 log = logging.getLogger("ocrs.optimize")
 
@@ -114,44 +114,6 @@ def tail_value(dist: DiscreteDistribution, p: float) -> float:
     return (p - upper_tail) * q + above
 
 
-@dataclass(frozen=True)
-class TailFunction:
-    """Piecewise-linear concave tail-expectation with explicit breakpoints.
-
-    Breakpoints are (fraction, value) pairs starting at (0, 0); slopes are
-    the support values in descending order, hence strictly decreasing.
-    """
-
-    breakpoints: tuple[tuple[float, float], ...]
-
-    @classmethod
-    def from_distribution(cls, dist: DiscreteDistribution) -> "TailFunction":
-        pts = [(0.0, 0.0)]
-        acc_p, acc_v = 0.0, 0.0
-        for v, pr in zip(reversed(dist.support), reversed(dist.probs)):
-            acc_p += pr
-            acc_v += v * pr
-            pts.append((min(acc_p, 1.0), acc_v))
-        pts[-1] = (1.0, pts[-1][1])
-        return cls(tuple(pts))
-
-    def value(self, p: float) -> float:
-        pts = self.breakpoints
-        if p <= 0.0:
-            return 0.0
-        for (p0, v0), (p1, v1) in zip(pts, pts[1:]):
-            if p <= p1 + _TOL:
-                if p1 == p0:
-                    return v1
-                return v0 + (v1 - v0) * (p - p0) / (p1 - p0)
-        return pts[-1][1]
-
-    def slopes(self) -> list[float]:
-        pts = self.breakpoints
-        return [(v1 - v0) / (p1 - p0)
-                for (p0, v0), (p1, v1) in zip(pts, pts[1:]) if p1 > p0]
-
-
 def solve_prophet_relaxation(
         matroid: Matroid,
         dists: Sequence[DiscreteDistribution]) -> tuple[FractionalPoint, float]:
@@ -168,7 +130,7 @@ def solve_prophet_relaxation(
         raise ValueError("one distribution per element required")
     if matroid.size() > 20:
         raise ValueError("exhaustive polytope stepping limited to 20 elements")
-    polytope = MatroidPolytope(matroid)
+    polytope = matroid.polytope()
     pieces = []
     for e in range(n):
         d = dists[e]
@@ -473,7 +435,7 @@ def cutting_plane_lp(objective: list[Fraction], p: Sequence[float],
             raise LpError(f"probing LP separation enumerates the subsets of "
                           f"each matroid and is limited to "
                           f"{EXHAUSTIVE_LIMIT} elements")
-        tables.append((g, name, spec, mult, MatroidPolytope(spec)))
+        tables.append((g, name, spec, mult, spec.polytope()))
         full_rows += (1 << spec.size()) - 1
     for e in range(n):
         rows[len(groups), e] = ([Fraction(int(j == e)) for j in range(n)],

@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, iter_bits, iter_submasks, pack_mask,
-                   pack_mask_rows)
+from .core import (FractionalPoint, float_list, iter_bits, iter_submasks,
+                   pack_mask, pack_mask_rows, read_field)
 from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
-                       MatroidView, in_scaled_matroid_polytope,
+                       MatroidView, edge_list, in_scaled_matroid_polytope,
                        matroid_from_json)
 
 #: Above this many ground elements, chain span probabilities switch from
@@ -28,10 +28,11 @@ from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
 EXACT_SPAN_LIMIT = 20
 
 #: Monte-Carlo sample count per span-probability estimate is
-#: ceil(SAMPLE_CONSTANT * (2 ln 2 + 2 (3 + alpha) ln n) / eps^2), the
+#: ceil(SAMPLE_CONSTANT * (2 ln 2 + 2 (3 + ALPHA) ln n) / eps^2), the
 #: Hoeffding bound for a one-sided estimate landing in [p - eps, p] with
-#: failure probability n^-(3+alpha).
+#: failure probability n^-(3+ALPHA).
 SAMPLE_CONSTANT = 1.0
+ALPHA = 1.0
 
 _TOL = 1e-9
 
@@ -84,8 +85,7 @@ class ChainDecomposition:
     ``views[i]`` is the base matroid with N_{i+1} contracted, restricted to
     the layer N_i - N_{i+1}.  ``span_estimates[e]`` records the final
     (exact or Monte-Carlo) span probability that fixed e's layer; each is
-    at most b by construction.  ``table`` is the matroid's rank table, when
-    the construction built one.
+    at most b by construction.
     """
 
     matroid: Matroid
@@ -95,8 +95,6 @@ class ChainDecomposition:
     eps: float
     exact: bool
     span_estimates: dict[int, float] = field(repr=False)
-    table: Optional[MatroidPolytope] = field(default=None, repr=False,
-                                             compare=False)
 
     def __post_init__(self) -> None:
         levels = self.levels
@@ -128,8 +126,7 @@ class MatroidChainFamily(FeasibleFamily):
         self._layers = list(zip(chain.layers, chain.views))
         self._table = None
         if chain.exact:
-            self._table = (chain.table if chain.table is not None
-                           else MatroidPolytope(chain.matroid))
+            self._table = chain.matroid.polytope()
             self._member, self._selectable = _chain_lookups(self._table,
                                                             chain.levels)
         else:
@@ -161,40 +158,19 @@ class MatroidChainFamily(FeasibleFamily):
         return ("chain", id(self.chain))
 
 
-class _MatchingStructure:
-    """Shared per-graph data: adjacency masks and matching memo."""
-
-    def __init__(self, graph: "Graph"):
-        self.graph = graph
-        self._matching_cache: dict[int, bool] = {}
-
-    def is_matching(self, mask: int) -> bool:
-        cached = self._matching_cache.get(mask)
-        if cached is None:
-            used = 0
-            cached = True
-            for e in iter_bits(mask):
-                u, v = self.graph.edges[e]
-                if (used >> u & 1) or (used >> v & 1):
-                    cached = False
-                    break
-                used |= (1 << u) | (1 << v)
-            self._matching_cache[mask] = cached
-        return cached
-
-
 class MatchingFamily(FeasibleFamily):
     """Subsets of the sampled edge set K that form a matching."""
 
-    def __init__(self, structure: _MatchingStructure, k_mask: int):
-        self.structure = structure
+    def __init__(self, graph: "Graph", k_mask: int):
+        self.graph = graph
         self.k_mask = k_mask
-        self.n = structure.graph.n_edges
+        self.n = graph.n_edges
 
     def member(self, mask: int) -> bool:
         if mask & ~self.k_mask:
             return False
-        return self.structure.is_matching(mask)
+        adj = self.graph.adjacent_edges
+        return not any(adj[e] & mask for e in iter_bits(mask))
 
     def selectable_mask(self, active_mask: int) -> int:
         """Edges of K sharing no endpoint with an active edge of K.
@@ -203,7 +179,7 @@ class MatchingFamily(FeasibleFamily):
         active edges of K equals asking each edge of K for an active
         neighbour.
         """
-        adj = self.structure.graph.adjacent_edges
+        adj = self.graph.adjacent_edges
         blocked = 0
         for g in iter_bits(active_mask & self.k_mask):
             blocked |= adj[g]
@@ -376,10 +352,10 @@ def run_greedy_mask(family: FeasibleFamily, order: Sequence[int],
 # matroid chain construction
 
 
-def _mc_sample_count(n: int, eps: float, alpha: float) -> int:
+def _mc_sample_count(n: int, eps: float) -> int:
     n = max(n, 2)
     return int(math.ceil(SAMPLE_CONSTANT
-                         * (2 * math.log(2) + 2 * (3 + alpha) * math.log(n))
+                         * (2 * math.log(2) + 2 * (3 + ALPHA) * math.log(n))
                          / (eps * eps)))
 
 
@@ -429,11 +405,10 @@ def _mc_span_probability(view: Matroid, x: np.ndarray, level_mask: int,
 
 
 def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
-                            eps: float = 0.05, alpha: float = 1.0,
+                            eps: float = 0.05,
                             stream: Optional[np.random.Generator] = None,
                             exact: Optional[bool] = None,
-                            validate_point: bool = True,
-                            table: Optional[MatroidPolytope] = None
+                            validate_point: bool = True
                             ) -> ChainDecomposition:
     """Build the nested level sets whose per-layer span probabilities are <= b.
 
@@ -442,9 +417,8 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
     already-absorbed set) exceeds b.  Exact probabilities (up to
     EXACT_SPAN_LIMIT elements by default) come from the matroid's rank
     table; above that, Monte-Carlo estimates with _mc_sample_count samples
-    each (requires ``stream``).  ``table`` is the matroid's rank table if
-    the caller has one; otherwise it is built here, for exact chains and
-    for the point check, up to EXHAUSTIVE_LIMIT elements.
+    each (requires ``stream``).  Exact chains and the point check (up to
+    EXHAUSTIVE_LIMIT elements) read the matroid's ``polytope()``.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must lie in [0, 1]")
@@ -459,9 +433,8 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
     if use_exact and size > EXHAUSTIVE_LIMIT:
         raise SchemeError(f"exact span probabilities enumerate subsets and "
                           f"are limited to {EXHAUSTIVE_LIMIT} elements")
-    if (table is None and size <= EXHAUSTIVE_LIMIT
-            and (use_exact or validate_point)):
-        table = MatroidPolytope(matroid)
+    table = (matroid.polytope() if size <= EXHAUSTIVE_LIMIT
+             and (use_exact or validate_point) else None)
     # a loop (rank 0) is spanned by every set, so refinement would absorb
     # it at every level; x is 0 on it and it never arrives, so it stays out
     # of refinement, in the top layer, where it is never selectable
@@ -472,12 +445,12 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
                 raise PolytopeMembershipError(
                     f"x is outside b * P for the given matroid: element {e} "
                     f"is a loop (rank 0) but x[{e}] = {x[e]}")
-        if table is not None and not in_scaled_matroid_polytope(
-                matroid, x, b, table=table):
+        if table is not None and not in_scaled_matroid_polytope(matroid,
+                                                                x, b):
             raise PolytopeMembershipError(
                 "x is outside b * P for the given matroid")
     xv = x.values
-    samples = _mc_sample_count(size, eps, alpha)
+    samples = _mc_sample_count(size, eps)
 
     levels = [matroid.ground_mask]
     estimates: dict[int, float] = {}
@@ -521,8 +494,7 @@ def matroid_chain_decompose(matroid: Matroid, x: FractionalPoint, b: float,
     chain = ChainDecomposition(matroid=matroid, levels=tuple(levels),
                                views=views, b=b,
                                eps=0.0 if use_exact else eps,
-                               exact=use_exact, span_estimates=estimates,
-                               table=table)
+                               exact=use_exact, span_estimates=estimates)
     log.info("chain: %s; levels %s; layer sizes %s; max span estimate %.6g; "
              "rank table of %s subsets",
              "exact" if use_exact else f"Monte-Carlo, {samples} samples per "
@@ -568,7 +540,8 @@ class Graph:
 def graph_from_json(obj: dict) -> Graph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise ValueError("graph descriptor needs 'vertices' and 'edges'")
-    return Graph(int(obj["vertices"]), [tuple(e) for e in obj["edges"]])
+    return Graph(read_field("vertices", obj["vertices"], int),
+                 read_field("edges", obj["edges"], edge_list))
 
 
 # ---------------------------------------------------------------------------
@@ -614,25 +587,25 @@ class _ChainSampler(SchemeSampler):
 
 
 class _MatchingSampler(SchemeSampler):
-    def __init__(self, structure: _MatchingStructure, k_probs: np.ndarray,
+    def __init__(self, graph: Graph, k_probs: np.ndarray,
                  deterministic: bool):
-        self.structure = structure
+        self.graph = graph
         self.k_probs = k_probs
         self.deterministic = deterministic
-        self.draw_count = 0 if deterministic else structure.graph.n_edges
-        self._full = (1 << structure.graph.n_edges) - 1
+        self.draw_count = 0 if deterministic else graph.n_edges
+        self._full = (1 << graph.n_edges) - 1
 
     def sample_block(self, rows: np.ndarray) -> list[FeasibleFamily]:
         if self.deterministic:
-            fam = MatchingFamily(self.structure, self._full)
+            fam = MatchingFamily(self.graph, self._full)
             return [fam] * rows.shape[0]
         masks = pack_mask_rows(rows < self.k_probs)
-        return [MatchingFamily(self.structure, int(k)) for k in masks]
+        return [MatchingFamily(self.graph, int(k)) for k in masks]
 
     def enumerate_families(self):
         if self.deterministic:
-            return [(1.0, MatchingFamily(self.structure, self._full))]
-        m = self.structure.graph.n_edges
+            return [(1.0, MatchingFamily(self.graph, self._full))]
+        m = self.graph.n_edges
         if m > 16:
             raise ValueError("edge-set outcome space too large to enumerate")
         out = []
@@ -642,7 +615,7 @@ class _MatchingSampler(SchemeSampler):
                 pg = self.k_probs[g]
                 prob *= pg if (k_mask >> g) & 1 else 1.0 - pg
             if prob > 0.0:
-                out.append((prob, MatchingFamily(self.structure, k_mask)))
+                out.append((prob, MatchingFamily(self.graph, k_mask)))
         return out
 
 
@@ -723,28 +696,19 @@ class MatroidChainFactory(GreedyOcrsFactory):
     bound_expr = "1-b"
 
     def __init__(self, matroid: Matroid, b: float, eps: float = 0.05,
-                 alpha: float = 1.0, exact: Optional[bool] = None):
+                 exact: Optional[bool] = None):
         if not 0.0 <= b <= 1.0:
             raise SchemeError("matroid scheme requires b in [0, 1]")
         self.matroid = matroid
         self.n = matroid.n
         self.b = b
         self.eps = eps
-        self.alpha = alpha
         self.exact = exact if exact is not None else matroid.size() <= EXACT_SPAN_LIMIT
         self.construction_slack = 0.0 if self.exact else eps
         self.loops = matroid.loops()
-        self._table: Optional[MatroidPolytope] = None
 
     def bound(self) -> float:
         return 1.0 - self.b
-
-    def _rank_table(self) -> Optional[MatroidPolytope]:
-        """The matroid's rank table, built on first use and shared by
-        ``load`` and every ``bind``; None above EXHAUSTIVE_LIMIT elements."""
-        if self._table is None and self.matroid.size() <= EXHAUSTIVE_LIMIT:
-            self._table = MatroidPolytope(self.matroid)
-        return self._table
 
     def load(self, x: FractionalPoint) -> float:
         """The polytope oracle's ``min_scale``; it enumerates subsets, so
@@ -753,13 +717,11 @@ class MatroidChainFactory(GreedyOcrsFactory):
             raise SchemeError(
                 "supply an explicit 'x'; point fitting enumerates subsets "
                 "and is limited to 16 elements")
-        return self._rank_table().min_scale(x.values)
+        return self.matroid.polytope().min_scale(x.values)
 
     def bind(self, x, stream=None) -> SchemeSampler:
         chain = matroid_chain_decompose(self.matroid, x, self.b, eps=self.eps,
-                                        alpha=self.alpha, stream=stream,
-                                        exact=self.exact,
-                                        table=self._rank_table())
+                                        stream=stream, exact=self.exact)
         return _ChainSampler(MatroidChainFamily(chain))
 
 
@@ -793,8 +755,7 @@ class MatchingFactory(GreedyOcrsFactory):
                                -np.expm1(-x.values) / np.where(x.values > 0,
                                                                x.values, 1.0),
                                1.0)
-        return _MatchingSampler(_MatchingStructure(self.graph), k_probs,
-                                self.deterministic)
+        return _MatchingSampler(self.graph, k_probs, self.deterministic)
 
 
 class KnapsackFactory(GreedyOcrsFactory):
@@ -878,7 +839,8 @@ def factory_from_json(kind: str, obj: dict, b: float, eps: float,
                                deterministic=bool(obj.get("deterministic",
                                                           False)))
     if kind == "knapsack":
-        return KnapsackFactory(field("sizes"), b)
+        return KnapsackFactory(read_field("sizes", field("sizes"), float_list),
+                               b)
     if kind == "intersect":
         parts = field("parts")
         if not isinstance(parts, list) or not parts:

@@ -16,10 +16,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, SeedSpec, iter_bits, pack_mask_rows,
-                   trial_columns)
+from .core import (FractionalPoint, SeedSpec, float_list, int_list,
+                   iter_bits, pack_mask_rows, read_field, trial_columns)
 from .harness import MeanEstimate
-from .matroids import (EXHAUSTIVE_LIMIT, Matroid, in_scaled_matroid_polytope,
+from .matroids import (Matroid, in_scaled_matroid_polytope,
                        max_weight_independent)
 from .optimize import ConstraintSpec, constraint_member, cutting_plane_lp
 from .schemes import GreedyOcrsFactory, run_greedy_mask
@@ -146,12 +146,17 @@ def directed_cut(num_nodes: int, arcs: Sequence[tuple[int, int, float]],
 
 def submodular_from_json(obj: dict) -> SubmodularOracle:
     if isinstance(obj, dict) and "universe_weights" in obj and "covers" in obj:
-        return coverage_function(obj["universe_weights"], obj["covers"])
+        return coverage_function(
+            read_field("universe_weights", obj["universe_weights"],
+                       float_list),
+            read_field("covers", obj["covers"],
+                       lambda v: [int_list(s) for s in v]))
     if isinstance(obj, dict) and "arcs" in obj:
-        arcs = [(int(u), int(v), float(w)) for u, v, w in obj["arcs"]]
+        arcs = read_field("arcs", obj["arcs"], lambda v: [
+            (int(a), int(c), float(w)) for a, c, w in v])
         nodes = obj.get("nodes", 1 + max((max(u, v) for u, v, _ in arcs),
                                          default=0))
-        return directed_cut(int(nodes), arcs)
+        return directed_cut(read_field("nodes", nodes, int), arcs)
     raise ValueError("unrecognized submodular function descriptor")
 
 
@@ -188,30 +193,31 @@ def multilinear_sampled(f: SubmodularOracle, x: FractionalPoint, trials: int,
 
 
 def ocrs_submodular_value(f: SubmodularOracle, factory: GreedyOcrsFactory,
-                          x: FractionalPoint, trials: int, seed: SeedSpec,
-                          order: Optional[Sequence[int]] = None) -> MeanEstimate:
-    """Mean f(S) over greedy OCRS runs; monotone objectives only."""
+                          x: FractionalPoint, trials: int,
+                          seed: SeedSpec) -> MeanEstimate:
+    """Mean f(S) over greedy OCRS runs in index order; monotone objectives
+    only."""
     if not f.monotone:
         raise ValueError("non-monotone objectives use half_subsample_value")
-    return _ocrs_value_loop(f, factory, x, trials, seed, order,
+    return _ocrs_value_loop(f, factory, x, trials, seed,
                             half_subsample=False)
 
 
 def half_subsample_value(f: SubmodularOracle, factory: GreedyOcrsFactory,
-                         x: FractionalPoint, trials: int, seed: SeedSpec,
-                         order: Optional[Sequence[int]] = None) -> MeanEstimate:
-    """Mean f over a coin-thinned copy of the OCRS output (rate one half)."""
-    return _ocrs_value_loop(f, factory, x, trials, seed, order,
+                         x: FractionalPoint, trials: int,
+                         seed: SeedSpec) -> MeanEstimate:
+    """Mean f over a coin-thinned copy of the OCRS output (rate one half),
+    runs in index order."""
+    return _ocrs_value_loop(f, factory, x, trials, seed,
                             half_subsample=True)
 
 
 def _ocrs_value_loop(f: SubmodularOracle, factory: GreedyOcrsFactory,
                      x: FractionalPoint, trials: int, seed: SeedSpec,
-                     order: Optional[Sequence[int]],
                      half_subsample: bool) -> MeanEstimate:
     n = x.n
     sampler = factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT_OUT))
-    use_order = tuple(order) if order is not None else tuple(range(n))
+    use_order = tuple(range(n))
     segments = [x.values, sampler]
     if half_subsample:
         # coins that keep each selected element with probability one half
@@ -273,7 +279,9 @@ def continuous_greedy(f: SubmodularOracle, matroid: Matroid, b: float,
 
     Each step adds delta times the indicator of a maximum-gain independent
     set; after k steps the point is a scaled convex combination of vertices,
-    so membership in b * P holds by construction and is asserted.
+    so membership in b * P holds by construction and is asserted after
+    every step, against the matroid's rank table (ValueError above
+    EXHAUSTIVE_LIMIT elements).
     """
     if not f.monotone:
         raise ValueError("continuous greedy needs a monotone objective")
@@ -289,6 +297,7 @@ def continuous_greedy(f: SubmodularOracle, matroid: Matroid, b: float,
         raise ValueError("sampled gradients need a stream")
     steps = max(1, round(b * steps_per_unit))
     counts = np.zeros(n)
+    matroid.polytope()  # the step check's table: fail before any step
 
     def point() -> np.ndarray:
         # b * (counts / steps) keeps every coordinate at most b exactly;
@@ -304,9 +313,9 @@ def continuous_greedy(f: SubmodularOracle, matroid: Matroid, b: float,
         direction = max_weight_independent(matroid, gains)
         for e in iter_bits(direction):
             counts[e] += 1
-        if matroid.size() <= 12:
-            assert in_scaled_matroid_polytope(matroid, FractionalPoint(point()), b), \
-                "continuous greedy stepped outside b * P"
+        assert in_scaled_matroid_polytope(matroid, FractionalPoint(point()),
+                                          b), \
+            "continuous greedy stepped outside b * P"
     return FractionalPoint(point())
 
 
@@ -335,8 +344,9 @@ def _direction_lp(gains: np.ndarray, p: Sequence[float],
 
 def continuous_greedy_probing(f: SubmodularOracle, p: Sequence[float],
                               inner: ConstraintSpec, outer: ConstraintSpec,
-                              b: float, steps_per_unit: int = 100) -> FractionalPoint:
-    """Continuous greedy on F(p o x) over the probing feasible region.
+                              b: float) -> FractionalPoint:
+    """Continuous greedy on F(p o x) over the probing feasible region, 100
+    steps per unit of time.
 
     Directions are vertices of {x : p o x in P_in, x in P_out, x in [0,1]}
     found by the exact simplex, so after stopping at time b the point
@@ -349,7 +359,7 @@ def continuous_greedy_probing(f: SubmodularOracle, p: Sequence[float],
     x = np.zeros(n)
     if b == 0.0:
         return FractionalPoint(x)
-    steps = max(1, round(b * steps_per_unit))
+    steps = max(1, round(b * 100))
     vertex_sum = np.zeros(n)
     for _ in range(steps):
         x = np.minimum(b * (vertex_sum / steps), 1.0)
@@ -366,9 +376,6 @@ def continuous_greedy_probing(f: SubmodularOracle, p: Sequence[float],
 def _assert_scaled_membership(y: FractionalPoint, spec: ConstraintSpec,
                               b: float) -> None:
     if isinstance(spec, Matroid):
-        if spec.size() > EXHAUSTIVE_LIMIT:
-            raise ValueError(f"the scaled polytope check enumerates subsets "
-                             f"and is limited to {EXHAUSTIVE_LIMIT} elements")
         assert in_scaled_matroid_polytope(spec, y, b), \
             "point left the scaled polytope"
     else:
@@ -378,29 +385,27 @@ def _assert_scaled_membership(y: FractionalPoint, spec: ConstraintSpec,
 
 def run_submodular_probing(f: SubmodularOracle, p: Sequence[float],
                            inner: ConstraintSpec, outer: ConstraintSpec,
-                           b: float, trials: int, seed: SeedSpec,
-                           inner_factory: Optional[GreedyOcrsFactory] = None,
-                           outer_factory: Optional[GreedyOcrsFactory] = None,
-                           steps_per_unit: int = 100,
-                           order: Optional[Sequence[int]] = None) -> SubmodularProbingResult:
-    """Continuous greedy then online probing; compares E[f(S)] to the
-    product of the scheme constants times F(p o x~)."""
+                           b: float, trials: int,
+                           seed: SeedSpec) -> SubmodularProbingResult:
+    """Continuous greedy then online probing in index order with the
+    default schemes; compares E[f(S)] to the product of the scheme
+    constants times F(p o x~)."""
     from .applications import default_factory, probe  # local: avoids a cycle
 
     n = f.n
     if len(p) != n:
-        raise ValueError("one activation probability per element required")
-    x_tilde = continuous_greedy_probing(f, p, inner, outer, b,
-                                        steps_per_unit=steps_per_unit)
-    inner_factory = inner_factory or default_factory(inner, b)
-    outer_factory = outer_factory or default_factory(outer, b)
+        raise ValueError("'p' must have one activation probability per "
+                         "element of 'f'")
+    x_tilde = continuous_greedy_probing(f, p, inner, outer, b)
+    inner_factory = default_factory(inner, b)
+    outer_factory = default_factory(outer, b)
     pv = np.asarray(p, dtype=float)
     inner_point = FractionalPoint(pv * x_tilde.values)
     inner_sampler = inner_factory.bind(inner_point,
                                        seed.stream(_DOMAIN_CONSTRUCT_IN))
     outer_sampler = outer_factory.bind(x_tilde,
                                        seed.stream(_DOMAIN_CONSTRUCT_OUT))
-    use_order = tuple(order) if order is not None else tuple(range(n))
+    use_order = tuple(range(n))
     in_member = constraint_member(inner)
     out_member = constraint_member(outer)
 

@@ -223,7 +223,7 @@ def test_brute_force_prophet_guards_support_size():
     big = _dist(list(range(200)), [1 / 200] * 200)
     inst = ProphetInstance(UniformMatroid(3, 1), (big, big, big))
     with pytest.raises(ValueError):
-        brute_force_prophet_opt(inst, max_scenarios=10 ** 6)
+        brute_force_prophet_opt(inst)
 
 
 # ---------------------------------------------------------------------------

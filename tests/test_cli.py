@@ -13,7 +13,7 @@ from ocrs.applications import (ProphetInstance, prepare_prophet,
                                prophet_worst_order)
 from ocrs.cli import main
 from ocrs.core import SeedSpec
-from ocrs.matroids import UniformMatroid
+from ocrs.matroids import MatroidPolytope, UniformMatroid
 from ocrs.optimize import DiscreteDistribution
 from ocrs.schemes import MatroidChainFactory
 
@@ -295,6 +295,12 @@ def test_default_log_level_keeps_stderr_quiet(tmp_path):
         "prophet-flag-b-inf"])
 def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, command,
                                                     instance, extra, field):
+    _assert_input_error_names(tmp_path, capsys, command, instance, extra,
+                              field)
+
+
+def _assert_input_error_names(tmp_path, capsys, command, instance, extra,
+                              field):
     path = _write(tmp_path, "inst.json", instance)
     out = tmp_path / "out.json"
     try:
@@ -305,6 +311,62 @@ def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, command,
     assert code == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+_U2 = {"type": "uniform", "n": 2, "k": 1}
+_PROPHET2 = {"matroid": _U2,
+             "dists": [{"support": [0.0, 1.0], "probs": [0.5, 0.5]}] * 2}
+_PROBING3 = {"p": [0.5] * 3, "w": [1.0, 2.0, 3.0], "inner": _U3,
+             "outer": _U3}
+_COVER3 = {"universe_weights": [1.0, 1.0], "covers": [[0], [1], [0, 1]]}
+_MATROID = ["--scheme", "matroid"]
+
+
+@pytest.mark.parametrize("command, instance, extra, field", [
+    ("verify-selectability",
+     {"matroid": {"type": "uniform", "n": None, "k": 1}}, _MATROID, "'n'"),
+    ("verify-selectability",
+     {"graph": {"vertices": None, "edges": [[0, 1]]}},
+     ["--scheme", "matching"], "'vertices'"),
+    ("verify-selectability", {"sizes": None},
+     ["--scheme", "knapsack", "--b", "0.25"], "'sizes'"),
+    ("probing", dict(_PROBING3, inner={"type": "knapsack", "sizes": None}),
+     [], "'sizes'"),
+    ("probing", dict(_PROBING3, p=5), [], "'p'"),
+    ("prophet", dict(_PROPHET2, dists=None), [], "'dists'"),
+    ("verify-selectability",
+     {"matroid": {"type": "laminar", "n": 2, "sets": [["a"]],
+                  "capacities": [1]}}, _MATROID, "'sets'"),
+    ("verify-selectability",
+     {"matroid": {"type": "explicit", "n": 2, "bases": None}}, _MATROID,
+     "'bases'"),
+    ("prophet", dict(_PROPHET2, order=[0.5, 1.5]), [], "'order'"),
+    ("prophet", dict(_PROPHET2, order=[True, False]), [], "'order'"),
+    ("prophet", dict(_PROPHET2, order=5), [], "'order'"),
+    ("prophet", dict(_PROPHET2, order=None), [], "'order'"),
+    ("prophet", dict(_PROPHET2, dists=_PROPHET2["dists"][:1]), [],
+     "'dists'"),
+    ("probing", dict(_PROBING3, p=[0.5, 0.5], w=[1.0, 2.0]), [], "'p'"),
+    ("submodular", {"f": _COVER3, "matroid": _U2}, [], "'f'"),
+    ("submodular", {"f": _COVER3, "p": [0.5] * 3, "inner": _U2,
+                    "outer": _U3}, [], "'f'"),
+    ("submodular", {"f": _COVER3, "p": [0.5] * 2, "inner": _U3,
+                    "outer": _U3}, [], "'p'"),
+    ("submodular", {"f": dict(_COVER3, covers=None), "matroid": _U3}, [],
+     "'covers'"),
+    ("submodular", {"f": {"arcs": None}, "matroid": _U3}, [], "'arcs'"),
+    ("submodular", {"f": _COVER3, "matroid": _U3, "b": None}, [], "'b'"),
+], ids=["uniform-n-null", "graph-vertices-null", "knapsack-sizes-null",
+        "probing-inner-sizes-null", "probing-p-number", "prophet-dists-null",
+        "laminar-sets-string", "explicit-bases-null", "prophet-order-floats",
+        "prophet-order-booleans", "prophet-order-number", "prophet-order-null",
+        "prophet-dists-short", "probing-p-short", "submodular-f-vs-matroid",
+        "submodular-f-vs-inner", "submodular-p-short", "coverage-covers-null",
+        "cut-arcs-null", "submodular-b-null"])
+def test_wrong_type_or_value_fields_exit_2_naming_the_field(
+        tmp_path, capsys, command, instance, extra, field):
+    _assert_input_error_names(tmp_path, capsys, command, instance, extra,
+                              field)
 
 
 def test_probing_commands(tmp_path):
@@ -466,6 +528,63 @@ def test_golden_probing_reports(tmp_path, capsys, command, name):
     for produced, suffix in [(out, "report.json"), (csv_out, "csv")]:
         with open(os.path.join(GOLDEN, f"{name}.{suffix}"), "rb") as fh:
             assert produced.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("command,name", [
+    ("submodular", "submodular-probing5"),
+    ("submodular", "submodular-graphic6"),
+    ("validate-matroid", "validate-graphic7"),
+])
+def test_golden_submodular_and_validate_reports(tmp_path, capsys, command,
+                                                name):
+    """Reports of submodular probing with a graphic outer matroid (the
+    direction LPs and the chain read one rank table), monotone submodular
+    OCRS on graphic K4 and the audit of K4 plus a parallel edge stay byte
+    for byte what they were when recorded."""
+    out = tmp_path / "report.json"
+    extra = ([] if command == "validate-matroid"
+             else ["--trials", "3000", "--seed", "3"])
+    assert main([command, os.path.join(GOLDEN, f"{name}.json"), *extra,
+                 "--out-json", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(os.path.join(GOLDEN, f"{name}.report.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+_SUBMODULAR6 = {"f": {"universe_weights": [1.0, 2.0, 1.5, 0.5, 1.0, 0.75,
+                                           2.0],
+                      "covers": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5],
+                                 [5, 6]]},
+                "p": [0.8, 0.6, 0.9, 0.7, 0.5, 0.6],
+                "inner": {"type": "uniform", "n": 6, "k": 2},
+                "outer": {"type": "uniform", "n": 6, "k": 3}, "b": 0.5}
+
+
+@pytest.mark.parametrize("command,instance,tables", [
+    ("probing", os.path.join(GOLDEN, "probing6.json"), 2),
+    ("prophet", _PROPHET, 1),
+    ("submodular", _SUBMODULAR6, 2),
+], ids=["probing", "prophet", "submodular-probing"])
+def test_one_rank_table_per_matroid(tmp_path, monkeypatch, command, instance,
+                                    tables):
+    """Every caller reads a matroid's rank table from
+    ``Matroid.polytope()``, so a command fills one table per matroid:
+    the LP, the chains, the relaxation and the membership asserts share
+    it."""
+    built = []
+    fill = MatroidPolytope.__init__
+
+    def counting_fill(self, m):
+        built.append(m)
+        fill(self, m)
+
+    monkeypatch.setattr(MatroidPolytope, "__init__", counting_fill)
+    path = (instance if isinstance(instance, str)
+            else _write(tmp_path, "inst.json", instance))
+    assert main([command, path, "--trials", "200",
+                 "--out-json", str(tmp_path / "out.json")]) in (0, 1)
+    assert len(built) == tables
+    assert len({id(m) for m in built}) == tables
 
 
 _LOOPS = {"type": "partition", "blocks": [[0, 1], [2, 3]],

@@ -230,7 +230,6 @@ def _literal_polytope(m, x, b):
     """The polytope questions answered by a plain loop over every subset."""
     violation, worst = -np.inf, 0.0
     slack = {e: np.inf for e in iter_bits(m.ground_mask)}
-    rows = []
     for mask in range(1 << m.n):
         if mask & ~m.ground_mask:
             continue
@@ -239,12 +238,10 @@ def _literal_polytope(m, x, b):
         violation = max(violation, load - b * r)
         if r:
             worst = max(worst, load / r)
-        if mask:
-            rows.append((mask, r))
         for e in iter_bits(mask):
             slack[e] = min(slack[e], r - load)
     steps = {e: max(v, 0.0) for e, v in slack.items()}
-    return violation, steps, worst, rows
+    return violation, steps, worst
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,11 +252,10 @@ def test_polytope_oracle_matches_subset_loop(which, x, b):
     m = ORACLE_MATROIDS[which]
     x = np.array(x[:m.n])
     polytope = MatroidPolytope(m)
-    violation, steps, worst, rows = _literal_polytope(m, x, b)
+    violation, steps, worst = _literal_polytope(m, x, b)
     assert polytope.max_violation(x, b) == violation
     assert {e: polytope.max_step(x, e) for e in steps} == steps
     assert polytope.min_scale(x) == worst
-    assert polytope.rank_rows() == rows
 
 
 class _GreedyOnly(Matroid):

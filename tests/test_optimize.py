@@ -17,7 +17,7 @@ from ocrs.matroids import (GraphicMatroid, LaminarMatroid, Matroid,
                            in_scaled_matroid_polytope)
 from ocrs.optimize import (DiscreteDistribution, KnapsackConstraint,
                            LinearProgram, LpError, LpInfeasible, LpUnbounded,
-                           TailFunction, adaptive_probing_optimum,
+                           adaptive_probing_optimum,
                            distribution_from_json, simplex_solve,
                            solve_probing_lp, solve_prophet_relaxation,
                            tail_value, threshold)
@@ -53,17 +53,6 @@ def test_tail_value_examples():
     assert tail_value(d, 0.2) == pytest.approx(2.0)
     assert tail_value(d, 0.5) == pytest.approx(2.3)
     assert threshold(d, 0.5) == 1
-
-
-def test_tail_function_breakpoints():
-    d = DiscreteDistribution([0.5, 2, 7], [0.4, 0.4, 0.2])
-    tf = TailFunction.from_distribution(d)
-    slopes = tf.slopes()
-    assert slopes == sorted(slopes, reverse=True)
-    assert all(b > a for a, b in zip(slopes[1:], slopes))
-    assert tf.value(1.0) == pytest.approx(d.expectation())
-    for p in np.linspace(0, 1, 23):
-        assert tf.value(float(p)) == pytest.approx(tail_value(d, float(p)))
 
 
 def test_prophet_relaxation_input_validation():
@@ -115,7 +104,7 @@ def test_prophet_relaxation_meets_grid_oracle():
                 p = round(float(gen.random() * 0.8 + 0.1), 2)
                 dists.append(DiscreteDistribution(vals, [p, round(1 - p, 2)]))
         x, obj = solve_prophet_relaxation(matroid, dists)
-        assert in_scaled_matroid_polytope(matroid, x, 1.0, tol=1e-9)
+        assert in_scaled_matroid_polytope(matroid, x, 1.0)
         assert obj >= _grid_optimum(matroid, dists) - 1e-9
 
 

@@ -19,7 +19,7 @@ from ocrs.schemes import (_TOL, ChainConstructionError, ChainDecomposition,
                           Graph, IntersectionFactory, KnapsackFactory,
                           MatchingFactory, MatchingFamily,
                           MatroidChainFactory, MatroidChainFamily,
-                          PolytopeMembershipError, _MatchingStructure,
+                          PolytopeMembershipError,
                           combine_families, factory_from_json,
                           _mc_sample_count, graph_from_json,
                           matroid_chain_decompose, run_greedy_mask)
@@ -289,7 +289,7 @@ def test_chain_logs_construction_summary(caplog):
         matroid_chain_decompose(GraphicMatroid(4, K4_EDGES),
                                 FractionalPoint([0.2] * 6), 0.5, exact=False,
                                 stream=SeedSpec(1).stream(0))
-    samples = _mc_sample_count(6, 0.05, 1.0)
+    samples = _mc_sample_count(6, 0.05)
     assert len(caplog.messages) == 1
     assert caplog.messages[0].startswith(
         f"chain: Monte-Carlo, {samples} samples per estimate; levels [63, 0]")
@@ -299,7 +299,7 @@ def test_chain_logs_construction_summary(caplog):
 def test_chain_monte_carlo_mode():
     m = GraphicMatroid(4, K4_EDGES)
     x = FractionalPoint([0.2] * 6)
-    chain = matroid_chain_decompose(m, x, 0.5, eps=0.05, alpha=1.0,
+    chain = matroid_chain_decompose(m, x, 0.5, eps=0.05,
                                     stream=SeedSpec(1).stream(0), exact=False)
     assert chain.levels == (m.ground_mask, 0)
     exact = matroid_chain_decompose(m, x, 0.5)
@@ -692,7 +692,7 @@ def _multigraph_masks(draw):
 @given(_multigraph_masks())
 def test_matching_selectable_matches_per_edge_rule(case):
     graph, k_mask, active_mask = case
-    fam = MatchingFamily(_MatchingStructure(graph), k_mask)
+    fam = MatchingFamily(graph, k_mask)
     assert fam.selectable_mask(active_mask) == _per_edge_selectable(
         graph, k_mask, active_mask)
 

@@ -254,6 +254,25 @@ def test_continuous_greedy_partial_time_membership():
         assert x.values.sum() <= 2 * b + 1e-12
 
 
+@pytest.mark.parametrize("n", [13, 16])
+def test_continuous_greedy_checks_every_step(monkeypatch, n):
+    """The per-step membership assert covers matroids of more than 12
+    elements: a dependent direction (every element of U(n, 2)) makes the
+    first step leave b * P."""
+    monkeypatch.setattr("ocrs.submodular.max_weight_independent",
+                        lambda m, gains: m.ground_mask)
+    with pytest.raises(AssertionError, match="stepped outside b"):
+        continuous_greedy(modular([1.0] * n), UniformMatroid(n, 2), 0.5,
+                          steps_per_unit=1, stream=SEED.stream(9),
+                          exact_gradients=False)
+
+
+def test_continuous_greedy_beyond_the_table_raises():
+    with pytest.raises(ValueError, match="limited to 24 elements"):
+        continuous_greedy(modular([1.0] * 25), UniformMatroid(25, 2), 0.5,
+                          steps_per_unit=2, stream=SEED.stream(9))
+
+
 # ---------------------------------------------------------------------------
 # submodular probing
 
