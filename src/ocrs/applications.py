@@ -2,7 +2,10 @@
 
 Each pipeline solves its relaxation, converts the fractional optimum into
 activation thresholds or probing probabilities, and plays a greedy OCRS
-online; feasibility of every produced set is asserted on every run.
+online.  Trials are grouped by a state key, so a distinct state is played at
+most once per order and trial block, not once per trial; feasibility is
+asserted on every play, which covers every trial with that key, because a
+run is a pure function of its key.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .core import (FractionalPoint, SeedSpec, iter_bits, pack_mask_rows,
                    scale_point, trial_columns)
 from .harness import (AdversarySearchResult, MeanEstimate, group_states,
-                      per_trial_values, worst_order_value)
+                      grouped_values, per_trial_values, worst_order_value)
 from .matroids import LaminarMatroid, Matroid, max_weight_independent
 from .optimize import (ConstraintSpec, DiscreteDistribution,
                        KnapsackConstraint, ProbingLpResult, constraint_member,
@@ -426,23 +429,28 @@ def probing_trial_states(pipeline: ProbingPipeline, trials: int,
     A_out is drawn from R(b*x*), the active set from R(p), then the inner
     and outer families.
     """
-    for _start, columns in trial_columns(
-            seed, _DOMAIN_TRIALS, trials,
-            [pipeline.outer_point.values, pipeline.instance.p,
-             pipeline.inner_sampler, pipeline.outer_sampler]):
+    for _start, columns in _probing_blocks(pipeline, trials, seed):
         yield from zip(*columns)
+
+
+def _probing_blocks(pipeline: ProbingPipeline, trials: int, seed: SeedSpec
+                    ) -> Iterator[tuple[int, list]]:
+    return trial_columns(seed, _DOMAIN_TRIALS, trials,
+                         [pipeline.outer_point.values, pipeline.instance.p,
+                          pipeline.inner_sampler, pipeline.outer_sampler])
 
 
 def probing_mean_value(pipeline: ProbingPipeline, trials: int, seed: SeedSpec,
                        collect: Optional[list] = None) -> MeanEstimate:
-    """Mean probing value over seeded trials in the pipeline's probe order;
-    asserts feasibility per run.
+    """Mean probing value over seeded trials in the pipeline's probe order,
+    one run per distinct state of each trial block.
 
     ``collect``, if given, receives every per-trial value in trial order.
     """
     return MeanEstimate.from_stream(
-        (pipeline.value(state, pipeline.order)
-         for state in probing_trial_states(pipeline, trials, seed)), collect)
+        grouped_values(_probing_blocks(pipeline, trials, seed),
+                       probing_state_key, pipeline.value, pipeline.order),
+        collect)
 
 
 def probing_state_key(state) -> tuple:

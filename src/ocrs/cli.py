@@ -144,10 +144,19 @@ def _worker_init(scheme: str, instance: dict, b: float, eps: float,
 
 
 def _worker_counts(block_range: tuple[int, int]) -> dict[int, int]:
-    counts = selectability_counts(_WORKER_STATE["factory"], _WORKER_STATE["x"],
-                                  _WORKER_STATE["trials"],
-                                  _WORKER_STATE["seed"],
-                                  block_range=block_range)
+    # every range binds the same sampler; only the range that starts at
+    # block 0 logs the bind, so the log does not depend on --workers
+    schemes_log = logging.getLogger("ocrs.schemes")
+    level = schemes_log.level
+    if block_range[0] != 0:
+        schemes_log.setLevel(logging.CRITICAL + 1)
+    try:
+        counts = selectability_counts(
+            _WORKER_STATE["factory"], _WORKER_STATE["x"],
+            _WORKER_STATE["trials"], _WORKER_STATE["seed"],
+            block_range=block_range)
+    finally:
+        schemes_log.setLevel(level)
     return dict(counts)
 
 
@@ -228,8 +237,8 @@ def cmd_prophet(args) -> int:
     # the default, worst
     policy = (args.order if args.order is not None
               else instance_obj.get("order", "worst"))
-    if isinstance(policy, list) and all(type(e) is int for e in policy):
-        policy = tuple(policy)
+    if isinstance(policy, list):
+        policy = tuple(read_field("order", policy, int_list))
     elif policy not in ("worst", "identity"):
         raise InstanceError(f"'order' in {args.instance} must be 'worst', "
                             f"'identity' or a list of JSON integers")

@@ -199,9 +199,17 @@ def read_field(name: str, value, convert: Callable):
         raise ValueError(f"bad '{name}': {exc}") from exc
 
 
+def json_int(value) -> int:
+    """A JSON integer as it is: a float, a boolean or a string is a
+    TypeError rather than truncated or parsed."""
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def int_list(value) -> list[int]:
-    """A JSON list of integers, each converted by ``int``."""
-    return [int(v) for v in value]
+    """A JSON list of JSON integers (see `json_int`)."""
+    return [json_int(v) for v in value]
 
 
 def float_list(value) -> list[float]:

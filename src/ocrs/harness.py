@@ -343,6 +343,29 @@ def per_trial_values(trial_value: Callable[[_State, Sequence[int]], float],
     return map(values.__getitem__, trial_state)
 
 
+def grouped_values(blocks: Iterable[tuple[int, Sequence]],
+                   key: Callable[[tuple], Hashable],
+                   trial_value: Callable[[tuple, Sequence[int]], float],
+                   order: Sequence[int]) -> Iterator[float]:
+    """Values of every trial of `trial_columns` blocks, in trial order.
+
+    A trial's state is its tuple of decoded columns.  Each block is grouped
+    by ``key`` on its own, so ``trial_value`` runs once per distinct state
+    of a block and memory is bounded by one block, not by the trial count.
+    """
+    trials = blocks_seen = calls = widest = 0
+    for _start, columns in blocks:
+        distinct, trial_state = group_states(zip(*columns), key)
+        trials += len(trial_state)
+        blocks_seen += 1
+        calls += len(distinct)
+        widest = max(widest, len(distinct))
+        yield from per_trial_values(trial_value, distinct, trial_state, order)
+    log.info("grouped mean: %d trials in %d blocks, %d distinct states "
+             "(at most %d per block), %d value calls", trials, blocks_seen,
+             calls, widest, calls)
+
+
 def worst_order_value(prepare_trial: Callable[[int], object],
                       trial_value: Callable[[object, Sequence[int]], float],
                       n: int, trials: int,

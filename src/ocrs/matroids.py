@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import FractionalPoint, int_list, iter_bits, read_field
+from .core import FractionalPoint, int_list, iter_bits, json_int, read_field
 
 #: Exhaustive subset enumeration (polytope oracle, axiom audits) is limited
 #: to this many elements.
@@ -559,21 +559,21 @@ def matroid_from_json(obj: dict) -> Matroid:
         return [int_list(v) for v in value]
 
     if kind == "uniform":
-        return UniformMatroid(field("n", int), field("k", int))
+        return UniformMatroid(field("n", json_int), field("k", json_int))
     if kind == "partition":
         return PartitionMatroid(field("blocks", int_lists),
                                 field("capacities", int_list))
     if kind == "graphic":
-        return GraphicMatroid(field("vertices", int),
+        return GraphicMatroid(field("vertices", json_int),
                               field("edges", edge_list))
     if kind == "laminar":
-        return LaminarMatroid(field("n", int), field("sets", int_lists),
+        return LaminarMatroid(field("n", json_int), field("sets", int_lists),
                               field("capacities", int_list))
     if kind == "explicit":
-        return ExplicitMatroid(field("n", int), field("bases", int_lists))
+        return ExplicitMatroid(field("n", json_int), field("bases", int_lists))
     raise ValueError(f"unknown matroid type {kind!r}")
 
 
 def edge_list(value) -> list[tuple[int, int]]:
-    """A JSON list of ``[u, v]`` vertex pairs."""
-    return [(int(u), int(v)) for u, v in value]
+    """A JSON list of ``[u, v]`` vertex pairs of JSON integers."""
+    return [(json_int(u), json_int(v)) for u, v in value]

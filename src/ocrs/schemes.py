@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (FractionalPoint, float_list, iter_bits, iter_submasks,
-                   pack_mask, pack_mask_rows, read_field)
+                   json_int, pack_mask, pack_mask_rows, read_field)
 from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
                        MatroidView, edge_list, in_scaled_matroid_polytope,
                        matroid_from_json)
@@ -540,7 +540,7 @@ class Graph:
 def graph_from_json(obj: dict) -> Graph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise ValueError("graph descriptor needs 'vertices' and 'edges'")
-    return Graph(read_field("vertices", obj["vertices"], int),
+    return Graph(read_field("vertices", obj["vertices"], json_int),
                  read_field("edges", obj["edges"], edge_list))
 
 
@@ -835,9 +835,11 @@ def factory_from_json(kind: str, obj: dict, b: float, eps: float,
         return MatroidChainFactory(matroid_from_json(field("matroid")), b,
                                    eps=eps, exact=exact)
     if kind == "matching":
+        deterministic = obj.get("deterministic", False)
+        if not isinstance(deterministic, bool):
+            raise SchemeError("'deterministic' must be a JSON boolean")
         return MatchingFactory(graph_from_json(field("graph")), b,
-                               deterministic=bool(obj.get("deterministic",
-                                                          False)))
+                               deterministic=deterministic)
     if kind == "knapsack":
         return KnapsackFactory(read_field("sizes", field("sizes"), float_list),
                                b)

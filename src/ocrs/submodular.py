@@ -8,7 +8,6 @@ mode (full 2^n sum) and a sampled mode with confidence half-widths.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,8 +16,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (FractionalPoint, SeedSpec, float_list, int_list,
-                   iter_bits, pack_mask_rows, read_field, trial_columns)
-from .harness import MeanEstimate
+                   iter_bits, json_int, pack_mask_rows, read_field,
+                   trial_columns)
+from .harness import MeanEstimate, grouped_values
 from .matroids import (Matroid, in_scaled_matroid_polytope,
                        max_weight_independent)
 from .optimize import ConstraintSpec, constraint_member, cutting_plane_lp
@@ -153,10 +153,10 @@ def submodular_from_json(obj: dict) -> SubmodularOracle:
                        lambda v: [int_list(s) for s in v]))
     if isinstance(obj, dict) and "arcs" in obj:
         arcs = read_field("arcs", obj["arcs"], lambda v: [
-            (int(a), int(c), float(w)) for a, c, w in v])
+            (json_int(a), json_int(c), float(w)) for a, c, w in v])
         nodes = obj.get("nodes", 1 + max((max(u, v) for u, v, _ in arcs),
                                          default=0))
-        return directed_cut(read_field("nodes", nodes, int), arcs)
+        return directed_cut(read_field("nodes", nodes, json_int), arcs)
     raise ValueError("unrecognized submodular function descriptor")
 
 
@@ -217,20 +217,28 @@ def _ocrs_value_loop(f: SubmodularOracle, factory: GreedyOcrsFactory,
                      half_subsample: bool) -> MeanEstimate:
     n = x.n
     sampler = factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT_OUT))
-    use_order = tuple(range(n))
     segments = [x.values, sampler]
     if half_subsample:
         # coins that keep each selected element with probability one half
         segments.append(np.full(n, 0.5))
+    blocks = trial_columns(seed, _DOMAIN_TRIALS, trials, segments)
+    if not half_subsample:
+        # the monotone mode keeps the whole selection
+        blocks = ((start, [actives, families, [-1] * len(actives)])
+                  for start, (actives, families) in blocks)
 
-    def values():
-        for _start, (actives, families, *coins) in trial_columns(
-                seed, _DOMAIN_TRIALS, trials, segments):
-            kept = coins[0] if coins else itertools.repeat(-1)
-            for a, fam, k in zip(actives, families, kept):
-                yield f.value(run_greedy_mask(fam, use_order, a) & k)
+    def key(state) -> tuple:
+        # the selection is a subset of the active set, so only the coins
+        # inside it matter
+        active, family, kept = state
+        return (active, family.cache_key(), kept & active)
 
-    return MeanEstimate.from_stream(values())
+    def value(state, order: Sequence[int]) -> float:
+        active, family, kept = state
+        return f.value(run_greedy_mask(family, order, active) & kept)
+
+    return MeanEstimate.from_stream(
+        grouped_values(blocks, key, value, tuple(range(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +398,8 @@ def run_submodular_probing(f: SubmodularOracle, p: Sequence[float],
     """Continuous greedy then online probing in index order with the
     default schemes; compares E[f(S)] to the product of the scheme
     constants times F(p o x~)."""
-    from .applications import default_factory, probe  # local: avoids a cycle
+    from .applications import (  # local: avoids a cycle
+        default_factory, probe, probing_state_key)
 
     n = f.n
     if len(p) != n:
@@ -405,24 +414,22 @@ def run_submodular_probing(f: SubmodularOracle, p: Sequence[float],
                                        seed.stream(_DOMAIN_CONSTRUCT_IN))
     outer_sampler = outer_factory.bind(x_tilde,
                                        seed.stream(_DOMAIN_CONSTRUCT_OUT))
-    use_order = tuple(range(n))
     in_member = constraint_member(inner)
     out_member = constraint_member(outer)
 
-    def values():
-        for _start, columns in trial_columns(
-                seed, _DOMAIN_TRIALS, trials,
-                [x_tilde.values, pv, inner_sampler, outer_sampler]):
-            for state in zip(*columns):
-                _probed, selected = probe(use_order, *state, in_member,
-                                          out_member)
-                yield f.value(selected)
+    def value(state, order: Sequence[int]) -> float:
+        _probed, selected = probe(order, *state, in_member, out_member)
+        return f.value(selected)
 
+    blocks = trial_columns(seed, _DOMAIN_TRIALS, trials,
+                           [x_tilde.values, pv, inner_sampler, outer_sampler])
+    estimate = MeanEstimate.from_stream(grouped_values(
+        blocks, probing_state_key, value, tuple(range(n))))
     constant = inner_factory.bound() * outer_factory.bound()
     expr = (f"({inner_factory.bound_expr}) * ({outer_factory.bound_expr})")
     return SubmodularProbingResult(
         x_tilde=x_tilde,
-        estimate=MeanEstimate.from_stream(values()),
+        estimate=estimate,
         multilinear_benchmark=multilinear_exact(f, inner_point),
         scheme_constant=constant,
         bound_expr=expr)

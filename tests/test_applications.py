@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, iter_bits,
-                       uniform_blocks)
+                       num_blocks, uniform_blocks)
 from ocrs.applications import (ProbingInstance, ProphetInstance,
                                brute_force_prophet_opt, deadline_matroid,
                                estimate_competitive_ratio, prepare_probing,
@@ -464,6 +465,109 @@ def test_grouping_then_expanding_gives_per_trial_values(states, order):
     assert (list(per_trial_values(pipeline.value, distinct, trial_state,
                                   order))
             == [pipeline.value(state, order) for state in states])
+
+
+# ---------------------------------------------------------------------------
+# the probing mean loop, one run per distinct state of each trial block
+
+
+def _literal_probing_mean(pipeline, trials, seed, collect):
+    """The mean loop as a literal loop over every trial (the reference the
+    grouped loop must reproduce bit for bit)."""
+    return MeanEstimate.from_stream(
+        (pipeline.value(state, pipeline.order)
+         for state in probing_trial_states(pipeline, trials, seed)), collect)
+
+
+_SIZES = st.sampled_from([0.125, 0.25, 0.3, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def _probing_pipelines(draw):
+    n = draw(st.integers(1, 5))
+
+    def constraint():
+        if draw(st.booleans()):
+            return UniformMatroid(n, draw(st.integers(0, n)))
+        # a knapsack scheme draws a family per trial, so the family must
+        # be part of the key
+        return KnapsackConstraint(tuple(draw(st.lists(_SIZES, min_size=n,
+                                                      max_size=n))))
+
+    inst = ProbingInstance(
+        p=tuple(draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]),
+                              min_size=n, max_size=n))),
+        w=tuple(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.25]),
+                              min_size=n, max_size=n))),
+        inner=constraint(), outer=constraint(),
+        b=draw(st.sampled_from([0.25, 0.5])),
+        # with deadlines the outer family is an intersection
+        deadlines=draw(st.none() | st.lists(st.integers(1, n), min_size=n,
+                                             max_size=n).map(tuple)))
+    return prepare_probing(inst, SeedSpec(draw(st.integers(0, 2 ** 32))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pipeline=_probing_pipelines(), trials=st.integers(1, 3 * TRIAL_BLOCK),
+       seed=st.integers(0, 2 ** 32))
+def test_grouped_probing_mean_matches_per_trial_loop(pipeline, trials, seed):
+    expected_collect, collect = [], []
+    expected = _literal_probing_mean(pipeline, trials, SeedSpec(seed),
+                                     expected_collect)
+    assert (probing_mean_value(pipeline, trials, SeedSpec(seed), collect)
+            == expected)
+    assert collect == expected_collect
+
+
+# probing-u6 of the benchmark at seed 0
+_PROBING_U6 = ProbingInstance(
+    p=(0.55, 0.32, 0.57, 0.33, 0.42, 0.47),
+    w=(3.22, 8.83, 2.77, 7.78, 5.88, 9.68),
+    inner=UniformMatroid(6, 2), outer=UniformMatroid(6, 3), b=0.5)
+
+
+def test_probing_mean_runs_once_per_distinct_state_of_each_block():
+    seed = SeedSpec(0)
+    pipeline = prepare_probing(_PROBING_U6, seed)
+    trials = 300_000
+    calls = 0
+    value = pipeline.value
+
+    def counting(state, order):
+        nonlocal calls
+        calls += 1
+        return value(state, order)
+
+    pipeline.value = counting
+    probing_mean_value(pipeline, trials, seed)
+    states = probing_trial_states(pipeline, trials, seed)
+    per_block = [len(group_states(itertools.islice(states, TRIAL_BLOCK),
+                                  probing_state_key)[0])
+                 for _ in range(num_blocks(trials))]
+    assert per_block == [27] * 37
+    assert calls == sum(per_block) == 999
+
+
+def _probing_peak_bytes(pipeline, trials: int) -> int:
+    tracemalloc.start()
+    try:
+        probing_mean_value(pipeline, trials, SEED)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_probing_mean_memory_bounded_by_block_not_trials():
+    """Grouping holds one block's states at a time, so quadrupling the
+    trial count barely moves the peak."""
+    inst = ProbingInstance(p=(0.9, 0.6, 0.8, 0.5), w=(3.0, 2.0, 10.0, 2.5),
+                           inner=UniformMatroid(4, 2),
+                           outer=KnapsackConstraint((0.5, 0.25, 0.6, 0.3)),
+                           b=0.5)
+    pipeline = prepare_probing(inst, SEED)
+    growth = (_probing_peak_bytes(pipeline, 65_536)
+              - _probing_peak_bytes(pipeline, 16_384))
+    assert growth < 2 ** 20, growth
 
 
 # ---------------------------------------------------------------------------

@@ -356,13 +356,39 @@ _MATROID = ["--scheme", "matroid"]
      "'covers'"),
     ("submodular", {"f": {"arcs": None}, "matroid": _U3}, [], "'arcs'"),
     ("submodular", {"f": _COVER3, "matroid": _U3, "b": None}, [], "'b'"),
+    ("verify-selectability",
+     {"graph": {"vertices": 2, "edges": [[0, 1]]}, "deterministic": "false"},
+     ["--scheme", "matching"], "'deterministic'"),
+    ("verify-selectability",
+     {"matroid": {"type": "uniform", "n": 2.5, "k": 1}}, _MATROID, "'n'"),
+    ("verify-selectability",
+     {"matroid": {"type": "uniform", "n": 2, "k": True}}, _MATROID, "'k'"),
+    ("verify-selectability",
+     {"matroid": {"type": "uniform", "n": "2", "k": 1}}, _MATROID, "'n'"),
+    ("verify-selectability",
+     {"matroid": {"type": "partition", "blocks": [[0, 1.0]],
+                  "capacities": [1]}}, _MATROID, "'blocks'"),
+    ("verify-selectability",
+     {"graph": {"vertices": 3, "edges": [[0, True], [1, 2]]}},
+     ["--scheme", "matching"], "'edges'"),
+    ("probing-deadlines", dict(_PROBING3, deadlines=[1, "2", 3]), [],
+     "'deadlines'"),
+    ("submodular", {"f": dict(_COVER3, covers=[[0], [1.0], [0, 1]]),
+                    "matroid": _U3}, [], "'covers'"),
+    ("submodular", {"f": {"arcs": [[0, True, 1.0]]}, "matroid": _U2}, [],
+     "'arcs'"),
+    ("prophet", dict(_PROPHET2, order=["0", "1"]), [], "'order'"),
 ], ids=["uniform-n-null", "graph-vertices-null", "knapsack-sizes-null",
         "probing-inner-sizes-null", "probing-p-number", "prophet-dists-null",
         "laminar-sets-string", "explicit-bases-null", "prophet-order-floats",
         "prophet-order-booleans", "prophet-order-number", "prophet-order-null",
         "prophet-dists-short", "probing-p-short", "submodular-f-vs-matroid",
         "submodular-f-vs-inner", "submodular-p-short", "coverage-covers-null",
-        "cut-arcs-null", "submodular-b-null"])
+        "cut-arcs-null", "submodular-b-null", "matching-deterministic-string",
+        "uniform-n-float", "uniform-k-boolean", "uniform-n-string",
+        "partition-blocks-float", "graph-edges-boolean",
+        "deadlines-string", "coverage-covers-float", "cut-arcs-boolean",
+        "prophet-order-strings"])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(
         tmp_path, capsys, command, instance, extra, field):
     _assert_input_error_names(tmp_path, capsys, command, instance, extra,
@@ -511,6 +537,25 @@ def test_golden_selectability_reports(tmp_path, name, scheme, b, workers):
         assert out.read_bytes() == fh.read()
 
 
+def test_info_log_does_not_depend_on_workers():
+    """Every worker binds the chain, but only the first block range logs
+    it, so the INFO log reads the same at any --workers."""
+    env = {k: v for k, v in os.environ.items() if k != "OCRS_LOG"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ocrs.__file__))
+    env["OCRS_LOG"] = "INFO"
+    err = []
+    for workers in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-m", "ocrs.cli", "verify-selectability",
+             os.path.join(GOLDEN, "theta7.json"), "--scheme", "matroid",
+             "--b", "0.75", "--trials", "30000", "--seed", "3",
+             "--workers", workers], env=env, capture_output=True, text=True)
+        assert run.returncode == 0
+        err.append(run.stderr)
+    assert err[0].count("INFO ocrs.schemes: chain:") == 1
+    assert err[1] == err[0]
+
+
 @pytest.mark.parametrize("command,name", [
     ("probing", "probing6"),
     ("probing-deadlines", "deadlines4"),
@@ -533,14 +578,16 @@ def test_golden_probing_reports(tmp_path, capsys, command, name):
 @pytest.mark.parametrize("command,name", [
     ("submodular", "submodular-probing5"),
     ("submodular", "submodular-graphic6"),
+    ("submodular", "submodular-cut6"),
     ("validate-matroid", "validate-graphic7"),
 ])
 def test_golden_submodular_and_validate_reports(tmp_path, capsys, command,
                                                 name):
     """Reports of submodular probing with a graphic outer matroid (the
     direction LPs and the chain read one rank table), monotone submodular
-    OCRS on graphic K4 and the audit of K4 plus a parallel edge stay byte
-    for byte what they were when recorded."""
+    OCRS and the half-subsample mode of a directed cut on graphic K4, and
+    the audit of K4 plus a parallel edge stay byte for byte what they were
+    when recorded."""
     out = tmp_path / "report.json"
     extra = ([] if command == "validate-matroid"
              else ["--trials", "3000", "--seed", "3"])

@@ -13,6 +13,7 @@ import pytest
 from ocrs.core import FractionalPoint, SeedSpec, iter_bits
 from ocrs.harness import (MeanEstimate, brute_force_selectability,
                           ci_halfwidth, estimate_selectability, group_states,
+                          grouped_values,
                           knapsack_deterministic_impossibility,
                           selectability_counts, worst_order_value)
 from ocrs.matroids import GraphicMatroid, UniformMatroid
@@ -276,6 +277,25 @@ def test_grouped_search_equals_per_trial_search(caplog):
     assert grouped == plain
     assert ("worst-order search (exhaustive): 3000 trials, 8 distinct "
             "states, 6 orders evaluated, 48 value calls") in caplog.text
+
+
+def test_grouped_values_run_once_per_state_of_each_block(caplog):
+    """Values come out in trial order; a state repeated across blocks runs
+    once in each block, since each block is grouped on its own."""
+    blocks = [(0, [[1, 2, 1, 2], ["a", "b", "a", "a"]]),
+              (4, [[1, 1], ["a", "a"]])]
+    calls = []
+
+    def value(state, order):
+        calls.append(state)
+        return state[0] * 10.0 + order[0]
+
+    with caplog.at_level(logging.INFO, logger="ocrs.harness"):
+        values = list(grouped_values(iter(blocks), lambda s: s, value, (3,)))
+    assert values == [13.0, 23.0, 13.0, 23.0, 13.0, 13.0]
+    assert calls == [(1, "a"), (2, "b"), (2, "a"), (1, "a")]
+    assert ("grouped mean: 6 trials in 2 blocks, 4 distinct states (at most "
+            "3 per block), 4 value calls") in caplog.text
 
 
 def test_mean_estimate_moments():

@@ -5,14 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ocrs.core import FractionalPoint, SeedSpec
-from ocrs.applications import ProbingInstance, prepare_probing, probing_mean_value
-from ocrs.harness import brute_force_selectability
+from ocrs.core import TRIAL_BLOCK, FractionalPoint, SeedSpec, trial_columns
+from ocrs.applications import (ProbingInstance, default_factory,
+                               prepare_probing, probe, probing_mean_value)
+from ocrs.harness import MeanEstimate, brute_force_selectability
 from ocrs.matroids import (GraphicMatroid, UniformMatroid,
                            random_point_in_polytope)
-from ocrs.schemes import MatroidChainFactory, run_greedy_mask
-from ocrs.submodular import (SubmodularOracle, _assert_scaled_membership,
+from ocrs.optimize import KnapsackConstraint, constraint_member
+from ocrs.schemes import KnapsackFactory, MatroidChainFactory, run_greedy_mask
+from ocrs.submodular import (_DOMAIN_CONSTRUCT_IN, _DOMAIN_CONSTRUCT_OUT,
+                             _DOMAIN_TRIALS, SubmodularOracle,
+                             _assert_scaled_membership,
                              continuous_greedy, continuous_greedy_probing,
                              coverage_function,
                              directed_cut, half_subsample_value,
@@ -219,6 +224,70 @@ def test_half_subsample_cut_bound():
     assert est.mean + 3 * est.halfwidth >= target
 
 
+_WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+
+
+@st.composite
+def _value_loops(draw):
+    """An objective, a scheme factory and a point in its b * P."""
+    n = draw(st.integers(1, 5))
+    b = draw(st.sampled_from([0.25, 0.5]))
+    if draw(st.booleans()):
+        factory = MatroidChainFactory(UniformMatroid(n, draw(st.integers(1, n))),
+                                      b)
+    else:
+        # a knapsack scheme draws a family per trial, so the family must be
+        # part of the key
+        factory = KnapsackFactory(draw(st.lists(
+            st.sampled_from([0.125, 0.25, 0.3, 0.6, 1.0]), min_size=n,
+            max_size=n)), b)
+    if draw(st.booleans()):
+        f = coverage_function(
+            draw(st.lists(_WEIGHTS, min_size=3, max_size=3)),
+            draw(st.lists(st.lists(st.integers(0, 2), max_size=3),
+                          min_size=n, max_size=n)))
+    else:
+        f = directed_cut(n, draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1), _WEIGHTS),
+            max_size=6)))
+    raw = FractionalPoint(draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+                                        min_size=n, max_size=n)))
+    load = factory.load(raw)
+    scale = b / load * (1 - 1e-12) if load > b else 1.0
+    return f, factory, FractionalPoint(raw.values * scale)
+
+
+def _literal_ocrs_value(f, factory, x, trials, seed, half_subsample):
+    """The OCRS value loop as a literal loop over every trial (the
+    reference the grouped loop must reproduce bit for bit)."""
+    sampler = factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT_OUT))
+    segments = [x.values, sampler]
+    if half_subsample:
+        segments.append(np.full(x.n, 0.5))
+    order = tuple(range(x.n))
+    values = []
+    for _start, (actives, families, *coins) in trial_columns(
+            seed, _DOMAIN_TRIALS, trials, segments):
+        kept = coins[0] if coins else [-1] * len(actives)
+        for a, fam, k in zip(actives, families, kept):
+            values.append(f.value(run_greedy_mask(fam, order, a) & k))
+    return MeanEstimate.from_stream(values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(loop=_value_loops(), trials=st.integers(1, 3 * TRIAL_BLOCK),
+       seed=st.integers(0, 2 ** 32), half_subsample=st.booleans())
+def test_grouped_ocrs_value_loops_match_per_trial_loop(loop, trials, seed,
+                                                       half_subsample):
+    f, factory, x = loop
+    seed = SeedSpec(seed)
+    # the monotone mode takes monotone objectives only
+    half_subsample = half_subsample or not f.monotone
+    run = half_subsample_value if half_subsample else ocrs_submodular_value
+    assert run(f, factory, x, trials, seed) == _literal_ocrs_value(
+        f, factory, x, trials, seed, half_subsample)
+
+
 # ---------------------------------------------------------------------------
 # continuous greedy
 
@@ -330,8 +399,6 @@ def test_continuous_greedy_sampled_gradients():
 
 
 def test_submodular_probing_with_knapsack_inner():
-    from ocrs.optimize import KnapsackConstraint
-
     f = coverage_function([1.0, 2.0, 1.0], [[0], [1], [2]])
     res = run_submodular_probing(f, [0.9, 0.8, 0.7],
                                  KnapsackConstraint((0.5, 0.5, 0.25)),
@@ -340,6 +407,61 @@ def test_submodular_probing_with_knapsack_inner():
             >= res.target - 1e-15)
     # the inner scheme constant is the knapsack one
     assert res.bound_expr.startswith("((1-2b)/(2-2b))")
+
+
+def _literal_submodular_probing(f, p, inner, outer, b, trials, seed,
+                                x_tilde):
+    """The submodular probing loop as a literal loop over every trial,
+    from the pipeline's own point and scheme streams."""
+    pv = np.asarray(p, dtype=float)
+    inner_sampler = default_factory(inner, b).bind(
+        FractionalPoint(pv * x_tilde.values),
+        seed.stream(_DOMAIN_CONSTRUCT_IN))
+    outer_sampler = default_factory(outer, b).bind(
+        x_tilde, seed.stream(_DOMAIN_CONSTRUCT_OUT))
+    in_member, out_member = constraint_member(inner), constraint_member(outer)
+    order = tuple(range(f.n))
+    values = []
+    for _start, columns in trial_columns(
+            seed, _DOMAIN_TRIALS, trials,
+            [x_tilde.values, pv, inner_sampler, outer_sampler]):
+        for state in zip(*columns):
+            _probed, selected = probe(order, *state, in_member, out_member)
+            values.append(f.value(selected))
+    return MeanEstimate.from_stream(values)
+
+
+@st.composite
+def _submodular_probing_instances(draw):
+    n = draw(st.integers(1, 4))
+
+    def constraint():
+        if draw(st.booleans()):
+            return UniformMatroid(n, draw(st.integers(1, n)))
+        return KnapsackConstraint(tuple(draw(st.lists(
+            st.sampled_from([0.25, 0.3, 0.6, 1.0]), min_size=n,
+            max_size=n))))
+
+    f = coverage_function(
+        draw(st.lists(_WEIGHTS, min_size=3, max_size=3)),
+        draw(st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=n,
+                      max_size=n)))
+    p = draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]),
+                      min_size=n, max_size=n))
+    return f, p, constraint(), constraint(), draw(st.sampled_from([0.25,
+                                                                   0.5]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(instance=_submodular_probing_instances(),
+       trials=st.integers(1, 3 * TRIAL_BLOCK), seed=st.integers(0, 2 ** 32))
+def test_grouped_submodular_probing_matches_per_trial_loop(instance, trials,
+                                                           seed):
+    f, p, inner, outer, b = instance
+    seed = SeedSpec(seed)
+    res = run_submodular_probing(f, p, inner, outer, b, trials, seed)
+    assert res.estimate == _literal_submodular_probing(
+        f, p, inner, outer, b, trials, seed, res.x_tilde)
 
 
 @pytest.mark.parametrize("n", [13, 14])
