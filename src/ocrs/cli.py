@@ -9,15 +9,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
 import os
 import sys
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from .applications import (ProbingInstance, ProphetInstance,
                            brute_force_prophet_opt, estimate_competitive_ratio,
@@ -26,7 +29,7 @@ from .applications import (ProbingInstance, ProphetInstance,
                            prophet_value_under_order, prophet_worst_order)
 from .core import (FractionalPoint, SeedSpec, float_list, int_list,
                    num_blocks, read_field)
-from .harness import (knapsack_deterministic_impossibility,
+from .harness import (MeanEstimate, knapsack_deterministic_impossibility,
                       report_from_counts, selectability_counts)
 from .matroids import (check_matroid_axioms, in_scaled_matroid_polytope,
                        matroid_from_json, random_point_in_polytope)
@@ -89,6 +92,13 @@ def _write_json(path: Optional[str], payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _check_finite(estimate: MeanEstimate, field: str, path: str) -> None:
+    """Before any output: an overflowing mean or half-width names its field."""
+    if not np.isfinite([estimate.mean, estimate.halfwidth]).all():
+        raise InstanceError(f"'{field}' in {path} is too large: the mean or "
+                            f"the half-width of the trial values overflows")
+
+
 def _write_values_csv(path: str, values) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -130,20 +140,9 @@ def _default_point(instance: dict, path: str, factory: GreedyOcrsFactory,
     return _fit_point_to_factory(raw, factory)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(scheme: str, instance: dict, b: float, eps: float,
-                 exact: Optional[bool], x_values: list, trials: int,
-                 master_seed: int) -> None:
-    factory = factory_from_json(scheme, instance, b, eps, exact)
-    _WORKER_STATE["factory"] = factory
-    _WORKER_STATE["x"] = FractionalPoint(x_values)
-    _WORKER_STATE["trials"] = trials
-    _WORKER_STATE["seed"] = SeedSpec(master_seed)
-
-
-def _worker_counts(block_range: tuple[int, int]) -> dict[int, int]:
+def _count_range(factory: GreedyOcrsFactory, x: FractionalPoint,
+                 trials: int, seed: SeedSpec,
+                 block_range: tuple[int, int]) -> np.ndarray:
     # every range binds the same sampler; only the range that starts at
     # block 0 logs the bind, so the log does not depend on --workers
     schemes_log = logging.getLogger("ocrs.schemes")
@@ -151,13 +150,10 @@ def _worker_counts(block_range: tuple[int, int]) -> dict[int, int]:
     if block_range[0] != 0:
         schemes_log.setLevel(logging.CRITICAL + 1)
     try:
-        counts = selectability_counts(
-            _WORKER_STATE["factory"], _WORKER_STATE["x"],
-            _WORKER_STATE["trials"], _WORKER_STATE["seed"],
-            block_range=block_range)
+        return selectability_counts(factory, x, trials, seed,
+                                    block_range=block_range)
     finally:
         schemes_log.setLevel(level)
-    return dict(counts)
 
 
 def cmd_verify_selectability(args) -> int:
@@ -168,31 +164,27 @@ def cmd_verify_selectability(args) -> int:
                                     args.exact)
     except ValueError as exc:
         raise InstanceError(f"bad instance {args.instance}: {exc}") from exc
-    n = factory.n
     x = _default_point(instance, args.instance, factory, seed)
     log.info("scheme=%s b=%s bound=%s (%s) trials=%d seed=%d", args.scheme,
              args.b, factory.bound(), factory.bound_expr, args.trials,
              args.seed)
     blocks = num_blocks(args.trials)
-    if args.workers > 1 and blocks > 1:
-        workers = min(args.workers, blocks)
-        bounds = [(i * blocks // workers, (i + 1) * blocks // workers)
+    workers = min(args.workers, blocks)
+    count = functools.partial(_count_range, factory, x, args.trials, seed)
+    if workers > 1:
+        ranges = [(i * blocks // workers, (i + 1) * blocks // workers)
                   for i in range(workers)]
-        counts: Counter[int] = Counter()
         try:
-            with ProcessPoolExecutor(
-                    max_workers=workers, initializer=_worker_init,
-                    initargs=(args.scheme, instance, args.b, args.eps,
-                              args.exact, x.values.tolist(), args.trials,
-                              args.seed)) as pool:
-                for partial in pool.map(_worker_counts, bounds):
-                    counts.update(partial)
-        except Exception as exc:  # pragma: no cover - environment dependent
-            log.warning("parallel run failed (%s); falling back to serial", exc)
-            counts = selectability_counts(factory, x, args.trials, seed)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                counts = sum(pool.map(count, ranges))
+        except (OSError, NotImplementedError, BrokenProcessPool) as exc:
+            # only a pool that cannot run falls back; run errors propagate
+            log.warning("parallel run failed (%s); falling back to serial",
+                        exc)
+            counts = count((0, blocks))
     else:
-        counts = selectability_counts(factory, x, args.trials, seed)
-    report = report_from_counts(counts, args.trials, factory, n, seed,
+        counts = count((0, blocks))
+    report = report_from_counts(counts, args.trials, factory, seed,
                                 scheme=args.scheme)
     payload = report.to_json_dict()
     payload["x"] = x.values.tolist()
@@ -270,6 +262,7 @@ def cmd_prophet(args) -> int:
         states = prophet_trial_states(pipeline, args.trials, seed)
         estimate = prophet_value_under_order(pipeline, states, order,
                                              collect=collect)
+    _check_finite(estimate, "dists", args.instance)
     report = estimate_competitive_ratio(estimate, benchmark, bound, bound_expr)
     payload = {
         "relaxation_value": pipeline.relaxation_value,
@@ -319,11 +312,12 @@ def _run_probing_command(args, need_deadlines: bool) -> int:
     pipeline = prepare_probing(instance, seed)
     log.info("probing: b=%s bound=%s (%s) trials=%d seed=%d", instance.b,
              pipeline.bound, pipeline.bound_expr, args.trials, args.seed)
+    collect: Optional[list] = [] if args.out_csv else None
+    estimate = probing_mean_value(pipeline, args.trials, seed, collect=collect)
+    _check_finite(estimate, "w", args.instance)
     if args.dump_lp:
         with open(args.dump_lp, "w") as fh:
             fh.write(pipeline.lp.dump() + "\n")
-    collect: Optional[list] = [] if args.out_csv else None
-    estimate = probing_mean_value(pipeline, args.trials, seed, collect=collect)
     report = estimate_competitive_ratio(estimate, pipeline.lp.value,
                                         pipeline.bound, pipeline.bound_expr)
     payload = {
@@ -372,6 +366,7 @@ def cmd_submodular(args) -> int:
         _check_ground_size(f, {"inner": inner, "outer": outer}, args.instance)
         result = run_submodular_probing(f, p, inner, outer, b, args.trials,
                                         seed)
+        _check_finite(result.estimate, "f", args.instance)
         ok = (result.estimate.mean + 3 * result.estimate.halfwidth
               >= result.target - 1e-15)
         payload = {
@@ -405,6 +400,7 @@ def cmd_submodular(args) -> int:
         estimate = half_subsample_value(f, factory, x, args.trials, seed)
         constant = factory.bound() / 4.0
         mode = "half-subsample"
+    _check_finite(estimate, "f", args.instance)
     benchmark = constant * multilinear_exact(f, x)
     ok = estimate.mean + 3 * estimate.halfwidth >= benchmark - 1e-15
     payload = {

@@ -171,6 +171,9 @@ class FractionalPoint:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("FractionalPoint is immutable")
 
+    def __reduce__(self):  # the guard above blocks the default restore
+        return FractionalPoint, (self.values,)
+
     @property
     def n(self) -> int:
         return int(self.values.size)

@@ -12,7 +12,6 @@ import csv
 import itertools
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (Callable, Hashable, Iterable, Iterator, Optional,
@@ -34,9 +33,9 @@ _DOMAIN_CONSTRUCT = 0
 _DOMAIN_TRIALS = 1
 
 
-def ci_halfwidth(p_hat: float, trials: int) -> float:
-    """Two-sided 99% normal-approximation half-width."""
-    return Z_99 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
+def ci_halfwidth(p_hat, trials: int):
+    """Two-sided 99% normal-approximation half-width; elementwise on arrays."""
+    return Z_99 * np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / trials)
 
 
 @dataclass(frozen=True)
@@ -140,31 +139,30 @@ class SelectabilityReport:
 def selectability_counts(factory: GreedyOcrsFactory, x: FractionalPoint,
                          trials: int, seed: SeedSpec,
                          block_range: Optional[tuple[int, int]] = None
-                         ) -> Counter:
-    """Counts of selectable-element bitmasks over a range of trial blocks.
+                         ) -> np.ndarray:
+    """Per element, the number of trials in a range of trial blocks in which
+    it is selectable: an int64 array of length n.
 
     The counts for disjoint block ranges sum to the full-range counts, so
     workers can split ranges without changing the reduced result.
     """
     sampler = factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT))
-    counts: Counter[int] = Counter()
+    bits = 1 << np.arange(x.n, dtype=np.int64)
+    counts = np.zeros(x.n, dtype=np.int64)
     for _start, (actives, families) in trial_columns(
             seed, _DOMAIN_TRIALS, trials, [x.values, sampler], block_range):
-        counts.update(fam.selectable_mask(a)
-                      for a, fam in zip(actives, families))
+        masks = np.array([fam.selectable_mask(a)
+                          for a, fam in zip(actives, families)], np.int64)
+        counts += [np.count_nonzero(masks & bit) for bit in bits]
     return counts
 
 
-def report_from_counts(counts: Counter, trials: int,
-                       factory: GreedyOcrsFactory, n: int,
-                       seed: SeedSpec, scheme: str = "") -> SelectabilityReport:
-    freq = np.zeros(n)
-    for mask, c in counts.items():
-        for e in iter_bits(mask):
-            freq[e] += c
-    estimates = freq / trials
-    halfwidths = np.array([ci_halfwidth(p, trials) for p in estimates])
-    return SelectabilityReport(estimates=estimates, halfwidths=halfwidths,
+def report_from_counts(counts: np.ndarray, trials: int,
+                       factory: GreedyOcrsFactory, seed: SeedSpec,
+                       scheme: str = "") -> SelectabilityReport:
+    estimates = counts / trials
+    return SelectabilityReport(estimates=estimates,
+                               halfwidths=ci_halfwidth(estimates, trials),
                                trials=trials, bound=factory.bound(),
                                bound_expr=factory.bound_expr,
                                construction_slack=factory.construction_slack,
@@ -184,7 +182,7 @@ def estimate_selectability(factory: GreedyOcrsFactory, x: FractionalPoint,
     if trials < 1:
         raise ValueError("at least one trial required")
     counts = selectability_counts(factory, x, trials, seed)
-    return report_from_counts(counts, trials, factory, x.n, seed, scheme)
+    return report_from_counts(counts, trials, factory, seed, scheme)
 
 
 def _quantifier_selectable(family: FeasibleFamily, active_mask: int,

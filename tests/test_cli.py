@@ -1,14 +1,18 @@
 """End-to-end CLI behavior: exit codes, reports, determinism, workers."""
 
+import functools
 import json
 import logging
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import ocrs
+from ocrs import cli
 from ocrs.applications import (ProphetInstance, prepare_prophet,
                                prophet_worst_order)
 from ocrs.cli import main
@@ -378,6 +382,16 @@ _MATROID = ["--scheme", "matroid"]
     ("submodular", {"f": {"arcs": [[0, True, 1.0]]}, "matroid": _U2}, [],
      "'arcs'"),
     ("prophet", dict(_PROPHET2, order=["0", "1"]), [], "'order'"),
+    ("probing", dict(_PROBING3, w=[1e200, 1e200, 1.0]), [], "'w'"),
+    ("prophet", dict(_PROPHET2, dists=[{"support": [0.0, 1e200],
+                                        "probs": [0.5, 0.5]}] * 2), [],
+     "'dists'"),
+    ("submodular", {"f": dict(_COVER3, universe_weights=[1e200, 1e200]),
+                    "matroid": _U3}, [], "'f'"),
+    ("submodular", {"f": {"arcs": [[0, 1, 1e200], [1, 2, 1e200]]},
+                    "matroid": _U3}, [], "'f'"),
+    ("submodular", {"f": dict(_COVER3, universe_weights=[1e200, 1e200]),
+                    "p": [0.5] * 3, "inner": _U3, "outer": _U3}, [], "'f'"),
 ], ids=["uniform-n-null", "graph-vertices-null", "knapsack-sizes-null",
         "probing-inner-sizes-null", "probing-p-number", "prophet-dists-null",
         "laminar-sets-string", "explicit-bases-null", "prophet-order-floats",
@@ -388,7 +402,9 @@ _MATROID = ["--scheme", "matroid"]
         "uniform-n-float", "uniform-k-boolean", "uniform-n-string",
         "partition-blocks-float", "graph-edges-boolean",
         "deadlines-string", "coverage-covers-float", "cut-arcs-boolean",
-        "prophet-order-strings"])
+        "prophet-order-strings", "probing-w-overflows",
+        "prophet-support-overflows", "coverage-weights-overflow",
+        "cut-arc-weights-overflow", "submodular-probing-weights-overflow"])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(
         tmp_path, capsys, command, instance, extra, field):
     _assert_input_error_names(tmp_path, capsys, command, instance, extra,
@@ -517,13 +533,14 @@ def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command,
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
+_GOLDEN_SELECTABILITY = [("knapsack", "knapsack", "0.25"),
+                         ("intersect3", "intersect", "0.25"),
+                         ("matching-det", "matching", "0.4"),
+                         ("theta7", "matroid", "0.75")]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name,scheme,b", [
-    ("knapsack", "knapsack", "0.25"),
-    ("intersect3", "intersect", "0.25"),
-    ("matching-det", "matching", "0.4"),
-    ("theta7", "matroid", "0.75"),
-])
+@pytest.mark.parametrize("name,scheme,b", _GOLDEN_SELECTABILITY)
 def test_golden_selectability_reports(tmp_path, name, scheme, b, workers):
     """Reports on fixed knapsack, three-part intersect, deterministic
     matching and three-level matroid chain (theta graph with seven paths)
@@ -537,23 +554,79 @@ def test_golden_selectability_reports(tmp_path, name, scheme, b, workers):
         assert out.read_bytes() == fh.read()
 
 
+def _selectability_stderr(workers: str, *args: str,
+                          log_level: str = "WARNING") -> tuple[int, str]:
+    """Exit code and stderr of a `verify-selectability` subprocess."""
+    env = dict(os.environ, OCRS_LOG=log_level)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ocrs.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "ocrs.cli", "verify-selectability", *args,
+         "--trials", "30000", "--seed", "3", "--workers", workers],
+        env=env, capture_output=True, text=True)
+    return run.returncode, run.stderr
+
+
 def test_info_log_does_not_depend_on_workers():
     """Every worker binds the chain, but only the first block range logs
     it, so the INFO log reads the same at any --workers."""
-    env = {k: v for k, v in os.environ.items() if k != "OCRS_LOG"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ocrs.__file__))
-    env["OCRS_LOG"] = "INFO"
-    err = []
-    for workers in ("1", "2"):
-        run = subprocess.run(
-            [sys.executable, "-m", "ocrs.cli", "verify-selectability",
-             os.path.join(GOLDEN, "theta7.json"), "--scheme", "matroid",
-             "--b", "0.75", "--trials", "30000", "--seed", "3",
-             "--workers", workers], env=env, capture_output=True, text=True)
-        assert run.returncode == 0
-        err.append(run.stderr)
-    assert err[0].count("INFO ocrs.schemes: chain:") == 1
-    assert err[1] == err[0]
+    args = (os.path.join(GOLDEN, "theta7.json"), "--scheme", "matroid",
+            "--b", "0.75")
+    code, err = _selectability_stderr("1", *args, log_level="INFO")
+    assert code == 0
+    assert err.count("INFO ocrs.schemes: chain:") == 1
+    assert _selectability_stderr("2", *args, log_level="INFO") == (code, err)
+
+
+def test_worker_error_reads_as_the_serial_one():
+    """theta7's default point is outside 0.5 * P: a worker's ValueError
+    exits 2 once, with the stderr of a serial run and no serial retry."""
+    args = (os.path.join(GOLDEN, "theta7.json"), "--scheme", "matroid",
+            "--b", "0.5")
+    serial = _selectability_stderr("1", *args)
+    assert serial[0] == 2 and serial[1].startswith("input error: ")
+    assert _selectability_stderr("2", *args) == serial
+
+
+def _golden_selectability_at_two_workers(tmp_path, name, scheme, b):
+    out = tmp_path / "report.json"
+    code = main(["verify-selectability", os.path.join(GOLDEN, f"{name}.json"),
+                 "--scheme", scheme, "--b", b, "--trials", "30000",
+                 "--seed", "3", "--workers", "2", "--out-json", str(out)])
+    with open(os.path.join(GOLDEN, f"{name}.report.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+    return code
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise OSError("cannot start worker processes")
+
+
+def test_pool_that_cannot_start_falls_back_to_serial(tmp_path, monkeypatch,
+                                                     caplog):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
+    with caplog.at_level(logging.WARNING, logger="ocrs"):
+        assert _golden_selectability_at_two_workers(
+            tmp_path, *_GOLDEN_SELECTABILITY[0]) == 0
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert [r.getMessage() for r in warnings] == [
+        "parallel run failed (cannot start worker processes); falling back "
+        "to serial"]
+
+
+@pytest.mark.parametrize("name,scheme,b", _GOLDEN_SELECTABILITY)
+def test_spawned_workers_get_the_built_factory(tmp_path, monkeypatch, capfd,
+                                               caplog, name, scheme, b):
+    """Workers started by spawn inherit no state from the parent: the
+    factory and the point reach them by pickle, and the reports stay the
+    golden ones with nothing logged at the default level."""
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=spawn))
+    assert _golden_selectability_at_two_workers(tmp_path, name, scheme,
+                                                b) == 0
+    assert capfd.readouterr().err == ""
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 @pytest.mark.parametrize("command,name", [

@@ -1,6 +1,8 @@
 """Activation sampling, the trial decoder, stream derivation, and bitmasks."""
 
+import copy
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -41,6 +43,15 @@ def test_fractional_point_validation():
             FractionalPoint([0.5, bad])
     with pytest.raises(AttributeError):
         x.values = None
+
+
+def test_fractional_point_copies_and_pickles():
+    x = FractionalPoint([0.0, 0.25, 1.0])
+    for clone in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+        assert isinstance(clone, FractionalPoint)
+        assert np.array_equal(clone.values, x.values)
+        assert not clone.values.flags.writeable
 
 
 def test_scale_point():

@@ -9,9 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ocrs.core import FractionalPoint, SeedSpec, iter_bits
-from ocrs.harness import (MeanEstimate, brute_force_selectability,
+from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, iter_bits,
+                       num_blocks, trial_columns)
+from ocrs.harness import (_DOMAIN_CONSTRUCT, _DOMAIN_TRIALS, MeanEstimate,
+                          brute_force_selectability,
                           ci_halfwidth, estimate_selectability, group_states,
                           grouped_values,
                           knapsack_deterministic_impossibility,
@@ -52,8 +56,7 @@ def test_report_invariants_and_csv(tmp_path):
                                  SEED, scheme="matroid")
     for e in range(2):
         p = rep.estimates[e]
-        assert rep.halfwidths[e] == pytest.approx(
-            2.576 * math.sqrt(p * (1 - p) / 5000))
+        assert rep.halfwidths[e] == 2.576 * math.sqrt(p * (1 - p) / 5000)
         assert rep.passes[e] == (p + rep.halfwidths[e]
                                  + rep.construction_slack >= rep.bound - 1e-15)
     out = tmp_path / "report.csv"
@@ -72,9 +75,56 @@ def test_counts_block_ranges_merge():
     full = selectability_counts(fac, x, trials, SEED)
     lo = selectability_counts(fac, x, trials, SEED, block_range=(0, 1))
     hi = selectability_counts(fac, x, trials, SEED, block_range=(1, None))
-    merged = Counter(lo)
-    merged.update(hi)
-    assert merged == full
+    assert full.dtype == np.int64 and full.shape == (3,)
+    assert np.array_equal(lo + hi, full)
+
+
+def _oracle_counts(factory, x, trials, seed, block_range):
+    """The per-trial loop: the bits of every trial's selectable mask,
+    summed trial by trial."""
+    sampler = factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT))
+    counts = np.zeros(x.n, dtype=np.int64)
+    for _start, (actives, families) in trial_columns(
+            seed, _DOMAIN_TRIALS, trials, [x.values, sampler], block_range):
+        for active, family in zip(actives, families):
+            for e in iter_bits(family.selectable_mask(active)):
+                counts[e] += 1
+    return counts
+
+
+_GRAPH4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+_COUNT_FACTORIES = [
+    MatroidChainFactory(GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3),
+                                           (0, 3)]), 0.5),
+    MatchingFactory(_GRAPH4, 0.5),
+    KnapsackFactory([0.7, 0.4, 0.3, 0.6, 0.2], 0.25),
+    IntersectionFactory([MatroidChainFactory(UniformMatroid(5, 2), 0.25),
+                         MatchingFactory(_GRAPH4, 0.25),
+                         KnapsackFactory([0.6, 0.4, 0.3, 0.5, 0.2], 0.25)]),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.integers(0, len(_COUNT_FACTORIES) - 1),
+       raw=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+       trials=st.integers(1, 3 * TRIAL_BLOCK),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_counts_equal_per_trial_loop(which, raw, trials, seed, data):
+    """Per-element counts of any block range are the per-trial sums of the
+    selectable masks' bits, on all four schemes."""
+    factory = _COUNT_FACTORIES[which]
+    x = FractionalPoint(raw)
+    load = factory.load(x)
+    if load > factory.b:
+        x = FractionalPoint(x.values * (factory.b / load * (1 - 1e-12)))
+    blocks = num_blocks(trials)
+    lo = data.draw(st.integers(0, blocks))
+    block_range = data.draw(st.sampled_from(
+        [None, (lo, data.draw(st.integers(lo, blocks)))]))
+    spec = SeedSpec(seed)
+    assert np.array_equal(
+        selectability_counts(factory, x, trials, spec, block_range),
+        _oracle_counts(factory, x, trials, spec, block_range))
 
 
 def _counts_peak_bytes(factory, x, trials: int) -> int:
@@ -89,14 +139,15 @@ def _counts_peak_bytes(factory, x, trials: int) -> int:
 def test_counts_memory_bounded_by_instance_not_trials():
     """Random matching families on K10: a trial that draws a new (K, active)
     state must not leave memory behind, so quadrupling the trial count
-    barely moves the peak."""
+    leaves the peak where it was (a count per distinct selectable mask
+    grew it by about 1 MB)."""
     graph = Graph(10, list(itertools.combinations(range(10), 2)))
     raw = 0.25 + 0.75 * np.random.default_rng(0).random(graph.n_edges)
     x = FractionalPoint(raw * (0.5 / graph.degree_loads(raw).max()))
     factory = MatchingFactory(graph, 0.5)
     growth = (_counts_peak_bytes(factory, x, 65_536)
               - _counts_peak_bytes(factory, x, 16_384))
-    assert growth < 4 * 2**20, growth
+    assert growth < 64 * 2**10, growth
 
 
 def test_brute_force_examples():
