@@ -33,11 +33,10 @@ _DOMAIN_CONSTRUCT_IN = 11
 _DOMAIN_TRIALS = 12
 
 
-def default_factory(spec: ConstraintSpec, b: float,
-                    eps: float = 0.05) -> GreedyOcrsFactory:
+def default_factory(spec: ConstraintSpec, b: float) -> GreedyOcrsFactory:
     """The scheme this library pairs with a constraint family by default."""
     if isinstance(spec, Matroid):
-        return MatroidChainFactory(spec, b, eps=eps)
+        return MatroidChainFactory(spec, b)
     if isinstance(spec, KnapsackConstraint):
         return KnapsackFactory(spec.sizes, b)
     raise TypeError(f"no default scheme for {type(spec).__name__}")
@@ -277,9 +276,10 @@ class ProbingInstance:
             raise ValueError("scale 'b' must lie in [0, 1]")
         if self.deadlines is not None:
             if len(self.deadlines) != n:
-                raise ValueError("one deadline per element required")
+                raise ValueError("'deadlines' must hold one deadline per "
+                                 "element")
             if any(not 1 <= d <= n for d in self.deadlines):
-                raise ValueError("deadlines must lie in 1..n")
+                raise ValueError("'deadlines' must lie in 1..n")
 
     @property
     def n(self) -> int:
@@ -491,9 +491,8 @@ class RatioReport:
     bound_expr: str
     trials: int
 
-    def passes(self, extra_slack: float = 0.0) -> bool:
-        return (self.ratio + 3 * self.ci_halfwidth + extra_slack
-                >= self.bound - 1e-15)
+    def passes(self) -> bool:
+        return self.ratio + 3 * self.ci_halfwidth >= self.bound - 1e-15
 
 
 def estimate_competitive_ratio(estimate: MeanEstimate, benchmark: float,

@@ -283,15 +283,9 @@ def cmd_prophet(args) -> int:
     return EXIT_PASS if report.passes() else EXIT_FAIL
 
 
-def _load_probing_instance(args, need_deadlines: bool) -> ProbingInstance:
+def _load_probing_instance(args) -> ProbingInstance:
     obj = _load_json(args.instance)
     deadlines = obj.get("deadlines")
-    if need_deadlines and deadlines is None:
-        raise InstanceError(
-            f"instance {args.instance} is missing field 'deadlines'")
-    if not need_deadlines and deadlines is not None:
-        raise InstanceError(
-            "instance has deadlines; use the probing-deadlines command")
     return ProbingInstance(
         p=tuple(read_field("p", _require(obj, "p", args.instance),
                            float_list)),
@@ -303,11 +297,11 @@ def _load_probing_instance(args, need_deadlines: bool) -> ProbingInstance:
                                    args.instance),
         b=read_field("b", obj.get("b", args.b), float),
         deadlines=(tuple(read_field("deadlines", deadlines, int_list))
-                   if deadlines else None))
+                   if deadlines is not None else None))
 
 
-def _run_probing_command(args, need_deadlines: bool) -> int:
-    instance = _load_probing_instance(args, need_deadlines)
+def cmd_probing(args) -> int:
+    instance = _load_probing_instance(args)
     seed = SeedSpec(args.seed)
     pipeline = prepare_probing(instance, seed)
     log.info("probing: b=%s bound=%s (%s) trials=%d seed=%d", instance.b,
@@ -338,14 +332,6 @@ def _run_probing_command(args, need_deadlines: bool) -> int:
     if args.out_csv:
         _write_values_csv(args.out_csv, collect)
     return EXIT_PASS if report.passes() else EXIT_FAIL
-
-
-def cmd_probing(args) -> int:
-    return _run_probing_command(args, need_deadlines=False)
-
-
-def cmd_probing_deadlines(args) -> int:
-    return _run_probing_command(args, need_deadlines=True)
 
 
 def cmd_submodular(args) -> int:
@@ -500,16 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arrival order; overrides the instance's 'order' "
                         "(default: the instance's, else worst)")
 
-    p = sub.add_parser("probing", help="stochastic probing pipeline")
+    p = sub.add_parser("probing", help="stochastic probing pipeline, with "
+                       "deadlines when the instance has them")
     common(p, eps=False, out_csv=True)
     p.add_argument("--dump-lp", default=None,
                    help="write the generated LP rows and the separation "
                         "certificate to this file")
-
-    p = sub.add_parser("probing-deadlines",
-                       help="stochastic probing with deadlines")
-    common(p, eps=False, out_csv=True)
-    p.add_argument("--dump-lp", default=None)
 
     p = sub.add_parser("submodular", help="submodular objective pipelines")
     common(p, eps=True, out_csv=False)
@@ -526,7 +508,6 @@ _COMMANDS = {
     "impossibility": cmd_impossibility,
     "prophet": cmd_prophet,
     "probing": cmd_probing,
-    "probing-deadlines": cmd_probing_deadlines,
     "submodular": cmd_submodular,
     "validate-matroid": cmd_validate_matroid,
 }

@@ -196,8 +196,8 @@ def _quantifier_selectable(family: FeasibleFamily, active_mask: int,
     return True
 
 
-def brute_force_selectability(factory: GreedyOcrsFactory, x: FractionalPoint,
-                              max_n: int = 5) -> np.ndarray:
+def brute_force_selectability(factory: GreedyOcrsFactory,
+                              x: FractionalPoint) -> np.ndarray:
     """Exact per-element selectability by enumerating all outcomes.
 
     Sums over every activation outcome and every family outcome, weighting
@@ -206,8 +206,8 @@ def brute_force_selectability(factory: GreedyOcrsFactory, x: FractionalPoint,
     the schemes' fast rules.
     """
     n = x.n
-    if n > max_n:
-        raise ValueError("brute force limited to tiny ground sets")
+    if n > 5:
+        raise ValueError("brute force limited to 5 elements")
     sampler = factory.bind(x)
     outcomes = sampler.enumerate_families()
     xv = x.values

@@ -150,8 +150,8 @@ class PartitionMatroid(Matroid):
 
     kind = "partition"
 
-    def __init__(self, blocks: Sequence[Iterable[int]], capacities: Sequence[int],
-                 n: Optional[int] = None):
+    def __init__(self, blocks: Sequence[Iterable[int]],
+                 capacities: Sequence[int]):
         block_masks = []
         seen = 0
         top = -1
@@ -166,7 +166,7 @@ class PartitionMatroid(Matroid):
             block_masks.append(m)
         if len(capacities) != len(block_masks):
             raise ValueError("one capacity per block required")
-        n = n if n is not None else top + 1
+        n = top + 1
         if seen != (1 << n) - 1:
             raise ValueError("blocks must cover the ground set")
         super().__init__(n)

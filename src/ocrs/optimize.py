@@ -2,17 +2,19 @@
 the probing linear program, and an exact rational simplex.
 
 The simplex works entirely in Fractions with Bland's pivoting rule, so
-degenerate matroid constraint systems terminate with certified optima; the
-probing LP is solved by cutting planes, adding only the rank rows that
-exact separation finds violated; the prophet relaxation instead uses the
-slope-greedy that is exact for piecewise-linear concave objectives over
-matroid polytopes.
+degenerate matroid constraint systems terminate with certified optima.  It
+has one phase: every LP here has a nonnegative rhs, so it starts from the
+slack basis.  The probing LP is solved by cutting planes, adding only the
+rank rows that exact separation finds violated; the prophet relaxation
+instead uses the slope-greedy that is exact for piecewise-linear concave
+objectives over matroid polytopes.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -161,31 +163,34 @@ class LpError(ValueError):
     pass
 
 
-class LpInfeasible(LpError):
-    pass
-
-
 class LpUnbounded(LpError):
     pass
 
 
 @dataclass
 class LinearProgram:
-    """max objective . x  subject to  rows . x <= rhs,  x >= 0."""
+    """max objective . x  subject to  rows . x <= rhs,  x >= 0,  rhs >= 0.
+
+    Every rhs is nonnegative (rank values, capacities and unit boxes), so
+    x = 0 is feasible and the simplex starts from the slack basis.
+    """
 
     objective: list[Fraction]
     rows: list[list[Fraction]]
     rhs: list[Fraction]
-    #: Bland's-rule pivots of the last ``simplex_solve`` (both phases)
+    #: Bland's-rule pivots of the last ``simplex_solve``
     pivots: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.objective)
         if len(self.rows) != len(self.rhs):
             raise LpError("one rhs entry per row required")
-        for row in self.rows:
+        for i, (row, rhs) in enumerate(zip(self.rows, self.rhs)):
             if len(row) != n:
                 raise LpError("row length must match the objective")
+            if rhs < 0:
+                raise LpError(f"row {i} has a negative rhs {rhs}; the "
+                              f"simplex starts from the slack basis")
 
     def dump(self) -> str:
         lines = ["max " + " + ".join(f"{c}*x{j}"
@@ -213,104 +218,41 @@ def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int,
     basis[row] = col
 
 
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int],
-                 num_cols: int) -> int:
-    """Maximize with Bland's rule; objective is the last tableau row.
-    Returns the number of pivots."""
-    obj = len(tableau) - 1
-    pivots = 0
+def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
+    """Exact optimum of the LP by Bland's rule from the slack basis, which
+    guarantees termination; ``lp.pivots`` counts the pivots."""
+    n = len(lp.objective)
+    m = len(lp.rows)
+    # columns: n structural | m slack | rhs, and the objective is the last
+    # row; the slacks are the basis, so it is already in terms of the
+    # nonbasic variables
+    tableau: list[list[Fraction]] = []
+    for i in range(m):
+        line = [Fraction(0)] * (n + m + 1)
+        line[:n] = lp.rows[i]
+        line[n + i] = Fraction(1)
+        line[-1] = lp.rhs[i]
+        tableau.append(line)
+    tableau.append(list(lp.objective) + [Fraction(0)] * (m + 1))
+    basis = list(range(n, n + m))
+    lp.pivots = 0
     while True:
-        col = next((j for j in range(num_cols) if tableau[obj][j] > 0), None)
+        col = next((j for j in range(n + m) if tableau[m][j] > 0), None)
         if col is None:
-            return pivots
+            break
         ratios = [(tableau[r][-1] / tableau[r][col], r)
-                  for r in range(obj) if tableau[r][col] > 0]
+                  for r in range(m) if tableau[r][col] > 0]
         if not ratios:
             raise LpUnbounded("objective is unbounded over the feasible region")
         min_ratio = min(q for q, _ in ratios)
         row = min(r for q, r in ratios if q == min_ratio)
         _pivot(tableau, basis, row, col)
-        pivots += 1
-
-
-def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
-    """Exact optimum of the LP; Bland's rule guarantees termination."""
-    lp.pivots = 0
-    n = len(lp.objective)
-    m = len(lp.rows)
-    # columns: n structural | m slack | (phase-1 artificials) | rhs
-    rows = []
-    negatives = []
-    for i in range(m):
-        coeffs = list(lp.rows[i])
-        rhs = lp.rhs[i]
-        slack = Fraction(1)
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            slack = Fraction(-1)
-            negatives.append(i)
-        rows.append((coeffs, slack, rhs))
-
-    num_art = len(negatives)
-    width = n + m + num_art + 1
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    art_at = {}
-    next_art = 0
-    for i, (coeffs, slack, rhs) in enumerate(rows):
-        line = [Fraction(0)] * width
-        for j, c in enumerate(coeffs):
-            line[j] = c
-        line[n + i] = slack
-        if slack < 0:
-            line[n + m + next_art] = Fraction(1)
-            art_at[i] = n + m + next_art
-            basis.append(n + m + next_art)
-            next_art += 1
-        else:
-            basis.append(n + i)
-        line[-1] = rhs
-        tableau.append(line)
-
-    if num_art:
-        # phase 1: maximize minus the sum of artificials; the cost row is
-        # reduced against the artificial basis by adding their rows
-        obj = [Fraction(0)] * width
-        for col in art_at.values():
-            obj[col] = Fraction(-1)
-        for i in art_at:
-            obj = [a + b for a, b in zip(obj, tableau[i])]
-        tableau.append(obj)
-        lp.pivots = _run_simplex(tableau, basis, n + m + num_art)
-        if tableau[-1][-1] != 0:
-            raise LpInfeasible("no feasible point")
-        tableau.pop()
-        for r in range(m):
-            if basis[r] >= n + m:
-                # degenerate artificial still basic; pivot it out or drop row
-                col = next((j for j in range(n + m)
-                            if tableau[r][j] != 0), None)
-                if col is not None:
-                    _pivot(tableau, basis, r, col)
-
-    obj = [Fraction(0)] * width
-    for j in range(n):
-        obj[j] = lp.objective[j]
-    # express objective in terms of nonbasic variables
-    for r in range(m):
-        if basis[r] < n and obj[basis[r]] != 0:
-            factor = obj[basis[r]]
-            obj = [a - factor * b for a, b in zip(obj, tableau[r])]
-    tableau.append(obj)
-    lp.pivots += _run_simplex(tableau, basis, n + m)
-
+        lp.pivots += 1
     solution = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:
             solution[basis[r]] = tableau[r][-1]
-    value = -tableau[-1][-1]
-    return value, solution
+    return -tableau[m][-1], solution
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +319,16 @@ class ProbingLpResult:
 
     x: FractionalPoint
     x_exact: list[Fraction]
-    value: float
     value_exact: Fraction
     lp: LinearProgram
     separations: list[Separation]
     rounds: int
     pivots: int
     full_rows: int
+
+    @property
+    def value(self) -> float:
+        return float(self.value_exact)
 
     def summary(self) -> str:
         excess = max((s.max_excess for s in self.separations), default=None)
@@ -461,7 +406,7 @@ def cutting_plane_lp(objective: list[Fraction], p: Sequence[float],
         if all(s.max_excess <= 0 for s in separations):
             return ProbingLpResult(
                 x=FractionalPoint([float(v) for v in solution]),
-                x_exact=solution, value=float(value), value_exact=value,
+                x_exact=solution, value_exact=value,
                 lp=lp, separations=separations, rounds=rounds,
                 pivots=pivots, full_rows=full_rows)
 
@@ -480,6 +425,9 @@ def solve_probing_lp(p: Sequence[float], w: Sequence[float],
     objective = [Fraction(float(we)) * Fraction(float(pe))
                  for we, pe in zip(w, p)]
     res = cutting_plane_lp(objective, p, inner, outer, extra_outer)
+    if abs(res.value_exact) > sys.float_info.max:
+        raise ValueError("weights 'w' are too large: the probing LP optimum "
+                         "overflows the float range")
     log.info("probing LP: %s", res.summary())
     return res
 

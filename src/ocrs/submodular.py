@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .applications import default_factory, probe, probing_state_key
 from .core import (FractionalPoint, SeedSpec, float_list, int_list,
                    iter_bits, json_int, pack_mask_rows, read_field,
                    trial_columns)
@@ -28,7 +29,6 @@ _AUDIT_LIMIT = 8
 _EXACT_LIMIT = 14
 
 _DOMAIN_TRIALS = 20
-_DOMAIN_GRADIENT = 21
 _DOMAIN_CONSTRUCT_IN = 22
 _DOMAIN_CONSTRUCT_OUT = 23
 
@@ -37,13 +37,13 @@ class SubmodularOracle:
     """Nonnegative set function with an audited submodularity certificate."""
 
     def __init__(self, n: int, fn: Callable[[int], float], kind: str,
-                 monotone: bool, validate: bool = True):
+                 monotone: bool):
         self.n = n
         self._fn = fn
         self.kind = kind
         self.monotone = monotone
         self._table: Optional[np.ndarray] = None
-        if validate and n <= _AUDIT_LIMIT:
+        if n <= _AUDIT_LIMIT:
             self._audit()
 
     def value(self, mask: int) -> float:
@@ -81,12 +81,13 @@ class SubmodularOracle:
 
 
 def coverage_function(universe_weights: Sequence[float],
-                      covers: Sequence[Sequence[int]],
-                      validate: bool = True) -> SubmodularOracle:
+                      covers: Sequence[Sequence[int]]) -> SubmodularOracle:
     """Weighted coverage: value of the union of the chosen elements' sets."""
     weights = np.asarray(universe_weights, dtype=float)
-    if not np.all((weights >= 0) & np.isfinite(weights)):
-        raise ValueError("'universe_weights' must be finite and nonnegative")
+    if not (np.all((weights >= 0) & np.isfinite(weights))
+            and math.isfinite(sum(weights.tolist()))):
+        raise ValueError("'universe_weights' must be finite and nonnegative, "
+                         "with a finite total")
     cover_masks = []
     for s in covers:
         m = 0
@@ -102,12 +103,11 @@ def coverage_function(universe_weights: Sequence[float],
             covered |= cover_masks[e]
         return float(sum(weights[u] for u in iter_bits(covered)))
 
-    return SubmodularOracle(len(cover_masks), fn, "coverage", monotone=True,
-                            validate=validate)
+    return SubmodularOracle(len(cover_masks), fn, "coverage", monotone=True)
 
 
-def weighted_matroid_rank(matroid: Matroid, weights: Sequence[float],
-                          validate: bool = True) -> SubmodularOracle:
+def weighted_matroid_rank(matroid: Matroid,
+                          weights: Sequence[float]) -> SubmodularOracle:
     """f(S) = maximum weight of an independent subset of S."""
     w = [float(v) for v in weights]
     if any(not 0 <= v < math.inf for v in w):
@@ -124,11 +124,11 @@ def weighted_matroid_rank(matroid: Matroid, weights: Sequence[float],
         return total
 
     return SubmodularOracle(matroid.n, fn, "weighted-matroid-rank",
-                            monotone=True, validate=validate)
+                            monotone=True)
 
 
-def directed_cut(num_nodes: int, arcs: Sequence[tuple[int, int, float]],
-                 validate: bool = True) -> SubmodularOracle:
+def directed_cut(num_nodes: int,
+                 arcs: Sequence[tuple[int, int, float]]) -> SubmodularOracle:
     """f(S) = total weight of arcs from S to its complement (non-monotone)."""
     for u, v, w in arcs:
         if not (0 <= u < num_nodes and 0 <= v < num_nodes
@@ -140,8 +140,7 @@ def directed_cut(num_nodes: int, arcs: Sequence[tuple[int, int, float]],
         return float(sum(w for u, v, w in arcs
                          if (mask >> u) & 1 and not (mask >> v) & 1))
 
-    return SubmodularOracle(num_nodes, fn, "directed-cut", monotone=False,
-                            validate=validate)
+    return SubmodularOracle(num_nodes, fn, "directed-cut", monotone=False)
 
 
 def submodular_from_json(obj: dict) -> SubmodularOracle:
@@ -398,13 +397,12 @@ def run_submodular_probing(f: SubmodularOracle, p: Sequence[float],
     """Continuous greedy then online probing in index order with the
     default schemes; compares E[f(S)] to the product of the scheme
     constants times F(p o x~)."""
-    from .applications import (  # local: avoids a cycle
-        default_factory, probe, probing_state_key)
-
     n = f.n
     if len(p) != n:
         raise ValueError("'p' must have one activation probability per "
                          "element of 'f'")
+    if any(not 0.0 <= v <= 1.0 for v in p):
+        raise ValueError("activation probabilities 'p' must lie in [0, 1]")
     x_tilde = continuous_greedy_probing(f, p, inner, outer, b)
     inner_factory = default_factory(inner, b)
     outer_factory = default_factory(outer, b)

@@ -324,6 +324,20 @@ _PROBING3 = {"p": [0.5] * 3, "w": [1.0, 2.0, 3.0], "inner": _U3,
              "outer": _U3}
 _COVER3 = {"universe_weights": [1.0, 1.0], "covers": [[0], [1], [0, 1]]}
 _MATROID = ["--scheme", "matroid"]
+_U22 = {"type": "uniform", "n": 2, "k": 2}
+_HUGE2 = {"p": [1, 1], "w": [1.7e308, 1.7e308], "inner": _U22,
+          "outer": _U22}
+_SUBMODULAR6 = {"f": {"universe_weights": [1.0, 2.0, 1.5, 0.5, 1.0, 0.75,
+                                           2.0],
+                      "covers": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5],
+                                 [5, 6]]},
+                "p": [0.8, 0.6, 0.9, 0.7, 0.5, 0.6],
+                "inner": {"type": "uniform", "n": 6, "k": 2},
+                "outer": {"type": "uniform", "n": 6, "k": 3}, "b": 0.5}
+
+
+def _submodular6_p0(value):
+    return dict(_SUBMODULAR6, p=[value] + _SUBMODULAR6["p"][1:])
 
 
 @pytest.mark.parametrize("command, instance, extra, field", [
@@ -375,8 +389,7 @@ _MATROID = ["--scheme", "matroid"]
     ("verify-selectability",
      {"graph": {"vertices": 3, "edges": [[0, True], [1, 2]]}},
      ["--scheme", "matching"], "'edges'"),
-    ("probing-deadlines", dict(_PROBING3, deadlines=[1, "2", 3]), [],
-     "'deadlines'"),
+    ("probing", dict(_PROBING3, deadlines=[1, "2", 3]), [], "'deadlines'"),
     ("submodular", {"f": dict(_COVER3, covers=[[0], [1.0], [0, 1]]),
                     "matroid": _U3}, [], "'covers'"),
     ("submodular", {"f": {"arcs": [[0, True, 1.0]]}, "matroid": _U2}, [],
@@ -392,6 +405,20 @@ _MATROID = ["--scheme", "matroid"]
                     "matroid": _U3}, [], "'f'"),
     ("submodular", {"f": dict(_COVER3, universe_weights=[1e200, 1e200]),
                     "p": [0.5] * 3, "inner": _U3, "outer": _U3}, [], "'f'"),
+    ("probing", _HUGE2, [], "'w'"),
+    ("probing", dict(_HUGE2, deadlines=[2, 2]), [], "'w'"),
+    ("probing", dict(_PROBING3, deadlines=[]), [], "'deadlines'"),
+    ("submodular", _submodular6_p0(-0.5), [], "'p'"),
+    ("submodular", _submodular6_p0(1.5), [], "'p'"),
+    ("submodular", _submodular6_p0(float("nan")), [], "'p'"),
+    ("submodular", dict(_SUBMODULAR6, f=dict(_SUBMODULAR6["f"],
+                                             universe_weights=[1e308] * 7)),
+     [], "'universe_weights'"),
+    ("submodular", dict(_SUBMODULAR6, f={"universe_weights": [1e307] * 8,
+                                         "covers": [list(range(8))] * 6},
+                        inner=dict(_SUBMODULAR6["inner"], k=3),
+                        outer=dict(_SUBMODULAR6["outer"], k=6)),
+     [], "'f'"),
 ], ids=["uniform-n-null", "graph-vertices-null", "knapsack-sizes-null",
         "probing-inner-sizes-null", "probing-p-number", "prophet-dists-null",
         "laminar-sets-string", "explicit-bases-null", "prophet-order-floats",
@@ -404,7 +431,11 @@ _MATROID = ["--scheme", "matroid"]
         "deadlines-string", "coverage-covers-float", "cut-arcs-boolean",
         "prophet-order-strings", "probing-w-overflows",
         "prophet-support-overflows", "coverage-weights-overflow",
-        "cut-arc-weights-overflow", "submodular-probing-weights-overflow"])
+        "cut-arc-weights-overflow", "submodular-probing-weights-overflow",
+        "probing-lp-optimum-overflows", "deadlines-lp-optimum-overflows",
+        "deadlines-empty", "submodular-p-negative", "submodular-p-above-one",
+        "submodular-p-nan", "submodular-probing-weight-total-overflows",
+        "submodular-direction-lp-optimum-overflows"])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(
         tmp_path, capsys, command, instance, extra, field):
     _assert_input_error_names(tmp_path, capsys, command, instance, extra,
@@ -437,12 +468,13 @@ def test_probing_commands(tmp_path):
         "outer": {"type": "uniform", "n": 2, "k": 2}, "b": 0.5,
         "deadlines": [1, 2],
     })
-    code = main(["probing-deadlines", dl, "--trials", "10000", "--seed", "3",
-                 "--out-json", str(tmp_path / "dl_out.json")])
+    # the same command reads the deadlines when the instance has them
+    dl_out = tmp_path / "dl_out.json"
+    code = main(["probing", dl, "--trials", "10000", "--seed", "3",
+                 "--out-json", str(dl_out)])
     assert code == 0
-    # plain probing on a deadline instance is a usage error
-    assert main(["probing", dl, "--trials", "10"]) == 2
-    assert main(["probing-deadlines", inst, "--trials", "10"]) == 2
+    assert json.loads(dl_out.read_text())["bound_expr"].startswith(
+        "b * (1-b) * ")
 
 
 def test_submodular_commands(tmp_path):
@@ -512,9 +544,8 @@ def test_experiment_config_api(tmp_path, capsys):
                     "matroid": _U3}, "--out-csv"),
     ("probing", {"p": [0.5] * 3, "w": [1.0, 2.0, 3.0], "inner": _U3,
                  "outer": _U3}, "--eps"),
-    ("probing-deadlines", {"p": [0.5] * 3, "w": [1.0, 2.0, 3.0],
-                           "inner": _U3, "outer": _U3,
-                           "deadlines": [1, 2, 3]}, "--eps"),
+    ("probing", {"p": [0.5] * 3, "w": [1.0, 2.0, 3.0], "inner": _U3,
+                 "outer": _U3, "deadlines": [1, 2, 3]}, "--eps"),
 ], ids=["submodular-out-csv", "probing-eps", "probing-deadlines-eps"])
 def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command,
                                             instance, flag):
@@ -631,7 +662,7 @@ def test_spawned_workers_get_the_built_factory(tmp_path, monkeypatch, capfd,
 
 @pytest.mark.parametrize("command,name", [
     ("probing", "probing6"),
-    ("probing-deadlines", "deadlines4"),
+    ("probing", "deadlines4"),
 ])
 def test_golden_probing_reports(tmp_path, capsys, command, name):
     """Reports and per-trial CSVs of a 6-element probing instance (graphic
@@ -646,6 +677,23 @@ def test_golden_probing_reports(tmp_path, capsys, command, name):
     for produced, suffix in [(out, "report.json"), (csv_out, "csv")]:
         with open(os.path.join(GOLDEN, f"{name}.{suffix}"), "rb") as fh:
             assert produced.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("name,summary", [
+    ("probing6", "3 rounds; 9 of 132 rows; 25 pivots; max excess 0"),
+    ("deadlines4", "2 rounds; 7 of 49 rows; 8 pivots; max excess 0"),
+], ids=["probing6", "deadlines4"])
+def test_golden_probing_lp_work(tmp_path, caplog, name, summary):
+    """The exact LP work of the golden probing instances: cutting-plane
+    rounds, generated rows and Bland's-rule pivots.  A change to the
+    simplex's pivot path or to the separation shows here even when the
+    optimum does not move."""
+    with caplog.at_level(logging.INFO, logger="ocrs.optimize"):
+        assert main(["probing", os.path.join(GOLDEN, f"{name}.json"),
+                     "--trials", "100", "--out-json",
+                     str(tmp_path / "out.json")]) == 0
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "ocrs.optimize"] == [f"probing LP: {summary}"]
 
 
 @pytest.mark.parametrize("command,name", [
@@ -669,15 +717,6 @@ def test_golden_submodular_and_validate_reports(tmp_path, capsys, command,
     assert capsys.readouterr().err == ""
     with open(os.path.join(GOLDEN, f"{name}.report.json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
-
-
-_SUBMODULAR6 = {"f": {"universe_weights": [1.0, 2.0, 1.5, 0.5, 1.0, 0.75,
-                                           2.0],
-                      "covers": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5],
-                                 [5, 6]]},
-                "p": [0.8, 0.6, 0.9, 0.7, 0.5, 0.6],
-                "inner": {"type": "uniform", "n": 6, "k": 2},
-                "outer": {"type": "uniform", "n": 6, "k": 3}, "b": 0.5}
 
 
 @pytest.mark.parametrize("command,instance,tables", [

@@ -16,7 +16,7 @@ from ocrs.matroids import (GraphicMatroid, LaminarMatroid, Matroid,
                            PartitionMatroid, UniformMatroid,
                            in_scaled_matroid_polytope)
 from ocrs.optimize import (DiscreteDistribution, KnapsackConstraint,
-                           LinearProgram, LpError, LpInfeasible, LpUnbounded,
+                           LinearProgram, LpError, LpUnbounded,
                            adaptive_probing_optimum,
                            distribution_from_json, simplex_solve,
                            solve_probing_lp, solve_prophet_relaxation,
@@ -122,23 +122,17 @@ def test_simplex_trivial():
     assert value == 1 and sum(x) == 1
 
 
-def test_simplex_unbounded_and_infeasible():
+def test_simplex_unbounded():
     with pytest.raises(LpUnbounded):
         simplex_solve(LinearProgram([Fraction(1)], [], []))
-    with pytest.raises(LpInfeasible):
-        simplex_solve(LinearProgram([Fraction(0)],
-                                    [[Fraction(1)], [Fraction(-1)]],
-                                    [Fraction(1), Fraction(-2)]))
 
 
-def test_simplex_negative_rhs_phase_one():
-    # x0 >= 1/2, x0 <= 1, maximize -x0: optimum -1/2
-    lp = LinearProgram([Fraction(-1)],
-                       [[Fraction(-1)], [Fraction(1)]],
-                       [Fraction(-1, 2), Fraction(1)])
-    value, x = simplex_solve(lp)
-    assert value == Fraction(-1, 2)
-    assert x[0] == Fraction(1, 2)
+def test_negative_rhs_is_rejected_naming_the_row():
+    """The simplex starts from the slack basis, so x = 0 must be feasible:
+    a negative rhs (here x0 >= 1/2) is refused when the LP is built."""
+    with pytest.raises(LpError, match="row 0 has a negative rhs -1/2"):
+        LinearProgram([Fraction(-1)], [[Fraction(-1)], [Fraction(1)]],
+                      [Fraction(-1, 2), Fraction(1)])
 
 
 def _solve_square(rows, rhs):

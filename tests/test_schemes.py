@@ -581,9 +581,9 @@ def test_combined_selectability_disjoint_supports():
     f1 = MatroidChainFactory(m1, b)
     f2 = MatroidChainFactory(m2, b)
     both = IntersectionFactory([f1, f2])
-    exact1 = brute_force_selectability(f1, x, max_n=4)
-    exact2 = brute_force_selectability(f2, x, max_n=4)
-    exact12 = brute_force_selectability(both, x, max_n=4)
+    exact1 = brute_force_selectability(f1, x)
+    exact2 = brute_force_selectability(f2, x)
+    exact12 = brute_force_selectability(both, x)
     assert np.allclose(exact12, np.minimum(exact1, exact2))
     assert both.bound() == pytest.approx(0.25)
     assert both.bound_expr == "(1-b) * (1-b)"

@@ -48,7 +48,7 @@ def test_oracle_audit_rejects_non_submodular():
 
 
 def test_oracle_audit_rejects_wrong_monotone_flag():
-    cut = directed_cut(3, [(0, 1, 1.0)], validate=False)
+    cut = directed_cut(3, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         SubmodularOracle(3, cut.value, "cut", monotone=True)
 
@@ -168,7 +168,7 @@ def test_ocrs_submodular_modular_decomposition():
     est = ocrs_submodular_value(f, fac, x, 60_000, SEED)
     # modular value decomposes into per-element selection probabilities,
     # which under the identity order are at least the selectable ones
-    exact_selectable = brute_force_selectability(fac, x, max_n=4)
+    exact_selectable = brute_force_selectability(fac, x)
     lower = float(np.dot(w, x.values * exact_selectable))
     upper = float(np.dot(w, x.values))
     assert lower - 3 * est.halfwidth <= est.mean <= upper + 3 * est.halfwidth
