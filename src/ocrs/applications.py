@@ -2,10 +2,11 @@
 
 Each pipeline solves its relaxation, converts the fractional optimum into
 activation thresholds or probing probabilities, and plays a greedy OCRS
-online.  Trials are grouped by a state key, so a distinct state is played at
-most once per order and trial block, not once per trial; feasibility is
-asserted on every play, which covers every trial with that key, because a
-run is a pure function of its key.
+online.  Trials are grouped by a state key (integer key columns in the
+order-free mean loops, tuple keys in the worst-order searches), so a
+distinct state is played at most once per order and trial block, not once
+per trial; feasibility is asserted on every play, which covers every trial
+with that key, because a run is a pure function of its key.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, SeedSpec, iter_bits, pack_mask_rows,
-                   scale_point, trial_columns)
+from .core import (FractionalPoint, SeedSpec, block_states, iter_bits,
+                   ordered_sum, pack_mask_rows, scale_point, trial_columns)
 from .harness import (AdversarySearchResult, MeanEstimate, group_states,
                       grouped_values, per_trial_values, worst_order_value)
 from .matroids import LaminarMatroid, Matroid, max_weight_independent
@@ -124,7 +125,7 @@ class ProphetPipeline:
             raise AssertionError("prophet selection violated the matroid")
         if family.selectable_mask(active) & active & ~selected:
             raise AssertionError("selectable active element was not selected")
-        return sum(z[e] for e in iter_bits(selected))
+        return ordered_sum(z[e] for e in iter_bits(selected))
 
 
 def prepare_prophet(instance: ProphetInstance, factory: GreedyOcrsFactory,
@@ -158,7 +159,7 @@ def prophet_trial_states(pipeline: ProphetPipeline, trials: int,
     # equal value vectors share one tuple, so memory grows with the distinct
     # vectors rather than with the trials
     shared: dict[tuple[float, ...], tuple[float, ...]] = {}
-    for _start, (u, coins, kept, families) in trial_columns(
+    for _start, (u, coins, kept, (codes, families)) in trial_columns(
             seed, _DOMAIN_TRIALS, trials,
             [n, n, np.full(n, pipeline.b), pipeline.sampler]):
         beats = np.zeros(u.shape, dtype=bool)
@@ -170,9 +171,9 @@ def prophet_trial_states(pipeline: ProphetPipeline, trials: int,
             beats[:, e] = ((realized > q)
                            | ((realized == q) & (coins[:, e] < tie)))
             values.append([d.support[i] for i in index.tolist()])
-        for family, a, k, z in zip(families, pack_mask_rows(beats).tolist(),
-                                   kept, zip(*values)):
-            states.append((family, a & k, shared.setdefault(z, z)))
+        for c, a, k, z in zip(codes.tolist(), pack_mask_rows(beats).tolist(),
+                              kept.tolist(), zip(*values)):
+            states.append((families[c], a & k, shared.setdefault(z, z)))
     return states
 
 
@@ -237,7 +238,7 @@ def brute_force_prophet_opt(instance: ProphetInstance) -> float:
         e, prob, values = stack.pop()
         if e == n:
             best = max_weight_independent(instance.matroid, values)
-            total += prob * sum(values[g] for g in iter_bits(best))
+            total += prob * ordered_sum(values[g] for g in iter_bits(best))
             continue
         for v, pr in zip(instance.dists[e].support, instance.dists[e].probs):
             nxt = list(values)
@@ -330,7 +331,7 @@ class ProbingPipeline:
         """Weight of the selection of one probing run over a trial state."""
         _probed, selected = probe(order, *state, self.inner_member,
                                   self.outer_member, self.instance.deadlines)
-        return sum(self.instance.w[e] for e in iter_bits(selected))
+        return ordered_sum(self.instance.w[e] for e in iter_bits(selected))
 
 
 def prepare_probing(instance: ProbingInstance, seed: SeedSpec,
@@ -430,7 +431,7 @@ def probing_trial_states(pipeline: ProbingPipeline, trials: int,
     and outer families.
     """
     for _start, columns in _probing_blocks(pipeline, trials, seed):
-        yield from zip(*columns)
+        yield from block_states(columns)
 
 
 def _probing_blocks(pipeline: ProbingPipeline, trials: int, seed: SeedSpec
@@ -447,10 +448,17 @@ def probing_mean_value(pipeline: ProbingPipeline, trials: int, seed: SeedSpec,
 
     ``collect``, if given, receives every per-trial value in trial order.
     """
-    return MeanEstimate.from_stream(
+    return MeanEstimate.from_blocks(
         grouped_values(_probing_blocks(pipeline, trials, seed),
-                       probing_state_key, pipeline.value, pipeline.order),
+                       probing_block_key, pipeline.value, pipeline.order),
         collect)
+
+
+def probing_block_key(columns) -> list[np.ndarray]:
+    """`probing_state_key` as key columns of a `_probing_blocks` block:
+    A_out, the active elements inside it and both family codes."""
+    a_out, act, (codes_in, _), (codes_out, _) = columns
+    return [a_out, act & a_out, codes_in, codes_out]
 
 
 def probing_state_key(state) -> tuple:

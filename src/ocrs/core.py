@@ -5,13 +5,15 @@ single 64-bit master seed through a published counter-based derivation
 (Philox keyed by mixed path indices), so trial i is bit-identical across
 runs and worker counts.  Every trial loop takes its randomness from
 :func:`trial_columns`, which decodes the per-trial uniform rows into
-activation masks, raw columns and sampled families.
+activation masks, raw columns and sampled family codes, and order-free
+loops group a block's trials by integer key columns with
+:func:`group_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -97,12 +99,13 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
     segments; each segment owns the next columns of the row, and
     ``columns[k]`` holds segment k decoded for every trial of the block:
 
-    - a probability vector ``p``: ``len(p)`` columns, decoded to a list of
-      int masks with bit e set iff the trial's uniform in column e is < p[e]
-      (so ``[x]`` draws R(x), and ``np.full(n, b)`` thins at rate b);
+    - a probability vector ``p``: ``len(p)`` columns, decoded to an int64
+      array of masks with bit e set iff the trial's uniform in column e is
+      < p[e] (so ``[x]`` draws R(x), and ``np.full(n, b)`` thins at rate b);
     - an int ``k``: ``k`` raw columns, as the block's (count, k) array;
     - a scheme sampler (``draw_count`` and ``sample_block``): its
-      ``draw_count`` columns, decoded to one feasible family per trial.
+      ``draw_count`` columns, decoded to ``(codes, families)``, an int64
+      family code per trial and the block's distinct families.
 
     Rows come from :func:`uniform_blocks`, so counts over disjoint
     ``block_range`` values add up to the full-range counts.
@@ -127,10 +130,88 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
             if isinstance(segment, int):
                 columns.append(cols)
             elif isinstance(segment, np.ndarray):
-                columns.append(pack_mask_rows(cols < segment).tolist())
+                columns.append(pack_mask_rows(cols < segment))
             else:
                 columns.append(segment.sample_block(cols))
         yield start, columns
+
+
+def block_states(columns: Sequence, rows: Optional[np.ndarray] = None
+                 ) -> list[tuple]:
+    """Per-trial state tuples of a block of mask and sampler columns (see
+    `trial_columns`): each mask as a Python int, each ``(codes, families)``
+    column as the trial's family.  ``rows``, if given, picks the trials; by
+    default every trial of the block, in trial order."""
+    picked = []
+    for column in columns:
+        if isinstance(column, tuple):
+            codes, families = column
+            codes = codes if rows is None else codes[rows]
+            picked.append([families[c] for c in codes.tolist()])
+        else:
+            picked.append((column if rows is None else column[rows]).tolist())
+    return list(zip(*picked))
+
+
+def group_rows(columns: Sequence[np.ndarray]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Group a block's trials by the tuple of their entries in ``columns``.
+
+    ``columns`` are nonempty, equal-length nonnegative int64 key columns.
+    Returns ``(first, inverse)``: ``first`` holds the index of the first
+    trial of each distinct tuple, ascending, and ``inverse[i]`` is the
+    position in ``first`` of trial i's tuple.  The columns are packed into
+    one int64 key in mixed radix (each column offset by its minimum, so a
+    constant column adds nothing); when the product of the radices would
+    pass 2^63, the key so far is re-ranked densely by ``np.unique`` first,
+    so the grouping is exact at any width.
+    """
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    span = 1
+    for column in columns:
+        column = np.asarray(column, dtype=np.int64)
+        lo = int(column.min())
+        radix = int(column.max()) - lo + 1
+        if radix == 1:
+            continue
+        column = column - lo
+        if span * radix > 1 << 63:
+            span, key = _dense_rank(key)
+            if span * radix > 1 << 63:
+                radix, column = _dense_rank(column)
+        key = column if span == 1 else key * radix + column
+        span *= radix
+    count, inverse = _dense_rank(key)
+    # the first trial of each group (np.unique's return_index would sort
+    # the whole block a second time, stably)
+    first = np.full(count, inverse.size, dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(inverse.size))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
+def _dense_rank(column: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of distinct values of ``column`` and each entry's rank
+    among them."""
+    distinct, inverse = np.unique(column, return_inverse=True)
+    return distinct.size, inverse.reshape(-1).astype(np.int64, copy=False)
+
+
+def ordered_sum(values: Iterable):
+    """``values`` added one by one from the left, from the int 0.
+
+    The builtin ``sum`` of floats is compensated from Python 3.12 on
+    (Neumaier summation), so it can differ in the last bits from the same
+    sum on earlier versions; every float sum that reaches a report, a CSV
+    or an order choice goes through this loop instead.  As with the
+    builtin, an empty sum is the int 0.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -19,8 +19,8 @@ from typing import (Callable, Hashable, Iterable, Iterator, Optional,
 
 import numpy as np
 
-from .core import (FractionalPoint, SeedSpec, iter_bits, iter_submasks,
-                   trial_columns)
+from .core import (FractionalPoint, SeedSpec, block_states, group_rows,
+                   iter_bits, iter_submasks, trial_columns)
 from .schemes import FeasibleFamily, GreedyOcrsFactory
 
 Z_99 = 2.576
@@ -69,6 +69,46 @@ class MeanEstimate:
             if collect is not None:
                 collect.append(v)
         return cls.from_moments(total, total_sq, trials)
+
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[tuple[Sequence[float], np.ndarray]],
+                    collect: Optional[list] = None) -> "MeanEstimate":
+        """`from_stream` over values given block by block, as
+        ``(distinct, inverse)``: trial i of a block has value
+        ``distinct[inverse[i]]`` (see `grouped_values`).
+
+        Each block's moments are added to the running totals by a
+        sequential ``np.cumsum``, so the sums are the same left-to-right
+        sums as `from_stream`'s.  ``collect``, if given, receives every
+        value as the Python number in ``distinct``.
+        """
+        total = 0.0
+        total_sq = 0.0
+        trials = 0
+        for distinct, inverse in blocks:
+            values = np.asarray(distinct, dtype=float)[inverse]
+            with np.errstate(over="ignore"):
+                squares = values * values
+            total = _sum_after(total, values)
+            total_sq = _sum_after(total_sq, squares)
+            trials += values.size
+            if collect is not None:
+                collect.extend(map(distinct.__getitem__, inverse.tolist()))
+        return cls.from_moments(total, total_sq, trials)
+
+
+def _sum_after(total: float, values: np.ndarray) -> float:
+    """``total + values[0] + values[1] + ...``, added left to right: the
+    array form of `core.ordered_sum`.
+
+    A sequential ``np.cumsum``: ``np.sum``'s pairwise summation would
+    differ in the last bits from the same sum in a Python loop.  Like
+    Python floats, the sum overflows to inf and nan without a warning.
+    ``values`` (a nonempty float array) is overwritten.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[0] += total
+        return float(np.cumsum(values)[-1])
 
 
 @dataclass
@@ -147,13 +187,16 @@ def selectability_counts(factory: GreedyOcrsFactory, x: FractionalPoint,
     workers can split ranges without changing the reduced result.
     """
     sampler = factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT))
-    bits = 1 << np.arange(x.n, dtype=np.int64)
+    shifts = np.arange(x.n, dtype=np.int64)
     counts = np.zeros(x.n, dtype=np.int64)
-    for _start, (actives, families) in trial_columns(
+    for _start, (actives, (codes, families)) in trial_columns(
             seed, _DOMAIN_TRIALS, trials, [x.values, sampler], block_range):
-        masks = np.array([fam.selectable_mask(a)
-                          for a, fam in zip(actives, families)], np.int64)
-        counts += [np.count_nonzero(masks & bit) for bit in bits]
+        # one selectable_mask call per distinct (family, active) pair,
+        # weighted by the number of trials that share it
+        first, inverse = group_rows([codes, actives])
+        masks = np.array([families[c].selectable_mask(a) for c, a in zip(
+            codes[first].tolist(), actives[first].tolist())], np.int64)
+        counts += np.bincount(inverse) @ (masks[:, None] >> shifts & 1)
     return counts
 
 
@@ -342,23 +385,28 @@ def per_trial_values(trial_value: Callable[[_State, Sequence[int]], float],
 
 
 def grouped_values(blocks: Iterable[tuple[int, Sequence]],
-                   key: Callable[[tuple], Hashable],
+                   key: Callable[[Sequence], Sequence[np.ndarray]],
                    trial_value: Callable[[tuple, Sequence[int]], float],
-                   order: Sequence[int]) -> Iterator[float]:
-    """Values of every trial of `trial_columns` blocks, in trial order.
+                   order: Sequence[int]
+                   ) -> Iterator[tuple[list[float], np.ndarray]]:
+    """Values of the trials of `trial_columns` blocks, block by block, as
+    ``(distinct, inverse)`` for `MeanEstimate.from_blocks`.
 
-    A trial's state is its tuple of decoded columns.  Each block is grouped
-    by ``key`` on its own, so ``trial_value`` runs once per distinct state
-    of a block and memory is bounded by one block, not by the trial count.
+    ``key`` maps a block's columns to nonnegative int64 key columns that
+    hold everything a trial's value depends on; trials with equal keys are
+    grouped by `group_rows`.  ``trial_value`` runs once per distinct key of
+    a block, on the state (see `block_states`) of its first trial, so
+    memory is bounded by one block, not by the trial count.
     """
     trials = blocks_seen = calls = widest = 0
     for _start, columns in blocks:
-        distinct, trial_state = group_states(zip(*columns), key)
-        trials += len(trial_state)
+        first, inverse = group_rows(key(columns))
+        trials += inverse.size
         blocks_seen += 1
-        calls += len(distinct)
-        widest = max(widest, len(distinct))
-        yield from per_trial_values(trial_value, distinct, trial_state, order)
+        calls += first.size
+        widest = max(widest, first.size)
+        yield ([trial_value(state, order)
+                for state in block_states(columns, first)], inverse)
     log.info("grouped mean: %d trials in %d blocks, %d distinct states "
              "(at most %d per block), %d value calls", trials, blocks_seen,
              calls, widest, calls)
@@ -378,28 +426,31 @@ def worst_order_value(prepare_trial: Callable[[int], object],
     free of sampling noise.  With ``trial_state`` (from `group_states`), the
     ``trials`` prepared states are the distinct ones and trial t has state
     ``trial_state[t]``; each order's mean is still summed over the trials in
-    trial order, so grouping leaves every value unchanged.  Exhaustive mode
+    trial order (by a sequential ``np.cumsum``), so grouping leaves every
+    value unchanged.  Exhaustive mode
     enumerates all n! orders (n <= 8); the heuristic mode hill-climbs over
     adjacent transpositions from 8 random starting orders.
     """
     states = [prepare_trial(t) for t in range(trials)]
-    if trial_state is None:
-        trial_state = range(trials)
+    trial_state = np.asarray(range(trials) if trial_state is None
+                             else trial_state, dtype=np.int64)
     means: dict[tuple[int, ...], float] = {}
 
     def mean_value(order: Sequence[int]) -> float:
         key = tuple(order)
         mean = means.get(key)
         if mean is None:
-            mean = means[key] = sum(per_trial_values(
-                trial_value, states, trial_state, key)) / len(trial_state)
+            values = [trial_value(state, key) for state in states]
+            mean = means[key] = _sum_after(
+                0.0, np.asarray(values, dtype=float)[trial_state]
+            ) / trial_state.size
         return mean
 
     def finish(values: dict[tuple[int, ...], float],
                worst: tuple[int, ...]) -> AdversarySearchResult:
         log.info("worst-order search (%s): %d trials, %d distinct states, "
                  "%d orders evaluated, %d value calls", mode,
-                 len(trial_state), trials, len(means), len(means) * trials)
+                 trial_state.size, trials, len(means), len(means) * trials)
         return AdversarySearchResult(worst, values[worst], mode, values)
 
     if mode == "exhaustive":

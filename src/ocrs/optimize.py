@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import FractionalPoint, iter_bits
+from .core import FractionalPoint, iter_bits, ordered_sum
 from .matroids import EXHAUSTIVE_LIMIT, Matroid
 
 log = logging.getLogger("ocrs.optimize")
@@ -45,7 +45,7 @@ class DiscreteDistribution:
             raise ValueError("support must be ascending and distinct")
         if any(p <= 0 for p in pr):
             raise ValueError("probabilities must be positive")
-        if abs(sum(pr) - 1.0) > 1e-12:
+        if abs(ordered_sum(pr) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to one")
         self.support = tuple(sup)
         self.probs = tuple(pr)
@@ -111,8 +111,10 @@ def tail_value(dist: DiscreteDistribution, p: float) -> float:
     the part of its mass needed to fill the fraction exactly.
     """
     q = threshold(dist, p)
-    above = sum(v * pr for v, pr in zip(dist.support, dist.probs) if v > q)
-    upper_tail = sum(pr for v, pr in zip(dist.support, dist.probs) if v > q)
+    above = ordered_sum(v * pr for v, pr in zip(dist.support, dist.probs)
+                        if v > q)
+    upper_tail = ordered_sum(pr for v, pr in zip(dist.support, dist.probs)
+                             if v > q)
     return (p - upper_tail) * q + above
 
 
@@ -151,7 +153,8 @@ def solve_prophet_relaxation(
         step = min(width, polytope.max_step(x, e), 1.0 - x[e])
         if step > 0.0:
             x[e] += step
-    objective = float(sum(tail_value(dists[e], x[e]) for e in range(n)))
+    objective = float(ordered_sum(tail_value(dists[e], x[e])
+                                  for e in range(n)))
     return FractionalPoint(x), objective
 
 
@@ -270,7 +273,8 @@ class KnapsackConstraint:
         return len(self.sizes)
 
     def member(self, mask: int) -> bool:
-        return sum(self.sizes[e] for e in iter_bits(mask)) <= 1.0 + 1e-9
+        return (ordered_sum(self.sizes[e] for e in iter_bits(mask))
+                <= 1.0 + 1e-9)
 
 
 ConstraintSpec = Matroid | KnapsackConstraint

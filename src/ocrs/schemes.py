@@ -2,8 +2,9 @@
 
 Each scheme is a factory that, bound to a fractional point x in b*P, yields
 a sampler; the sampler decodes a block of per-trial uniform rows into one
-down-closed feasible subfamily per trial (a sampler that draws no columns
-reuses a single family).  Families answer membership and a fast
+down-closed feasible subfamily per trial, given as an integer family code
+per trial plus the block's distinct families (a sampler that draws no
+columns reuses a single family).  Families answer membership and a fast
 `selectable_mask` query; the online loop selects an arriving active element
 iff adding it keeps the selected set in the subfamily.
 """
@@ -17,8 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, float_list, iter_bits, iter_submasks,
-                   json_int, pack_mask, pack_mask_rows, read_field)
+from .core import (FractionalPoint, block_states, float_list, group_rows,
+                   iter_bits, iter_submasks, json_int, ordered_sum,
+                   pack_mask, pack_mask_rows, read_field)
 from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
                        MatroidView, edge_list, in_scaled_matroid_polytope,
                        matroid_from_json)
@@ -70,11 +72,12 @@ class FeasibleFamily:
 
     def cache_key(self):
         """Hashable identity of the sampled instance: families with equal
-        keys answer ``member`` and ``selectable_mask`` alike.  The
-        worst-order search groups trial states by it
-        (``applications.prophet_state_key`` and ``probing_state_key``), and
-        the benchmark's trace (``perfbench/spans.py``) counts distinct
-        ``(cache_key, active)`` pairs with it."""
+        keys answer ``member`` and ``selectable_mask`` alike.  Only two
+        readers are left: the worst-order searches' tuple keys
+        (``applications.prophet_state_key`` and ``probing_state_key``) and
+        the benchmark's trace (``perfbench/spans.py``), which counts
+        distinct ``(cache_key, active)`` pairs.  The order-free trial loops
+        group by the samplers' integer family codes instead."""
         raise NotImplementedError
 
 
@@ -552,35 +555,49 @@ class SchemeSampler:
     """Per-trial family sampler for one bound point x.
 
     ``sample_block`` is the one decode path: it maps each row of a
-    (trials, draw_count) uniform table to that trial's family.  A sampler
-    with ``draw_count == 0`` returns one shared family for every row.
+    (trials, draw_count) uniform table to that trial's family, as
+    ``(codes, families)``: an int64 code per row and the block's distinct
+    families, with ``families[c]`` the family of code ``c``.  Rows share a
+    code iff their families have equal ``cache_key``.  A sampler with
+    ``draw_count == 0`` gives every row code 0 and one shared family.
     """
 
     draw_count: int = 0
 
-    def sample_block(self, rows: np.ndarray) -> list[FeasibleFamily]:
-        """One family per row of a (trials, draw_count) uniform table."""
+    def sample_block(self, rows: np.ndarray
+                     ) -> tuple[np.ndarray, list[FeasibleFamily]]:
+        """Family codes and distinct families of a (trials, draw_count)
+        uniform table."""
         raise NotImplementedError
 
     def sample(self, gen: Optional[np.random.Generator] = None) -> FeasibleFamily:
         """One family: the single-trial view of ``sample_block``."""
         if self.draw_count == 0:
-            return self.sample_block(np.empty((1, 0)))[0]
-        if gen is None:
+            rows = np.empty((1, 0))
+        elif gen is None:
             raise ValueError("randomized sampler needs a generator")
-        return self.sample_block(gen.random((1, self.draw_count)))[0]
+        else:
+            rows = gen.random((1, self.draw_count))
+        codes, families = self.sample_block(rows)
+        return families[codes[0]]
 
     def enumerate_families(self) -> list[tuple[float, FeasibleFamily]]:
         """All (probability, family) outcomes; for brute-force oracles."""
         raise NotImplementedError
 
 
+def _one_family(rows: np.ndarray, family: FeasibleFamily
+                ) -> tuple[np.ndarray, list[FeasibleFamily]]:
+    """Code 0 for every row, and the one family."""
+    return np.zeros(rows.shape[0], dtype=np.int64), [family]
+
+
 class _ChainSampler(SchemeSampler):
     def __init__(self, family: MatroidChainFamily):
         self.family = family
 
-    def sample_block(self, rows: np.ndarray) -> list[FeasibleFamily]:
-        return [self.family] * rows.shape[0]
+    def sample_block(self, rows: np.ndarray):
+        return _one_family(rows, self.family)
 
     def enumerate_families(self):
         return [(1.0, self.family)]
@@ -595,12 +612,13 @@ class _MatchingSampler(SchemeSampler):
         self.draw_count = 0 if deterministic else graph.n_edges
         self._full = (1 << graph.n_edges) - 1
 
-    def sample_block(self, rows: np.ndarray) -> list[FeasibleFamily]:
+    def sample_block(self, rows: np.ndarray):
         if self.deterministic:
-            fam = MatchingFamily(self.graph, self._full)
-            return [fam] * rows.shape[0]
-        masks = pack_mask_rows(rows < self.k_probs)
-        return [MatchingFamily(self.graph, int(k)) for k in masks]
+            return _one_family(rows, MatchingFamily(self.graph, self._full))
+        k_masks, codes = np.unique(pack_mask_rows(rows < self.k_probs),
+                                   return_inverse=True)
+        return (codes.reshape(-1),
+                [MatchingFamily(self.graph, k) for k in k_masks.tolist()])
 
     def enumerate_families(self):
         if self.deterministic:
@@ -627,9 +645,9 @@ class _KnapsackSampler(SchemeSampler):
         self._big = KnapsackFamily(structure, True)
         self._small = KnapsackFamily(structure, False)
 
-    def sample_block(self, rows: np.ndarray) -> list[FeasibleFamily]:
-        return [self._big if u else self._small
-                for u in rows[:, 0] < self.p_big]
+    def sample_block(self, rows: np.ndarray):
+        return ((rows[:, 0] < self.p_big).astype(np.int64),
+                [self._small, self._big])
 
     def enumerate_families(self):
         out = []
@@ -645,13 +663,15 @@ class _IntersectionSampler(SchemeSampler):
         self.parts = tuple(parts)
         self.draw_count = sum(p.draw_count for p in parts)
 
-    def sample_block(self, rows: np.ndarray) -> list[FeasibleFamily]:
+    def sample_block(self, rows: np.ndarray):
         columns = []
         at = 0
         for p in self.parts:
             columns.append(p.sample_block(rows[:, at:at + p.draw_count]))
             at += p.draw_count
-        return [combine_families(list(group)) for group in zip(*columns)]
+        first, codes = group_rows([part_codes for part_codes, _ in columns])
+        return codes, [combine_families(list(parts))
+                       for parts in block_states(columns, first)]
 
     def enumerate_families(self):
         outcomes = [(1.0, [])]
@@ -782,8 +802,8 @@ class KnapsackFactory(GreedyOcrsFactory):
         if self.load(x) > self.b + _TOL:
             raise PolytopeMembershipError(
                 "x violates the scaled knapsack capacity")
-        b_big = float(sum(st.sizes[e] * x.values[e]
-                          for e in iter_bits(st.big_mask)))
+        b_big = float(ordered_sum(st.sizes[e] * x.values[e]
+                                  for e in iter_bits(st.big_mask)))
         p_big = (1.0 - 2.0 * self.b + 2.0 * b_big) / (2.0 - 2.0 * self.b)
         return _KnapsackSampler(st, min(max(p_big, 0.0), 1.0))
 
@@ -800,7 +820,8 @@ class IntersectionFactory(GreedyOcrsFactory):
         self.n = parts[0].n
         self.b = parts[0].b
         self.bound_expr = " * ".join(f"({p.bound_expr})" for p in parts)
-        self.construction_slack = sum(p.construction_slack for p in parts)
+        self.construction_slack = ordered_sum(p.construction_slack
+                                              for p in parts)
         self.loops = 0
         for p in parts:
             self.loops |= p.loops

@@ -15,10 +15,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .applications import default_factory, probe, probing_state_key
+from .applications import default_factory, probe, probing_block_key
 from .core import (FractionalPoint, SeedSpec, float_list, int_list,
-                   iter_bits, json_int, pack_mask_rows, read_field,
-                   trial_columns)
+                   iter_bits, json_int, ordered_sum, pack_mask_rows,
+                   read_field, trial_columns)
 from .harness import MeanEstimate, grouped_values
 from .matroids import (Matroid, in_scaled_matroid_polytope,
                        max_weight_independent)
@@ -63,6 +63,12 @@ class SubmodularOracle:
         tab = self.table()
         if np.any(tab < -1e-9):
             raise ValueError("function must be nonnegative")
+        if tab.max() > np.finfo(float).max / 2:
+            # the submodularity check adds two values, and only below half
+            # the float maximum does every such sum stay finite
+            raise ValueError("'f' takes values above half the float "
+                             "maximum, too large to audit for "
+                             "submodularity")
         total = 1 << self.n
         for a in range(total):
             for e in range(self.n):
@@ -85,7 +91,7 @@ def coverage_function(universe_weights: Sequence[float],
     """Weighted coverage: value of the union of the chosen elements' sets."""
     weights = np.asarray(universe_weights, dtype=float)
     if not (np.all((weights >= 0) & np.isfinite(weights))
-            and math.isfinite(sum(weights.tolist()))):
+            and math.isfinite(ordered_sum(weights.tolist()))):
         raise ValueError("'universe_weights' must be finite and nonnegative, "
                          "with a finite total")
     cover_masks = []
@@ -101,7 +107,7 @@ def coverage_function(universe_weights: Sequence[float],
         covered = 0
         for e in iter_bits(mask):
             covered |= cover_masks[e]
-        return float(sum(weights[u] for u in iter_bits(covered)))
+        return float(ordered_sum(weights[u] for u in iter_bits(covered)))
 
     return SubmodularOracle(len(cover_masks), fn, "coverage", monotone=True)
 
@@ -137,8 +143,8 @@ def directed_cut(num_nodes: int,
                              "nonnegative weights")
 
     def fn(mask: int) -> float:
-        return float(sum(w for u, v, w in arcs
-                         if (mask >> u) & 1 and not (mask >> v) & 1))
+        return float(ordered_sum(w for u, v, w in arcs
+                                 if (mask >> u) & 1 and not (mask >> v) & 1))
 
     return SubmodularOracle(num_nodes, fn, "directed-cut", monotone=False)
 
@@ -184,7 +190,7 @@ def multilinear_sampled(f: SubmodularOracle, x: FractionalPoint, trials: int,
         f.value(mask)
         for _start, (masks,) in trial_columns(seed, _DOMAIN_TRIALS, trials,
                                               [x.values])
-        for mask in masks)
+        for mask in masks.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +229,20 @@ def _ocrs_value_loop(f: SubmodularOracle, factory: GreedyOcrsFactory,
     blocks = trial_columns(seed, _DOMAIN_TRIALS, trials, segments)
     if not half_subsample:
         # the monotone mode keeps the whole selection
-        blocks = ((start, [actives, families, [-1] * len(actives)])
+        blocks = ((start, [actives, families, np.full_like(actives, -1)])
                   for start, (actives, families) in blocks)
 
-    def key(state) -> tuple:
+    def key(columns) -> list[np.ndarray]:
         # the selection is a subset of the active set, so only the coins
         # inside it matter
-        active, family, kept = state
-        return (active, family.cache_key(), kept & active)
+        active, (codes, _families), kept = columns
+        return [active, codes, kept & active]
 
     def value(state, order: Sequence[int]) -> float:
         active, family, kept = state
         return f.value(run_greedy_mask(family, order, active) & kept)
 
-    return MeanEstimate.from_stream(
+    return MeanEstimate.from_blocks(
         grouped_values(blocks, key, value, tuple(range(n))))
 
 
@@ -386,7 +392,7 @@ def _assert_scaled_membership(y: FractionalPoint, spec: ConstraintSpec,
         assert in_scaled_matroid_polytope(spec, y, b), \
             "point left the scaled polytope"
     else:
-        load = sum(s * v for s, v in zip(spec.sizes, y.values))
+        load = ordered_sum(s * v for s, v in zip(spec.sizes, y.values))
         assert load <= b + 1e-9, "point left the scaled knapsack"
 
 
@@ -421,8 +427,8 @@ def run_submodular_probing(f: SubmodularOracle, p: Sequence[float],
 
     blocks = trial_columns(seed, _DOMAIN_TRIALS, trials,
                            [x_tilde.values, pv, inner_sampler, outer_sampler])
-    estimate = MeanEstimate.from_stream(grouped_values(
-        blocks, probing_state_key, value, tuple(range(n))))
+    estimate = MeanEstimate.from_blocks(grouped_values(
+        blocks, probing_block_key, value, tuple(range(n))))
     constant = inner_factory.bound() * outer_factory.bound()
     expr = (f"({inner_factory.bound_expr}) * ({outer_factory.bound_expr})")
     return SubmodularProbingResult(

@@ -670,3 +670,29 @@ def test_probing_instance_validation():
     with pytest.raises(ValueError):
         ProbingInstance(p=(0.5,), w=(1.0,), inner=UniformMatroid(1, 1),
                         outer=UniformMatroid(1, 1), b=0.5, deadlines=(2,))
+
+
+# 1.0 + 2^53 rounds back to 2^53, so these add to 2^53 left to right but to
+# 2^53 + 2 compensated (the builtin sum of floats from Python 3.12 on)
+_UNEVEN = (1.0, 2.0 ** 53, 1.0)
+
+
+def test_run_values_sum_left_to_right():
+    """Prophet and probing runs and the brute-force prophet optimum add
+    the chosen elements' values in ascending element order, left to
+    right."""
+    u3 = UniformMatroid(3, 3)
+    prophet = prepare_prophet(
+        ProphetInstance(u3, (_dist([0.0, 1.0], [0.5, 0.5]),) * 3),
+        MatroidChainFactory(u3, 0.5), SEED)
+    family = prophet.sampler.sample()
+    assert prophet.value((family, 0b111, (1e16, 1.0, -1e16)),
+                         (2, 1, 0)) == 0.0
+    probing = prepare_probing(ProbingInstance(p=(1.0,) * 3, w=_UNEVEN,
+                                              inner=u3, outer=u3, b=0.5),
+                              SEED)
+    state = (0b111, 0b111, probing.inner_sampler.sample(),
+             probing.outer_sampler.sample())
+    assert probing.value(state, (2, 1, 0)) == 2.0 ** 53
+    assert brute_force_prophet_opt(ProphetInstance(
+        u3, tuple(_dist([v], [1.0]) for v in _UNEVEN))) == 2.0 ** 53

@@ -19,6 +19,7 @@ from ocrs.cli import main
 from ocrs.core import SeedSpec
 from ocrs.matroids import MatroidPolytope, UniformMatroid
 from ocrs.optimize import DiscreteDistribution
+from ocrs import schemes
 from ocrs.schemes import MatroidChainFactory
 
 K4 = {"matroid": {"type": "graphic", "vertices": 4,
@@ -419,6 +420,10 @@ def _submodular6_p0(value):
                         inner=dict(_SUBMODULAR6["inner"], k=3),
                         outer=dict(_SUBMODULAR6["outer"], k=6)),
      [], "'f'"),
+    ("submodular", {"f": {"universe_weights": [1.2e308, 0.0],
+                          "covers": [[0], [0], [1]]},
+                    "matroid": {"type": "uniform", "n": 3, "k": 2}}, [],
+     "'f'"),
 ], ids=["uniform-n-null", "graph-vertices-null", "knapsack-sizes-null",
         "probing-inner-sizes-null", "probing-p-number", "prophet-dists-null",
         "laminar-sets-string", "explicit-bases-null", "prophet-order-floats",
@@ -435,7 +440,8 @@ def _submodular6_p0(value):
         "probing-lp-optimum-overflows", "deadlines-lp-optimum-overflows",
         "deadlines-empty", "submodular-p-negative", "submodular-p-above-one",
         "submodular-p-nan", "submodular-probing-weight-total-overflows",
-        "submodular-direction-lp-optimum-overflows"])
+        "submodular-direction-lp-optimum-overflows",
+        "submodular-audit-sum-overflows"])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(
         tmp_path, capsys, command, instance, extra, field):
     _assert_input_error_names(tmp_path, capsys, command, instance, extra,
@@ -771,3 +777,44 @@ def test_loop_with_positive_x_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "x is outside b * P" in err and "element 2 is a loop" in err
     assert not out.exists()
+
+
+# the instances of the benchmark's matroid-k6 and matching-k10 workloads at
+# seed 0 (graphic K6 and K10, labels and edge order shuffled)
+_K6_SEED0 = [[0, 4], [0, 1], [1, 4], [0, 3], [3, 4], [2, 3], [1, 3], [3, 5],
+             [1, 5], [1, 2], [2, 5], [0, 2], [4, 5], [0, 5], [2, 4]]
+_K10_SEED0 = [[4, 6], [0, 8], [6, 9], [3, 8], [3, 7], [4, 7], [1, 7], [2, 9],
+              [1, 8], [1, 6], [7, 8], [5, 8], [3, 6], [2, 4], [1, 9], [2, 5],
+              [0, 6], [3, 9], [3, 5], [0, 7], [2, 8], [1, 3], [4, 9], [2, 6],
+              [3, 4], [1, 2], [7, 9], [2, 3], [8, 9], [0, 5], [4, 8], [1, 5],
+              [4, 5], [6, 7], [5, 7], [2, 7], [0, 4], [0, 3], [0, 2], [5, 9],
+              [1, 4], [5, 6], [0, 1], [0, 9], [6, 8]]
+
+
+@pytest.mark.parametrize("scheme,instance,trials,calls", [
+    ("matroid", {"matroid": {"type": "graphic", "vertices": 6,
+                             "edges": _K6_SEED0}}, 600_000, 96_490),
+    ("matching", {"graph": {"vertices": 10, "edges": _K10_SEED0}}, 150_000,
+     122_602),
+], ids=["matroid-k6", "matching-k10"])
+def test_selectable_mask_runs_once_per_distinct_pair_of_each_block(
+        tmp_path, monkeypatch, scheme, instance, trials, calls):
+    """The counting loop asks each block's distinct (family, active) pairs
+    once: 96,490 of 600,000 trials on matroid-k6 and 122,602 of 150,000 on
+    matching-k10, both at seed 0, counted by wrapping the methods."""
+    count = 0
+    for cls in (schemes.MatroidChainFamily, schemes.MatchingFamily):
+        method = cls.selectable_mask
+
+        def counting(self, active_mask, method=method):
+            nonlocal count
+            count += 1
+            return method(self, active_mask)
+
+        monkeypatch.setattr(cls, "selectable_mask", counting)
+    path = _write(tmp_path, "inst.json", instance)
+    assert main(["verify-selectability", path, "--scheme", scheme,
+                 "--b", "0.5", "--trials", str(trials), "--seed", "0",
+                 "--workers", "1", "--out-json",
+                 str(tmp_path / "out.json")]) == 0
+    assert count == calls

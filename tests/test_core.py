@@ -10,18 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, iter_submasks,
-                       pack_mask_rows, scale_point, trial_columns,
-                       uniform_blocks)
+import ocrs.core
+from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, group_rows,
+                       iter_submasks, ordered_sum, pack_mask_rows,
+                       scale_point, trial_columns, uniform_blocks)
 from ocrs.schemes import Graph, KnapsackFactory, MatchingFactory
 
 
 def _masks(seed, domain, trials, segments, block_range=None):
-    """Every trial's decoded columns, flattened over blocks."""
+    """Every trial's decoded mask columns, flattened over blocks."""
     out = []
     for _start, columns in trial_columns(seed, domain, trials, segments,
                                          block_range):
-        out.extend(zip(*columns))
+        out.extend(zip(*(column.tolist() for column in columns)))
     return out
 
 
@@ -128,16 +129,20 @@ def test_trial_columns_matches_hand_slicing():
     for (start, columns), (start_u, block) in zip(decoded, by_hand):
         assert start == start_u
         masks, raw, fams_m, fams_k = columns
-        assert masks == pack_mask_rows(block[:, :4] < x).tolist()
+        assert masks.dtype == np.int64
+        assert np.array_equal(masks, pack_mask_rows(block[:, :4] < x))
         assert np.array_equal(raw, block[:, 4:6])
-        assert ([f.cache_key() for f in fams_m]
-                == [f.cache_key() for f in
-                    matching.sample_block(block[:, 6:11])])
-        assert ([f.cache_key() for f in fams_k]
-                == [f.cache_key() for f in
-                    knapsack.sample_block(block[:, 11:])])
+        assert (_family_keys(*fams_m)
+                == _family_keys(*matching.sample_block(block[:, 6:11])))
+        assert (_family_keys(*fams_k)
+                == _family_keys(*knapsack.sample_block(block[:, 11:])))
         blocks += 1
     assert blocks == 2
+
+
+def _family_keys(codes, families):
+    """Each trial's family ``cache_key``, from its code."""
+    return [families[c].cache_key() for c in codes.tolist()]
 
 
 def test_trial_columns_block_ranges_add_up():
@@ -189,3 +194,67 @@ def test_pack_mask_rows_round_trip(n, data):
 def test_pack_mask_rows_rejects_64_or_more_columns(n):
     with pytest.raises(ValueError, match="63"):
         pack_mask_rows(np.ones((2, n), dtype=bool))
+
+
+def _group_oracle(columns):
+    """The grouping as a dict over row tuples, in first-seen order."""
+    index = {}
+    inverse = [index.setdefault(row, len(index))
+               for row in zip(*(column.tolist() for column in columns))]
+    return [inverse.index(i) for i in range(len(index))], inverse
+
+
+# a column draws each row from a small pool, so that rows repeat: masks of
+# up to 63 elements, small family codes, or one constant value
+_POOLS = st.one_of(
+    st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=6),
+    st.lists(st.integers(0, 9), min_size=1, max_size=4),
+    st.integers(0, 2 ** 62).map(lambda v: [v]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pools=st.lists(_POOLS, min_size=1, max_size=5),
+       rows=st.integers(1, 300), data=st.data())
+def test_group_rows_matches_dict_oracle(pools, rows, data):
+    columns = [np.array(data.draw(st.lists(st.sampled_from(pool),
+                                           min_size=rows, max_size=rows)),
+                        dtype=np.int64) for pool in pools]
+    first, inverse = group_rows(columns)
+    expected_first, expected_inverse = _group_oracle(columns)
+    assert first.tolist() == expected_first
+    assert inverse.tolist() == expected_inverse
+
+
+def test_group_rows_redensifies_wide_keys(monkeypatch):
+    """Three columns whose radices multiply past 2^63 are re-ranked
+    densely before packing, and still group exactly."""
+    dense = []
+    original = ocrs.core._dense_rank
+
+    def counting(column):
+        dense.append(column.size)
+        return original(column)
+
+    monkeypatch.setattr(ocrs.core, "_dense_rank", counting)
+    top = 2 ** 62
+    columns = [np.array(c, dtype=np.int64) for c in (
+        [top, 0, top, 0, top, top],
+        [1, top, 1, top, 1, 0],
+        [5, 5, 5, 5, 5, 5],
+        [3, 3, 3, 3, top, 3])]
+    first, inverse = group_rows(columns)
+    assert (first.tolist(), inverse.tolist()) == _group_oracle(columns)
+    assert (first.tolist(), inverse.tolist()) == ([0, 1, 4, 5],
+                                                  [0, 1, 0, 1, 2, 3])
+    # before the second and before the fourth column, both the key so far
+    # and the column are too wide to pack together; then the final grouping
+    assert len(dense) == 5
+
+
+def test_ordered_sum_adds_left_to_right():
+    """Left to right, 1e16 + 1.0 rounds back to 1e16; a compensated sum
+    (the builtin from Python 3.12 on, or math.fsum) gives 1.0."""
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    assert ordered_sum(iter([1.0, 2.0 ** 53, 1.0])) == 2.0 ** 53
+    assert ordered_sum([]) == 0 and type(ordered_sum([])) is int

@@ -84,10 +84,10 @@ def _oracle_counts(factory, x, trials, seed, block_range):
     summed trial by trial."""
     sampler = factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT))
     counts = np.zeros(x.n, dtype=np.int64)
-    for _start, (actives, families) in trial_columns(
+    for _start, (actives, (codes, families)) in trial_columns(
             seed, _DOMAIN_TRIALS, trials, [x.values, sampler], block_range):
-        for active, family in zip(actives, families):
-            for e in iter_bits(family.selectable_mask(active)):
+        for active, code in zip(actives.tolist(), codes.tolist()):
+            for e in iter_bits(families[code].selectable_mask(active)):
                 counts[e] += 1
     return counts
 
@@ -333,18 +333,22 @@ def test_grouped_search_equals_per_trial_search(caplog):
 def test_grouped_values_run_once_per_state_of_each_block(caplog):
     """Values come out in trial order; a state repeated across blocks runs
     once in each block, since each block is grouped on its own."""
-    blocks = [(0, [[1, 2, 1, 2], ["a", "b", "a", "a"]]),
-              (4, [[1, 1], ["a", "a"]])]
+    blocks = [(0, [np.array([1, 2, 1, 2]), np.array([5, 6, 5, 5])]),
+              (4, [np.array([1, 1]), np.array([5, 5])])]
     calls = []
 
     def value(state, order):
         calls.append(state)
         return state[0] * 10.0 + order[0]
 
+    collected = []
     with caplog.at_level(logging.INFO, logger="ocrs.harness"):
-        values = list(grouped_values(iter(blocks), lambda s: s, value, (3,)))
-    assert values == [13.0, 23.0, 13.0, 23.0, 13.0, 13.0]
-    assert calls == [(1, "a"), (2, "b"), (2, "a"), (1, "a")]
+        est = MeanEstimate.from_blocks(
+            grouped_values(iter(blocks), lambda columns: columns, value,
+                           (3,)), collected)
+    assert collected == [13.0, 23.0, 13.0, 23.0, 13.0, 13.0]
+    assert est == MeanEstimate.from_stream(collected)
+    assert calls == [(1, 5), (2, 6), (2, 5), (1, 5)]
     assert ("grouped mean: 6 trials in 2 blocks, 4 distinct states (at most "
             "3 per block), 4 value calls") in caplog.text
 
@@ -357,3 +361,34 @@ def test_mean_estimate_moments():
     assert est.mean == pytest.approx(2.0)
     var = np.var(values)
     assert est.halfwidth == pytest.approx(2.576 * math.sqrt(var / 4))
+
+
+def test_order_means_sum_left_to_right():
+    values = [1e16, 1.0, -1e16]
+    res = worst_order_value(lambda t: t, lambda t, order: values[t], 1, 3)
+    assert res.values_by_order == {(0,): 0.0}
+
+
+_BLOCK_VALUES = st.one_of(st.floats(-1e200, 1e200),
+                          st.sampled_from([0, 1e16, 1.0, -1e16]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=st.lists(st.lists(_BLOCK_VALUES, min_size=1, max_size=30),
+                       min_size=1, max_size=5), data=st.data())
+def test_mean_from_blocks_equals_from_stream(blocks, data):
+    """The block form sums the same values in the same order, bit for bit,
+    also where the squares overflow, and collects the same Python
+    numbers (the int 0 stays an int)."""
+    per_block, flat = [], []
+    for distinct in blocks:
+        inverse = data.draw(st.lists(st.integers(0, len(distinct) - 1),
+                                     min_size=1, max_size=60))
+        per_block.append((distinct, np.array(inverse)))
+        flat.extend(distinct[i] for i in inverse)
+    collected = []
+    # repr, since an overflowing half-width is nan on both sides
+    assert (repr(MeanEstimate.from_blocks(iter(per_block), collected))
+            == repr(MeanEstimate.from_stream(iter(flat))))
+    assert collected == flat
+    assert [type(v) for v in collected] == [type(v) for v in flat]

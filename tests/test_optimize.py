@@ -412,3 +412,22 @@ def test_probing_lp_logs_summary(caplog):
         f"certificate inner: max over S of y(S) - r(S) = {inner.max_excess}",
         "certificate outer: max over S of y(S) - r(S) = 0"]
     assert inner.max_excess < 0
+
+
+def test_tail_and_relaxation_values_sum_left_to_right():
+    """1.0 + 2^53 rounds back to 2^53: a left-to-right sum of 1.0, 2^53
+    and 1.0 is 2^53, a compensated one 2^53 + 2."""
+    d = DiscreteDistribution([0.0, 2.0, 2.0 ** 55, 2.0 ** 60],
+                             [0.25, 0.5, 0.25, 2.0 ** -60])
+    # the terms above the threshold 0 are 1.0, 2^53 and 1.0
+    assert tail_value(d, 1.0) == 2.0 ** 53
+    # the mass above the threshold 1.0 is 0.5 + 2^-54 + 2^-54: 0.5 left to
+    # right, 0.5 + 2^-53 compensated
+    d = DiscreteDistribution([1.0, 2.0, 4.0, 8.0],
+                             [0.5 - 2.0 ** -53, 0.5, 2.0 ** -54, 2.0 ** -54])
+    assert tail_value(d, 1.0) == 1.5000000000000007
+    x, objective = solve_prophet_relaxation(
+        UniformMatroid(3, 3),
+        [DiscreteDistribution([v], [1.0]) for v in (1.0, 2.0 ** 53, 1.0)])
+    assert x.values.tolist() == [1.0, 1.0, 1.0]
+    assert objective == 2.0 ** 53

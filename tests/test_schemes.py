@@ -756,3 +756,50 @@ def test_chain_leaves_loops_out_of_refinement(exact):
         matroid_chain_decompose(m, FractionalPoint([0.3, 0.2, 0.1, 0.0]),
                                 0.5, exact=exact,
                                 stream=SeedSpec(4).stream(0))
+
+
+_GRAPH5 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+_POINT5 = FractionalPoint([0.05, 0.1, 0.05, 0.1, 0.05])
+# chain, random and deterministic matching, knapsack, and an intersection of
+# a chain, a random matching and a knapsack
+_SAMPLERS = {
+    "chain": MatroidChainFactory(UniformMatroid(5, 2), 0.25),
+    "matching": MatchingFactory(_GRAPH5, 0.25),
+    "matching-deterministic": MatchingFactory(_GRAPH5, 0.25,
+                                              deterministic=True),
+    "knapsack": KnapsackFactory([0.7, 0.4, 0.3, 0.6, 0.2], 0.25),
+    "intersect": IntersectionFactory([
+        MatroidChainFactory(UniformMatroid(5, 2), 0.25),
+        MatchingFactory(_GRAPH5, 0.25),
+        KnapsackFactory([0.6, 0.4, 0.3, 0.5, 0.2], 0.25)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SAMPLERS))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), rows=st.integers(1, 400))
+def test_sample_block_codes_follow_cache_keys(name, seed, rows):
+    """Within a block, two trials share a code iff their families have
+    equal ``cache_key``s, and each trial's family has the ``cache_key`` of
+    the same row decoded on its own."""
+    sampler = _SAMPLERS[name].bind(_POINT5)
+    table = SeedSpec(seed).stream(0).random((rows, sampler.draw_count))
+    codes, families = sampler.sample_block(table)
+    assert codes.dtype == np.int64 and codes.shape == (rows,)
+    keys = [families[c].cache_key() for c in codes.tolist()]
+    assert (len(set(codes.tolist())) == len(set(keys))
+            == len(set(zip(codes.tolist(), keys))))
+    alone = []
+    for i in range(rows):
+        row_codes, row_families = sampler.sample_block(table[i:i + 1])
+        alone.append(row_families[row_codes[0]].cache_key())
+    assert keys == alone
+
+
+def test_construction_slack_sums_left_to_right():
+    """The parts' slacks add left to right: 0.1 + 0.2 + 0.3 is
+    0.6000000000000001, where a compensated sum gives 0.6."""
+    factory = IntersectionFactory([
+        MatroidChainFactory(UniformMatroid(3, 1), 0.5, eps=eps, exact=False)
+        for eps in (0.1, 0.2, 0.3)])
+    assert factory.construction_slack == 0.6000000000000001

@@ -266,11 +266,12 @@ def _literal_ocrs_value(f, factory, x, trials, seed, half_subsample):
         segments.append(np.full(x.n, 0.5))
     order = tuple(range(x.n))
     values = []
-    for _start, (actives, families, *coins) in trial_columns(
+    for _start, (actives, (codes, families), *coins) in trial_columns(
             seed, _DOMAIN_TRIALS, trials, segments):
-        kept = coins[0] if coins else [-1] * len(actives)
-        for a, fam, k in zip(actives, families, kept):
-            values.append(f.value(run_greedy_mask(fam, order, a) & k))
+        kept = coins[0].tolist() if coins else [-1] * len(actives)
+        for a, c, k in zip(actives.tolist(), codes.tolist(), kept):
+            values.append(f.value(run_greedy_mask(families[c], order, a)
+                                  & k))
     return MeanEstimate.from_stream(values)
 
 
@@ -425,8 +426,11 @@ def _literal_submodular_probing(f, p, inner, outer, b, trials, seed,
     for _start, columns in trial_columns(
             seed, _DOMAIN_TRIALS, trials,
             [x_tilde.values, pv, inner_sampler, outer_sampler]):
-        for state in zip(*columns):
-            _probed, selected = probe(order, *state, in_member, out_member)
+        a_out, act, (codes_in, fams_in), (codes_out, fams_out) = columns
+        for a, s, c_in, c_out in zip(a_out.tolist(), act.tolist(),
+                                     codes_in.tolist(), codes_out.tolist()):
+            _probed, selected = probe(order, a, s, fams_in[c_in],
+                                      fams_out[c_out], in_member, out_member)
             values.append(f.value(selected))
     return MeanEstimate.from_stream(values)
 
@@ -486,3 +490,12 @@ def test_scaled_membership_beyond_the_table_raises():
     with pytest.raises(ValueError, match="limited to 24 elements"):
         _assert_scaled_membership(FractionalPoint(np.zeros(25)),
                                   UniformMatroid(25, 2), 0.5)
+
+
+def test_coverage_and_cut_values_sum_left_to_right():
+    """1.0 + 2^53 rounds back to 2^53: a left-to-right sum of 1.0, 2^53
+    and 1.0 is 2^53, a compensated one 2^53 + 2."""
+    cover = coverage_function([1.0, 2.0 ** 53, 1.0], [[0, 1, 2]])
+    assert cover.value(0b1) == 2.0 ** 53
+    cut = directed_cut(4, [(0, 1, 1.0), (0, 2, 2.0 ** 53), (0, 3, 1.0)])
+    assert cut.value(0b0001) == 2.0 ** 53
