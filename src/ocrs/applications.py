@@ -23,7 +23,7 @@ from .harness import (AdversarySearchResult, MeanEstimate, group_states,
                       grouped_values, per_trial_values, worst_order_value)
 from .matroids import LaminarMatroid, Matroid, max_weight_independent
 from .optimize import (ConstraintSpec, DiscreteDistribution,
-                       KnapsackConstraint, ProbingLpResult, constraint_member,
+                       KnapsackConstraint, ProbingLpResult,
                        solve_probing_lp, solve_prophet_relaxation, threshold)
 from .schemes import (FeasibleFamily, GreedyOcrsFactory, IntersectionFactory,
                       KnapsackFactory, MatroidChainFactory, SchemeSampler,
@@ -39,7 +39,7 @@ def default_factory(spec: ConstraintSpec, b: float) -> GreedyOcrsFactory:
     if isinstance(spec, Matroid):
         return MatroidChainFactory(spec, b)
     if isinstance(spec, KnapsackConstraint):
-        return KnapsackFactory(spec.sizes, b)
+        return KnapsackFactory(spec, b)
     raise TypeError(f"no default scheme for {type(spec).__name__}")
 
 
@@ -321,8 +321,8 @@ class ProbingPipeline:
     def __post_init__(self) -> None:
         # the deadline matroid is part of the outer family it was intersected
         # into, so the probed set is checked against both
-        self.inner_member = constraint_member(self.instance.inner)
-        outer = constraint_member(self.instance.outer)
+        self.inner_member = self.instance.inner.indep
+        outer = self.instance.outer.indep
         laminar = self.laminar
         self.outer_member = (outer if laminar is None else
                              lambda mask: outer(mask) and laminar.indep(mask))

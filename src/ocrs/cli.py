@@ -29,7 +29,8 @@ from .applications import (ProbingInstance, ProphetInstance,
                            prophet_value_under_order, prophet_worst_order)
 from .core import (FractionalPoint, SeedSpec, float_list, int_list,
                    num_blocks, read_field)
-from .harness import (MeanEstimate, knapsack_deterministic_impossibility,
+from .harness import (MeanEstimate, bind_sampler,
+                      knapsack_deterministic_impossibility,
                       report_from_counts, selectability_counts)
 from .matroids import (check_matroid_axioms, in_scaled_matroid_polytope,
                        matroid_from_json, random_point_in_polytope)
@@ -74,8 +75,8 @@ def constraint_from_json(obj: dict, path: str):
         raise InstanceError(
             f"constraint in {path} must be an object with a 'type'")
     if obj["type"] == "knapsack":
-        return KnapsackConstraint(tuple(read_field(
-            "sizes", _require(obj, "sizes", path), float_list)))
+        return KnapsackConstraint(read_field(
+            "sizes", _require(obj, "sizes", path), float_list))
     try:
         return matroid_from_json(obj)
     except ValueError as exc:
@@ -140,22 +141,6 @@ def _default_point(instance: dict, path: str, factory: GreedyOcrsFactory,
     return _fit_point_to_factory(raw, factory)
 
 
-def _count_range(factory: GreedyOcrsFactory, x: FractionalPoint,
-                 trials: int, seed: SeedSpec,
-                 block_range: tuple[int, int]) -> np.ndarray:
-    # every range binds the same sampler; only the range that starts at
-    # block 0 logs the bind, so the log does not depend on --workers
-    schemes_log = logging.getLogger("ocrs.schemes")
-    level = schemes_log.level
-    if block_range[0] != 0:
-        schemes_log.setLevel(logging.CRITICAL + 1)
-    try:
-        return selectability_counts(factory, x, trials, seed,
-                                    block_range=block_range)
-    finally:
-        schemes_log.setLevel(level)
-
-
 def cmd_verify_selectability(args) -> int:
     instance = _load_json(args.instance)
     seed = SeedSpec(args.seed)
@@ -168,9 +153,11 @@ def cmd_verify_selectability(args) -> int:
     log.info("scheme=%s b=%s bound=%s (%s) trials=%d seed=%d", args.scheme,
              args.b, factory.bound(), factory.bound_expr, args.trials,
              args.seed)
+    sampler = bind_sampler(factory, x, seed)
     blocks = num_blocks(args.trials)
     workers = min(args.workers, blocks)
-    count = functools.partial(_count_range, factory, x, args.trials, seed)
+    count = functools.partial(selectability_counts, sampler, x, args.trials,
+                              seed)
     if workers > 1:
         ranges = [(i * blocks // workers, (i + 1) * blocks // workers)
                   for i in range(workers)]
@@ -451,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="online contention resolution experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eps: bool, out_csv: bool):
+    def common(p, eps: bool, out_csv: bool, parallel: bool):
         p.add_argument("instance", help="instance JSON file")
         p.add_argument("--b", type=_finite_float, default=0.5,
                        help="polytope scale (default 0.5)")
@@ -459,16 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps", type=_finite_float, default=0.05,
                            help="chain construction tolerance")
         p.add_argument("--trials", type=int, default=100000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="master seed, in [0, 2^64)")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (affects wall time only)")
+                       help="worker processes (affects wall time only)"
+                       if parallel else "accepted and ignored: this command "
+                       "runs serially")
         if out_csv:
             p.add_argument("--out-csv", default=None)
         p.add_argument("--out-json", default=None)
 
     p = sub.add_parser("verify-selectability",
                        help="estimate per-element selectability vs the bound")
-    common(p, eps=True, out_csv=True)
+    common(p, eps=True, out_csv=True, parallel=True)
     p.add_argument("--scheme", required=True,
                    choices=["matroid", "matching", "knapsack", "intersect"])
     p.add_argument("--exact", action="store_const", const=True, default=None,
@@ -481,20 +471,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", default=None)
 
     p = sub.add_parser("prophet", help="prophet pipeline competitive ratio")
-    common(p, eps=True, out_csv=True)
+    common(p, eps=True, out_csv=True, parallel=False)
     p.add_argument("--order", choices=["worst", "identity"], default=None,
                    help="arrival order; overrides the instance's 'order' "
                         "(default: the instance's, else worst)")
 
     p = sub.add_parser("probing", help="stochastic probing pipeline, with "
                        "deadlines when the instance has them")
-    common(p, eps=False, out_csv=True)
+    common(p, eps=False, out_csv=True, parallel=False)
     p.add_argument("--dump-lp", default=None,
                    help="write the generated LP rows and the separation "
                         "certificate to this file")
 
     p = sub.add_parser("submodular", help="submodular objective pipelines")
-    common(p, eps=True, out_csv=False)
+    common(p, eps=True, out_csv=False, parallel=False)
 
     p = sub.add_parser("validate-matroid", help="exhaustive matroid audits")
     p.add_argument("instance")
@@ -523,6 +513,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for flag in ("trials", "workers"):
             if getattr(args, flag, 1) < 1:
                 raise InstanceError(f"{flag} must be at least 1")
+        if not 0 <= getattr(args, "seed", 0) < 1 << 64:
+            raise InstanceError("--seed must lie in [0, 2^64)")
         return _COMMANDS[args.command](args)
     except InstanceError as exc:
         log.error("%s", exc)

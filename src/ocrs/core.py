@@ -50,14 +50,18 @@ class SeedSpec:
 
     master_seed: int
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError("the master seed must lie in [0, 2^64)")
+
     def stream_key(self, *path: int) -> int:
-        key = self.master_seed & _MASK64
+        key = self.master_seed
         for index in path:
             key = _fold(key, index)
         return key
 
     def stream(self, *path: int) -> np.random.Generator:
-        key = np.array([self.master_seed & _MASK64, self.stream_key(*path)],
+        key = np.array([self.master_seed, self.stream_key(*path)],
                        dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 

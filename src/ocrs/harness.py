@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (FractionalPoint, SeedSpec, block_states, group_rows,
                    iter_bits, iter_submasks, trial_columns)
-from .schemes import FeasibleFamily, GreedyOcrsFactory
+from .schemes import FeasibleFamily, GreedyOcrsFactory, SchemeSampler
 
 Z_99 = 2.576
 
@@ -176,17 +176,23 @@ class SelectabilityReport:
         }
 
 
-def selectability_counts(factory: GreedyOcrsFactory, x: FractionalPoint,
+def bind_sampler(factory: GreedyOcrsFactory, x: FractionalPoint,
+                 seed: SeedSpec) -> SchemeSampler:
+    """``factory`` bound to x by ``seed``'s construction stream, once a run."""
+    return factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT))
+
+
+def selectability_counts(sampler: SchemeSampler, x: FractionalPoint,
                          trials: int, seed: SeedSpec,
                          block_range: Optional[tuple[int, int]] = None
                          ) -> np.ndarray:
     """Per element, the number of trials in a range of trial blocks in which
     it is selectable: an int64 array of length n.
 
-    The counts for disjoint block ranges sum to the full-range counts, so
-    workers can split ranges without changing the reduced result.
+    The counts for disjoint block ranges of one `bind_sampler` sampler sum
+    to the full-range counts, so workers can split ranges without changing
+    the reduced result.
     """
-    sampler = factory.bind(x, seed.stream(_DOMAIN_CONSTRUCT))
     shifts = np.arange(x.n, dtype=np.int64)
     counts = np.zeros(x.n, dtype=np.int64)
     for _start, (actives, (codes, families)) in trial_columns(
@@ -224,7 +230,8 @@ def estimate_selectability(factory: GreedyOcrsFactory, x: FractionalPoint,
     """
     if trials < 1:
         raise ValueError("at least one trial required")
-    counts = selectability_counts(factory, x, trials, seed)
+    counts = selectability_counts(bind_sampler(factory, x, seed), x, trials,
+                                  seed)
     return report_from_counts(counts, trials, factory, seed, scheme)
 
 

@@ -17,11 +17,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FractionalPoint, iter_bits, ordered_sum
+from .core import FractionalPoint, iter_submasks, ordered_sum, pack_mask
 from .matroids import EXHAUSTIVE_LIMIT, Matroid
 
 log = logging.getLogger("ocrs.optimize")
@@ -262,28 +262,50 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
 # the probing linear program
 
 
-@dataclass(frozen=True)
 class KnapsackConstraint:
-    """Single capacity row: sum of sizes over the chosen set at most one."""
+    """Single capacity row: sum of sizes over the chosen set at most one.
 
-    sizes: tuple[float, ...]
+    The LP, the probe check and the knapsack scheme share this object and
+    its subset-sum memos.  Sizes are finite and nonnegative; the LP takes
+    sizes above one, the scheme does not.
+    """
 
-    @property
-    def n(self) -> int:
-        return len(self.sizes)
+    def __init__(self, sizes: Sequence[float]):
+        self.sizes = tuple(float(s) for s in sizes)
+        if not all(math.isfinite(s) and s >= 0 for s in self.sizes):
+            raise ValueError("'sizes' must be finite and nonnegative")
+        self.n = len(self.sizes)
+        # strictly greater than one half: items of size exactly 1/2 are small
+        self.big_mask = pack_mask(np.array([s > 0.5 for s in self.sizes]))
+        self._sum_cache: dict[int, float] = {0: 0.0}
+        self._best_cache: dict[int, float] = {}
 
-    def member(self, mask: int) -> bool:
-        return (ordered_sum(self.sizes[e] for e in iter_bits(mask))
-                <= 1.0 + 1e-9)
+    def size_sum(self, mask: int) -> float:
+        """The sizes of ``mask``, added from its highest element down."""
+        cached = self._sum_cache.get(mask)
+        if cached is None:
+            low = mask & -mask
+            cached = self.size_sum(mask ^ low) + self.sizes[low.bit_length() - 1]
+            self._sum_cache[mask] = cached
+        return cached
+
+    def indep(self, mask: int) -> bool:
+        return self.size_sum(mask) <= 1.0 + 1e-9
+
+    def best_feasible_sum(self, mask: int) -> float:
+        """Largest subset-sum of ``mask`` not exceeding the unit capacity."""
+        cached = self._best_cache.get(mask)
+        if cached is None:
+            cached = 0.0
+            for sub in iter_submasks(mask):
+                s = self.size_sum(sub)
+                if s <= 1.0 + 1e-9 and s > cached:
+                    cached = s
+            self._best_cache[mask] = cached
+        return cached
 
 
 ConstraintSpec = Matroid | KnapsackConstraint
-
-
-def constraint_member(spec: ConstraintSpec) -> Callable[[int], bool]:
-    if isinstance(spec, Matroid):
-        return spec.indep
-    return spec.member
 
 
 def polytope_rows(spec: ConstraintSpec, multipliers: Sequence[Fraction],
@@ -451,10 +473,8 @@ def adaptive_probing_optimum(p: Sequence[Fraction], w: Sequence[Fraction],
         raise ValueError("backward induction limited to small ground sets")
     pf = [Fraction(v) for v in p]
     wf = [Fraction(v) for v in w]
-    in_member = constraint_member(inner)
-    out_member = constraint_member(outer)
-    extra_member = (constraint_member(extra_outer)
-                    if extra_outer is not None else lambda mask: True)
+    extra_member = (extra_outer.indep if extra_outer is not None
+                    else lambda mask: True)
     memo: dict[tuple[int, int], Fraction] = {}
 
     def value(probed: int, selected: int) -> Fraction:
@@ -467,9 +487,9 @@ def adaptive_probing_optimum(p: Sequence[Fraction], w: Sequence[Fraction],
             bit = 1 << e
             if probed & bit:
                 continue
-            if not (out_member(probed | bit) and extra_member(probed | bit)):
+            if not (outer.indep(probed | bit) and extra_member(probed | bit)):
                 continue
-            if not in_member(selected | bit):
+            if not inner.indep(selected | bit):
                 continue
             gain = (pf[e] * (wf[e] + value(probed | bit, selected | bit))
                     + (1 - pf[e]) * value(probed | bit, selected))

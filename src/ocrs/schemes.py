@@ -19,11 +19,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (FractionalPoint, block_states, float_list, group_rows,
-                   iter_bits, iter_submasks, json_int, ordered_sum,
-                   pack_mask, pack_mask_rows, read_field)
+                   iter_bits, json_int, ordered_sum, pack_mask_rows,
+                   read_field)
 from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
                        MatroidView, edge_list, in_scaled_matroid_polytope,
                        matroid_from_json)
+from .optimize import KnapsackConstraint
 
 #: Above this many ground elements, chain span probabilities switch from
 #: the exact rank-table sums to Monte-Carlo estimation.
@@ -192,81 +193,42 @@ class MatchingFamily(FeasibleFamily):
         return ("matching", self.k_mask)
 
 
-class _KnapsackStructure:
-    """Shared per-instance data: sizes, the big-element set and sum memos."""
-
-    def __init__(self, sizes: Sequence[float]):
-        arr = tuple(float(s) for s in sizes)
-        if any(not 0 <= s <= 1 for s in arr):
-            raise ValueError("'sizes' must lie in [0, 1]")
-        self.sizes = arr
-        self.n = len(arr)
-        # strictly greater than one half: items of size exactly 1/2 are small
-        self.big_mask = pack_mask(np.array([s > 0.5 for s in arr]))
-        self._sum_cache: dict[int, float] = {0: 0.0}
-        self._best_cache: dict[int, float] = {}
-        self._selectable_cache: dict[tuple[bool, int], int] = {}
-
-    def size_sum(self, mask: int) -> float:
-        cached = self._sum_cache.get(mask)
-        if cached is None:
-            low = mask & -mask
-            cached = self.size_sum(mask ^ low) + self.sizes[low.bit_length() - 1]
-            self._sum_cache[mask] = cached
-        return cached
-
-    def best_feasible_sum(self, mask: int) -> float:
-        """Largest subset-sum of ``mask`` not exceeding the unit capacity."""
-        cached = self._best_cache.get(mask)
-        if cached is None:
-            cached = 0.0
-            for sub in iter_submasks(mask):
-                s = self.size_sum(sub)
-                if s <= 1.0 + _TOL and s > cached:
-                    cached = s
-            self._best_cache[mask] = cached
-        return cached
-
-
 class KnapsackFamily(FeasibleFamily):
     """Big-only or small-only subsets respecting the unit capacity."""
 
-    def __init__(self, structure: _KnapsackStructure, big_mode: bool):
-        self.structure = structure
+    def __init__(self, knapsack: KnapsackConstraint, big_mode: bool):
+        self.knapsack = knapsack
         self.big_mode = big_mode
-        self.n = structure.n
+        self.n = knapsack.n
+        # the elements of the other mode
+        self._outside = ~knapsack.big_mask if big_mode else knapsack.big_mask
+        self._selectable_cache: dict[int, int] = {}
 
     def member(self, mask: int) -> bool:
-        st = self.structure
-        if self.big_mode:
-            if mask & ~st.big_mask:
-                return False
-        elif mask & st.big_mask:
-            return False
-        return st.size_sum(mask) <= 1.0 + _TOL
+        return not mask & self._outside and self.knapsack.indep(mask)
 
     def selectable_mask(self, active_mask: int) -> int:
-        st = self.structure
-        cached = st._selectable_cache.get((self.big_mode, active_mask))
+        cached = self._selectable_cache.get(active_mask)
         if cached is not None:
             return cached
+        ks = self.knapsack
         out = 0
         if self.big_mode:
-            pool = active_mask & st.big_mask
-            for e in iter_bits(st.big_mask):
+            pool = active_mask & ks.big_mask
+            for e in iter_bits(ks.big_mask):
                 others = pool & ~(1 << e)
                 # feasible subsets of big elements are empty or singletons
-                worst = max((st.sizes[g] for g in iter_bits(others)), default=0.0)
-                if worst + st.sizes[e] <= 1.0 + _TOL:
+                worst = max((ks.sizes[g] for g in iter_bits(others)), default=0.0)
+                if worst + ks.sizes[e] <= 1.0 + _TOL:
                     out |= 1 << e
         else:
-            small_mask = ((1 << st.n) - 1) & ~st.big_mask
+            small_mask = ((1 << ks.n) - 1) & ~ks.big_mask
             pool = active_mask & small_mask
             for e in iter_bits(small_mask):
-                worst = st.best_feasible_sum(pool & ~(1 << e))
-                if worst + st.sizes[e] <= 1.0 + _TOL:
+                worst = ks.best_feasible_sum(pool & ~(1 << e))
+                if worst + ks.sizes[e] <= 1.0 + _TOL:
                     out |= 1 << e
-        st._selectable_cache[(self.big_mode, active_mask)] = out
+        self._selectable_cache[active_mask] = out
         return out
 
     def cache_key(self):
@@ -586,43 +548,32 @@ class SchemeSampler:
         raise NotImplementedError
 
 
-def _one_family(rows: np.ndarray, family: FeasibleFamily
-                ) -> tuple[np.ndarray, list[FeasibleFamily]]:
-    """Code 0 for every row, and the one family."""
-    return np.zeros(rows.shape[0], dtype=np.int64), [family]
+class _FixedSampler(SchemeSampler):
+    """One family for every trial: code 0, and no columns drawn."""
 
-
-class _ChainSampler(SchemeSampler):
-    def __init__(self, family: MatroidChainFamily):
+    def __init__(self, family: FeasibleFamily):
         self.family = family
 
     def sample_block(self, rows: np.ndarray):
-        return _one_family(rows, self.family)
+        return np.zeros(rows.shape[0], dtype=np.int64), [self.family]
 
     def enumerate_families(self):
         return [(1.0, self.family)]
 
 
 class _MatchingSampler(SchemeSampler):
-    def __init__(self, graph: Graph, k_probs: np.ndarray,
-                 deterministic: bool):
+    def __init__(self, graph: Graph, k_probs: np.ndarray):
         self.graph = graph
         self.k_probs = k_probs
-        self.deterministic = deterministic
-        self.draw_count = 0 if deterministic else graph.n_edges
-        self._full = (1 << graph.n_edges) - 1
+        self.draw_count = graph.n_edges
 
     def sample_block(self, rows: np.ndarray):
-        if self.deterministic:
-            return _one_family(rows, MatchingFamily(self.graph, self._full))
         k_masks, codes = np.unique(pack_mask_rows(rows < self.k_probs),
                                    return_inverse=True)
         return (codes.reshape(-1),
                 [MatchingFamily(self.graph, k) for k in k_masks.tolist()])
 
     def enumerate_families(self):
-        if self.deterministic:
-            return [(1.0, MatchingFamily(self.graph, self._full))]
         m = self.graph.n_edges
         if m > 16:
             raise ValueError("edge-set outcome space too large to enumerate")
@@ -638,12 +589,11 @@ class _MatchingSampler(SchemeSampler):
 
 
 class _KnapsackSampler(SchemeSampler):
-    def __init__(self, structure: _KnapsackStructure, p_big: float):
-        self.structure = structure
+    def __init__(self, knapsack: KnapsackConstraint, p_big: float):
         self.p_big = p_big
         self.draw_count = 1
-        self._big = KnapsackFamily(structure, True)
-        self._small = KnapsackFamily(structure, False)
+        self._big = KnapsackFamily(knapsack, True)
+        self._small = KnapsackFamily(knapsack, False)
 
     def sample_block(self, rows: np.ndarray):
         return ((rows[:, 0] < self.p_big).astype(np.int64),
@@ -742,7 +692,7 @@ class MatroidChainFactory(GreedyOcrsFactory):
     def bind(self, x, stream=None) -> SchemeSampler:
         chain = matroid_chain_decompose(self.matroid, x, self.b, eps=self.eps,
                                         stream=stream, exact=self.exact)
-        return _ChainSampler(MatroidChainFamily(chain))
+        return _FixedSampler(MatroidChainFamily(chain))
 
 
 class MatchingFactory(GreedyOcrsFactory):
@@ -770,22 +720,26 @@ class MatchingFactory(GreedyOcrsFactory):
         if self.load(x) > self.b + _TOL:
             raise PolytopeMembershipError(
                 "x violates the scaled per-vertex degree bounds")
+        if self.deterministic:
+            return _FixedSampler(MatchingFamily(self.graph, (1 << self.n) - 1))
         with np.errstate(invalid="ignore"):
             k_probs = np.where(x.values > 0,
                                -np.expm1(-x.values) / np.where(x.values > 0,
                                                                x.values, 1.0),
                                1.0)
-        return _MatchingSampler(self.graph, k_probs, self.deterministic)
+        return _MatchingSampler(self.graph, k_probs)
 
 
 class KnapsackFactory(GreedyOcrsFactory):
     bound_expr = "(1-2b)/(2-2b)"
 
-    def __init__(self, sizes: Sequence[float], b: float):
+    def __init__(self, knapsack: KnapsackConstraint, b: float):
         if not 0.0 <= b <= 0.5:
             raise SchemeError("knapsack scheme requires b in [0, 1/2]")
-        self.structure = _KnapsackStructure(sizes)
-        self.n = self.structure.n
+        if any(s > 1 for s in knapsack.sizes):
+            raise SchemeError("'sizes' must lie in [0, 1]")
+        self.knapsack = knapsack
+        self.n = knapsack.n
         self.b = b
 
     def bound(self) -> float:
@@ -793,19 +747,19 @@ class KnapsackFactory(GreedyOcrsFactory):
 
     def load(self, x: FractionalPoint) -> float:
         """The knapsack occupancy ``sizes . x``."""
-        return float(np.dot(np.array(self.structure.sizes), x.values))
+        return float(np.dot(np.array(self.knapsack.sizes), x.values))
 
     def bind(self, x, stream=None) -> SchemeSampler:
-        st = self.structure
-        if x.n != st.n:
+        ks = self.knapsack
+        if x.n != ks.n:
             raise ValueError("point dimension must match the size vector")
         if self.load(x) > self.b + _TOL:
             raise PolytopeMembershipError(
                 "x violates the scaled knapsack capacity")
-        b_big = float(ordered_sum(st.sizes[e] * x.values[e]
-                                  for e in iter_bits(st.big_mask)))
+        b_big = float(ordered_sum(ks.sizes[e] * x.values[e]
+                                  for e in iter_bits(ks.big_mask)))
         p_big = (1.0 - 2.0 * self.b + 2.0 * b_big) / (2.0 - 2.0 * self.b)
-        return _KnapsackSampler(st, min(max(p_big, 0.0), 1.0))
+        return _KnapsackSampler(ks, min(max(p_big, 0.0), 1.0))
 
 
 class IntersectionFactory(GreedyOcrsFactory):
@@ -862,8 +816,8 @@ def factory_from_json(kind: str, obj: dict, b: float, eps: float,
         return MatchingFactory(graph_from_json(field("graph")), b,
                                deterministic=deterministic)
     if kind == "knapsack":
-        return KnapsackFactory(read_field("sizes", field("sizes"), float_list),
-                               b)
+        return KnapsackFactory(KnapsackConstraint(
+            read_field("sizes", field("sizes"), float_list)), b)
     if kind == "intersect":
         parts = field("parts")
         if not isinstance(parts, list) or not parts:

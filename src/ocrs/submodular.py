@@ -22,7 +22,7 @@ from .core import (FractionalPoint, SeedSpec, float_list, int_list,
 from .harness import MeanEstimate, grouped_values
 from .matroids import (Matroid, in_scaled_matroid_polytope,
                        max_weight_independent)
-from .optimize import ConstraintSpec, constraint_member, cutting_plane_lp
+from .optimize import ConstraintSpec, cutting_plane_lp
 from .schemes import GreedyOcrsFactory, run_greedy_mask
 
 _AUDIT_LIMIT = 8
@@ -418,11 +418,9 @@ def run_submodular_probing(f: SubmodularOracle, p: Sequence[float],
                                        seed.stream(_DOMAIN_CONSTRUCT_IN))
     outer_sampler = outer_factory.bind(x_tilde,
                                        seed.stream(_DOMAIN_CONSTRUCT_OUT))
-    in_member = constraint_member(inner)
-    out_member = constraint_member(outer)
 
     def value(state, order: Sequence[int]) -> float:
-        _probed, selected = probe(order, *state, in_member, out_member)
+        _probed, selected = probe(order, *state, inner.indep, outer.indep)
         return f.value(selected)
 
     blocks = trial_columns(seed, _DOMAIN_TRIALS, trials,

@@ -133,7 +133,7 @@ def test_criterion_04_knapsack():
         for b in (0.1, 0.25):
             idx += 1
             x = FractionalPoint([b / total] * len(sizes))
-            factory = KnapsackFactory(sizes, b)
+            factory = KnapsackFactory(KnapsackConstraint(sizes), b)
             rep = estimate_selectability(factory, x, trials,
                                          SEED.child(60 + idx))
             floor = factory.bound() - 3 * rep.halfwidths
@@ -163,7 +163,8 @@ def test_criterion_06_combination():
     matroid = UniformMatroid(4, 2)
     sizes = [0.7, 0.4, 0.3, 0.2]
     factory = IntersectionFactory([MatroidChainFactory(matroid, b),
-                                   KnapsackFactory(sizes, b)])
+                                   KnapsackFactory(
+                                       KnapsackConstraint(sizes), b)])
     x = FractionalPoint([0.1, 0.1, 0.1, 0.1])
     rep = estimate_selectability(factory, x, 200_000, SEED.child(90))
     target = (1 - b) * (1 - 2 * b) / (2 - 2 * b)
@@ -188,11 +189,12 @@ def test_criterion_07_oracle_agreement():
         ("matching-det", MatchingFactory(Graph(3, [(0, 1), (1, 2), (0, 2)]),
                                          0.5, deterministic=True),
          FractionalPoint([0.2, 0.25, 0.2])),
-        ("knapsack", KnapsackFactory([0.7, 0.4, 0.3, 0.25], 0.25),
+        ("knapsack", KnapsackFactory(
+                         KnapsackConstraint([0.7, 0.4, 0.3, 0.25]), 0.25),
          FractionalPoint([0.15, 0.15, 0.1, 0.2])),
         ("intersect", IntersectionFactory(
             [MatroidChainFactory(UniformMatroid(3, 2), 0.25),
-             KnapsackFactory([0.6, 0.4, 0.3], 0.25)]),
+             KnapsackFactory(KnapsackConstraint([0.6, 0.4, 0.3]), 0.25)]),
          FractionalPoint([0.15, 0.1, 0.12])),
     ]
     worst = 0.0
@@ -395,7 +397,8 @@ def test_criterion_14_structural_invariants():
             FractionalPoint([0.15] * 6)),
         MatchingFactory(Graph(3, [(0, 1), (1, 2), (0, 2)]), 0.5).bind(
             FractionalPoint([0.2] * 3)),
-        KnapsackFactory([0.7, 0.4, 0.3, 0.25, 0.2, 0.15], 0.25).bind(
+        KnapsackFactory(
+            KnapsackConstraint([0.7, 0.4, 0.3, 0.25, 0.2, 0.15]), 0.25).bind(
             FractionalPoint([0.1] * 6)),
     ]
     for sampler in samplers:
@@ -418,7 +421,7 @@ def test_criterion_14_structural_invariants():
             failures.append("subset-of-F:chain")
             break
     knap_sizes = [0.7, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05]
-    ksampler = KnapsackFactory(knap_sizes, 0.25).bind(
+    ksampler = KnapsackFactory(KnapsackConstraint(knap_sizes), 0.25).bind(
         FractionalPoint([0.05] * 10))
     for _p, fam in ksampler.enumerate_families():
         for mask in range(1 << 10):
@@ -435,7 +438,8 @@ def test_criterion_14_structural_invariants():
         MatchingFactory(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
                         0.4).bind(
             FractionalPoint([0.1, 0.15, 0.1, 0.05, 0.1])),
-        KnapsackFactory([0.8, 0.5, 0.4, 0.3, 0.25], 0.25).bind(
+        KnapsackFactory(
+            KnapsackConstraint([0.8, 0.5, 0.4, 0.3, 0.25]), 0.25).bind(
             FractionalPoint([0.1] * 5)),
     ]
     for sampler in quantifier_cases:
@@ -457,7 +461,8 @@ def test_criterion_14_structural_invariants():
         FractionalPoint([0.1, 0.1, 0.1, 0.05, 0.05]))
     containment_cases += [(fam, 5) for _p, fam in
                           msampler.enumerate_families()[:6]]
-    ksampler = KnapsackFactory([0.8, 0.5, 0.4, 0.3, 0.25], 0.25).bind(
+    ksampler = KnapsackFactory(
+        KnapsackConstraint([0.8, 0.5, 0.4, 0.3, 0.25]), 0.25).bind(
         FractionalPoint([0.1] * 5))
     containment_cases += [(fam, 5) for _p, fam in
                           ksampler.enumerate_families()]

@@ -263,6 +263,15 @@ def test_default_log_level_keeps_stderr_quiet(tmp_path):
             in loud.stderr)
 
 
+def _knapsack_outer_size0(size):
+    """Submodular probing, inner U(3,2), a knapsack outer whose first size
+    is ``size``: the direction LPs read the sizes before any scheme."""
+    return {"f": {"universe_weights": [1.0, 1.0],
+                  "covers": [[0], [1], [0, 1]]},
+            "p": [0.5] * 3, "inner": {"type": "uniform", "n": 3, "k": 2},
+            "outer": {"type": "knapsack", "sizes": [size, 0.3, 0.2]}}
+
+
 @pytest.mark.parametrize("command, instance, extra, field", [
     ("probing", {"p": [0.5, 0.5], "w": [float("inf"), 1.0],
                  "inner": {"type": "uniform", "n": 2, "k": 1},
@@ -293,11 +302,15 @@ def test_default_log_level_keeps_stderr_quiet(tmp_path):
     ("verify-selectability", {"matroid": _U3},
      ["--scheme", "matroid", "--b", "nan"], "--b"),
     ("prophet", _PROPHET, ["--b", "inf"], "--b"),
+    ("submodular", _knapsack_outer_size0(float("nan")), [], "'sizes'"),
+    # JSON reads the number 1e400 as inf
+    ("submodular", _knapsack_outer_size0(float("1e400")), [], "'sizes'"),
 ], ids=["probing-w-inf", "probing-b-nan", "knapsack-sizes-nan",
         "prophet-probs-nan", "prophet-support-nan", "prophet-support-inf",
         "coverage-weights-nan", "cut-arc-weight-nan",
         "submodular-probing-b-nan", "matroid-flag-b-nan",
-        "prophet-flag-b-inf"])
+        "prophet-flag-b-inf", "submodular-probing-knapsack-size-nan",
+        "submodular-probing-knapsack-size-1e400"])
 def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, command,
                                                     instance, extra, field):
     _assert_input_error_names(tmp_path, capsys, command, instance, extra,
@@ -335,6 +348,13 @@ _SUBMODULAR6 = {"f": {"universe_weights": [1.0, 2.0, 1.5, 0.5, 1.0, 0.75,
                 "p": [0.8, 0.6, 0.9, 0.7, 0.5, 0.6],
                 "inner": {"type": "uniform", "n": 6, "k": 2},
                 "outer": {"type": "uniform", "n": 6, "k": 3}, "b": 0.5}
+
+
+#: every command that takes --seed, on a valid instance
+_SEEDED = [("verify-selectability", {"matroid": _U3}, _MATROID),
+           ("prophet", _PROPHET2, []),
+           ("probing", _PROBING3, []),
+           ("submodular", {"f": _COVER3, "matroid": _U3}, [])]
 
 
 def _submodular6_p0(value):
@@ -424,6 +444,9 @@ def _submodular6_p0(value):
                           "covers": [[0], [0], [1]]},
                     "matroid": {"type": "uniform", "n": 3, "k": 2}}, [],
      "'f'"),
+    *[(command, instance, [*extra, "--seed", seed], "--seed")
+      for command, instance, extra in _SEEDED
+      for seed in ("-1", str(1 << 64))],
 ], ids=["uniform-n-null", "graph-vertices-null", "knapsack-sizes-null",
         "probing-inner-sizes-null", "probing-p-number", "prophet-dists-null",
         "laminar-sets-string", "explicit-bases-null", "prophet-order-floats",
@@ -441,7 +464,9 @@ def _submodular6_p0(value):
         "deadlines-empty", "submodular-p-negative", "submodular-p-above-one",
         "submodular-p-nan", "submodular-probing-weight-total-overflows",
         "submodular-direction-lp-optimum-overflows",
-        "submodular-audit-sum-overflows"])
+        "submodular-audit-sum-overflows",
+        *[f"{command}-seed-{where}" for command, _i, _e in _SEEDED
+          for where in ("negative", "2-to-64")]])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(
         tmp_path, capsys, command, instance, extra, field):
     _assert_input_error_names(tmp_path, capsys, command, instance, extra,
@@ -604,8 +629,9 @@ def _selectability_stderr(workers: str, *args: str,
 
 
 def test_info_log_does_not_depend_on_workers():
-    """Every worker binds the chain, but only the first block range logs
-    it, so the INFO log reads the same at any --workers."""
+    """The command binds the chain once, before any worker starts, and
+    sends the bound sampler to the workers, so the INFO log holds one
+    chain line and reads the same at any --workers."""
     args = (os.path.join(GOLDEN, "theta7.json"), "--scheme", "matroid",
             "--b", "0.75")
     code, err = _selectability_stderr("1", *args, log_level="INFO")
@@ -615,8 +641,9 @@ def test_info_log_does_not_depend_on_workers():
 
 
 def test_worker_error_reads_as_the_serial_one():
-    """theta7's default point is outside 0.5 * P: a worker's ValueError
-    exits 2 once, with the stderr of a serial run and no serial retry."""
+    """theta7's default point is outside 0.5 * P: the one bind, before any
+    worker starts, raises a ValueError that exits 2 once, with the stderr
+    of a serial run and no serial retry."""
     args = (os.path.join(GOLDEN, "theta7.json"), "--scheme", "matroid",
             "--b", "0.5")
     serial = _selectability_stderr("1", *args)
@@ -655,8 +682,8 @@ def test_pool_that_cannot_start_falls_back_to_serial(tmp_path, monkeypatch,
 def test_spawned_workers_get_the_built_factory(tmp_path, monkeypatch, capfd,
                                                caplog, name, scheme, b):
     """Workers started by spawn inherit no state from the parent: the
-    factory and the point reach them by pickle, and the reports stay the
-    golden ones with nothing logged at the default level."""
+    bound sampler and the point reach them by pickle, and the reports stay
+    the golden ones with nothing logged at the default level."""
     spawn = multiprocessing.get_context("spawn")
     monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
         ProcessPoolExecutor, mp_context=spawn))

@@ -14,6 +14,7 @@ import ocrs.core
 from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, group_rows,
                        iter_submasks, ordered_sum, pack_mask_rows,
                        scale_point, trial_columns, uniform_blocks)
+from ocrs.optimize import KnapsackConstraint
 from ocrs.schemes import Graph, KnapsackFactory, MatchingFactory
 
 
@@ -117,7 +118,7 @@ def test_trial_columns_matches_hand_slicing():
     graph = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     matching = MatchingFactory(graph, 0.5).bind(
         FractionalPoint([0.1] * 5), SeedSpec(6).stream(0))
-    knapsack = KnapsackFactory([0.6, 0.3, 0.2], 0.25).bind(
+    knapsack = KnapsackFactory(KnapsackConstraint([0.6, 0.3, 0.2]), 0.25).bind(
         FractionalPoint([0.1, 0.2, 0.1]))
     assert matching.draw_count == 5 and knapsack.draw_count == 1
     x = np.array([0.3, 0.9, 0.0, 0.5])
@@ -166,6 +167,10 @@ def test_seed_spec_reproducible_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    # a seed outside 64 bits is rejected, not wrapped onto another seed
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="master seed"):
+            SeedSpec(seed)
 
 
 def test_uniform_blocks_partition_invariance():

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, iter_bits,
                        num_blocks, trial_columns)
 from ocrs.harness import (_DOMAIN_CONSTRUCT, _DOMAIN_TRIALS, MeanEstimate,
-                          brute_force_selectability,
+                          bind_sampler, brute_force_selectability,
                           ci_halfwidth, estimate_selectability, group_states,
                           grouped_values,
                           knapsack_deterministic_impossibility,
                           selectability_counts, worst_order_value)
 from ocrs.matroids import GraphicMatroid, UniformMatroid
+from ocrs.optimize import KnapsackConstraint
 from ocrs.schemes import (Graph, IntersectionFactory, KnapsackFactory,
                           MatchingFactory, MatroidChainFactory,
                           run_greedy_mask)
@@ -45,7 +46,7 @@ def test_estimate_matches_closed_form_rank_one():
 
 
 def test_estimate_knapsack_unit_element_exact_one():
-    fac = KnapsackFactory([1.0], 0.5)
+    fac = KnapsackFactory(KnapsackConstraint([1.0]), 0.5)
     rep = estimate_selectability(fac, FractionalPoint([0.5]), 5000, SEED)
     assert rep.estimates[0] == 1.0
 
@@ -72,9 +73,10 @@ def test_counts_block_ranges_merge():
     fac = MatroidChainFactory(UniformMatroid(3, 1), 0.5)
     x = FractionalPoint([0.15, 0.2, 0.1])
     trials = 20_000
-    full = selectability_counts(fac, x, trials, SEED)
-    lo = selectability_counts(fac, x, trials, SEED, block_range=(0, 1))
-    hi = selectability_counts(fac, x, trials, SEED, block_range=(1, None))
+    sampler = bind_sampler(fac, x, SEED)
+    full = selectability_counts(sampler, x, trials, SEED)
+    lo = selectability_counts(sampler, x, trials, SEED, block_range=(0, 1))
+    hi = selectability_counts(sampler, x, trials, SEED, block_range=(1, None))
     assert full.dtype == np.int64 and full.shape == (3,)
     assert np.array_equal(lo + hi, full)
 
@@ -97,10 +99,11 @@ _COUNT_FACTORIES = [
     MatroidChainFactory(GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3),
                                            (0, 3)]), 0.5),
     MatchingFactory(_GRAPH4, 0.5),
-    KnapsackFactory([0.7, 0.4, 0.3, 0.6, 0.2], 0.25),
+    KnapsackFactory(KnapsackConstraint([0.7, 0.4, 0.3, 0.6, 0.2]), 0.25),
     IntersectionFactory([MatroidChainFactory(UniformMatroid(5, 2), 0.25),
                          MatchingFactory(_GRAPH4, 0.25),
-                         KnapsackFactory([0.6, 0.4, 0.3, 0.5, 0.2], 0.25)]),
+                         KnapsackFactory(KnapsackConstraint(
+                             [0.6, 0.4, 0.3, 0.5, 0.2]), 0.25)]),
 ]
 
 
@@ -123,14 +126,15 @@ def test_counts_equal_per_trial_loop(which, raw, trials, seed, data):
         [None, (lo, data.draw(st.integers(lo, blocks)))]))
     spec = SeedSpec(seed)
     assert np.array_equal(
-        selectability_counts(factory, x, trials, spec, block_range),
+        selectability_counts(bind_sampler(factory, x, spec), x, trials, spec,
+                             block_range),
         _oracle_counts(factory, x, trials, spec, block_range))
 
 
 def _counts_peak_bytes(factory, x, trials: int) -> int:
     tracemalloc.start()
     try:
-        selectability_counts(factory, x, trials, SEED)
+        selectability_counts(bind_sampler(factory, x, SEED), x, trials, SEED)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -159,7 +163,7 @@ def test_brute_force_examples():
     exact = brute_force_selectability(mfac, FractionalPoint([0.5]))
     assert exact[0] == pytest.approx((1 - math.exp(-0.5)) / 0.5)
 
-    kfac = KnapsackFactory([0.4], 0.25)
+    kfac = KnapsackFactory(KnapsackConstraint([0.4]), 0.25)
     exact = brute_force_selectability(kfac, FractionalPoint([0.5]))
     assert exact[0] == pytest.approx(2 / 3)
 
@@ -172,10 +176,11 @@ def test_estimate_agrees_with_brute_force_fixtures():
          FractionalPoint([0.2, 0.25, 0.2, 0.3])),
         (MatchingFactory(Graph(3, [(0, 1), (1, 2), (0, 2)]), 0.5),
          FractionalPoint([0.2, 0.25, 0.2])),
-        (KnapsackFactory([0.7, 0.4, 0.3], 0.25),
+        (KnapsackFactory(KnapsackConstraint([0.7, 0.4, 0.3]), 0.25),
          FractionalPoint([0.15, 0.2, 0.15])),
         (IntersectionFactory([MatroidChainFactory(UniformMatroid(3, 2), 0.25),
-                              KnapsackFactory([0.6, 0.4, 0.3], 0.25)]),
+                              KnapsackFactory(
+                                  KnapsackConstraint([0.6, 0.4, 0.3]), 0.25)]),
          FractionalPoint([0.15, 0.1, 0.12])),
     ]
     for fac, x in fixtures:

@@ -15,6 +15,7 @@ from ocrs.matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
                            MatroidPolytope, MatroidView, PartitionMatroid,
                            UniformMatroid, in_scaled_matroid_polytope,
                            random_point_in_polytope)
+from ocrs.optimize import KnapsackConstraint
 from ocrs.schemes import (_TOL, ChainConstructionError, ChainDecomposition,
                           Graph, IntersectionFactory, KnapsackFactory,
                           MatchingFactory, MatchingFamily,
@@ -388,7 +389,8 @@ def test_selectable_matches_quantifier_exhaustive():
         FractionalPoint([0.05, 0.05, 0.1, 0.1, 0.05]))
     cases.append(sampler.enumerate_families())
 
-    sampler = KnapsackFactory([0.8, 0.5, 0.4, 0.3, 0.25], 0.25).bind(
+    sampler = KnapsackFactory(
+        KnapsackConstraint([0.8, 0.5, 0.4, 0.3, 0.25]), 0.25).bind(
         FractionalPoint([0.1, 0.1, 0.1, 0.1, 0.1]))
     cases.append(sampler.enumerate_families())
 
@@ -405,7 +407,7 @@ def test_selectable_matches_quantifier_exhaustive():
 def test_intersection_selectable_implies_quantifier():
     g = Graph(3, [(0, 1), (1, 2)])
     mfac = MatchingFactory(g, 0.3)
-    kfac = KnapsackFactory([0.3, 0.9], 0.25)
+    kfac = KnapsackFactory(KnapsackConstraint([0.3, 0.9]), 0.25)
     # conjunction under-approximates on constructed cases but never
     # over-approximates the quantifier event
     inter = IntersectionFactory([MatroidChainFactory(UniformMatroid(2, 1), 0.25),
@@ -443,7 +445,7 @@ def test_family_subset_of_underlying_constraint():
                 assert ok
     # knapsack
     sizes = [0.6, 0.3, 0.3, 0.2]
-    sampler = KnapsackFactory(sizes, 0.25).bind(
+    sampler = KnapsackFactory(KnapsackConstraint(sizes), 0.25).bind(
         FractionalPoint([0.1, 0.2, 0.2, 0.3]))
     for _p, fam in sampler.enumerate_families():
         for mask in range(1 << 4):
@@ -455,7 +457,8 @@ def test_family_down_closed_random():
     gen = SeedSpec(7).stream(0)
     m = GraphicMatroid(4, K4_EDGES)
     fam = MatroidChainFactory(m, 0.5).bind(FractionalPoint([0.15] * 6)).sample()
-    sampler = KnapsackFactory([0.6, 0.3, 0.3, 0.2, 0.1, 0.4], 0.25).bind(
+    sampler = KnapsackFactory(
+        KnapsackConstraint([0.6, 0.3, 0.3, 0.2, 0.1, 0.4]), 0.25).bind(
         FractionalPoint([0.1] * 6))
     families = [fam] + [f for _p, f in sampler.enumerate_families()]
     for family in families:
@@ -519,7 +522,7 @@ def test_graph_rejects_self_loop():
 def test_knapsack_p_big_formula():
     # single unit-size element at x = b = 1/2: the big mode is certain and
     # the element is always selectable
-    fac = KnapsackFactory([1.0], 0.5)
+    fac = KnapsackFactory(KnapsackConstraint([1.0]), 0.5)
     sampler = fac.bind(FractionalPoint([0.5]))
     assert sampler.p_big == pytest.approx(1.0)
     [(prob, fam)] = [o for o in sampler.enumerate_families() if o[0] > 0]
@@ -527,24 +530,26 @@ def test_knapsack_p_big_formula():
     assert fam.selectable_mask(0b1) == 0b1
 
     # same shape at b = 1/4: b_big = 1/4, so p_big = (1 - 1/2 + 1/2) / (3/2)
-    sampler = KnapsackFactory([1.0], 0.25).bind(FractionalPoint([0.25]))
+    sampler = KnapsackFactory(
+        KnapsackConstraint([1.0]), 0.25).bind(FractionalPoint([0.25]))
     assert sampler.p_big == pytest.approx(2 / 3)
 
     # zero point: p_big = (1-2b)/(2-2b)
-    sampler = KnapsackFactory([1.0, 0.4], 0.25).bind(FractionalPoint([0, 0]))
+    sampler = KnapsackFactory(
+        KnapsackConstraint([1.0, 0.4]), 0.25).bind(FractionalPoint([0, 0]))
     assert sampler.p_big == pytest.approx((1 - 0.5) / (2 - 0.5))
     for _p, fam in sampler.enumerate_families():
         assert fam.member(0)
 
 
 def test_knapsack_half_size_is_small():
-    fac = KnapsackFactory([0.5, 0.6], 0.25)
-    assert fac.structure.big_mask == 0b10
+    fac = KnapsackFactory(KnapsackConstraint([0.5, 0.6]), 0.25)
+    assert fac.knapsack.big_mask == 0b10
 
 
 def test_knapsack_mode_membership():
     st_sizes = [0.8, 0.6, 0.4, 0.3]
-    sampler = KnapsackFactory(st_sizes, 0.25).bind(
+    sampler = KnapsackFactory(KnapsackConstraint(st_sizes), 0.25).bind(
         FractionalPoint([0.1, 0.1, 0.1, 0.1]))
     big = next(f for _p, f in sampler.enumerate_families() if f.big_mode)
     small = next(f for _p, f in sampler.enumerate_families() if not f.big_mode)
@@ -556,9 +561,22 @@ def test_knapsack_mode_membership():
 
 def test_knapsack_scale_validation():
     with pytest.raises(ValueError):
-        KnapsackFactory([0.5], 0.75)
+        KnapsackFactory(KnapsackConstraint([0.5]), 0.75)
     with pytest.raises(PolytopeMembershipError):
-        KnapsackFactory([1.0], 0.25).bind(FractionalPoint([0.5]))
+        KnapsackFactory(
+            KnapsackConstraint([1.0]), 0.25).bind(FractionalPoint([0.5]))
+
+
+def test_knapsack_sizes_above_one_fit_the_lp_but_not_the_scheme():
+    """The LP takes any finite nonnegative sizes; the knapsack scheme's
+    guarantee needs every size in [0, 1]."""
+    knapsack = KnapsackConstraint((1.5, 0.2))
+    assert knapsack.indep(0b10) and not knapsack.indep(0b01)
+    with pytest.raises(ValueError, match="'sizes'"):
+        KnapsackFactory(knapsack, 0.25)
+    for bad in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="'sizes'"):
+            KnapsackConstraint((bad, 0.2))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +611,7 @@ def test_factory_ground_size_and_load():
     x = FractionalPoint([0.1, 0.3])
     mfac = MatroidChainFactory(UniformMatroid(2, 1), 0.5)
     gfac = MatchingFactory(Graph(3, [(0, 1), (1, 2)]), 0.5)
-    kfac = KnapsackFactory([0.5, 1.0], 0.5)
+    kfac = KnapsackFactory(KnapsackConstraint([0.5, 1.0]), 0.5)
     assert (mfac.n, gfac.n, kfac.n) == (2, 2, 2)
     assert mfac.load(x) == 0.1 + 0.3
     assert gfac.load(x) == 0.1 + 0.3
@@ -601,13 +619,15 @@ def test_factory_ground_size_and_load():
     both = IntersectionFactory([mfac, kfac])
     assert both.n == 2 and both.load(x) == mfac.load(x)
     with pytest.raises(ValueError, match="ground size"):
-        IntersectionFactory([mfac, KnapsackFactory([0.5], 0.5)])
+        IntersectionFactory([mfac, KnapsackFactory(
+                                       KnapsackConstraint([0.5]), 0.5)])
 
 
 def test_intersection_requires_common_b():
     with pytest.raises(ValueError):
         IntersectionFactory([MatroidChainFactory(UniformMatroid(2, 1), 0.5),
-                             KnapsackFactory([0.4, 0.4], 0.25)])
+                             KnapsackFactory(
+                                 KnapsackConstraint([0.4, 0.4]), 0.25)])
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +665,7 @@ def test_single_sample_family_helpers():
     assert fam.n == 1
     det = MatchingFactory(g, 0.3, deterministic=True).bind(x).sample()
     assert det.k_mask == 0b1
-    kf = KnapsackFactory([0.6, 0.3], 0.25).bind(
+    kf = KnapsackFactory(KnapsackConstraint([0.6, 0.3]), 0.25).bind(
         FractionalPoint([0.1, 0.1])).sample(SeedSpec(1).stream(1))
     assert kf.member(0) and kf.n == 2
 
@@ -725,7 +745,8 @@ def test_factory_from_json_descriptors():
 
 def test_greedy_selectable_selected_under_every_order():
     # exhaustive over all arrival permutations, n = 5 knapsack variants
-    sampler = KnapsackFactory([0.6, 0.3, 0.3, 0.25, 0.2], 0.25).bind(
+    sampler = KnapsackFactory(
+        KnapsackConstraint([0.6, 0.3, 0.3, 0.25, 0.2]), 0.25).bind(
         FractionalPoint([0.2, 0.1, 0.15, 0.1, 0.1]))
     families = [f for _p, f in sampler.enumerate_families()]
     for fam in families:
@@ -767,11 +788,12 @@ _SAMPLERS = {
     "matching": MatchingFactory(_GRAPH5, 0.25),
     "matching-deterministic": MatchingFactory(_GRAPH5, 0.25,
                                               deterministic=True),
-    "knapsack": KnapsackFactory([0.7, 0.4, 0.3, 0.6, 0.2], 0.25),
+    "knapsack": KnapsackFactory(
+        KnapsackConstraint([0.7, 0.4, 0.3, 0.6, 0.2]), 0.25),
     "intersect": IntersectionFactory([
         MatroidChainFactory(UniformMatroid(5, 2), 0.25),
         MatchingFactory(_GRAPH5, 0.25),
-        KnapsackFactory([0.6, 0.4, 0.3, 0.5, 0.2], 0.25)]),
+        KnapsackFactory(KnapsackConstraint([0.6, 0.4, 0.3, 0.5, 0.2]), 0.25)]),
 }
 
 

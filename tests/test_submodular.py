@@ -13,7 +13,7 @@ from ocrs.applications import (ProbingInstance, default_factory,
 from ocrs.harness import MeanEstimate, brute_force_selectability
 from ocrs.matroids import (GraphicMatroid, UniformMatroid,
                            random_point_in_polytope)
-from ocrs.optimize import KnapsackConstraint, constraint_member
+from ocrs.optimize import KnapsackConstraint
 from ocrs.schemes import KnapsackFactory, MatroidChainFactory, run_greedy_mask
 from ocrs.submodular import (_DOMAIN_CONSTRUCT_IN, _DOMAIN_CONSTRUCT_OUT,
                              _DOMAIN_TRIALS, SubmodularOracle,
@@ -238,9 +238,9 @@ def _value_loops(draw):
     else:
         # a knapsack scheme draws a family per trial, so the family must be
         # part of the key
-        factory = KnapsackFactory(draw(st.lists(
+        factory = KnapsackFactory(KnapsackConstraint(draw(st.lists(
             st.sampled_from([0.125, 0.25, 0.3, 0.6, 1.0]), min_size=n,
-            max_size=n)), b)
+            max_size=n))), b)
     if draw(st.booleans()):
         f = coverage_function(
             draw(st.lists(_WEIGHTS, min_size=3, max_size=3)),
@@ -420,7 +420,7 @@ def _literal_submodular_probing(f, p, inner, outer, b, trials, seed,
         seed.stream(_DOMAIN_CONSTRUCT_IN))
     outer_sampler = default_factory(outer, b).bind(
         x_tilde, seed.stream(_DOMAIN_CONSTRUCT_OUT))
-    in_member, out_member = constraint_member(inner), constraint_member(outer)
+    in_member, out_member = inner.indep, outer.indep
     order = tuple(range(f.n))
     values = []
     for _start, columns in trial_columns(
