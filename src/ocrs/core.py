@@ -226,6 +226,19 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def popcounts(k: int, within: int = -1) -> np.ndarray:
+    """``popcount(i & within)`` for every index i in 0..2^k - 1, as uint8.
+
+    Built by doubling: entries 2^j..2^(j+1) - 1 are entries 0..2^j - 1 plus
+    bit j of ``within`` (every bit by default).
+    """
+    counts = np.zeros(1 << k, dtype=np.uint8)
+    for j in range(k):
+        half = 1 << j
+        np.add(counts[:half], within >> j & 1, out=counts[half:2 * half])
+    return counts
+
+
 def iter_submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, including 0 and ``mask`` itself."""
     sub = mask

@@ -12,17 +12,23 @@ exact separation of a linear program's rank rows (the most violated rank
 row at a rational point).  It enumerates all subsets of the ground
 set, so it is limited to ``EXHAUSTIVE_LIMIT`` elements; callers may set
 lower limits of their own.  Every caller takes it from
-``Matroid.polytope()``, which builds it once per matroid.
+``Matroid.polytope()``, which builds it once per matroid.  The uniform,
+partition, laminar and graphic matroids fill its rank table with numpy;
+every other matroid fills it with one ``indep`` call per subset.
 """
 
 from __future__ import annotations
 
+import logging
 import operator
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import FractionalPoint, int_list, iter_bits, json_int, read_field
+from .core import (FractionalPoint, int_list, iter_bits, json_int, popcounts,
+                   read_field)
+
+log = logging.getLogger("ocrs.matroids")
 
 #: Exhaustive subset enumeration (polytope oracle, axiom audits) is limited
 #: to this many elements.
@@ -118,7 +124,26 @@ class Matroid:
         elements."""
         if self._polytope is None:
             self._polytope = MatroidPolytope(self)
+            own = type(self)._fill_ranks is not Matroid._fill_ranks
+            log.info("rank table: %s fill, %d subsets",
+                     self.kind if own else "indep", self._polytope.ranks.size)
         return self._polytope
+
+    def _fill_ranks(self) -> np.ndarray:
+        """``r(S)`` as uint8 for every subset S of the ground set, at index
+        ``sum(2^j for the j-th ground element in S)``.
+
+        The greedy basis of S + e (e above every element of S) is the greedy
+        basis of S, plus e if that stays independent: the same ascending
+        scan that ``rank`` makes, with one ``indep`` call per subset.
+        Subclasses with a closed form override it.
+        """
+        bases = [0]
+        for e in iter_bits(self.ground_mask):
+            bit = 1 << e
+            bases += [base | bit if self.indep(base | bit) else base
+                      for base in bases]
+        return np.array([base.bit_count() for base in bases], dtype=np.uint8)
 
     def full_rank(self) -> int:
         return self.rank(self.ground_mask)
@@ -144,6 +169,9 @@ class UniformMatroid(Matroid):
     def _rank(self, mask: int) -> int:
         return min(mask.bit_count(), self.k)
 
+    def _fill_ranks(self) -> np.ndarray:
+        return np.minimum(popcounts(self.n), min(self.k, self.n))
+
 
 class PartitionMatroid(Matroid):
     """Per-block cardinality caps over a partition of the ground set."""
@@ -166,6 +194,7 @@ class PartitionMatroid(Matroid):
             block_masks.append(m)
         if len(capacities) != len(block_masks):
             raise ValueError("one capacity per block required")
+        _check_capacities(capacities)
         n = top + 1
         if seen != (1 << n) - 1:
             raise ValueError("blocks must cover the ground set")
@@ -180,6 +209,13 @@ class PartitionMatroid(Matroid):
     def _rank(self, mask: int) -> int:
         return sum(min((mask & bm).bit_count(), c)
                    for bm, c in zip(self.block_masks, self.capacities))
+
+    def _fill_ranks(self) -> np.ndarray:
+        ranks = np.zeros(1 << self.n, dtype=np.uint8)
+        for bm, c in zip(self.block_masks, self.capacities):
+            counts = popcounts(self.n, bm)
+            ranks += np.minimum(counts, min(c, bm.bit_count()), out=counts)
+        return ranks
 
 
 class GraphicMatroid(Matroid):
@@ -212,6 +248,43 @@ class GraphicMatroid(Matroid):
             parent[ru] = rv
         return True
 
+    def _fill_ranks(self) -> np.ndarray:
+        """Component labels of every subset, doubled one edge at a time.
+
+        Row i of ``labels`` holds, for each vertex that a later edge still
+        touches, the label of its component in the forest of subset i.
+        Adding edge j to every subset doubles the rows: where its ends
+        carry different labels the edge merges two components, so the rank
+        grows by one and one label replaces the other.  Touched vertices
+        are relabelled 0..t-1, so the label dtype holds any ``vertices``.
+        """
+        last = {}
+        for j, (u, v) in enumerate(self.edges):
+            last[u] = last[v] = j
+        dtype = np.min_scalar_type(len(last))
+        ids = {w: i for i, w in enumerate(last)}
+        ranks = np.zeros(1, dtype=np.uint8)
+        labels = np.zeros((1, 0), dtype=dtype)
+        columns: list[int] = []
+        for j, (u, v) in enumerate(self.edges):
+            for w in (u, v):
+                if w not in columns:  # first touched: a component of its own
+                    columns.append(w)
+                    labels = np.column_stack(
+                        [labels, np.full(len(labels), ids[w], dtype)])
+            a = labels[:, columns.index(u), None]
+            b = labels[:, columns.index(v), None]
+            keep = [c for c, w in enumerate(columns) if last[w] > j]
+            columns = [columns[c] for c in keep]
+            rows = len(labels)
+            doubled = np.empty((2 * rows, len(keep)), dtype=dtype)
+            np.take(labels, keep, axis=1, out=doubled[:rows])
+            doubled[rows:] = doubled[:rows]
+            np.copyto(doubled[rows:], a, where=doubled[:rows] == b)
+            ranks = np.concatenate([ranks, ranks + (a != b)[:, 0]])
+            labels = doubled
+        return ranks
+
 
 class LaminarMatroid(Matroid):
     """Capacity bounds on a laminar (nested-or-disjoint) family of sets."""
@@ -223,6 +296,7 @@ class LaminarMatroid(Matroid):
         super().__init__(n)
         if len(sets) != len(capacities):
             raise ValueError("one capacity per set required")
+        _check_capacities(capacities)
         masks = []
         for s in sets:
             m = 0
@@ -242,6 +316,38 @@ class LaminarMatroid(Matroid):
     def _indep(self, mask: int) -> bool:
         return all((mask & sm).bit_count() <= c
                    for sm, c in zip(self.set_masks, self.capacities))
+
+    def _fill_ranks(self) -> np.ndarray:
+        """Nested mins up the laminar tree: r_A(S) is the least of A's
+        capacity and the children's ranks plus |S & A - children|.  The
+        ground set, uncapped, is the root, so uncovered elements are free;
+        equal sets are one node with the least capacity."""
+        n = self.n
+        caps = {self.ground_mask: n}
+        for sm, c in zip(self.set_masks, self.capacities):
+            caps[sm] = min(caps.get(sm, c), c, sm.bit_count())
+        # the smallest set that contains a set is its parent
+        order = sorted(caps, key=int.bit_count)
+        children: dict[int, list[int]] = {sm: [] for sm in order}
+        for i, sm in enumerate(order[:-1]):
+            parent = next(p for p in order[i + 1:] if not sm & ~p)
+            children[parent].append(sm)
+
+        def fill(sm: int) -> np.ndarray:
+            # the largest child's table is the running sum; every other
+            # child has at most half of sm's elements, so at most
+            # log2(n) + 1 tables are alive at once
+            kids = sorted(children[sm], key=int.bit_count, reverse=True)
+            own = sm
+            for kid in kids:
+                own &= ~kid
+            ranks = fill(kids[0]) if kids else np.zeros(1 << n, np.uint8)
+            ranks += popcounts(n, own)
+            for kid in kids[1:]:
+                ranks += fill(kid)
+            return np.minimum(ranks, caps[sm], out=ranks)
+
+        return fill(self.ground_mask)
 
 
 class ExplicitMatroid(Matroid):
@@ -304,6 +410,11 @@ class MatroidView(Matroid):
         return self.rank(mask) == mask.bit_count()
 
 
+def _check_capacities(capacities: Sequence[int]) -> None:
+    if any(c < 0 for c in capacities):
+        raise ValueError("'capacities' must be nonnegative")
+
+
 def max_weight_independent(m: Matroid, weights: Sequence[float]) -> int:
     """Greedy maximum-weight independent set; nonpositive weights dropped.
 
@@ -323,11 +434,13 @@ class MatroidPolytope:
     """The polytope ``P = {x >= 0 : x(S) <= r(S) for all S}`` of a matroid,
     by enumeration of every subset S of the ground set.
 
-    ``masks[i]`` and ``ranks[i]`` are the i-th subset in ascending mask order
-    and its rank.  Bit j of ``i`` stands for the j-th ground element, so
-    index arithmetic (``i | k``, ``i & k``) is set arithmetic.  Subset sums
-    are built by doubling in ascending element order, which adds up x(S) in
-    the same order as ``sum(x[e] for e in iter_bits(S))``.
+    ``ranks[i]`` (uint8) is the rank of the subset whose bit j is bit j of
+    ``i`` for the j-th ground element, so index arithmetic (``i | k``,
+    ``i & k``) is set arithmetic; on a ground set 0..k-1 (every matroid
+    built from JSON; ``identity``) the index is the mask.  Widen ranks before
+    subtracting them.  Subset sums are built by doubling in ascending
+    element order, which adds up x(S) in the same order as
+    ``sum(x[e] for e in iter_bits(S))``.
     """
 
     def __init__(self, m: Matroid):
@@ -335,33 +448,27 @@ class MatroidPolytope:
             raise ValueError(f"exhaustive membership check limited to "
                              f"{EXHAUSTIVE_LIMIT} elements")
         self.elements = list(iter_bits(m.ground_mask))
-        # the greedy basis of S + e (e above every element of S) is the
-        # greedy basis of S, plus e if that stays independent: the same
-        # ascending scan that Matroid.rank makes
-        bases = [0]
-        masks = [0]
-        for e in self.elements:
-            bit = 1 << e
-            bases += [base | bit if m.indep(base | bit) else base
-                      for base in bases]
-            masks += [mask | bit for mask in masks]
-        self.masks = masks
-        self.ranks = np.array([base.bit_count() for base in bases])
-        # on a ground set 0..k-1 (every matroid built from JSON) the index
-        # of a subset is its mask
-        self._identity = m.ground_mask == len(masks) - 1
+        self.ranks = m._fill_ranks()
+        self.identity = m.ground_mask == (1 << len(self.elements)) - 1
 
     def index(self, mask: int) -> int:
         """Table index of ``mask``, a subset of the ground set."""
-        if self._identity:
+        if self.identity:
             return mask
         return sum(1 << j for j, e in enumerate(self.elements)
                    if mask >> e & 1)
 
+    def mask(self, index: int) -> int:
+        """The subset at table index ``index``."""
+        if self.identity:
+            return index
+        return sum(1 << e for j, e in enumerate(self.elements)
+                   if index >> j & 1)
+
     def subset_sums(self, values: np.ndarray,
                     elements: Optional[Sequence[int]] = None) -> np.ndarray:
         """``x(S)`` for every subset S of ``elements`` (default: the ground
-        set), in the order of ``masks``, in the dtype of ``values``: exact
+        set), in table-index order, in the dtype of ``values``: exact
         Python integers for an object array of them."""
         sums = np.zeros(1, dtype=values.dtype)
         for e in self.elements if elements is None else elements:
@@ -411,7 +518,7 @@ class MatroidPolytope:
                     best, best_index = excess[i], h * width + i
         if best is None:
             raise ValueError("the ground set is empty")
-        return int(best), self.masks[best_index]
+        return int(best), self.mask(best_index)
 
     def is_submodular(self) -> bool:
         """Whether ``r(A) + r(B) >= r(A | B) + r(A & B)`` for all A, B."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (FractionalPoint, block_states, float_list, group_rows,
                    iter_bits, json_int, ordered_sum, pack_mask_rows,
-                   read_field)
+                   popcounts, read_field)
 from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
                        MatroidView, edge_list, in_scaled_matroid_polytope,
                        matroid_from_json)
@@ -277,22 +277,23 @@ def _chain_lookups(table: MatroidPolytope, levels: Sequence[int]
     """
     ranks = table.ranks
     index = np.arange(ranks.size)
-    sizes = np.zeros(1, dtype=np.int64)
-    for _ in table.elements:
-        sizes = np.concatenate([sizes, sizes + 1])
+    sizes = popcounts(len(table.elements))
     member = np.ones(ranks.size, dtype=bool)
     selectable = np.zeros(ranks.size, dtype=np.int64)
     for hi, lo in zip(levels, levels[1:]):
         layer = table.index(hi & ~lo)
         lower = table.index(lo)
         present = index & layer
-        member &= ranks[present | lower] - ranks[lower] == sizes[present]
+        gain = ranks[present | lower].astype(np.int16) - ranks[lower]
+        member &= gain == sizes[present]
         for j in iter_bits(layer):
             below = (present & ~(1 << j)) | lower
             free = ranks[below | (1 << j)] != ranks[below]
             selectable |= free.astype(np.int64) << j
-    masks = table.masks
-    return member.tolist(), [masks[i] for i in selectable.tolist()]
+    selectable = selectable.tolist()
+    if not table.identity:
+        selectable = [table.mask(i) for i in selectable]
+    return member.tolist(), selectable
 
 
 def combine_families(families: Sequence[FeasibleFamily]) -> FeasibleFamily:

@@ -444,6 +444,12 @@ def _submodular6_p0(value):
                           "covers": [[0], [0], [1]]},
                     "matroid": {"type": "uniform", "n": 3, "k": 2}}, [],
      "'f'"),
+    ("verify-selectability",
+     {"matroid": {"type": "partition", "blocks": [[0, 1], [2, 3]],
+                  "capacities": [1, -1]}}, _MATROID, "'capacities'"),
+    ("verify-selectability",
+     {"matroid": {"type": "laminar", "n": 4, "sets": [[0, 1], [2, 3]],
+                  "capacities": [1, -1]}}, _MATROID, "'capacities'"),
     *[(command, instance, [*extra, "--seed", seed], "--seed")
       for command, instance, extra in _SEEDED
       for seed in ("-1", str(1 << 64))],
@@ -464,7 +470,8 @@ def _submodular6_p0(value):
         "deadlines-empty", "submodular-p-negative", "submodular-p-above-one",
         "submodular-p-nan", "submodular-probing-weight-total-overflows",
         "submodular-direction-lp-optimum-overflows",
-        "submodular-audit-sum-overflows",
+        "submodular-audit-sum-overflows", "partition-capacity-negative",
+        "laminar-capacity-negative",
         *[f"{command}-seed-{where}" for command, _i, _e in _SEEDED
           for where in ("negative", "2-to-64")]])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(

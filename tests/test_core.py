@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ocrs.core
 from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, group_rows,
                        iter_submasks, ordered_sum, pack_mask_rows,
-                       scale_point, trial_columns, uniform_blocks)
+                       popcounts, scale_point, trial_columns, uniform_blocks)
 from ocrs.optimize import KnapsackConstraint
 from ocrs.schemes import Graph, KnapsackFactory, MatchingFactory
 
@@ -25,6 +25,15 @@ def _masks(seed, domain, trials, segments, block_range=None):
                                          block_range):
         out.extend(zip(*(column.tolist() for column in columns)))
     return out
+
+
+@pytest.mark.parametrize("k,within", [(0, -1), (5, -1), (6, 0b101001),
+                                      (4, 0)])
+def test_popcounts_count_the_bits_of_each_index(k, within):
+    counts = popcounts(k, within)
+    assert counts.dtype == np.uint8
+    assert counts.tolist() == [(i & within).bit_count()
+                               for i in range(1 << k)]
 
 
 def test_iter_submasks_counts():

@@ -1,5 +1,8 @@
 """Matroid oracle behavior: axioms, rank/span, views, polytope membership."""
 
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -345,3 +348,103 @@ def test_max_excess_rejects_a_point_that_violates_one_rank_row():
     assert table.max_excess([2, 2, 1, 0], 2) == (1, 0b0111)
     assert table.max_excess([2, 1, 1, 0], 2) == (0, 0b0001)
     assert table.max_excess([0, 0, 0, 0], 2) == (-2, 0b0001)
+
+
+def _assert_fill_matches_indep(m):
+    """The class's own rank-table fill against the base class's one
+    ``indep`` call per subset."""
+    assert type(m)._fill_ranks is not Matroid._fill_ranks
+    ranks = m._fill_ranks()
+    assert ranks.dtype == np.uint8
+    assert np.array_equal(ranks, Matroid._fill_ranks(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 10), k=st.integers(0, 14))
+def test_uniform_fill_matches_indep_fill(n, k):
+    """k = 0 and k >= n included."""
+    _assert_fill_matches_indep(UniformMatroid(n, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10))
+def test_partition_fill_matches_indep_fill(data, n):
+    """Random blocks in random element order, zero capacities included."""
+    order = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else [])
+    blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    caps = data.draw(st.lists(st.integers(0, 3), min_size=len(blocks),
+                              max_size=len(blocks)))
+    _assert_fill_matches_indep(PartitionMatroid(blocks, caps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 10))
+def test_laminar_fill_matches_indep_fill(data, n):
+    """Intervals of a random order of some elements, kept when nested in or
+    disjoint from every earlier one, so the family nests, may repeat a set
+    (with another capacity) and need not cover the ground set."""
+    covered = data.draw(st.permutations(range(n)))
+    covered = covered[:data.draw(st.integers(0, n))]
+    sets = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        lo = data.draw(st.integers(0, len(covered)))
+        s = set(covered[lo:data.draw(st.integers(lo, len(covered)))])
+        if all(not s & t or s <= t or t <= s for t in sets):
+            sets.append(s)
+        if sets and data.draw(st.booleans()):
+            sets.append(data.draw(st.sampled_from(sets)))
+    caps = data.draw(st.lists(st.integers(0, 4), min_size=len(sets),
+                              max_size=len(sets)))
+    _assert_fill_matches_indep(LaminarMatroid(n, [sorted(s) for s in sets],
+                                              caps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), vertices=st.sampled_from([1, 2, 4, 7, 300]))
+def test_graphic_fill_matches_indep_fill(data, vertices):
+    """Edges among a few vertex ids drawn up to ``vertices``: parallel
+    edges, self-loops and isolated vertices; at 300, ids above the uint8
+    labels' range, two of them equal modulo 256."""
+    ids = data.draw(st.lists(st.integers(0, vertices - 1), min_size=1,
+                             max_size=6))
+    if vertices == 300:
+        ids += [3, 259]
+    edges = data.draw(st.lists(st.tuples(st.sampled_from(ids),
+                                         st.sampled_from(ids)), max_size=11))
+    _assert_fill_matches_indep(GraphicMatroid(vertices, edges))
+
+
+def test_other_matroids_fill_by_indep():
+    """Explicit matroids, views and any other subclass keep the base
+    class's fill."""
+    for cls in (ExplicitMatroid, MatroidView, _GreedyOnly):
+        assert cls._fill_ranks is Matroid._fill_ranks
+
+
+def test_polytope_logs_its_fill_once(caplog):
+    m = GraphicMatroid(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    view = MatroidView(m, contracted=1, kept=0b110)
+    with caplog.at_level(logging.INFO, logger="ocrs.matroids"):
+        assert m.polytope() is m.polytope()
+        view.polytope()
+    assert caplog.messages == ["rank table: graphic fill, 32768 subsets",
+                               "rank table: indep fill, 4 subsets"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UniformMatroid(22, 3),
+    lambda: GraphicMatroid(25, [(v, v + 1) for v in range(24)]),
+], ids=["uniform-22", "graphic-path-24"])
+def test_large_rank_tables_stay_small(build):
+    """A uint8 rank per subset and no per-subset Python objects: the
+    traced peak of a 2^22 or 2^24 table stays under 256 MB."""
+    m = build()
+    tracemalloc.start()
+    try:
+        ranks = m.polytope().ranks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks.dtype == np.uint8 and ranks.size == 1 << m.n
+    assert peak < 256 * 2 ** 20
