@@ -137,6 +137,9 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
                 columns.append(pack_mask_rows(cols < segment))
             else:
                 columns.append(segment.sample_block(cols))
+        # release the uniform table before the consumer runs; int
+        # segments are views of it and keep it alive on their own
+        block = cols = None
         yield start, columns
 
 

@@ -1,7 +1,7 @@
-"""Matroid oracles: independence, rank, span, contraction/restriction views.
+"""Matroid oracles: independence, rank, contraction/restriction views.
 
-The independence query is the primitive; rank and span are derived by the
-matroid greedy and memoized per subset bitmask (desk scale, n <= ~24).
+The independence query is the primitive; rank is derived by the matroid
+greedy and memoized per subset bitmask (desk scale, n <= ~24).
 Oracles are immutable after construction; memo dicts only cache pure
 functions, so concurrent readers always observe consistent results.
 
@@ -13,8 +13,10 @@ row at a rational point).  It enumerates all subsets of the ground
 set, so it is limited to ``EXHAUSTIVE_LIMIT`` elements; callers may set
 lower limits of their own.  Every caller takes it from
 ``Matroid.polytope()``, which builds it once per matroid.  The uniform,
-partition, laminar and graphic matroids fill its rank table with numpy;
-every other matroid fills it with one ``indep`` call per subset.
+partition, laminar, graphic and explicit matroids fill its rank table with
+numpy; every other matroid fills it with one ``indep`` call per subset.
+The matroid axioms are audited on the same table
+(:func:`check_matroid_axioms`).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class Matroid:
     """Base matroid over index space ``0..n-1`` with ground set ``ground_mask``.
 
     Subclasses implement ``_indep(mask)`` for ``mask`` a subset of the ground
-    set.  ``rank``/``span``/``indep`` are memoized here.  Masks may be any
+    set.  ``rank``/``indep`` are memoized here.  Masks may be any
     integer type (``numpy.int64`` included); they are coerced to ``int`` on
     entry, so memo keys are Python ints.
     """
@@ -51,7 +53,6 @@ class Matroid:
         self.ground_mask = (1 << n) - 1 if ground_mask is None else ground_mask
         self._indep_cache: dict[int, bool] = {}
         self._rank_cache: dict[int, int] = {}
-        self._span_cache: dict[int, int] = {}
         self._polytope: Optional[MatroidPolytope] = None
 
     def _indep(self, mask: int) -> bool:
@@ -87,22 +88,6 @@ class Matroid:
                     kept |= 1 << e
             cached = kept.bit_count()
             self._rank_cache[mask] = cached
-        return cached
-
-    def span(self, mask: int) -> int:
-        """Elements whose addition does not raise the rank of ``mask``."""
-        mask = operator.index(mask)
-        self._check_ground(mask)
-        cached = self._span_cache.get(mask)
-        if cached is None:
-            r = self.rank(mask)
-            cached = mask
-            for e in iter_bits(self.ground_mask & ~mask):
-                if self.rank(mask | (1 << e)) == r:
-                    cached |= 1 << e
-            # elements of mask are spanned by definition; loops inside mask
-            # are already included via `cached = mask`
-            self._span_cache[mask] = cached
         return cached
 
     def spans(self, mask: int, e: int) -> bool:
@@ -351,11 +336,16 @@ class LaminarMatroid(Matroid):
 
 
 class ExplicitMatroid(Matroid):
-    """Matroid given by its list of bases; axioms audited at construction."""
+    """Matroid given by its list of bases, on at most ``EXHAUSTIVE_LIMIT``
+    elements.  Its rank table is filled from the bases and audited at
+    construction; ``indep`` and ``rank`` read the table."""
 
     kind = "explicit"
 
     def __init__(self, n: int, bases: Sequence[Iterable[int]]):
+        if n > EXHAUSTIVE_LIMIT:
+            raise ValueError(f"explicit matroid 'n' is limited to "
+                             f"{EXHAUSTIVE_LIMIT} elements")
         super().__init__(n)
         base_masks = set()
         for b in bases:
@@ -366,18 +356,38 @@ class ExplicitMatroid(Matroid):
                 m |= 1 << e
             base_masks.add(m)
         if not base_masks:
-            raise ValueError("at least one base required")
+            raise ValueError("'bases' must not be empty")
         sizes = {m.bit_count() for m in base_masks}
         if len(sizes) != 1:
-            raise ValueError("bases must share one cardinality")
+            raise ValueError("'bases' must share one cardinality")
         self.base_masks = tuple(sorted(base_masks))
-        if n <= 12:
-            report = check_matroid_axioms(self)
-            if not report.ok:
-                raise ValueError(f"bases do not define a matroid: {report.failure}")
+        report = check_matroid_axioms(self)
+        if not report.ok:
+            raise ValueError(f"'bases' do not define a matroid: "
+                             f"{report.failure}")
+
+    def _fill_ranks(self) -> np.ndarray:
+        """Every subset of a base is independent: close the bases downward
+        one element at a time, then r(S) is the largest independent size
+        below S, a max over the subsets taken one element at a time."""
+        n = self.n
+        indep = np.zeros(1 << n, dtype=bool)
+        indep[list(self.base_masks)] = True
+        for e in range(n):
+            pairs = indep.reshape(-1, 2, 1 << e)
+            pairs[:, 0] |= pairs[:, 1]
+        ranks = popcounts(n)
+        ranks[~indep] = 0
+        for e in range(n):
+            pairs = ranks.reshape(-1, 2, 1 << e)
+            np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+        return ranks
 
     def _indep(self, mask: int) -> bool:
-        return any(mask & ~b == 0 for b in self.base_masks)
+        return self._rank(mask) == mask.bit_count()
+
+    def _rank(self, mask: int) -> int:
+        return int(self.polytope().ranks[mask])
 
 
 class MatroidView(Matroid):
@@ -520,12 +530,16 @@ class MatroidPolytope:
             raise ValueError("the ground set is empty")
         return int(best), self.mask(best_index)
 
-    def is_submodular(self) -> bool:
-        """Whether ``r(A) + r(B) >= r(A | B) + r(A & B)`` for all A, B."""
-        r = self.ranks
-        idx = np.arange(r.size)
-        return all(bool(np.all(r[a] + r >= r[a | idx] + r[a & idx]))
-                   for a in range(r.size))
+    def closures(self) -> np.ndarray:
+        """``cl(S) = S + {e : r(S + e) = r(S)}`` for every subset S, as an
+        int32 table index at S's index."""
+        closures = np.arange(self.ranks.size, dtype=np.int32)
+        for j in range(len(self.elements)):
+            ranks = self.ranks.reshape(-1, 2, 1 << j)
+            without = closures.reshape(-1, 2, 1 << j)[:, 0]
+            np.bitwise_or(without, 1 << j, out=without,
+                          where=ranks[:, 1] == ranks[:, 0])
+        return closures
 
 
 #: ``MatroidPolytope.max_excess`` sums subsets of this many elements at once.
@@ -542,12 +556,14 @@ def in_scaled_matroid_polytope(m: Matroid, x: FractionalPoint, b: float
 
 
 class AxiomReport:
-    """Outcome of an exhaustive matroid axiom audit."""
+    """Outcome of a matroid axiom audit: ``axiom`` names the axiom that
+    failed ("" when ``ok``) and ``failure`` says where."""
 
-    __slots__ = ("ok", "failure")
+    __slots__ = ("ok", "axiom", "failure")
 
-    def __init__(self, ok: bool, failure: str = ""):
+    def __init__(self, ok: bool, axiom: str = "", failure: str = ""):
         self.ok = ok
+        self.axiom = axiom
         self.failure = failure
 
     def __bool__(self) -> bool:
@@ -555,74 +571,51 @@ class AxiomReport:
 
 
 def check_matroid_axioms(m: Matroid) -> AxiomReport:
-    """Exhaustive audit: empty set independent, down-closure, exchange.
+    """The rank axioms in local form on ``m.polytope().ranks``: each element
+    adds 0 or 1 to the rank of every set not holding it (``unit
+    increase``), ``r(S+e) + r(S+f) >= r(S+e+f) + r(S)`` for every e < f
+    and S holding neither (``submodularity``), and ``r(empty) = 0``.
+    Together they are equivalent to the matroid axioms (Oxley, *Matroid
+    Theory*, 1.3).  Checked in that order; the first failure is reported
+    with its elements and a witness set S.
 
-    Enumerates all subsets of the ground set; intended for ``size <= 12``.
+    The audit certifies the table.  A table filled by the greedy from an
+    ``_indep`` that is not down-closed, or that has the empty set
+    dependent, can still be a rank function; every matroid built from
+    JSON is down-closed with the empty set independent.
     """
-    size = m.size()
-    if size > EXHAUSTIVE_LIMIT:
-        raise ValueError("axiom audit is exhaustive; ground set too large")
-    elements = list(iter_bits(m.ground_mask))
+    table = m.polytope()
+    ranks = table.ranks
 
-    def to_mask(idx: int) -> int:
-        mask = 0
-        while idx:
-            low = idx & -idx
-            mask |= 1 << elements[low.bit_length() - 1]
-            idx ^= low
-        return mask
+    def witness(bad: np.ndarray, *bits: int) -> str:
+        # the first True of bad, whose flat index skips the table bits
+        # given (ascending), as a subset of the ground set
+        index = int(np.argmax(bad))
+        for bit in bits:
+            index = index >> bit << (bit + 1) | index & ((1 << bit) - 1)
+        return str(list(iter_bits(table.mask(index))))
 
-    total = 1 << size
-    indep = [False] * total
-    masks = [0] * total
-    for idx in range(total):
-        masks[idx] = to_mask(idx)
-        indep[idx] = m.indep(masks[idx])
-    if not indep[0]:
-        return AxiomReport(False, "empty set is dependent")
-
-    # down-closure: removing one element from an independent set stays independent
-    for idx in range(total):
-        if not indep[idx]:
-            continue
-        rem = idx
-        while rem:
-            low = rem & -rem
-            if not indep[idx ^ low]:
-                return AxiomReport(
-                    False, f"down-closure fails at {bin(masks[idx])} minus bit")
-            rem ^= low
-
-    # exchange via per-set augmentation masks: for independent I, J with
-    # |I| < |J| some element of J \ I must extend I
-    aug = [0] * total
-    by_size: dict[int, list[int]] = {}
-    for idx in range(total):
-        if not indep[idx]:
-            continue
-        by_size.setdefault(masks[idx].bit_count(), []).append(idx)
-        a = 0
-        free = (total - 1) ^ idx
-        while free:
-            low = free & -free
-            if indep[idx | low]:
-                a |= low
-            free ^= low
-        aug[idx] = a
-    sizes = sorted(by_size)
-    for si in sizes:
-        for sj in sizes:
-            if sj <= si:
-                continue
-            for i_idx in by_size[si]:
-                not_i = (total - 1) ^ i_idx
-                a = aug[i_idx]
-                for j_idx in by_size[sj]:
-                    if not (j_idx & not_i & a):
-                        return AxiomReport(
-                            False,
-                            f"exchange fails for I={bin(masks[i_idx])}, "
-                            f"J={bin(masks[j_idx])}")
+    for j, e in enumerate(table.elements):
+        pairs = ranks.reshape(-1, 2, 1 << j)
+        # the uint8 difference wraps where the rank falls, so "> 1" holds
+        # where it falls or jumps
+        bad = pairs[:, 1] - pairs[:, 0] > 1
+        if bad.any():
+            return AxiomReport(False, "unit increase",
+                               f"unit increase fails for element {e} at "
+                               f"S={witness(bad, j)}")
+    for i, f in enumerate(table.elements):
+        for j, e in enumerate(table.elements[:i]):
+            quad = ranks.reshape(-1, 2, 1 << (i - j - 1), 2, 1 << j)
+            bad = (quad[:, 0, :, 1] + quad[:, 1, :, 0]
+                   < quad[:, 1, :, 1] + quad[:, 0, :, 0])
+            if bad.any():
+                return AxiomReport(False, "submodularity",
+                                   f"submodularity fails for elements {e}, "
+                                   f"{f} at S={witness(bad, j, i)}")
+    if ranks[0]:
+        return AxiomReport(False, "empty set",
+                           f"the empty set has rank {ranks[0]}")
     return AxiomReport(True)
 
 
@@ -665,8 +658,13 @@ def matroid_from_json(obj: dict) -> Matroid:
     def int_lists(value) -> list[list[int]]:
         return [int_list(v) for v in value]
 
+    def size(value) -> int:
+        if json_int(value) < 0:
+            raise ValueError("must be nonnegative")
+        return value
+
     if kind == "uniform":
-        return UniformMatroid(field("n", json_int), field("k", json_int))
+        return UniformMatroid(field("n", size), field("k", json_int))
     if kind == "partition":
         return PartitionMatroid(field("blocks", int_lists),
                                 field("capacities", int_list))
@@ -674,10 +672,10 @@ def matroid_from_json(obj: dict) -> Matroid:
         return GraphicMatroid(field("vertices", json_int),
                               field("edges", edge_list))
     if kind == "laminar":
-        return LaminarMatroid(field("n", json_int), field("sets", int_lists),
+        return LaminarMatroid(field("n", size), field("sets", int_lists),
                               field("capacities", int_list))
     if kind == "explicit":
-        return ExplicitMatroid(field("n", json_int), field("bases", int_lists))
+        return ExplicitMatroid(field("n", size), field("bases", int_lists))
     raise ValueError(f"unknown matroid type {kind!r}")
 
 

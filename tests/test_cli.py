@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, reports, determinism, workers."""
 
 import functools
+import itertools
 import json
 import logging
 import multiprocessing
@@ -450,6 +451,20 @@ def _submodular6_p0(value):
     ("verify-selectability",
      {"matroid": {"type": "laminar", "n": 4, "sets": [[0, 1], [2, 3]],
                   "capacities": [1, -1]}}, _MATROID, "'capacities'"),
+    ("verify-selectability",
+     {"matroid": {"type": "uniform", "n": -1, "k": 1}}, _MATROID, "'n'"),
+    ("verify-selectability",
+     {"matroid": {"type": "laminar", "n": -2, "sets": [], "capacities": []}},
+     _MATROID, "'n'"),
+    ("verify-selectability",
+     {"matroid": {"type": "explicit", "n": -1, "bases": [[]]}}, _MATROID,
+     "'n'"),
+    ("verify-selectability",
+     {"matroid": {"type": "explicit", "n": 13, "bases": [[0, 1], [2, 3]]},
+      "x": [0.1] * 4 + [0.0] * 9}, _MATROID, "'bases'"),
+    ("verify-selectability",
+     {"matroid": {"type": "explicit", "n": 25, "bases": [[0, 1]]}},
+     _MATROID, "'n'"),
     *[(command, instance, [*extra, "--seed", seed], "--seed")
       for command, instance, extra in _SEEDED
       for seed in ("-1", str(1 << 64))],
@@ -471,7 +486,9 @@ def _submodular6_p0(value):
         "submodular-p-nan", "submodular-probing-weight-total-overflows",
         "submodular-direction-lp-optimum-overflows",
         "submodular-audit-sum-overflows", "partition-capacity-negative",
-        "laminar-capacity-negative",
+        "laminar-capacity-negative", "uniform-n-negative",
+        "laminar-n-negative", "explicit-n-negative",
+        "explicit-13-not-a-matroid", "explicit-n-above-table",
         *[f"{command}-seed-{where}" for command, _i, _e in _SEEDED
           for where in ("negative", "2-to-64")]])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(
@@ -556,6 +573,41 @@ def test_validate_matroid_command(tmp_path):
     assert main(["validate-matroid", inst, "--out-json", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["pass"] and payload["checks"]["axioms"]
+
+
+@pytest.mark.parametrize("matroid", [
+    {"type": "graphic", "vertices": 7,
+     "edges": [[u, v] for u in range(7) for v in range(u + 1, 7)]},
+    {"type": "explicit", "n": 20,
+     "bases": [list(c) for c in itertools.combinations(range(20), 3)]},
+], ids=["graphic-k7", "explicit-u20-3"])
+def test_validate_matroid_audits_beyond_twelve_elements(tmp_path, matroid):
+    """Every check runs on the one rank table, at any size it allows."""
+    inst = _write(tmp_path, "m.json", {"matroid": matroid})
+    out = tmp_path / "val.json"
+    assert main(["validate-matroid", inst, "--out-json", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"] == {
+        "axioms": True, "rank_submodular_monotone": True,
+        "span_idempotent": True}
+
+
+class _EmptyRankOne(UniformMatroid):
+    """U(3, 1) with every rank raised by one: submodular with unit
+    increases, but the empty set has rank 1."""
+
+    def _fill_ranks(self):
+        return super()._fill_ranks() + 1
+
+
+def test_validate_matroid_reports_which_axiom_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "matroid_from_json",
+                        lambda obj: _EmptyRankOne(3, 1))
+    inst = _write(tmp_path, "u3.json", {"matroid": _U3})
+    out = tmp_path / "val.json"
+    assert main(["validate-matroid", inst, "--out-json", str(out)]) == 1
+    assert json.loads(out.read_text())["checks"] == {
+        "axioms": False, "failure": "the empty set has rank 1",
+        "rank_submodular_monotone": True, "span_idempotent": True}
 
 
 def test_experiment_config_api(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -148,6 +149,35 @@ def test_trial_columns_matches_hand_slicing():
                 == _family_keys(*knapsack.sample_block(block[:, 11:])))
         blocks += 1
     assert blocks == 2
+
+
+def test_trial_columns_releases_each_uniform_table(monkeypatch):
+    """Decoded vector and sampler columns do not hold the block's uniform
+    table while the consumer runs; a raw int segment is a view of it."""
+    matching = MatchingFactory(Graph(3, [(0, 1), (1, 2)]), 0.5).bind(
+        FractionalPoint([0.2, 0.3]), SeedSpec(6).stream(0))
+    drawn = []
+    stream = SeedSpec.stream
+
+    class Recording:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, *args):
+            table = self.gen.random(*args)
+            drawn.append(weakref.ref(table))
+            return table
+
+    monkeypatch.setattr(SeedSpec, "stream",
+                        lambda self, *path: Recording(stream(self, *path)))
+    x = np.array([0.4, 0.7])
+    for _start, _columns in trial_columns(SeedSpec(3), 1, 2 * TRIAL_BLOCK,
+                                          [x, matching]):
+        assert drawn[-1]() is None
+    for _start, columns in trial_columns(SeedSpec(3), 1, TRIAL_BLOCK,
+                                         [x, 2]):
+        assert drawn[-1]() is columns[1].base
+    assert len(drawn) == 3
 
 
 def _family_keys(codes, families):

@@ -1,4 +1,4 @@
-"""Matroid oracle behavior: axioms, rank/span, views, polytope membership."""
+"""Matroid oracle behavior: axioms, rank/closure, views, the polytope."""
 
 import logging
 import tracemalloc
@@ -67,9 +67,32 @@ def test_axioms_exhaustive_n12():
 
 
 def test_explicit_matroid_rejects_non_matroid():
-    # two disjoint pairs as bases fail the exchange axiom
-    with pytest.raises(ValueError):
-        ExplicitMatroid(4, [[0, 1], [2, 3]])
+    # two disjoint pairs as bases fail the exchange axiom, at every size the
+    # rank table allows
+    for n in (4, 13, 24):
+        with pytest.raises(ValueError, match=(
+                "'bases' do not define a matroid: submodularity fails for "
+                "elements 0, 1 at S=\\[2\\]")):
+            ExplicitMatroid(n, [[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="'n' is limited to 24 elements"):
+        ExplicitMatroid(25, [[0, 1]])
+
+
+def test_audit_names_the_axiom_the_elements_and_a_witness():
+    report = check_matroid_axioms(_GreedyOnly(3))
+    assert (report.ok, report.axiom, report.failure) == (
+        False, "unit increase",
+        "unit increase fails for element 0 at S=[1, 2]")
+    with pytest.raises(ValueError, match="submodularity fails for elements "
+                       "1, 2 at S=\\[3\\]"):
+        ExplicitMatroid(5, [[1, 2], [3, 4]])
+    # the greedy table of bases {1, 2} and {3, 4} falls from r({3, 4}) = 2
+    # to r({1, 3, 4}) = 1; on a view the witness is still a subset of the
+    # ground set, not a table index
+    view = MatroidView(_Witness(5, (0b00110, 0b11000)), 0, 0b11110)
+    report = check_matroid_axioms(view)
+    assert (report.axiom, report.failure) == (
+        "unit increase", "unit increase fails for element 1 at S=[3, 4]")
 
 
 def test_rank_examples():
@@ -90,12 +113,21 @@ def test_rank_agrees_with_forest_brute_force():
         assert m.rank(mask) == expect
 
 
+def _closure(m, mask):
+    return int(m.polytope().closures()[mask])
+
+
 def test_span_examples():
-    assert UniformMatroid(3, 2).span(0) == 0
-    assert UniformMatroid(3, 1).span(0b001) == 0b111
+    assert _closure(UniformMatroid(3, 2), 0) == 0
+    assert _closure(UniformMatroid(3, 1), 0b001) == 0b111
     m = k4()
     # edges (0,1) and (0,2) span the triangle closed by (1,2) = index 3
-    assert m.span(0b000011) == 0b001011
+    assert _closure(m, 0b000011) == 0b001011
+    # a view's closure table is in table indices: with edge (0,1) of K4
+    # contracted, edges (0,3) and (1,3) (elements 2 and 4, table indices 1
+    # and 2 of the kept 1, 2, 4, 5) are parallel
+    view = MatroidView(m, contracted=0b000001, kept=0b110110)
+    assert view.polytope().closures()[0b0010] == 0b0110
 
 
 def test_span_closure_cycle_brute_force():
@@ -109,15 +141,18 @@ def test_span_closure_cycle_brute_force():
                        if sub & ~grown == 0 and _is_forest(4, K4_EDGES, sub))
             if best == r:
                 expect |= 1 << e
-        assert m.span(mask) == expect
+        assert _closure(m, mask) == expect
+        assert expect == sum(1 << e for e in range(6) if m.spans(mask, e))
 
 
 def test_span_idempotent():
     for m in (k4(), UniformMatroid(5, 2),
               LaminarMatroid(5, [[0, 1], [0, 1, 2, 3, 4]], [1, 3])):
+        closures = m.polytope().closures()
+        assert closures.dtype == np.int32
+        assert np.array_equal(closures[closures], closures)
         for mask in range(1 << m.n):
-            s = m.span(mask)
-            assert m.span(s) == s
+            assert closures[mask] & mask == mask
 
 
 def test_rank_monotone_submodular_exhaustive():
@@ -181,11 +216,10 @@ def test_oracles_accept_numpy_integer_masks(kind):
         for dtype in (np.int64, np.uint8):
             assert cold.rank(dtype(mask)) == ref.rank(mask)
             assert cold.indep(dtype(mask)) == ref.indep(mask)
-            assert cold.span(dtype(mask)) == ref.span(mask)
             for e in iter_bits(ref.ground_mask):
                 assert (cold.spans(dtype(mask), np.int64(e))
                         == ref.spans(mask, e))
-    for memo in (cold._rank_cache, cold._indep_cache, cold._span_cache):
+    for memo in (cold._rank_cache, cold._indep_cache):
         assert all(type(key) is int for key in memo)
 
 
@@ -268,13 +302,153 @@ class _GreedyOnly(Matroid):
         return mask in (0b000, 0b001, 0b010, 0b100, 0b011, 0b111)
 
 
+class _Witness(Matroid):
+    """Independent sets: the subsets of the given bases, by a scan over
+    them; no audit."""
+
+    def __init__(self, n, bases):
+        super().__init__(n)
+        self.bases = bases
+
+    def _indep(self, mask):
+        return any(mask & ~b == 0 for b in self.bases)
+
+
 def test_polytope_submodularity_matches_pair_loop():
+    """The audit on the rank table against the rank axioms by a loop over
+    every pair (A, B): submodular, monotone, r(A) <= |A|, r(empty) = 0."""
     for m in ORACLE_MATROIDS + [_GreedyOnly(3)]:
         masks = [k for k in range(1 << m.n) if not k & ~m.ground_mask]
         expected = all(m.rank(a) + m.rank(c) >= m.rank(a | c) + m.rank(a & c)
-                       for a in masks for c in masks)
-        assert MatroidPolytope(m).is_submodular() == expected
-    assert not MatroidPolytope(_GreedyOnly(3)).is_submodular()
+                       and m.rank(a & c) <= m.rank(a) <= a.bit_count()
+                       for a in masks for c in masks) and m.rank(0) == 0
+        assert check_matroid_axioms(m).ok == expected
+    assert not check_matroid_axioms(_GreedyOnly(3)).ok
+
+
+def _loop_axioms(m):
+    """The matroid axioms by Python loops over ``indep``: empty set
+    independent, down-closure, then exchange over every pair of
+    independent sets of different sizes (O(4^n))."""
+    elements = list(iter_bits(m.ground_mask))
+    total = 1 << len(elements)
+    masks = [sum(1 << elements[j] for j in iter_bits(idx))
+             for idx in range(total)]
+    indep = [m.indep(mask) for mask in masks]
+    if not indep[0]:
+        return False
+    for idx in range(total):
+        if indep[idx] and not all(indep[idx ^ (1 << j)]
+                                  for j in iter_bits(idx)):
+            return False
+    by_size = {}
+    for idx in range(total):
+        if indep[idx]:
+            by_size.setdefault(idx.bit_count(), []).append(idx)
+    for small in by_size:
+        for large in by_size:
+            if large <= small:
+                continue
+            for i in by_size[small]:
+                grows = sum(1 << j for j in iter_bits((total - 1) & ~i)
+                            if indep[i | 1 << j])
+                if any(not j & ~i & grows for j in by_size[large]):
+                    return False
+    return True
+
+
+def _explicit_accepts(n, bases):
+    try:
+        ExplicitMatroid(n, bases)
+    except ValueError as exc:
+        assert "'bases' do not define a matroid" in str(exc)
+        return False
+    return True
+
+
+def _bases_of(m):
+    r = m.full_rank()
+    return [mask for mask in range(1 << m.n)
+            if mask.bit_count() == r and m.indep(mask)]
+
+
+@st.composite
+def _small_matroids(draw):
+    """A uniform, partition, graphic or laminar matroid on 1 to 7
+    elements."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["uniform", "partition", "graphic",
+                                 "laminar"]))
+    if kind == "uniform":
+        return UniformMatroid(n, draw(st.integers(0, n)))
+    if kind == "graphic":
+        edge = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        return GraphicMatroid(4, draw(st.lists(edge, min_size=n,
+                                               max_size=n)))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    caps = st.lists(st.integers(0, 3), min_size=len(cuts) + 1,
+                    max_size=len(cuts) + 1)
+    if kind == "partition":
+        blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        return PartitionMatroid(blocks, draw(caps))
+    # a chain of nested prefixes
+    return LaminarMatroid(n, [order[:c] for c in cuts + [n]], draw(caps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_audit_matches_axiom_loop_on_base_families(n, data):
+    """Random families of equal-size bases: the explicit matroid is built
+    exactly when the loops over ``indep`` find a matroid, and the audit of
+    the family's greedy table agrees."""
+    k = data.draw(st.integers(0, n))
+    sized = [mask for mask in range(1 << n) if mask.bit_count() == k]
+    bases = data.draw(st.lists(st.sampled_from(sized), min_size=1,
+                               unique=True))
+    verdict = _loop_axioms(_Witness(n, bases))
+    assert check_matroid_axioms(_Witness(n, bases)).ok == verdict
+    assert _explicit_accepts(n, [list(iter_bits(b)) for b in bases]) == verdict
+
+
+#: matroids with many bases, so that dropping some makes a near-matroid
+_MANY_BASES = [
+    UniformMatroid(5, 2), UniformMatroid(6, 3), GraphicMatroid(4, K4_EDGES),
+    GraphicMatroid(4, [(0, 1), (0, 1), (1, 2), (2, 3), (1, 3), (0, 2)]),
+    PartitionMatroid([[0, 1, 2], [3, 4], [5, 6]], [2, 1, 1]),
+    LaminarMatroid(7, [[0, 1, 2, 3], [0, 1], [4, 5, 6]], [2, 1, 2]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.sampled_from(_MANY_BASES) | _small_matroids(), data=st.data())
+def test_audit_matches_axiom_loop_on_near_matroids(m, data):
+    """A real matroid's bases, some of them dropped: a near-matroid, or the
+    matroid itself when none is dropped."""
+    bases = _bases_of(m)
+    dropped = data.draw(st.sets(st.sampled_from(bases),
+                                min_size=min(len(bases) - 1, 1),
+                                max_size=len(bases) - 1))
+    verdict = _loop_axioms(_Witness(m.n, bases))
+    assert verdict
+    bases = [b for b in bases if b not in dropped]
+    verdict = _loop_axioms(_Witness(m.n, bases))
+    assert check_matroid_axioms(_Witness(m.n, bases)).ok == verdict
+    assert _explicit_accepts(m.n, [list(iter_bits(b)) for b in bases]) == \
+        verdict
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=_small_matroids())
+def test_explicit_fill_matches_indep_fill(m):
+    """The explicit matroid of a real matroid's bases fills, from them,
+    the real matroid's table by ``indep``."""
+    explicit = ExplicitMatroid(m.n, [list(iter_bits(b)) for b in _bases_of(m)])
+    ranks = explicit._fill_ranks()
+    assert ranks.dtype == np.uint8
+    assert np.array_equal(ranks, Matroid._fill_ranks(m))
+    assert all(explicit.indep(mask) == m.indep(mask)
+               for mask in range(1 << m.n))
 
 
 def test_random_point_in_polytope():
@@ -416,9 +590,10 @@ def test_graphic_fill_matches_indep_fill(data, vertices):
 
 
 def test_other_matroids_fill_by_indep():
-    """Explicit matroids, views and any other subclass keep the base
-    class's fill."""
-    for cls in (ExplicitMatroid, MatroidView, _GreedyOnly):
+    """Views and any other subclass keep the base class's fill; explicit
+    matroids fill from their bases."""
+    assert ExplicitMatroid._fill_ranks is not Matroid._fill_ranks
+    for cls in (MatroidView, _GreedyOnly):
         assert cls._fill_ranks is Matroid._fill_ranks
 
 
@@ -428,8 +603,11 @@ def test_polytope_logs_its_fill_once(caplog):
     with caplog.at_level(logging.INFO, logger="ocrs.matroids"):
         assert m.polytope() is m.polytope()
         view.polytope()
+        # audited at construction, from the one table
+        ExplicitMatroid(3, [[0, 1], [0, 2], [1, 2]]).polytope()
     assert caplog.messages == ["rank table: graphic fill, 32768 subsets",
-                               "rank table: indep fill, 4 subsets"]
+                               "rank table: indep fill, 4 subsets",
+                               "rank table: explicit fill, 8 subsets"]
 
 
 @pytest.mark.parametrize("build", [
