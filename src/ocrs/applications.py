@@ -5,8 +5,12 @@ activation thresholds or probing probabilities, and plays a greedy OCRS
 online.  Trials are grouped by a state key (integer key columns in the
 order-free mean loops, tuple keys in the worst-order searches), so a
 distinct state is played at most once per order and trial block, not once
-per trial; feasibility is asserted on every play, which covers every trial
-with that key, because a run is a pure function of its key.
+per trial.  A run only looks at the elements of one mask of its state (the
+active set in prophet, A_out in probing), so the worst-order searches play
+a state once per order of that mask, not once per permutation.
+Feasibility is asserted on every play, which covers every trial and order
+that shares it, because a run is a pure function of its key and of the
+order restricted to its mask.
 """
 
 from __future__ import annotations
@@ -210,13 +214,15 @@ def prophet_worst_order(pipeline: ProphetPipeline, trials: int,
                         ) -> tuple[AdversarySearchResult, MeanEstimate]:
     """Worst arrival order over common random numbers, plus its mean value.
 
-    The search runs each order once per distinct trial state.
+    A run only looks at its active elements, so the search plays each
+    distinct trial state once per order of its active set.
     """
     distinct, trial_state = group_states(
         prophet_trial_states(pipeline, trials, seed), prophet_state_key)
     result = worst_order_value(distinct.__getitem__, pipeline.value,
                                pipeline.instance.n, len(distinct), mode=mode,
-                               seed=seed, trial_state=trial_state)
+                               seed=seed, trial_state=trial_state,
+                               masks=[active for _f, active, _z in distinct])
     estimate = prophet_value_under_order(pipeline, distinct,
                                          result.worst_order, collect,
                                          trial_state=trial_state)
@@ -474,7 +480,8 @@ def probing_worst_order(pipeline: ProbingPipeline, trials: int,
                         mode: str = "exhaustive") -> tuple[AdversarySearchResult, MeanEstimate]:
     """Adversarial probe order search (no-deadline instances only).
 
-    The search runs each order once per distinct trial state.
+    A run only probes elements of A_out, so the search plays each distinct
+    trial state once per order of its A_out.
     """
     if pipeline.instance.deadlines is not None:
         raise ValueError("deadline instances fix their probe order")
@@ -482,7 +489,8 @@ def probing_worst_order(pipeline: ProbingPipeline, trials: int,
         probing_trial_states(pipeline, trials, seed), probing_state_key)
     result = worst_order_value(distinct.__getitem__, pipeline.value,
                                pipeline.instance.n, len(distinct), mode=mode,
-                               seed=seed, trial_state=trial_state)
+                               seed=seed, trial_state=trial_state,
+                               masks=[a_out for a_out, *_rest in distinct])
     return result, MeanEstimate.from_stream(per_trial_values(
         pipeline.value, distinct, trial_state, result.worst_order))
 

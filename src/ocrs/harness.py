@@ -424,7 +424,8 @@ def worst_order_value(prepare_trial: Callable[[int], object],
                       n: int, trials: int,
                       mode: str = "exhaustive",
                       seed: Optional[SeedSpec] = None, *,
-                      trial_state: Optional[Sequence[int]] = None
+                      trial_state: Optional[Sequence[int]] = None,
+                      masks: Optional[Sequence[int]] = None
                       ) -> AdversarySearchResult:
     """Minimize the estimated expected value over arrival permutations.
 
@@ -434,30 +435,62 @@ def worst_order_value(prepare_trial: Callable[[int], object],
     ``trials`` prepared states are the distinct ones and trial t has state
     ``trial_state[t]``; each order's mean is still summed over the trials in
     trial order (by a sequential ``np.cumsum``), so grouping leaves every
-    value unchanged.  Exhaustive mode
+    value unchanged.
+
+    ``masks[i]``, if given, holds the elements whose relative order state
+    i's value can depend on (default: every element); the caller vouches
+    that two orders with equal restriction to it give equal values.  States
+    are grouped by mask, and each group runs once per distinct restricted
+    order, so the search costs one ``trial_value`` call per distinct pair
+    of state and restricted order: a state with k elements in its mask is
+    played at most k! times, not once per order.  Exhaustive mode
     enumerates all n! orders (n <= 8); the heuristic mode hill-climbs over
     adjacent transpositions from 8 random starting orders.
     """
     states = [prepare_trial(t) for t in range(trials)]
     trial_state = np.asarray(range(trials) if trial_state is None
                              else trial_state, dtype=np.int64)
+    members: dict[int, list[int]] = {}
+    for i, mask in enumerate([(1 << n) - 1] * trials if masks is None
+                             else masks):
+        members.setdefault(mask, []).append(i)
+    # per mask: its states' indices and states, and their values by
+    # restricted order
+    groups = [(mask, np.asarray(idx, dtype=np.int64),
+               [states[i] for i in idx], {})
+              for mask, idx in members.items()]
     means: dict[tuple[int, ...], float] = {}
+    calls = restricted_orders = 0
 
     def mean_value(order: Sequence[int]) -> float:
+        nonlocal calls, restricted_orders
         key = tuple(order)
         mean = means.get(key)
         if mean is None:
-            values = [trial_value(state, key) for state in states]
-            mean = means[key] = _sum_after(
-                0.0, np.asarray(values, dtype=float)[trial_state]
-            ) / trial_state.size
+            values = np.empty(trials)
+            for mask, idx, group, played in groups:
+                restricted = tuple(e for e in key if mask >> e & 1)
+                got = played.get(restricted)
+                if got is None:
+                    got = [trial_value(state, key) for state in group]
+                    calls += len(group)
+                    restricted_orders += 1
+                    # a restriction to all n elements is the order itself,
+                    # which `means` already keeps, so it is not stored
+                    if len(restricted) < n:
+                        played[restricted] = got
+                values[idx] = got
+            mean = means[key] = _sum_after(0.0, values[trial_state]
+                                           ) / trial_state.size
         return mean
 
     def finish(values: dict[tuple[int, ...], float],
                worst: tuple[int, ...]) -> AdversarySearchResult:
         log.info("worst-order search (%s): %d trials, %d distinct states, "
-                 "%d orders evaluated, %d value calls", mode,
-                 trial_state.size, trials, len(means), len(means) * trials)
+                 "%d orders evaluated, %d value calls, one per distinct "
+                 "(state, restricted order) pair (%d restricted orders of %d "
+                 "masks)", mode, trial_state.size, trials, len(means), calls,
+                 restricted_orders, len(groups))
         return AdversarySearchResult(worst, values[worst], mode, values)
 
     if mode == "exhaustive":

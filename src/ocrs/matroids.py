@@ -212,7 +212,7 @@ class GraphicMatroid(Matroid):
         super().__init__(len(edges))
         for u, v in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ValueError("edge endpoint outside vertex range")
+                raise ValueError("'edges' endpoint outside vertex range")
         self.num_vertices = num_vertices
         self.edges = tuple((int(u), int(v)) for u, v in edges)
 
@@ -287,7 +287,7 @@ class LaminarMatroid(Matroid):
             m = 0
             for e in s:
                 if not 0 <= e < n:
-                    raise ValueError(f"element {e} outside ground set")
+                    raise ValueError(f"'sets' element {e} outside ground set")
                 m |= 1 << e
             masks.append(m)
         for i, a in enumerate(masks):
@@ -352,7 +352,8 @@ class ExplicitMatroid(Matroid):
             m = 0
             for e in b:
                 if not 0 <= e < n:
-                    raise ValueError(f"element {e} outside ground set")
+                    raise ValueError(f"'bases' element {e} outside ground "
+                                     "set")
                 m |= 1 << e
             base_masks.add(m)
         if not base_masks:

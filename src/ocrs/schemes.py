@@ -483,7 +483,7 @@ class Graph:
         self.edges = tuple((int(u), int(v)) for u, v in edges)
         for u, v in self.edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ValueError("edge endpoint outside vertex range")
+                raise ValueError("'edges' endpoint outside vertex range")
             if u == v:
                 raise ValueError("self-loops are not allowed")
         self.n_edges = len(self.edges)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -403,15 +404,41 @@ def test_grouped_prophet_search_matches_per_trial_loop(mode):
     assert collect == expected_collect
 
 
+_PROBING_KNAPSACK4 = ProbingInstance(
+    p=(0.9, 0.6, 0.8, 0.5), w=(3.0, 2.0, 10.0, 2.5),
+    inner=UniformMatroid(4, 2),
+    outer=KnapsackConstraint((0.5, 0.25, 0.6, 0.3)), b=0.5)
+
+
+@functools.lru_cache(maxsize=1)
+def _probing_knapsack4():
+    return prepare_probing(_PROBING_KNAPSACK4, SEED)
+
+
+@functools.lru_cache(maxsize=1)
+def _probing_knapsack4_states():
+    return list(probing_trial_states(_probing_knapsack4(), 300, SEED))
+
+
+@functools.lru_cache(maxsize=1)
+def _probing_deadlines4():
+    inst = ProbingInstance(p=(0.9, 0.6, 0.8, 0.5), w=(3.0, 2.0, 10.0, 2.5),
+                           inner=UniformMatroid(4, 2),
+                           outer=UniformMatroid(4, 3), b=0.5,
+                           deadlines=(2, 1, 3, 2))
+    return prepare_probing(inst, SEED)
+
+
+@functools.lru_cache(maxsize=1)
+def _probing_deadlines4_states():
+    return list(probing_trial_states(_probing_deadlines4(), 300, SEED))
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "greedy-heuristic"])
 def test_grouped_probing_search_matches_per_trial_loop(mode):
     # a knapsack outer scheme draws a random family per trial, so the family
     # is part of the key
-    inst = ProbingInstance(p=(0.9, 0.6, 0.8, 0.5), w=(3.0, 2.0, 10.0, 2.5),
-                           inner=UniformMatroid(4, 2),
-                           outer=KnapsackConstraint((0.5, 0.25, 0.6, 0.3)),
-                           b=0.5)
-    pipeline = prepare_probing(inst, SEED)
+    pipeline = prepare_probing(_PROBING_KNAPSACK4, SEED)
     trials = 1500
     states = list(probing_trial_states(pipeline, trials, SEED))
     distinct, _ = group_states(states, probing_state_key)
@@ -425,23 +452,62 @@ def test_grouped_probing_search_matches_per_trial_loop(mode):
         pipeline.value(state, worst) for state in states)
 
 
+def _counting(pipeline):
+    """Wrap ``pipeline.value`` in a call counter; returns the counter."""
+    calls = Counter()
+    value = pipeline.value
+
+    def counting(state, order):
+        calls["value"] += 1
+        return value(state, order)
+
+    pipeline.value = counting
+    return calls
+
+
 def test_search_calls_trial_value_once_per_order_and_state():
+    """Once per distinct state and order of its active elements: a state
+    with k active elements is played k! times, not 4! times."""
     pipeline = _prophet_u42()
     trials = 1000
     distinct, _ = group_states(prophet_trial_states(pipeline, trials, SEED),
                                prophet_state_key)
-    calls = 0
-    value = pipeline.value
-
-    def counting(state, order):
-        nonlocal calls
-        calls += 1
-        return value(state, order)
-
-    pipeline.value = counting
+    calls = _counting(pipeline)
     prophet_worst_order(pipeline, trials, SEED)
-    # 4! orders in the search, then the worst order once more for the report
-    assert calls == (24 + 1) * len(distinct)
+    searched = sum(math.factorial(active.bit_count())
+                   for _family, active, _z in distinct)
+    assert searched < 24 * len(distinct)
+    # then the worst order once more for the report
+    assert calls["value"] == searched + len(distinct)
+
+
+def test_probing_search_calls_trial_value_once_per_order_of_a_out():
+    pipeline = prepare_probing(_PROBING_KNAPSACK4, SEED)
+    trials = 1000
+    distinct, _ = group_states(probing_trial_states(pipeline, trials, SEED),
+                               probing_state_key)
+    calls = _counting(pipeline)
+    probing_worst_order(pipeline, trials, SEED)
+    searched = sum(math.factorial(a_out.bit_count())
+                   for a_out, *_rest in distinct)
+    assert searched < 24 * len(distinct)
+    assert calls["value"] == searched + len(distinct)
+
+
+def _same_restriction(order, mask, other):
+    """``other`` with the elements of ``mask`` put in their order in
+    ``order``: a second order whose restriction to ``mask`` equals
+    ``order``'s."""
+    inside = iter([e for e in order if mask >> e & 1])
+    return tuple(next(inside) if mask >> e & 1 else e for e in other)
+
+
+def _outcome(value, state, order):
+    """A run's value, or the message of the assertion it raised."""
+    try:
+        return value(state, order)
+    except AssertionError as exc:
+        return repr(exc)
 
 
 _VALUES = st.sampled_from([0.0, 0.5, 1.5, 4.0])
@@ -465,6 +531,50 @@ def test_grouping_then_expanding_gives_per_trial_values(states, order):
     assert (list(per_trial_values(pipeline.value, distinct, trial_state,
                                   order))
             == [pipeline.value(state, order) for state in states])
+
+
+_ORDERS4 = st.permutations(range(4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(active=st.integers(0, 15),
+       z=st.tuples(_VALUES, _VALUES, _VALUES, _VALUES),
+       order=_ORDERS4, other=_ORDERS4)
+def test_prophet_value_depends_only_on_the_order_of_active_elements(
+        active, z, order, other):
+    # a partition matroid, so that which active elements come first matters
+    pipeline = _prophet_partition()
+    state = (pipeline.sampler.sample(), active, z)
+    assert (pipeline.value(state, order)
+            == pipeline.value(state, _same_restriction(order, active, other)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(trial=st.integers(0, 299), a_out=st.integers(0, 15),
+       act=st.integers(0, 15), order=_ORDERS4, other=_ORDERS4)
+def test_probing_value_depends_only_on_the_order_of_a_out(trial, a_out, act,
+                                                          order, other):
+    # a knapsack outer scheme, so that the families differ between trials
+    pipeline = _probing_knapsack4()
+    _a_out, _act, fam_in, fam_out = _probing_knapsack4_states()[trial]
+    state = (a_out, act, fam_in, fam_out)
+    assert (pipeline.value(state, order)
+            == pipeline.value(state, _same_restriction(order, a_out, other)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(trial=st.integers(0, 299), a_out=st.integers(0, 15),
+       act=st.integers(0, 15), order=_ORDERS4, other=_ORDERS4)
+def test_probe_with_deadlines_depends_only_on_the_order_of_a_out(
+        trial, a_out, act, order, other):
+    # a run in an order that is not by deadline may probe an element past
+    # its deadline; then both orders raise the same assertion
+    pipeline = _probing_deadlines4()
+    _a_out, _act, fam_in, fam_out = _probing_deadlines4_states()[trial]
+    state = (a_out, act, fam_in, fam_out)
+    assert (_outcome(pipeline.value, state, order)
+            == _outcome(pipeline.value, state,
+                        _same_restriction(order, a_out, other)))
 
 
 # ---------------------------------------------------------------------------

@@ -465,6 +465,17 @@ def _submodular6_p0(value):
     ("verify-selectability",
      {"matroid": {"type": "explicit", "n": 25, "bases": [[0, 1]]}},
      _MATROID, "'n'"),
+    ("verify-selectability",
+     {"matroid": {"type": "explicit", "n": 2, "bases": [[0, 5]]}},
+     _MATROID, "'bases'"),
+    ("verify-selectability",
+     {"matroid": {"type": "laminar", "n": 2, "sets": [[0, 5]],
+                  "capacities": [1]}}, _MATROID, "'sets'"),
+    ("verify-selectability",
+     {"matroid": {"type": "graphic", "vertices": 3, "edges": [[0, 5]]}},
+     _MATROID, "'edges'"),
+    ("verify-selectability", {"graph": {"vertices": 3, "edges": [[0, 5]]}},
+     ["--scheme", "matching"], "'edges'"),
     *[(command, instance, [*extra, "--seed", seed], "--seed")
       for command, instance, extra in _SEEDED
       for seed in ("-1", str(1 << 64))],
@@ -489,6 +500,9 @@ def _submodular6_p0(value):
         "laminar-capacity-negative", "uniform-n-negative",
         "laminar-n-negative", "explicit-n-negative",
         "explicit-13-not-a-matroid", "explicit-n-above-table",
+        "explicit-bases-element-out-of-range",
+        "laminar-sets-element-out-of-range", "graphic-edge-out-of-range",
+        "graph-edge-out-of-range",
         *[f"{command}-seed-{where}" for command, _i, _e in _SEEDED
           for where in ("negative", "2-to-64")]])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(

@@ -335,6 +335,45 @@ def test_grouped_search_equals_per_trial_search(caplog):
             "states, 6 orders evaluated, 48 value calls") in caplog.text
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3),
+       actives=st.lists(st.integers(0, 15), min_size=1, max_size=40),
+       weights=st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0, 100.0]),
+                        min_size=4, max_size=4),
+       mode=st.sampled_from(["exhaustive", "greedy-heuristic"]),
+       grouped=st.booleans())
+def test_masked_search_equals_search_over_every_element(k, actives, weights,
+                                                        mode, grouped):
+    """Keyed by each state's active set, the search gives the same means,
+    worst order and value as the search that plays every state under every
+    order, with one value call per distinct (state, restricted order)."""
+    fam = MatroidChainFactory(UniformMatroid(4, k), 0.5).bind(
+        FractionalPoint([0.1] * 4)).sample()
+    value = _greedy_weight(weights)
+    if grouped:
+        distinct, trial_state = group_states(actives, lambda a: a)
+    else:
+        distinct, trial_state = actives, None
+    calls = 0
+
+    def counted(state, order):
+        nonlocal calls
+        calls += 1
+        return value(state, order)
+
+    plain = worst_order_value(lambda i: (fam, distinct[i]), value, 4,
+                              len(distinct), mode=mode, seed=SEED,
+                              trial_state=trial_state)
+    masked = worst_order_value(lambda i: (fam, distinct[i]), counted, 4,
+                               len(distinct), mode=mode, seed=SEED,
+                               trial_state=trial_state, masks=distinct)
+    assert masked.values_by_order == plain.values_by_order
+    assert masked.worst_order == plain.worst_order
+    assert masked.worst_value == plain.worst_value
+    if mode == "exhaustive":
+        assert calls == sum(math.factorial(a.bit_count()) for a in distinct)
+
+
 def test_grouped_values_run_once_per_state_of_each_block(caplog):
     """Values come out in trial order; a state repeated across blocks runs
     once in each block, since each block is grouped on its own."""
