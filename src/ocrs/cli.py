@@ -28,7 +28,7 @@ from .applications import (ProbingInstance, ProphetInstance,
                            probing_mean_value, prophet_trial_states,
                            prophet_value_under_order, prophet_worst_order)
 from .core import (FractionalPoint, SeedSpec, float_list, int_list,
-                   num_blocks, read_field)
+                   json_float, num_blocks, read_field)
 from .harness import (MeanEstimate, bind_sampler,
                       knapsack_deterministic_impossibility,
                       report_from_counts, selectability_counts)
@@ -122,7 +122,7 @@ def _fit_point_to_factory(x: FractionalPoint,
 
 def _point_from_json(obj: dict, path: str) -> FractionalPoint:
     try:
-        return FractionalPoint(obj["x"])
+        return FractionalPoint(float_list(obj["x"]))
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"bad 'x' in {path}: {exc}") from exc
 
@@ -282,7 +282,7 @@ def _load_probing_instance(args) -> ProbingInstance:
                                    args.instance),
         outer=constraint_from_json(_require(obj, "outer", args.instance),
                                    args.instance),
-        b=read_field("b", obj.get("b", args.b), float),
+        b=read_field("b", obj.get("b", args.b), json_float),
         deadlines=(tuple(read_field("deadlines", deadlines, int_list))
                    if deadlines is not None else None))
 
@@ -324,7 +324,7 @@ def cmd_probing(args) -> int:
 def cmd_submodular(args) -> int:
     obj = _load_json(args.instance)
     f = submodular_from_json(_require(obj, "f", args.instance))
-    b = read_field("b", obj.get("b", args.b), float)
+    b = read_field("b", obj.get("b", args.b), json_float)
     if not 0.0 <= b <= 1.0:
         raise InstanceError(f"'b' in {args.instance} must lie in [0, 1]")
     seed = SeedSpec(args.seed)

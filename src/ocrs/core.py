@@ -221,6 +221,27 @@ def ordered_sum(values: Iterable):
     return total
 
 
+def subset_sums(values: np.ndarray, elements: Iterable[int]) -> np.ndarray:
+    """``values[e]`` summed over every subset of ``elements`` by doubling:
+    bit j of an index picks the j-th of ``elements``, and every sum adds in
+    their order from a zero of the dtype of ``values``."""
+    elements = list(elements)
+    sums = np.zeros(1 << len(elements), dtype=values.dtype)
+    for j, e in enumerate(elements):
+        half = 1 << j
+        np.add(sums[:half], values[e], out=sums[half:2 * half])
+    return sums
+
+
+def subset_probs(x: np.ndarray, elements: Iterable[int]) -> np.ndarray:
+    """Pr[R(x) meets ``elements`` in S] for every subset S of ``elements``,
+    indexed and multiplied out by doubling as in `subset_sums`."""
+    probs = np.ones(1)
+    for e in elements:
+        probs = np.concatenate([probs * (1.0 - x[e]), probs * x[e]])
+    return probs
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of set bits, ascending."""
     while mask:
@@ -230,16 +251,10 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def popcounts(k: int, within: int = -1) -> np.ndarray:
-    """``popcount(i & within)`` for every index i in 0..2^k - 1, as uint8.
-
-    Built by doubling: entries 2^j..2^(j+1) - 1 are entries 0..2^j - 1 plus
-    bit j of ``within`` (every bit by default).
-    """
-    counts = np.zeros(1 << k, dtype=np.uint8)
-    for j in range(k):
-        half = 1 << j
-        np.add(counts[:half], within >> j & 1, out=counts[half:2 * half])
-    return counts
+    """``popcount(i & within)`` for every index i in 0..2^k - 1, as uint8:
+    the subset sums of the bits of ``within`` (every bit by default)."""
+    bits = np.array([within >> j & 1 for j in range(k)], dtype=np.uint8)
+    return subset_sums(bits, range(k))
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -311,21 +326,28 @@ def json_int(value) -> int:
     return value
 
 
+def json_float(value) -> float:
+    """A JSON number as a float: a boolean or a string is a TypeError
+    rather than read as 1.0 or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def int_list(value) -> list[int]:
     """A JSON list of JSON integers (see `json_int`)."""
     return [json_int(v) for v in value]
 
 
 def float_list(value) -> list[float]:
-    """A JSON list of numbers, each converted by ``float``."""
-    return [float(v) for v in value]
+    """A JSON list of JSON numbers (see `json_float`)."""
+    return [json_float(v) for v in value]
 
 
 def pack_mask(bits: np.ndarray) -> int:
-    mask = 0
-    for i in np.flatnonzero(bits):
-        mask |= 1 << int(i)
-    return mask
+    """The int mask with bit i set iff ``bits[i]``, at any length."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def pack_mask_rows(bits: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (FractionalPoint, int_list, iter_bits, json_int, popcounts,
-                   read_field)
+                   read_field, subset_sums)
 
 log = logging.getLogger("ocrs.matroids")
 
@@ -449,8 +449,8 @@ class MatroidPolytope:
     ``i`` for the j-th ground element, so index arithmetic (``i | k``,
     ``i & k``) is set arithmetic; on a ground set 0..k-1 (every matroid
     built from JSON; ``identity``) the index is the mask.  Widen ranks before
-    subtracting them.  Subset sums are built by doubling in ascending
-    element order, which adds up x(S) in the same order as
+    subtracting them.  Subset sums are `subset_sums` over the ground
+    elements in ascending order, which adds up x(S) in the same order as
     ``sum(x[e] for e in iter_bits(S))``.
     """
 
@@ -476,32 +476,24 @@ class MatroidPolytope:
         return sum(1 << e for j, e in enumerate(self.elements)
                    if index >> j & 1)
 
-    def subset_sums(self, values: np.ndarray,
-                    elements: Optional[Sequence[int]] = None) -> np.ndarray:
-        """``x(S)`` for every subset S of ``elements`` (default: the ground
-        set), in table-index order, in the dtype of ``values``: exact
-        Python integers for an object array of them."""
-        sums = np.zeros(1, dtype=values.dtype)
-        for e in self.elements if elements is None else elements:
-            sums = np.concatenate([sums, sums + values[e]])
-        return sums
-
     def max_violation(self, values: np.ndarray, b: float) -> float:
         """Largest ``x(S) - b*r(S)``; x is in b*P iff this is at most 0."""
-        return float((self.subset_sums(values) - b * self.ranks).max())
+        return float((subset_sums(values, self.elements)
+                      - b * self.ranks).max())
 
     def max_step(self, values: np.ndarray, e: int) -> float:
         """Largest d >= 0 with x + d * unit_e in P: the least slack
         ``r(S) - x(S)`` over the subsets S that contain e."""
         j = self.elements.index(e)
-        slack = self.ranks - self.subset_sums(values)
+        slack = self.ranks - subset_sums(values, self.elements)
         return max(float(slack.reshape(-1, 2, 1 << j)[:, 1, :].min()), 0.0)
 
     def min_scale(self, values: np.ndarray) -> float:
         """Smallest s >= 0 with ``x(S) <= s*r(S)`` on every subset S of
         positive rank (subsets of rank 0 are not constrained)."""
         positive = self.ranks > 0
-        ratios = self.subset_sums(values)[positive] / self.ranks[positive]
+        ratios = (subset_sums(values, self.elements)[positive]
+                  / self.ranks[positive])
         return float(ratios.max(initial=0.0))
 
     def max_excess(self, values: Sequence[int], scale: int) -> tuple[int, int]:
@@ -515,8 +507,8 @@ class MatroidPolytope:
         are kept apart, 2^12 + 2^(k-12) integers for k elements, not 2^k.
         """
         values = np.array(values, dtype=object)
-        low = self.subset_sums(values, self.elements[:_EXCESS_BLOCK_BITS])
-        high = self.subset_sums(values, self.elements[_EXCESS_BLOCK_BITS:])
+        low = subset_sums(values, self.elements[:_EXCESS_BLOCK_BITS])
+        high = subset_sums(values, self.elements[_EXCESS_BLOCK_BITS:])
         width = low.size
         best, best_index = None, 0
         for h, offset in enumerate(high.tolist()):

@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FractionalPoint, iter_submasks, ordered_sum, pack_mask
+from .core import (FractionalPoint, float_list, iter_bits, ordered_sum,
+                   pack_mask, read_field)
 from .matroids import EXHAUSTIVE_LIMIT, Matroid
 
 log = logging.getLogger("ocrs.optimize")
@@ -88,7 +89,8 @@ class DiscreteDistribution:
 def distribution_from_json(obj: dict) -> DiscreteDistribution:
     if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
         raise ValueError("distribution descriptor needs 'support' and 'probs'")
-    return DiscreteDistribution(obj["support"], obj["probs"])
+    return DiscreteDistribution(*(read_field(key, obj[key], float_list)
+                                  for key in ("support", "probs")))
 
 
 def threshold(dist: DiscreteDistribution, p: float) -> float:
@@ -263,12 +265,12 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
 
 
 class KnapsackConstraint:
-    """Single capacity row: sum of sizes over the chosen set at most one.
+    """One capacity row, shared with no memo by the LP, the probe check and
+    the knapsack scheme: the chosen sizes sum to at most one.  Sizes are
+    finite and nonnegative; the LP takes sizes above one, the scheme does
+    not."""
 
-    The LP, the probe check and the knapsack scheme share this object and
-    its subset-sum memos.  Sizes are finite and nonnegative; the LP takes
-    sizes above one, the scheme does not.
-    """
+    capacity = 1.0 + 1e-9  # one, with slack for rounding in the sums
 
     def __init__(self, sizes: Sequence[float]):
         self.sizes = tuple(float(s) for s in sizes)
@@ -277,32 +279,18 @@ class KnapsackConstraint:
         self.n = len(self.sizes)
         # strictly greater than one half: items of size exactly 1/2 are small
         self.big_mask = pack_mask(np.array([s > 0.5 for s in self.sizes]))
-        self._sum_cache: dict[int, float] = {0: 0.0}
-        self._best_cache: dict[int, float] = {}
 
     def size_sum(self, mask: int) -> float:
         """The sizes of ``mask``, added from its highest element down."""
-        cached = self._sum_cache.get(mask)
-        if cached is None:
-            low = mask & -mask
-            cached = self.size_sum(mask ^ low) + self.sizes[low.bit_length() - 1]
-            self._sum_cache[mask] = cached
-        return cached
+        return float(ordered_sum(self.sizes[e] for e in
+                                 sorted(iter_bits(mask), reverse=True)))
 
     def indep(self, mask: int) -> bool:
-        return self.size_sum(mask) <= 1.0 + 1e-9
+        return self.size_sum(mask) <= self.capacity
 
-    def best_feasible_sum(self, mask: int) -> float:
-        """Largest subset-sum of ``mask`` not exceeding the unit capacity."""
-        cached = self._best_cache.get(mask)
-        if cached is None:
-            cached = 0.0
-            for sub in iter_submasks(mask):
-                s = self.size_sum(sub)
-                if s <= 1.0 + 1e-9 and s > cached:
-                    cached = s
-            self._best_cache[mask] = cached
-        return cached
+    def load(self, values: Sequence[float]) -> float:
+        """The occupancy ``sizes . values``, added from the first element."""
+        return float(ordered_sum(s * v for s, v in zip(self.sizes, values)))
 
 
 ConstraintSpec = Matroid | KnapsackConstraint

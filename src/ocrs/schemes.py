@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (FractionalPoint, block_states, float_list, group_rows,
-                   iter_bits, json_int, ordered_sum, pack_mask_rows,
-                   popcounts, read_field)
+                   iter_bits, json_int, ordered_sum, pack_mask,
+                   pack_mask_rows, popcounts, read_field, subset_probs,
+                   subset_sums)
 from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
                        MatroidView, edge_list, in_scaled_matroid_polytope,
                        matroid_from_json)
@@ -202,15 +203,12 @@ class KnapsackFamily(FeasibleFamily):
         self.n = knapsack.n
         # the elements of the other mode
         self._outside = ~knapsack.big_mask if big_mode else knapsack.big_mask
-        self._selectable_cache: dict[int, int] = {}
+        self._sizes = np.array(knapsack.sizes)
 
     def member(self, mask: int) -> bool:
         return not mask & self._outside and self.knapsack.indep(mask)
 
     def selectable_mask(self, active_mask: int) -> int:
-        cached = self._selectable_cache.get(active_mask)
-        if cached is not None:
-            return cached
         ks = self.knapsack
         out = 0
         if self.big_mode:
@@ -222,13 +220,18 @@ class KnapsackFamily(FeasibleFamily):
                 if worst + ks.sizes[e] <= 1.0 + _TOL:
                     out |= 1 << e
         else:
+            # the pool's (active small elements') subset sums, added as in
+            # ``size_sum``; the best feasible one without e is in the half
+            # of the table that leaves e out (all of it if e is not active)
             small_mask = ((1 << ks.n) - 1) & ~ks.big_mask
-            pool = active_mask & small_mask
-            for e in iter_bits(small_mask):
-                worst = ks.best_feasible_sum(pool & ~(1 << e))
-                if worst + ks.sizes[e] <= 1.0 + _TOL:
-                    out |= 1 << e
-        self._selectable_cache[active_mask] = out
+            pool = sorted(iter_bits(active_mask & small_mask), reverse=True)
+            sums = subset_sums(self._sizes, pool)
+            feasible = np.where(sums <= ks.capacity, sums, 0.0)
+            fits = feasible.max() + self._sizes <= 1.0 + _TOL
+            for j, e in enumerate(pool):
+                worst = feasible.reshape(-1, 2, 1 << j)[:, 0].max()
+                fits[e] = worst + ks.sizes[e] <= 1.0 + _TOL
+            out = pack_mask(fits) & small_mask
         return out
 
     def cache_key(self):
@@ -336,11 +339,10 @@ def _table_span_probability(table: MatroidPolytope, x: np.ndarray,
     bit-equal to the plain loop over submasks.  Restricting to the level
     keeps ranks, so the whole matroid's rank table answers every level.
     """
-    probs = np.ones(1)
-    subsets = np.zeros(1, dtype=np.int64)
-    for g in iter_bits(level_mask & ~s_mask & ~(1 << e)):
-        probs = np.concatenate([probs * (1.0 - x[g]), probs * x[g]])
-        subsets = np.concatenate([subsets, subsets | table.index(1 << g)])
+    free = list(iter_bits(level_mask & ~s_mask & ~(1 << e)))
+    probs = subset_probs(x, free)
+    subsets = subset_sums(np.array([table.index(1 << g) for g in free],
+                                   dtype=np.int64), range(len(free)))
     subsets |= table.index(s_mask)
     ranks = table.ranks
     spanned = ranks[subsets | table.index(1 << e)] == ranks[subsets]
@@ -700,6 +702,8 @@ class MatchingFactory(GreedyOcrsFactory):
     def __init__(self, graph: Graph, b: float, deterministic: bool = False):
         if not 0.0 <= b <= 1.0:
             raise SchemeError("matching scheme requires b in [0, 1]")
+        if not graph.edges:
+            raise SchemeError("'edges' must be nonempty")
         self.graph = graph
         self.n = graph.n_edges
         self.b = b
@@ -737,8 +741,8 @@ class KnapsackFactory(GreedyOcrsFactory):
     def __init__(self, knapsack: KnapsackConstraint, b: float):
         if not 0.0 <= b <= 0.5:
             raise SchemeError("knapsack scheme requires b in [0, 1/2]")
-        if any(s > 1 for s in knapsack.sizes):
-            raise SchemeError("'sizes' must lie in [0, 1]")
+        if not knapsack.sizes or any(s > 1 for s in knapsack.sizes):
+            raise SchemeError("'sizes' must be nonempty and lie in [0, 1]")
         self.knapsack = knapsack
         self.n = knapsack.n
         self.b = b
@@ -748,7 +752,7 @@ class KnapsackFactory(GreedyOcrsFactory):
 
     def load(self, x: FractionalPoint) -> float:
         """The knapsack occupancy ``sizes . x``."""
-        return float(np.dot(np.array(self.knapsack.sizes), x.values))
+        return self.knapsack.load(x.values)
 
     def bind(self, x, stream=None) -> SchemeSampler:
         ks = self.knapsack

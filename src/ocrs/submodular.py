@@ -17,8 +17,8 @@ import numpy as np
 
 from .applications import default_factory, probe, probing_block_key
 from .core import (FractionalPoint, SeedSpec, float_list, int_list,
-                   iter_bits, json_int, ordered_sum, pack_mask_rows,
-                   read_field, trial_columns)
+                   iter_bits, json_float, json_int, ordered_sum,
+                   pack_mask_rows, read_field, subset_probs, trial_columns)
 from .harness import MeanEstimate, grouped_values
 from .matroids import (Matroid, in_scaled_matroid_polytope,
                        max_weight_independent)
@@ -158,7 +158,7 @@ def submodular_from_json(obj: dict) -> SubmodularOracle:
                        lambda v: [int_list(s) for s in v]))
     if isinstance(obj, dict) and "arcs" in obj:
         arcs = read_field("arcs", obj["arcs"], lambda v: [
-            (json_int(a), json_int(c), float(w)) for a, c, w in v])
+            (json_int(a), json_int(c), json_float(w)) for a, c, w in v])
         nodes = obj.get("nodes", 1 + max((max(u, v) for u, v, _ in arcs),
                                          default=0))
         return directed_cut(read_field("nodes", nodes, json_int), arcs)
@@ -169,19 +169,11 @@ def submodular_from_json(obj: dict) -> SubmodularOracle:
 # multilinear extension
 
 
-def _inclusion_probs(x: np.ndarray) -> np.ndarray:
-    """prob[mask] of R(x) = mask, bit e of mask tracking element e."""
-    probs = np.ones(1)
-    for e in range(x.size):
-        probs = np.concatenate([probs * (1.0 - x[e]), probs * x[e]])
-    return probs
-
-
 def multilinear_exact(f: SubmodularOracle, x: FractionalPoint) -> float:
     """F(x) = E[f(R(x))] by the full weighted sum over subsets."""
     if f.n > _EXACT_LIMIT:
         raise ValueError("exact multilinear evaluation limited to 14 elements")
-    return float(np.dot(_inclusion_probs(x.values), f.table()))
+    return float(np.dot(subset_probs(x.values, range(x.n)), f.table()))
 
 
 def multilinear_sampled(f: SubmodularOracle, x: FractionalPoint, trials: int,
@@ -262,7 +254,7 @@ def _exact_marginals(f: SubmodularOracle, x: np.ndarray) -> np.ndarray:
         bit = 1 << e
         xx = x.copy()
         xx[e] = 0.0
-        probs = _inclusion_probs(xx)
+        probs = subset_probs(xx, range(n))
         gains[e] = float(np.dot(probs, tab[idx | bit] - tab[idx]))
     return gains
 
@@ -392,8 +384,8 @@ def _assert_scaled_membership(y: FractionalPoint, spec: ConstraintSpec,
         assert in_scaled_matroid_polytope(spec, y, b), \
             "point left the scaled polytope"
     else:
-        load = ordered_sum(s * v for s, v in zip(spec.sizes, y.values))
-        assert load <= b + 1e-9, "point left the scaled knapsack"
+        assert spec.load(y.values) <= b + 1e-9, \
+            "point left the scaled knapsack"
 
 
 def run_submodular_probing(f: SubmodularOracle, p: Sequence[float],

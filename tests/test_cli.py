@@ -339,6 +339,7 @@ _PROBING3 = {"p": [0.5] * 3, "w": [1.0, 2.0, 3.0], "inner": _U3,
              "outer": _U3}
 _COVER3 = {"universe_weights": [1.0, 1.0], "covers": [[0], [1], [0, 1]]}
 _MATROID = ["--scheme", "matroid"]
+_KNAPSACK = ["--scheme", "knapsack", "--b", "0.25"]
 _U22 = {"type": "uniform", "n": 2, "k": 2}
 _HUGE2 = {"p": [1, 1], "w": [1.7e308, 1.7e308], "inner": _U22,
           "outer": _U22}
@@ -476,6 +477,26 @@ def _submodular6_p0(value):
      _MATROID, "'edges'"),
     ("verify-selectability", {"graph": {"vertices": 3, "edges": [[0, 5]]}},
      ["--scheme", "matching"], "'edges'"),
+    ("verify-selectability", {"sizes": [0.3, True]}, _KNAPSACK, "'sizes'"),
+    ("verify-selectability", {"sizes": [0.1, 0.1], "x": [True, "0.1"]},
+     _KNAPSACK, "'x'"),
+    ("prophet", dict(_PROPHET2, dists=[{"support": [0, "1"],
+                                        "probs": [0.5, 0.5]}] * 2), [],
+     "'support'"),
+    ("prophet", dict(_PROPHET2, dists=[{"support": [0.0, 1.0],
+                                        "probs": ["0.5", 0.5]}] * 2), [],
+     "'probs'"),
+    ("probing", dict(_PROBING3, p=[0.5, True, 0.5]), [], "'p'"),
+    ("probing", dict(_PROBING3, w=["3", 1.0, 2.0]), [], "'w'"),
+    ("probing", dict(_PROBING3, b="0.5"), [], "'b'"),
+    ("submodular", {"f": _COVER3, "matroid": _U3, "b": "0.5"}, [], "'b'"),
+    ("submodular", {"f": dict(_COVER3, universe_weights=[True, 1.0]),
+                    "matroid": _U3}, [], "'universe_weights'"),
+    ("submodular", {"f": {"arcs": [[0, 1, "1.0"]]}, "matroid": _U2}, [],
+     "'arcs'"),
+    ("verify-selectability", {"sizes": []}, _KNAPSACK, "'sizes'"),
+    ("verify-selectability", {"graph": {"vertices": 2, "edges": []}},
+     ["--scheme", "matching"], "'edges'"),
     *[(command, instance, [*extra, "--seed", seed], "--seed")
       for command, instance, extra in _SEEDED
       for seed in ("-1", str(1 << 64))],
@@ -502,7 +523,12 @@ def _submodular6_p0(value):
         "explicit-13-not-a-matroid", "explicit-n-above-table",
         "explicit-bases-element-out-of-range",
         "laminar-sets-element-out-of-range", "graphic-edge-out-of-range",
-        "graph-edge-out-of-range",
+        "graph-edge-out-of-range", "knapsack-sizes-boolean",
+        "x-boolean-and-string", "prophet-support-string",
+        "prophet-probs-string", "probing-p-boolean", "probing-w-string",
+        "probing-b-string", "submodular-b-string",
+        "coverage-weights-boolean", "cut-arc-weight-string",
+        "knapsack-sizes-empty", "graph-edges-empty",
         *[f"{command}-seed-{where}" for command, _i, _e in _SEEDED
           for where in ("negative", "2-to-64")]])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import ocrs.core
 from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, group_rows,
-                       iter_submasks, ordered_sum, pack_mask_rows,
+                       iter_submasks, ordered_sum, pack_mask, pack_mask_rows,
                        popcounts, scale_point, trial_columns, uniform_blocks)
 from ocrs.optimize import KnapsackConstraint
 from ocrs.schemes import Graph, KnapsackFactory, MatchingFactory
@@ -232,6 +232,13 @@ def test_pack_mask_rows_round_trip(n, data):
                               min_size=1, max_size=6))
     packed = pack_mask_rows(np.array(rows, dtype=bool)).tolist()
     assert packed == [sum(1 << e for e in range(n) if row[e]) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.booleans(), max_size=200))
+def test_pack_mask_at_any_length(bits):
+    assert pack_mask(np.array(bits, dtype=bool)) == sum(
+        1 << e for e, bit in enumerate(bits) if bit)
 
 
 @pytest.mark.parametrize("n", [64, 65])

@@ -154,6 +154,18 @@ def test_counts_memory_bounded_by_instance_not_trials():
     assert growth < 64 * 2**10, growth
 
 
+def test_knapsack_counts_memory_bounded_by_instance_not_trials():
+    """Twenty small items: most trials draw a new active set, and the
+    knapsack families keep no memo of their subset sums or answers, so
+    quadrupling the trial count leaves the peak where it was (such memos
+    grew it by about 20 MB)."""
+    factory = KnapsackFactory(KnapsackConstraint([0.05] * 20), 0.25)
+    x = FractionalPoint([0.25 * (1 - 1e-9)] * 20)
+    growth = (_counts_peak_bytes(factory, x, 32_768)
+              - _counts_peak_bytes(factory, x, 8_192))
+    assert growth < 2**20, growth
+
+
 def test_brute_force_examples():
     fac = MatroidChainFactory(UniformMatroid(2, 1), 0.5)
     exact = brute_force_selectability(fac, FractionalPoint([0.25, 0.25]))

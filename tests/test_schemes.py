@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocrs.core import (FractionalPoint, SeedSpec, iter_bits, iter_submasks,
@@ -18,7 +18,7 @@ from ocrs.matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
 from ocrs.optimize import KnapsackConstraint
 from ocrs.schemes import (_TOL, ChainConstructionError, ChainDecomposition,
                           Graph, IntersectionFactory, KnapsackFactory,
-                          MatchingFactory, MatchingFamily,
+                          KnapsackFamily, MatchingFactory, MatchingFamily,
                           MatroidChainFactory, MatroidChainFamily,
                           PolytopeMembershipError,
                           combine_families, factory_from_json,
@@ -540,6 +540,74 @@ def test_knapsack_p_big_formula():
     assert sampler.p_big == pytest.approx((1 - 0.5) / (2 - 0.5))
     for _p, fam in sampler.enumerate_families():
         assert fam.member(0)
+
+
+def _loop_selectable(knapsack, big_mode: bool, active: int) -> int:
+    """The knapsack family's selectable elements by brute force: sizes added
+    from the highest element down, and the fullest feasible set of the
+    other active elements of the mode found over every submask."""
+
+    def size_sum(mask):
+        total = 0.0
+        for e in sorted(iter_bits(mask), reverse=True):
+            total += knapsack.sizes[e]
+        return total
+
+    def best_feasible_sum(mask):
+        best = 0.0
+        for sub in iter_submasks(mask):
+            s = size_sum(sub)
+            if s <= 1.0 + 1e-9 and s > best:
+                best = s
+        return best
+
+    mode = (knapsack.big_mask if big_mode
+            else ((1 << knapsack.n) - 1) & ~knapsack.big_mask)
+    out = 0
+    for e in iter_bits(mode):
+        others = active & mode & ~(1 << e)
+        if big_mode:
+            worst = max((knapsack.sizes[g] for g in iter_bits(others)),
+                        default=0.0)
+        else:
+            worst = best_feasible_sum(others)
+        if worst + knapsack.sizes[e] <= 1.0 + _TOL:
+            out |= 1 << e
+    return out
+
+
+@st.composite
+def _ulps_from(draw, value: float) -> float:
+    """``value`` moved by a few ulps, kept in [0, 1]."""
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(2.0, steps))
+    return min(max(value, 0.0), 1.0)
+
+
+# sizes of exactly 1/2 (small) and just above it (big), and sizes whose
+# pools of 2 to 4 sum to within a few ulps of the capacity 1 + 1e-9
+_KNAPSACK_SIZES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.5, 1.0, 0.25, 1 / 3, *((1 + 1e-9) / k
+                                              for k in (2, 3, 4))]
+                    ).flatmap(_ulps_from))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_KNAPSACK_SIZES, min_size=1, max_size=8),
+       st.integers(0, (1 << 8) - 1))
+# the three sizes near 1/3 fit added from the highest down but not from the
+# lowest up: only the descending sums leave element 3 unselectable
+@example([0.33333333366666695, 0.3333333336666664, 0.3333333336666669, 0.3],
+         0b1111)
+def test_knapsack_selectable_mask_matches_the_submask_loop(sizes, active):
+    knapsack = KnapsackConstraint(sizes)
+    active &= (1 << knapsack.n) - 1
+    for big_mode in (False, True):
+        family = KnapsackFamily(knapsack, big_mode)
+        assert family.selectable_mask(active) == _loop_selectable(
+            knapsack, big_mode, active)
 
 
 def test_knapsack_half_size_is_small():
