@@ -340,10 +340,8 @@ class ProbingPipeline:
         return ordered_sum(self.instance.w[e] for e in iter_bits(selected))
 
 
-def prepare_probing(instance: ProbingInstance, seed: SeedSpec,
-                    inner_factory: Optional[GreedyOcrsFactory] = None,
-                    outer_factory: Optional[GreedyOcrsFactory] = None,
-                    order: Optional[Sequence[int]] = None) -> ProbingPipeline:
+def prepare_probing(instance: ProbingInstance,
+                    seed: SeedSpec) -> ProbingPipeline:
     """Solve the probing LP and bind inner/outer schemes per the algorithm.
 
     The outer scheme is bound to b*x*, the inner scheme to p o (b*x*).  With
@@ -353,12 +351,9 @@ def prepare_probing(instance: ProbingInstance, seed: SeedSpec,
     """
     b = instance.b
     n = instance.n
-    if order is not None and sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the ground set")
-    inner_factory = inner_factory or default_factory(instance.inner, b)
-    outer_factory = outer_factory or default_factory(instance.outer, b)
-    if not (inner_factory.b == outer_factory.b == b):
-        raise ValueError("factories must use the instance scale b")
+    inner_factory = default_factory(instance.inner, b)
+    outer_factory = default_factory(instance.outer, b)
+    order = range(n)
     laminar = None
     extra = None
     bound = b * inner_factory.bound() * outer_factory.bound()
@@ -372,8 +367,6 @@ def prepare_probing(instance: ProbingInstance, seed: SeedSpec,
         bound_expr = (f"b * (1-b) * ({inner_factory.bound_expr}) * "
                       f"({outer_factory.bound_expr})")
         outer_factory = IntersectionFactory([outer_factory, deadline_factory])
-        if order is not None:
-            raise ValueError("deadline instances fix their own probe order")
         order = sorted(range(n), key=lambda e: (instance.deadlines[e], e))
     lp = solve_probing_lp(instance.p, instance.w, instance.inner,
                           instance.outer, extra_outer=extra)
@@ -383,8 +376,6 @@ def prepare_probing(instance: ProbingInstance, seed: SeedSpec,
                                        seed.stream(_DOMAIN_CONSTRUCT_IN))
     outer_sampler = outer_factory.bind(outer_point,
                                        seed.stream(_DOMAIN_CONSTRUCT_OUT))
-    if order is None:
-        order = range(n)
     return ProbingPipeline(instance=instance, lp=lp,
                            inner_sampler=inner_sampler,
                            outer_sampler=outer_sampler,

@@ -27,14 +27,15 @@ from .applications import (ProbingInstance, ProphetInstance,
                            prepare_probing, prepare_prophet,
                            probing_mean_value, prophet_trial_states,
                            prophet_value_under_order, prophet_worst_order)
-from .core import (FractionalPoint, SeedSpec, float_list, int_list,
-                   json_float, num_blocks, read_field)
+from .core import (FractionalPoint, SeedSpec, field, float_list, int_list,
+                   json_float, json_str, num_blocks, read_field)
 from .harness import (MeanEstimate, bind_sampler,
                       knapsack_deterministic_impossibility,
                       report_from_counts, selectability_counts)
 from .matroids import (check_matroid_axioms, in_scaled_matroid_polytope,
                        matroid_from_json, random_point_in_polytope)
-from .optimize import KnapsackConstraint, distribution_from_json
+from .optimize import (ConstraintSpec, KnapsackConstraint,
+                       distribution_from_json)
 from .schemes import GreedyOcrsFactory, MatroidChainFactory, factory_from_json
 from .submodular import (half_subsample_value, multilinear_exact,
                          ocrs_submodular_value, run_submodular_probing,
@@ -47,40 +48,48 @@ EXIT_INPUT = 2
 log = logging.getLogger("ocrs")
 
 
-class InstanceError(ValueError):
-    """Malformed instance input; the message names the offending field."""
-
-
 def _load_json(path: str) -> dict:
+    """The instance object in ``path``; the one reader that names the
+    file.  Every other input error is a ValueError naming its field."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except FileNotFoundError:
-        raise InstanceError(f"instance file not found: {path}")
+        raise ValueError(f"instance file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON in {path}: {exc}")
+        raise ValueError(f"invalid JSON in {path}: {exc}")
     if not isinstance(obj, dict):
-        raise InstanceError(f"instance {path} must be a JSON object")
+        raise ValueError(f"instance {path} must be a JSON object")
     return obj
 
 
-def _require(obj: dict, field: str, path: str):
-    if field not in obj:
-        raise InstanceError(f"instance {path} is missing field '{field}'")
-    return obj[field]
+def constraint_from_json(obj: dict) -> ConstraintSpec:
+    """A matroid descriptor, or ``{"type": "knapsack", "sizes": [...]}``."""
+    if field(obj, "type", json_str) == "knapsack":
+        return KnapsackConstraint(field(obj, "sizes", float_list))
+    return matroid_from_json(obj)
 
 
-def constraint_from_json(obj: dict, path: str):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise InstanceError(
-            f"constraint in {path} must be an object with a 'type'")
-    if obj["type"] == "knapsack":
-        return KnapsackConstraint(read_field(
-            "sizes", _require(obj, "sizes", path), float_list))
-    try:
-        return matroid_from_json(obj)
-    except ValueError as exc:
-        raise InstanceError(f"bad constraint in {path}: {exc}")
+def _unit_float(value) -> float:
+    b = json_float(value)
+    if not 0.0 <= b <= 1.0:
+        raise ValueError("must lie in [0, 1]")
+    return b
+
+
+def _probing_fields(obj: dict, b: float) -> tuple:
+    """``(p, inner, outer, b)`` of a probing instance, as `probing` and
+    submodular probing read them; ``b`` is the default scale."""
+    def probabilities(value) -> list[float]:
+        p = float_list(value)
+        if not p:
+            raise ValueError("must be nonempty")
+        return p
+
+    return (field(obj, "p", probabilities),
+            field(obj, "inner", constraint_from_json),
+            field(obj, "outer", constraint_from_json),
+            read_field("b", obj.get("b", b), _unit_float))
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
@@ -93,11 +102,11 @@ def _write_json(path: Optional[str], payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _check_finite(estimate: MeanEstimate, field: str, path: str) -> None:
+def _check_finite(estimate: MeanEstimate, name: str) -> None:
     """Before any output: an overflowing mean or half-width names its field."""
     if not np.isfinite([estimate.mean, estimate.halfwidth]).all():
-        raise InstanceError(f"'{field}' in {path} is too large: the mean or "
-                            f"the half-width of the trial values overflows")
+        raise ValueError(f"'{name}' is too large: the mean or the "
+                         f"half-width of the trial values overflows")
 
 
 def _write_values_csv(path: str, values) -> None:
@@ -120,20 +129,21 @@ def _fit_point_to_factory(x: FractionalPoint,
     return FractionalPoint(x.values * scale)
 
 
-def _point_from_json(obj: dict, path: str) -> FractionalPoint:
-    try:
-        return FractionalPoint(float_list(obj["x"]))
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"bad 'x' in {path}: {exc}") from exc
+def _point_from_json(obj: dict, n: int) -> FractionalPoint:
+    """The instance's ``x``, a point on ``n`` elements."""
+    def point(value) -> FractionalPoint:
+        x = FractionalPoint(float_list(value))
+        if x.n != n:
+            raise ValueError(f"has {x.n} coordinates, not {n}")
+        return x
+
+    return field(obj, "x", point)
 
 
-def _default_point(instance: dict, path: str, factory: GreedyOcrsFactory,
+def _default_point(instance: dict, factory: GreedyOcrsFactory,
                    seed: SeedSpec) -> FractionalPoint:
     if "x" in instance:
-        x = _point_from_json(instance, path)
-        if x.n != factory.n:
-            raise InstanceError(f"'x' in {path} has the wrong length")
-        return x
+        return _point_from_json(instance, factory.n)
     gen = seed.stream(99)
     if isinstance(factory, MatroidChainFactory):
         return random_point_in_polytope(factory.matroid, factory.b, gen)
@@ -144,12 +154,9 @@ def _default_point(instance: dict, path: str, factory: GreedyOcrsFactory,
 def cmd_verify_selectability(args) -> int:
     instance = _load_json(args.instance)
     seed = SeedSpec(args.seed)
-    try:
-        factory = factory_from_json(args.scheme, instance, args.b, args.eps,
-                                    args.exact)
-    except ValueError as exc:
-        raise InstanceError(f"bad instance {args.instance}: {exc}") from exc
-    x = _default_point(instance, args.instance, factory, seed)
+    factory = factory_from_json(args.scheme, instance, args.b, args.eps,
+                                args.exact)
+    x = _default_point(instance, factory, seed)
     log.info("scheme=%s b=%s bound=%s (%s) trials=%d seed=%d", args.scheme,
              args.b, factory.bound(), factory.bound_expr, args.trials,
              args.seed)
@@ -186,10 +193,7 @@ def cmd_verify_selectability(args) -> int:
 
 
 def cmd_impossibility(args) -> int:
-    try:
-        b = Fraction(args.b)
-    except ValueError:
-        raise InstanceError(f"--b must be a rational, got {args.b!r}")
+    b = read_field("--b", args.b, _rational)
     best, witness = knapsack_deterministic_impossibility(args.n, b)
     expected = (1 - b) ** (args.n - 1)
     payload = {
@@ -206,25 +210,25 @@ def cmd_impossibility(args) -> int:
     return EXIT_PASS if best == expected else EXIT_FAIL
 
 
+def _arrival_order(value):
+    if isinstance(value, list):
+        return tuple(int_list(value))
+    if value not in ("worst", "identity"):
+        raise ValueError("must be 'worst', 'identity' or a list of JSON "
+                         "integers")
+    return value
+
+
 def cmd_prophet(args) -> int:
-    instance_obj = _load_json(args.instance)
-    matroid = matroid_from_json(_require(instance_obj, "matroid",
-                                         args.instance))
-    dists = read_field("dists", _require(instance_obj, "dists", args.instance),
-                       lambda v: tuple(map(distribution_from_json, v)))
+    obj = _load_json(args.instance)
+    matroid = field(obj, "matroid", matroid_from_json)
+    dists = field(obj, "dists",
+                  lambda v: tuple(map(distribution_from_json, v)))
     # a given --order wins over the instance's "order", which wins over
     # the default, worst
-    policy = (args.order if args.order is not None
-              else instance_obj.get("order", "worst"))
-    if isinstance(policy, list):
-        policy = tuple(read_field("order", policy, int_list))
-    elif policy not in ("worst", "identity"):
-        raise InstanceError(f"'order' in {args.instance} must be 'worst', "
-                            f"'identity' or a list of JSON integers")
-    try:
-        instance = ProphetInstance(matroid, dists, arrival_order=policy)
-    except ValueError as exc:
-        raise InstanceError(f"bad instance {args.instance}: {exc}")
+    policy = (args.order if args.order is not None else
+              read_field("order", obj.get("order", "worst"), _arrival_order))
+    instance = ProphetInstance(matroid, dists, arrival_order=policy)
     seed = SeedSpec(args.seed)
     factory = MatroidChainFactory(matroid, args.b, eps=args.eps)
     pipeline = prepare_prophet(instance, factory, seed)
@@ -249,7 +253,7 @@ def cmd_prophet(args) -> int:
         states = prophet_trial_states(pipeline, args.trials, seed)
         estimate = prophet_value_under_order(pipeline, states, order,
                                              collect=collect)
-    _check_finite(estimate, "dists", args.instance)
+    _check_finite(estimate, "dists")
     report = estimate_competitive_ratio(estimate, benchmark, bound, bound_expr)
     payload = {
         "relaxation_value": pipeline.relaxation_value,
@@ -270,32 +274,22 @@ def cmd_prophet(args) -> int:
     return EXIT_PASS if report.passes() else EXIT_FAIL
 
 
-def _load_probing_instance(args) -> ProbingInstance:
+def cmd_probing(args) -> int:
     obj = _load_json(args.instance)
+    w = field(obj, "w", float_list)
+    p, inner, outer, b = _probing_fields(obj, args.b)
     deadlines = obj.get("deadlines")
-    return ProbingInstance(
-        p=tuple(read_field("p", _require(obj, "p", args.instance),
-                           float_list)),
-        w=tuple(read_field("w", _require(obj, "w", args.instance),
-                           float_list)),
-        inner=constraint_from_json(_require(obj, "inner", args.instance),
-                                   args.instance),
-        outer=constraint_from_json(_require(obj, "outer", args.instance),
-                                   args.instance),
-        b=read_field("b", obj.get("b", args.b), json_float),
+    instance = ProbingInstance(
+        p=tuple(p), w=tuple(w), inner=inner, outer=outer, b=b,
         deadlines=(tuple(read_field("deadlines", deadlines, int_list))
                    if deadlines is not None else None))
-
-
-def cmd_probing(args) -> int:
-    instance = _load_probing_instance(args)
     seed = SeedSpec(args.seed)
     pipeline = prepare_probing(instance, seed)
     log.info("probing: b=%s bound=%s (%s) trials=%d seed=%d", instance.b,
              pipeline.bound, pipeline.bound_expr, args.trials, args.seed)
     collect: Optional[list] = [] if args.out_csv else None
     estimate = probing_mean_value(pipeline, args.trials, seed, collect=collect)
-    _check_finite(estimate, "w", args.instance)
+    _check_finite(estimate, "w")
     if args.dump_lp:
         with open(args.dump_lp, "w") as fh:
             fh.write(pipeline.lp.dump() + "\n")
@@ -323,23 +317,16 @@ def cmd_probing(args) -> int:
 
 def cmd_submodular(args) -> int:
     obj = _load_json(args.instance)
-    f = submodular_from_json(_require(obj, "f", args.instance))
-    b = read_field("b", obj.get("b", args.b), json_float)
-    if not 0.0 <= b <= 1.0:
-        raise InstanceError(f"'b' in {args.instance} must lie in [0, 1]")
+    f = field(obj, "f", submodular_from_json)
     seed = SeedSpec(args.seed)
     log.info("submodular: kind=%s monotone=%s trials=%d seed=%d", f.kind,
              f.monotone, args.trials, args.seed)
     if "p" in obj:
-        p = read_field("p", obj["p"], float_list)
-        inner = constraint_from_json(_require(obj, "inner", args.instance),
-                                     args.instance)
-        outer = constraint_from_json(_require(obj, "outer", args.instance),
-                                     args.instance)
-        _check_ground_size(f, {"inner": inner, "outer": outer}, args.instance)
+        p, inner, outer, b = _probing_fields(obj, args.b)
+        _check_ground_size(f, {"inner": inner, "outer": outer})
         result = run_submodular_probing(f, p, inner, outer, b, args.trials,
                                         seed)
-        _check_finite(result.estimate, "f", args.instance)
+        _check_finite(result.estimate, "f")
         ok = (result.estimate.mean + 3 * result.estimate.halfwidth
               >= result.target - 1e-15)
         payload = {
@@ -356,13 +343,14 @@ def cmd_submodular(args) -> int:
         }
         _write_json(args.out_json, payload)
         return EXIT_PASS if ok else EXIT_FAIL
-    matroid = matroid_from_json(_require(obj, "matroid", args.instance))
-    _check_ground_size(f, {"matroid": matroid}, args.instance)
+    b = read_field("b", obj.get("b", args.b), _unit_float)
+    matroid = field(obj, "matroid", matroid_from_json)
+    _check_ground_size(f, {"matroid": matroid})
     factory = MatroidChainFactory(matroid, b, eps=args.eps)
     if "x" in obj:
-        x = _point_from_json(obj, args.instance)
+        x = _point_from_json(obj, matroid.n)
         if not in_scaled_matroid_polytope(matroid, x, b):
-            raise InstanceError(f"'x' in {args.instance} is outside b * P")
+            raise ValueError("'x' is outside b * P")
     else:
         x = random_point_in_polytope(matroid, b, seed.stream(99))
     if f.monotone:
@@ -373,7 +361,7 @@ def cmd_submodular(args) -> int:
         estimate = half_subsample_value(f, factory, x, args.trials, seed)
         constant = factory.bound() / 4.0
         mode = "half-subsample"
-    _check_finite(estimate, "f", args.instance)
+    _check_finite(estimate, "f")
     benchmark = constant * multilinear_exact(f, x)
     ok = estimate.mean + 3 * estimate.halfwidth >= benchmark - 1e-15
     payload = {
@@ -391,16 +379,16 @@ def cmd_submodular(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _check_ground_size(f, constraints: dict, path: str) -> None:
+def _check_ground_size(f, constraints: dict) -> None:
     for name, spec in constraints.items():
         if spec.n != f.n:
-            raise InstanceError(f"'f' in {path} is over {f.n} elements but "
-                                f"'{name}' has {spec.n}")
+            raise ValueError(f"'f' is over {f.n} elements but '{name}' has "
+                             f"{spec.n}")
 
 
 def cmd_validate_matroid(args) -> int:
     obj = _load_json(args.instance)
-    matroid = matroid_from_json(_require(obj, "matroid", args.instance))
+    matroid = field(obj, "matroid", matroid_from_json)
     report = check_matroid_axioms(matroid)
     checks = {"axioms": report.ok}
     if not report.ok:
@@ -417,6 +405,13 @@ def cmd_validate_matroid(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -509,14 +504,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         for flag in ("trials", "workers"):
             if getattr(args, flag, 1) < 1:
-                raise InstanceError(f"{flag} must be at least 1")
+                raise ValueError(f"{flag} must be at least 1")
         if not 0 <= getattr(args, "seed", 0) < 1 << 64:
-            raise InstanceError("--seed must lie in [0, 2^64)")
+            raise ValueError("--seed must lie in [0, 2^64)")
         return _COMMANDS[args.command](args)
-    except InstanceError as exc:
-        log.error("%s", exc)
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -318,6 +318,16 @@ def read_field(name: str, value, convert: Callable):
         raise ValueError(f"bad '{name}': {exc}") from exc
 
 
+def field(obj, name: str, convert: Callable):
+    """``convert(obj[name])`` for the field ``name`` of the JSON object
+    ``obj``, by `read_field`; a missing field (or an ``obj`` that is not an
+    object) is a ValueError that names it.  A ``convert`` that reads fields
+    of its own nests the names: ``bad 'inner': missing field 'n'``."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError(f"missing field '{name}'")
+    return read_field(name, obj[name], convert)
+
+
 def json_int(value) -> int:
     """A JSON integer as it is: a float, a boolean or a string is a
     TypeError rather than truncated or parsed."""
@@ -332,6 +342,13 @@ def json_float(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a JSON number, got {value!r}")
     return float(value)
+
+
+def json_str(value) -> str:
+    """A JSON string as it is: any other value is a TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a JSON string, got {value!r}")
+    return value
 
 
 def int_list(value) -> list[int]:

@@ -27,8 +27,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, int_list, iter_bits, json_int, popcounts,
-                   read_field, subset_sums)
+from .core import (FractionalPoint, field, int_list, iter_bits, json_int,
+                   json_str, popcounts, subset_sums)
 
 log = logging.getLogger("ocrs.matroids")
 
@@ -639,14 +639,7 @@ def random_point_in_polytope(m: Matroid, b: float,
 
 def matroid_from_json(obj: dict) -> Matroid:
     """Build a matroid from its JSON descriptor (see README for shapes)."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("matroid descriptor must be an object with a 'type'")
-    kind = obj["type"]
-
-    def field(name: str, convert):
-        if name not in obj:
-            raise ValueError(f"matroid descriptor missing field '{name}'")
-        return read_field(name, obj[name], convert)
+    kind = field(obj, "type", json_str)
 
     def int_lists(value) -> list[list[int]]:
         return [int_list(v) for v in value]
@@ -657,18 +650,20 @@ def matroid_from_json(obj: dict) -> Matroid:
         return value
 
     if kind == "uniform":
-        return UniformMatroid(field("n", size), field("k", json_int))
+        return UniformMatroid(field(obj, "n", size), field(obj, "k", json_int))
     if kind == "partition":
-        return PartitionMatroid(field("blocks", int_lists),
-                                field("capacities", int_list))
+        return PartitionMatroid(field(obj, "blocks", int_lists),
+                                field(obj, "capacities", int_list))
     if kind == "graphic":
-        return GraphicMatroid(field("vertices", json_int),
-                              field("edges", edge_list))
+        return GraphicMatroid(field(obj, "vertices", json_int),
+                              field(obj, "edges", edge_list))
     if kind == "laminar":
-        return LaminarMatroid(field("n", size), field("sets", int_lists),
-                              field("capacities", int_list))
+        return LaminarMatroid(field(obj, "n", size),
+                              field(obj, "sets", int_lists),
+                              field(obj, "capacities", int_list))
     if kind == "explicit":
-        return ExplicitMatroid(field("n", size), field("bases", int_lists))
+        return ExplicitMatroid(field(obj, "n", size),
+                               field(obj, "bases", int_lists))
     raise ValueError(f"unknown matroid type {kind!r}")
 
 

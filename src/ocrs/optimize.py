@@ -15,14 +15,14 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, float_list, iter_bits, ordered_sum,
-                   pack_mask, read_field)
+from .core import (FractionalPoint, field, float_list, iter_bits,
+                   ordered_sum, pack_mask)
 from .matroids import EXHAUSTIVE_LIMIT, Matroid
 
 log = logging.getLogger("ocrs.optimize")
@@ -87,10 +87,8 @@ class DiscreteDistribution:
 
 
 def distribution_from_json(obj: dict) -> DiscreteDistribution:
-    if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
-        raise ValueError("distribution descriptor needs 'support' and 'probs'")
-    return DiscreteDistribution(*(read_field(key, obj[key], float_list)
-                                  for key in ("support", "probs")))
+    return DiscreteDistribution(field(obj, "support", float_list),
+                                field(obj, "probs", float_list))
 
 
 def threshold(dist: DiscreteDistribution, p: float) -> float:
@@ -184,7 +182,7 @@ class LinearProgram:
     rows: list[list[Fraction]]
     rhs: list[Fraction]
     #: Bland's-rule pivots of the last ``simplex_solve``
-    pivots: int = field(default=0, init=False, compare=False)
+    pivots: int = dataclass_field(default=0, init=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.objective)

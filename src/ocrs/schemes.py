@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, block_states, float_list, group_rows,
-                   iter_bits, json_int, ordered_sum, pack_mask,
-                   pack_mask_rows, popcounts, read_field, subset_probs,
+from .core import (FractionalPoint, block_states, field, float_list,
+                   group_rows, iter_bits, json_int, json_str, ordered_sum,
+                   pack_mask, pack_mask_rows, popcounts, subset_probs,
                    subset_sums)
 from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
                        MatroidView, edge_list, in_scaled_matroid_polytope,
@@ -99,7 +99,7 @@ class ChainDecomposition:
     b: float
     eps: float
     exact: bool
-    span_estimates: dict[int, float] = field(repr=False)
+    span_estimates: dict[int, float] = dataclass_field(repr=False)
 
     def __post_init__(self) -> None:
         levels = self.levels
@@ -201,38 +201,27 @@ class KnapsackFamily(FeasibleFamily):
         self.knapsack = knapsack
         self.big_mode = big_mode
         self.n = knapsack.n
-        # the elements of the other mode
-        self._outside = ~knapsack.big_mask if big_mode else knapsack.big_mask
+        # the elements of this mode
+        self._mode = (knapsack.big_mask if big_mode else
+                      ((1 << knapsack.n) - 1) & ~knapsack.big_mask)
         self._sizes = np.array(knapsack.sizes)
 
     def member(self, mask: int) -> bool:
-        return not mask & self._outside and self.knapsack.indep(mask)
+        return not mask & ~self._mode and self.knapsack.indep(mask)
 
     def selectable_mask(self, active_mask: int) -> int:
+        # the pool's (the mode's active elements') subset sums, added as in
+        # ``size_sum``; the best feasible one without e is in the half of
+        # the table that leaves e out (all of it if e is not active)
         ks = self.knapsack
-        out = 0
-        if self.big_mode:
-            pool = active_mask & ks.big_mask
-            for e in iter_bits(ks.big_mask):
-                others = pool & ~(1 << e)
-                # feasible subsets of big elements are empty or singletons
-                worst = max((ks.sizes[g] for g in iter_bits(others)), default=0.0)
-                if worst + ks.sizes[e] <= 1.0 + _TOL:
-                    out |= 1 << e
-        else:
-            # the pool's (active small elements') subset sums, added as in
-            # ``size_sum``; the best feasible one without e is in the half
-            # of the table that leaves e out (all of it if e is not active)
-            small_mask = ((1 << ks.n) - 1) & ~ks.big_mask
-            pool = sorted(iter_bits(active_mask & small_mask), reverse=True)
-            sums = subset_sums(self._sizes, pool)
-            feasible = np.where(sums <= ks.capacity, sums, 0.0)
-            fits = feasible.max() + self._sizes <= 1.0 + _TOL
-            for j, e in enumerate(pool):
-                worst = feasible.reshape(-1, 2, 1 << j)[:, 0].max()
-                fits[e] = worst + ks.sizes[e] <= 1.0 + _TOL
-            out = pack_mask(fits) & small_mask
-        return out
+        pool = sorted(iter_bits(active_mask & self._mode), reverse=True)
+        sums = subset_sums(self._sizes, pool)
+        feasible = np.where(sums <= ks.capacity, sums, 0.0)
+        fits = feasible.max() + self._sizes <= 1.0 + _TOL
+        for j, e in enumerate(pool):
+            worst = feasible.reshape(-1, 2, 1 << j)[:, 0].max()
+            fits[e] = worst + ks.sizes[e] <= 1.0 + _TOL
+        return pack_mask(fits) & self._mode
 
     def cache_key(self):
         return ("knapsack", self.big_mode)
@@ -506,10 +495,8 @@ class Graph:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
-        raise ValueError("graph descriptor needs 'vertices' and 'edges'")
-    return Graph(read_field("vertices", obj["vertices"], json_int),
-                 read_field("edges", obj["edges"], edge_list))
+    return Graph(field(obj, "vertices", json_int),
+                 field(obj, "edges", edge_list))
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +659,8 @@ class MatroidChainFactory(GreedyOcrsFactory):
                  exact: Optional[bool] = None):
         if not 0.0 <= b <= 1.0:
             raise SchemeError("matroid scheme requires b in [0, 1]")
+        if not matroid.n:
+            raise SchemeError("'matroid' must have a nonempty ground set")
         self.matroid = matroid
         self.n = matroid.n
         self.b = b
@@ -805,34 +794,30 @@ def factory_from_json(kind: str, obj: dict, b: float, eps: float,
     that each name their ``scheme`` (matroid, matching or knapsack).  The
     scale, the chain tolerance and exactness come from the caller.
     """
-
-    def field(name: str):
-        if name not in obj:
-            raise SchemeError(f"missing field '{name}'")
-        return obj[name]
-
     if kind == "matroid":
-        return MatroidChainFactory(matroid_from_json(field("matroid")), b,
-                                   eps=eps, exact=exact)
+        return MatroidChainFactory(field(obj, "matroid", matroid_from_json),
+                                   b, eps=eps, exact=exact)
     if kind == "matching":
         deterministic = obj.get("deterministic", False)
         if not isinstance(deterministic, bool):
             raise SchemeError("'deterministic' must be a JSON boolean")
-        return MatchingFactory(graph_from_json(field("graph")), b,
+        return MatchingFactory(field(obj, "graph", graph_from_json), b,
                                deterministic=deterministic)
     if kind == "knapsack":
         return KnapsackFactory(KnapsackConstraint(
-            read_field("sizes", field("sizes"), float_list)), b)
+            field(obj, "sizes", float_list)), b)
     if kind == "intersect":
-        parts = field("parts")
-        if not isinstance(parts, list) or not parts:
-            raise SchemeError("'parts' must be a nonempty list")
-        for part in parts:
-            if not (isinstance(part, dict) and part.get("scheme")
-                    in ("matroid", "matching", "knapsack")):
-                raise SchemeError("each of 'parts' needs 'scheme' one of "
-                                  "matroid/matching/knapsack")
-        return IntersectionFactory([
-            factory_from_json(part["scheme"], part, b, eps, exact)
-            for part in parts])
+        def part(value) -> GreedyOcrsFactory:
+            scheme = field(value, "scheme", json_str)
+            if scheme not in ("matroid", "matching", "knapsack"):
+                raise ValueError("'scheme' must be matroid, matching or "
+                                 "knapsack")
+            return factory_from_json(scheme, value, b, eps, exact)
+
+        def parts(value) -> list[GreedyOcrsFactory]:
+            if not isinstance(value, list) or not value:
+                raise ValueError("must be a nonempty list")
+            return [part(v) for v in value]
+
+        return IntersectionFactory(field(obj, "parts", parts))
     raise SchemeError(f"unknown scheme '{kind}'")

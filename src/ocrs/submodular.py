@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .applications import default_factory, probe, probing_block_key
-from .core import (FractionalPoint, SeedSpec, float_list, int_list,
+from .core import (FractionalPoint, SeedSpec, field, float_list, int_list,
                    iter_bits, json_float, json_int, ordered_sum,
                    pack_mask_rows, read_field, subset_probs, trial_columns)
 from .harness import MeanEstimate, grouped_values
@@ -150,19 +150,17 @@ def directed_cut(num_nodes: int,
 
 
 def submodular_from_json(obj: dict) -> SubmodularOracle:
-    if isinstance(obj, dict) and "universe_weights" in obj and "covers" in obj:
-        return coverage_function(
-            read_field("universe_weights", obj["universe_weights"],
-                       float_list),
-            read_field("covers", obj["covers"],
-                       lambda v: [int_list(s) for s in v]))
+    """A directed cut when the descriptor has ``arcs``, else a coverage
+    function."""
     if isinstance(obj, dict) and "arcs" in obj:
-        arcs = read_field("arcs", obj["arcs"], lambda v: [
+        arcs = field(obj, "arcs", lambda v: [
             (json_int(a), json_int(c), json_float(w)) for a, c, w in v])
         nodes = obj.get("nodes", 1 + max((max(u, v) for u, v, _ in arcs),
                                          default=0))
         return directed_cut(read_field("nodes", nodes, json_int), arcs)
-    raise ValueError("unrecognized submodular function descriptor")
+    return coverage_function(
+        field(obj, "universe_weights", float_list),
+        field(obj, "covers", lambda v: [int_list(s) for s in v]))
 
 
 # ---------------------------------------------------------------------------

@@ -744,32 +744,6 @@ def test_run_probing_with_deadlines_single_runs():
             _probe(pipeline, state, order=(1, 0))
 
 
-def test_deadline_instance_rejects_explicit_order():
-    inst = ProbingInstance(p=(1.0,), w=(1.0,), inner=UniformMatroid(1, 1),
-                           outer=UniformMatroid(1, 1), b=0.5, deadlines=(1,))
-    with pytest.raises(ValueError):
-        prepare_probing(inst, SEED, order=[0])
-
-
-@pytest.mark.parametrize("order", [[0, 1, 5], [2]])
-def test_prepare_probing_rejects_order_that_is_not_a_permutation(order):
-    inst = ProbingInstance(p=(0.5,) * 3, w=(1.0, 2.0, 3.0),
-                           inner=UniformMatroid(3, 2),
-                           outer=UniformMatroid(3, 2), b=0.5)
-    with pytest.raises(ValueError, match="permutation"):
-        prepare_probing(inst, SEED, order=order)
-    assert prepare_probing(inst, SEED, order=[2, 0, 1]).order == (2, 0, 1)
-
-
-def test_prepare_probing_rejects_scale_mismatch():
-    inst = ProbingInstance(p=(0.5,), w=(1.0,), inner=UniformMatroid(1, 1),
-                           outer=UniformMatroid(1, 1), b=0.5)
-    with pytest.raises(ValueError):
-        prepare_probing(inst, SEED,
-                        inner_factory=MatroidChainFactory(UniformMatroid(1, 1),
-                                                          0.25))
-
-
 def test_probing_instance_validation():
     with pytest.raises(ValueError):
         ProbingInstance(p=(1.5,), w=(1.0,), inner=UniformMatroid(1, 1),

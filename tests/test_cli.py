@@ -115,8 +115,7 @@ def test_malformed_input_exit_codes(tmp_path):
 def test_error_names_offending_field(tmp_path, capsys):
     nofield = _write(tmp_path, "nofield.json", {"p": [1.0]})
     assert main(["probing", nofield]) == 2
-    err = capsys.readouterr().err
-    assert "'w'" in err
+    assert _input_error_line(capsys) == "input error: missing field 'w'"
 
 
 def test_non_finite_x_is_an_input_error(tmp_path, capsys):
@@ -126,7 +125,7 @@ def test_non_finite_x_is_an_input_error(tmp_path, capsys):
     out = tmp_path / "nan_out.json"
     assert main(["verify-selectability", "--scheme", "matching", inst,
                  "--trials", "100", "--out-json", str(out)]) == 2
-    assert "'x'" in capsys.readouterr().err
+    assert "'x'" in _input_error_line(capsys)
     assert not out.exists()
 
 
@@ -318,6 +317,13 @@ def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, command,
                               field)
 
 
+def _input_error_line(capsys) -> str:
+    """The one stderr line of an input error."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: "), lines
+    return lines[0]
+
+
 def _assert_input_error_names(tmp_path, capsys, command, instance, extra,
                               field):
     path = _write(tmp_path, "inst.json", instance)
@@ -326,9 +332,12 @@ def _assert_input_error_names(tmp_path, capsys, command, instance, extra,
         code = main([command, path, *extra, "--trials", "100",
                      "--out-json", str(out)])
     except SystemExit as exc:  # argparse rejects a bad flag value
-        code = exc.code
-    assert code == 2
-    assert field in capsys.readouterr().err
+        assert exc.code == 2
+        # its usage lines, then one error line
+        assert field in capsys.readouterr().err.splitlines()[-1]
+    else:
+        assert code == 2
+        assert field in _input_error_line(capsys)
     assert not out.exists()
 
 
@@ -497,6 +506,24 @@ def _submodular6_p0(value):
     ("verify-selectability", {"sizes": []}, _KNAPSACK, "'sizes'"),
     ("verify-selectability", {"graph": {"vertices": 2, "edges": []}},
      ["--scheme", "matching"], "'edges'"),
+    ("verify-selectability",
+     {"matroid": {"type": "uniform", "n": 0, "k": 0}}, _MATROID,
+     "'matroid'"),
+    ("verify-selectability",
+     {"matroid": {"type": "graphic", "vertices": 2, "edges": []}}, _MATROID,
+     "'matroid'"),
+    ("prophet", {"matroid": {"type": "uniform", "n": 0, "k": 0},
+                 "dists": []}, [], "'matroid'"),
+    ("submodular", {"f": {"universe_weights": [1.0], "covers": []},
+                    "matroid": {"type": "uniform", "n": 0, "k": 0}}, [],
+     "'matroid'"),
+    ("probing", dict(_PROBING3, p=[], w=[],
+                     inner={"type": "uniform", "n": 0, "k": 0},
+                     outer={"type": "uniform", "n": 0, "k": 0}), [], "'p'"),
+    ("submodular", {"f": {"universe_weights": [1.0], "covers": []},
+                    "p": [], "inner": {"type": "uniform", "n": 0, "k": 0},
+                    "outer": {"type": "uniform", "n": 0, "k": 0}}, [],
+     "'p'"),
     *[(command, instance, [*extra, "--seed", seed], "--seed")
       for command, instance, extra in _SEEDED
       for seed in ("-1", str(1 << 64))],
@@ -529,12 +556,65 @@ def _submodular6_p0(value):
         "probing-b-string", "submodular-b-string",
         "coverage-weights-boolean", "cut-arc-weight-string",
         "knapsack-sizes-empty", "graph-edges-empty",
+        "uniform-matroid-empty", "graphic-matroid-empty",
+        "prophet-matroid-empty", "submodular-matroid-empty",
+        "probing-p-empty", "submodular-probing-p-empty",
         *[f"{command}-seed-{where}" for command, _i, _e in _SEEDED
           for where in ("negative", "2-to-64")]])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(
         tmp_path, capsys, command, instance, extra, field):
     _assert_input_error_names(tmp_path, capsys, command, instance, extra,
                               field)
+
+
+@pytest.mark.parametrize("command, instance, extra, message", [
+    ("probing", dict(_PROBING3, inner={"type": "uniform", "k": 1}), [],
+     "bad 'inner': missing field 'n'"),
+    ("probing", dict(_PROBING3, outer={"type": "uniform", "n": -3, "k": 1}),
+     [], "bad 'outer': bad 'n': must be nonnegative"),
+    ("verify-selectability", {"matroid": {"type": "uniform", "k": 1}},
+     _MATROID, "bad 'matroid': missing field 'n'"),
+    ("prophet", dict(_PROPHET2, matroid={"type": "uniform", "n": -1, "k": 1}),
+     [], "bad 'matroid': bad 'n': must be nonnegative"),
+    ("prophet", dict(_PROPHET2, dists=[{"support": [0.0, 1.0]}] * 2), [],
+     "bad 'dists': missing field 'probs'"),
+    ("verify-selectability", {"graph": {"edges": [[0, 1]]}},
+     ["--scheme", "matching"], "bad 'graph': missing field 'vertices'"),
+    ("verify-selectability",
+     {"parts": [{"scheme": "knapsack", "sizes": [0.5, "0.5"]}]},
+     ["--scheme", "intersect", "--b", "0.25"],
+     "bad 'parts': bad 'sizes': expected a JSON number, got '0.5'"),
+], ids=["probing-inner-n-missing", "probing-outer-n-negative",
+        "matroid-n-missing", "prophet-matroid-n-negative",
+        "prophet-probs-missing", "graph-vertices-missing",
+        "intersect-part-sizes-string"])
+def test_nested_fields_name_every_level(tmp_path, capsys, command, instance,
+                                        extra, message):
+    """Every command reads a field the same way, whatever its depth: one
+    line, with each enclosing field named from the top down."""
+    path = _write(tmp_path, "inst.json", instance)
+    assert main([command, path, *extra, "--trials", "100"]) == 2
+    assert _input_error_line(capsys) == f"input error: {message}"
+
+
+def test_impossibility_b_with_zero_denominator_is_an_input_error(capsys):
+    assert main(["impossibility", "--n", "2", "--b", "1/0"]) == 2
+    assert _input_error_line(capsys) == (
+        "input error: bad '--b': zero denominator in '1/0'")
+
+
+def test_input_error_prints_one_stderr_line(tmp_path):
+    """At the default log level an input error prints one line on stderr
+    and nothing else; a subprocess sees what pytest's log capture would
+    hide in-process."""
+    inst = _write(tmp_path, "p.json", {"dists": _PROPHET["dists"]})
+    env = {k: v for k, v in os.environ.items() if k != "OCRS_LOG"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ocrs.__file__))
+    run = subprocess.run([sys.executable, "-m", "ocrs.cli", "prophet", inst,
+                          "--trials", "100"], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 2
+    assert run.stderr == "input error: missing field 'matroid'\n"
 
 
 def test_probing_commands(tmp_path):
@@ -660,7 +740,7 @@ def test_experiment_config_api(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify-selectability", inst, "--scheme", "matroid",
                  "--trials", "0"]) == 2
-    assert "trials must be at least 1" in capsys.readouterr().err
+    assert "trials must be at least 1" in _input_error_line(capsys)
     assert main(["probing", str(tmp_path / "absent.json")]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["mystery", inst])
@@ -900,7 +980,7 @@ def test_loop_with_positive_x_is_rejected(tmp_path, capsys):
     out = tmp_path / "out.json"
     assert main(["verify-selectability", inst, "--scheme", "matroid",
                  "--trials", "1000", "--out-json", str(out)]) == 2
-    err = capsys.readouterr().err
+    err = _input_error_line(capsys)
     assert "x is outside b * P" in err and "element 2 is a loop" in err
     assert not out.exists()
 

@@ -565,12 +565,7 @@ def _loop_selectable(knapsack, big_mode: bool, active: int) -> int:
             else ((1 << knapsack.n) - 1) & ~knapsack.big_mask)
     out = 0
     for e in iter_bits(mode):
-        others = active & mode & ~(1 << e)
-        if big_mode:
-            worst = max((knapsack.sizes[g] for g in iter_bits(others)),
-                        default=0.0)
-        else:
-            worst = best_feasible_sum(others)
+        worst = best_feasible_sum(active & mode & ~(1 << e))
         if worst + knapsack.sizes[e] <= 1.0 + _TOL:
             out |= 1 << e
     return out
@@ -608,6 +603,19 @@ def test_knapsack_selectable_mask_matches_the_submask_loop(sizes, active):
         family = KnapsackFamily(knapsack, big_mode)
         assert family.selectable_mask(active) == _loop_selectable(
             knapsack, big_mode, active)
+
+
+def test_knapsack_big_mode_reads_pairs_that_fit():
+    """Two sizes just above 1/2 fit the capacity 1 + 1e-9 together, so a
+    big-mode family holds pairs: with all three items active, each one
+    would overfill the other two, and none is selectable."""
+    family = KnapsackFamily(KnapsackConstraint([0.5 + 2e-10] * 3), True)
+    assert family.member(0b011) and not family.member(0b111)
+    for active in range(1 << 3):
+        assert family.selectable_mask(active) == sum(
+            1 << e for e in range(3)
+            if _quantifier_selectable(family, active, e))
+    assert family.selectable_mask(0b111) == 0
 
 
 def test_knapsack_half_size_is_small():
