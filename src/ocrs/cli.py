@@ -37,8 +37,9 @@ from .matroids import (check_matroid_axioms, in_scaled_matroid_polytope,
 from .optimize import (ConstraintSpec, KnapsackConstraint,
                        distribution_from_json)
 from .schemes import GreedyOcrsFactory, MatroidChainFactory, factory_from_json
-from .submodular import (half_subsample_value, multilinear_exact,
-                         ocrs_submodular_value, run_submodular_probing,
+from .submodular import (SubmodularOracle, half_subsample_value,
+                         multilinear_exact, ocrs_submodular_value,
+                         require_exact, run_submodular_probing,
                          submodular_from_json)
 
 EXIT_PASS = 0
@@ -315,9 +316,18 @@ def cmd_probing(args) -> int:
     return EXIT_PASS if report.passes() else EXIT_FAIL
 
 
+def _objective(value, probing: bool) -> SubmodularOracle:
+    """The instance's ``f``: every report's benchmark is `multilinear_exact`
+    of it, and probing needs it monotone."""
+    f = require_exact(submodular_from_json(value))
+    if probing and not f.monotone:
+        raise ValueError("submodular probing needs a monotone objective")
+    return f
+
+
 def cmd_submodular(args) -> int:
     obj = _load_json(args.instance)
-    f = field(obj, "f", submodular_from_json)
+    f = field(obj, "f", lambda value: _objective(value, "p" in obj))
     seed = SeedSpec(args.seed)
     log.info("submodular: kind=%s monotone=%s trials=%d seed=%d", f.kind,
              f.monotone, args.trials, args.seed)

@@ -7,7 +7,9 @@ runs and worker counts.  Every trial loop takes its randomness from
 :func:`trial_columns`, which decodes the per-trial uniform rows into
 activation masks, raw columns and sampled family codes, and order-free
 loops group a block's trials by integer key columns with
-:func:`group_rows`.
+:func:`group_rows`.  A loop draws all its blocks into one uniform table
+(see :func:`uniform_blocks`), so a block, and a raw column of it, is valid
+until the next block is drawn.
 """
 
 from __future__ import annotations
@@ -79,14 +81,21 @@ def uniform_blocks(seed: SeedSpec, domain: int, trials: int, width: int,
     ``U[i]``.  Block j draws from stream ``(domain, j)``, so any partition
     of blocks over workers reproduces the same per-trial rows.
     ``block_range`` restricts iteration to blocks ``lo <= j < hi``.
+
+    The loop allocates one table of ``min(TRIAL_BLOCK, trials)`` rows and
+    draws every block into its leading rows, so a yielded ``U`` is valid
+    only until the next block is drawn; a consumer that keeps rows past
+    that copies them.  Drawing into the table gives the same rows as
+    ``random((count, width))`` on the block's stream.
     """
     lo, hi = block_range if block_range is not None else (0, None)
+    table = np.empty((min(TRIAL_BLOCK, trials), width))
     for j, start in enumerate(range(0, trials, TRIAL_BLOCK)):
         if j < lo or (hi is not None and j >= hi):
             continue
-        count = min(TRIAL_BLOCK, trials - start)
-        gen = seed.stream(domain, j)
-        yield start, gen.random((count, width))
+        block = table[:min(TRIAL_BLOCK, trials - start)]
+        seed.stream(domain, j).random(out=block)
+        yield start, block
 
 
 def num_blocks(trials: int) -> int:
@@ -112,7 +121,10 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
       family code per trial and the block's distinct families.
 
     Rows come from :func:`uniform_blocks`, so counts over disjoint
-    ``block_range`` values add up to the full-range counts.
+    ``block_range`` values add up to the full-range counts.  Vector and
+    sampler columns are arrays of their own, but a raw int segment is a
+    view of the loop's one uniform table: like the table, it is valid only
+    until the next block is drawn.
     """
     layout = []
     width = 0
@@ -137,9 +149,6 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
                 columns.append(pack_mask_rows(cols < segment))
             else:
                 columns.append(segment.sample_block(cols))
-        # release the uniform table before the consumer runs; int
-        # segments are views of it and keep it alive on their own
-        block = cols = None
         yield start, columns
 
 

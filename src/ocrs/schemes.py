@@ -182,12 +182,16 @@ class MatchingFamily(FeasibleFamily):
 
         Adjacency is symmetric, so OR-ing the neighbourhoods of the few
         active edges of K equals asking each edge of K for an active
-        neighbour.
+        neighbour.  The bits are walked inline rather than by `iter_bits`:
+        this is the per-pair call of every matching trial loop.
         """
         adj = self.graph.adjacent_edges
         blocked = 0
-        for g in iter_bits(active_mask & self.k_mask):
-            blocked |= adj[g]
+        m = active_mask & self.k_mask
+        while m:
+            low = m & -m
+            blocked |= adj[low.bit_length() - 1]
+            m ^= low
         return self.k_mask & ~blocked
 
     def cache_key(self):

@@ -167,11 +167,18 @@ def submodular_from_json(obj: dict) -> SubmodularOracle:
 # multilinear extension
 
 
-def multilinear_exact(f: SubmodularOracle, x: FractionalPoint) -> float:
-    """F(x) = E[f(R(x))] by the full weighted sum over subsets."""
+def require_exact(f: SubmodularOracle) -> SubmodularOracle:
+    """``f`` itself, if `multilinear_exact` can evaluate it; a ValueError
+    above 14 elements."""
     if f.n > _EXACT_LIMIT:
         raise ValueError("exact multilinear evaluation limited to 14 elements")
-    return float(np.dot(subset_probs(x.values, range(x.n)), f.table()))
+    return f
+
+
+def multilinear_exact(f: SubmodularOracle, x: FractionalPoint) -> float:
+    """F(x) = E[f(R(x))] by the full weighted sum over subsets."""
+    table = require_exact(f).table()
+    return float(np.dot(subset_probs(x.values, range(x.n)), table))
 
 
 def multilinear_sampled(f: SubmodularOracle, x: FractionalPoint, trials: int,

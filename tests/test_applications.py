@@ -94,7 +94,7 @@ def test_prophet_trial_states_match_per_trial_reference():
     assert any(0.0 < tie < 1.0 for _q, tie in pipeline.thresholds)
     trials = TRIAL_BLOCK + 50
     states = prophet_trial_states(pipeline, trials, SEED)
-    rows = np.concatenate([block for _start, block in uniform_blocks(
+    rows = np.concatenate([block.copy() for _start, block in uniform_blocks(
         SEED, _DOMAIN_TRIALS, trials, 9)])
     assert len(states) == trials
     for (_family, active, z), row in zip(states, rows):

@@ -524,6 +524,12 @@ def _submodular6_p0(value):
                     "p": [], "inner": {"type": "uniform", "n": 0, "k": 0},
                     "outer": {"type": "uniform", "n": 0, "k": 0}}, [],
      "'p'"),
+    ("submodular", {"f": {"universe_weights": [1.0] * 15,
+                          "covers": [[e] for e in range(15)]},
+                    "matroid": {"type": "uniform", "n": 15, "k": 3}}, [],
+     "'f'"),
+    ("submodular", dict(_PROBING3, f={"arcs": [[0, 1, 1.0], [1, 2, 1.0]]}),
+     [], "'f'"),
     *[(command, instance, [*extra, "--seed", seed], "--seed")
       for command, instance, extra in _SEEDED
       for seed in ("-1", str(1 << 64))],
@@ -559,6 +565,7 @@ def _submodular6_p0(value):
         "uniform-matroid-empty", "graphic-matroid-empty",
         "prophet-matroid-empty", "submodular-matroid-empty",
         "probing-p-empty", "submodular-probing-p-empty",
+        "coverage-above-exact-limit", "submodular-probing-cut",
         *[f"{command}-seed-{where}" for command, _i, _e in _SEEDED
           for where in ("negative", "2-to-64")]])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(

@@ -3,7 +3,6 @@
 import copy
 import math
 import pickle
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -13,8 +12,9 @@ from hypothesis import strategies as st
 
 import ocrs.core
 from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, group_rows,
-                       iter_submasks, ordered_sum, pack_mask, pack_mask_rows,
-                       popcounts, scale_point, trial_columns, uniform_blocks)
+                       iter_submasks, num_blocks, ordered_sum, pack_mask,
+                       pack_mask_rows, popcounts, scale_point, trial_columns,
+                       uniform_blocks)
 from ocrs.optimize import KnapsackConstraint
 from ocrs.schemes import Graph, KnapsackFactory, MatchingFactory
 
@@ -151,9 +151,10 @@ def test_trial_columns_matches_hand_slicing():
     assert blocks == 2
 
 
-def test_trial_columns_releases_each_uniform_table(monkeypatch):
-    """Decoded vector and sampler columns do not hold the block's uniform
-    table while the consumer runs; a raw int segment is a view of it."""
+def test_trial_columns_draws_every_block_into_one_table(monkeypatch):
+    """Every block of a loop is drawn into one uniform table; decoded vector
+    and sampler columns are arrays of their own, and a raw int segment is a
+    view of the table."""
     matching = MatchingFactory(Graph(3, [(0, 1), (1, 2)]), 0.5).bind(
         FractionalPoint([0.2, 0.3]), SeedSpec(6).stream(0))
     drawn = []
@@ -163,21 +164,24 @@ def test_trial_columns_releases_each_uniform_table(monkeypatch):
         def __init__(self, gen):
             self.gen = gen
 
-        def random(self, *args):
-            table = self.gen.random(*args)
-            drawn.append(weakref.ref(table))
+        def random(self, *args, out=None):
+            table = self.gen.random(*args, out=out)
+            drawn.append(table)
             return table
 
     monkeypatch.setattr(SeedSpec, "stream",
                         lambda self, *path: Recording(stream(self, *path)))
     x = np.array([0.4, 0.7])
-    for _start, _columns in trial_columns(SeedSpec(3), 1, 2 * TRIAL_BLOCK,
-                                          [x, matching]):
-        assert drawn[-1]() is None
+    for _start, (masks, (codes, _families)) in trial_columns(
+            SeedSpec(3), 1, 2 * TRIAL_BLOCK + 5, [x, matching]):
+        assert drawn[-1].base is drawn[0].base is not None
+        assert not np.shares_memory(masks, drawn[-1])
+        assert not np.shares_memory(codes, drawn[-1])
+    assert [len(block) for block in drawn] == [TRIAL_BLOCK, TRIAL_BLOCK, 5]
     for _start, columns in trial_columns(SeedSpec(3), 1, TRIAL_BLOCK,
                                          [x, 2]):
-        assert drawn[-1]() is columns[1].base
-    assert len(drawn) == 3
+        assert columns[1].base is drawn[-1].base
+    assert len(drawn) == 4
 
 
 def _family_keys(codes, families):
@@ -216,12 +220,33 @@ def test_uniform_blocks_partition_invariance():
     # any block partition reproduces the same per-trial rows
     seed = SeedSpec(9)
     trials = 20_000
-    full = np.concatenate([blk for _s, blk in uniform_blocks(seed, 2, trials, 3)])
-    lo = np.concatenate([blk for _s, blk in
+    # each block is copied: the next one is drawn into the same table
+    full = np.concatenate([blk.copy() for _s, blk in
+                           uniform_blocks(seed, 2, trials, 3)])
+    lo = np.concatenate([blk.copy() for _s, blk in
                          uniform_blocks(seed, 2, trials, 3, block_range=(0, 1))])
-    hi = np.concatenate([blk for _s, blk in
+    hi = np.concatenate([blk.copy() for _s, blk in
                          uniform_blocks(seed, 2, trials, 3, block_range=(1, None))])
     assert np.array_equal(full, np.concatenate([lo, hi]))
+
+
+@pytest.mark.parametrize("trials, block_range", [
+    (TRIAL_BLOCK, None), (2 * TRIAL_BLOCK + 300, None),
+    (3 * TRIAL_BLOCK + 1, (1, None)), (1, None)],
+    ids=["full", "partial-last", "range-from-mid-loop", "one-row"])
+def test_uniform_blocks_match_a_fresh_draw_per_block(trials, block_range):
+    """Drawing into the loop's table gives each block the rows a fresh
+    ``random((count, width))`` on its Philox stream gives."""
+    seed = SeedSpec(12)
+    lo = block_range[0] if block_range else 0
+    blocks = 0
+    for start, block in uniform_blocks(seed, 4, trials, 5, block_range):
+        j = start // TRIAL_BLOCK
+        count = min(TRIAL_BLOCK, trials - start)
+        assert j == lo + blocks and block.shape == (count, 5)
+        assert np.array_equal(block, seed.stream(4, j).random((count, 5)))
+        blocks += 1
+    assert blocks == num_blocks(trials) - lo
 
 
 @pytest.mark.parametrize("n", [1, 63])
