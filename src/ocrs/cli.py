@@ -15,8 +15,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from typing import Optional
 
@@ -152,6 +150,14 @@ def _default_point(instance: dict, factory: GreedyOcrsFactory,
     return _fit_point_to_factory(raw, factory)
 
 
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes.  The pool modules (with them
+    multiprocessing, socket and subprocess) are imported here, so that a
+    serial run never loads them."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def cmd_verify_selectability(args) -> int:
     instance = _load_json(args.instance)
     seed = SeedSpec(args.seed)
@@ -169,8 +175,9 @@ def cmd_verify_selectability(args) -> int:
     if workers > 1:
         ranges = [(i * blocks // workers, (i + 1) * blocks // workers)
                   for i in range(workers)]
+        from concurrent.futures.process import BrokenProcessPool
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _process_pool(workers) as pool:
                 counts = sum(pool.map(count, ranges))
         except (OSError, NotImplementedError, BrokenProcessPool) as exc:
             # only a pool that cannot run falls back; run errors propagate

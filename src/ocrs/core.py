@@ -7,9 +7,11 @@ runs and worker counts.  Every trial loop takes its randomness from
 :func:`trial_columns`, which decodes the per-trial uniform rows into
 activation masks, raw columns and sampled family codes, and order-free
 loops group a block's trials by integer key columns with
-:func:`group_rows`.  A loop draws all its blocks into one uniform table
-(see :func:`uniform_blocks`), so a block, and a raw column of it, is valid
-until the next block is drawn.
+:func:`group_rows`.  A loop draws all its blocks, in row chunks, into one
+uniform table of at most ``TABLE_BYTES`` (see :func:`uniform_blocks`);
+probability vectors and the samplers' threshold vectors are packed chunk
+by chunk into int64 masks of the block's own, and a raw column is valid
+until the next block is decoded.
 """
 
 from __future__ import annotations
@@ -20,12 +22,18 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+#: The weights of the eight columns that `pack_mask_rows` packs into a byte.
+_BYTE_WEIGHTS = (1 << np.arange(8)).astype(np.uint8)
 
 #: Trials are grouped into fixed-size blocks; block j of a loop draws from the
 #: derived stream (domain, j) and trial i consumes row (i mod BLOCK) of the
 #: block's uniform table.  The mapping trial -> randomness is therefore a pure
 #: function of the master seed, independent of worker scheduling.
 TRIAL_BLOCK = 8192
+
+#: The most bytes of the one uniform table of a trial loop: a block of more
+#: than 16 columns is drawn in row chunks that fit it.
+TABLE_BYTES = 1 << 20
 
 
 def _splitmix64(z: int) -> int:
@@ -75,27 +83,35 @@ class SeedSpec:
 def uniform_blocks(seed: SeedSpec, domain: int, trials: int, width: int,
                    block_range: Optional[tuple[int, int]] = None
                    ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start_trial, U)`` blocks of per-trial uniform rows.
+    """Yield ``(start_trial, U)`` chunks of per-trial uniform rows.
 
     ``U`` has shape ``(count, width)``; trial ``start_trial + i`` owns row
-    ``U[i]``.  Block j draws from stream ``(domain, j)``, so any partition
-    of blocks over workers reproduces the same per-trial rows.
-    ``block_range`` restricts iteration to blocks ``lo <= j < hi``.
+    ``U[i]``.  Block j (trials ``j * TRIAL_BLOCK`` on) draws from stream
+    ``(domain, j)``, so any partition of blocks over workers reproduces the
+    same per-trial rows.  ``block_range`` restricts iteration to blocks
+    ``lo <= j < hi``.
 
-    The loop allocates one table of ``min(TRIAL_BLOCK, trials)`` rows and
-    draws every block into its leading rows, so a yielded ``U`` is valid
-    only until the next block is drawn; a consumer that keeps rows past
-    that copies them.  Drawing into the table gives the same rows as
-    ``random((count, width))`` on the block's stream.
+    Each block is drawn in row chunks of ``min(TRIAL_BLOCK, TABLE_BYTES //
+    (8 * width))`` rows, one chunk after the other from the block's stream,
+    so the chunks of a block, concatenated, are the rows that
+    ``random((count, width))`` on that stream gives.  A loop of at most 16
+    columns draws each block as one chunk.  The loop allocates one table of
+    at most ``TABLE_BYTES`` and draws every chunk into its leading rows, so
+    a yielded ``U`` is valid only until the next chunk is drawn; a consumer
+    that keeps rows past that copies them.
     """
     lo, hi = block_range if block_range is not None else (0, None)
-    table = np.empty((min(TRIAL_BLOCK, trials), width))
+    rows = min(TRIAL_BLOCK, trials, max(1, TABLE_BYTES // (8 * max(width, 1))))
+    table = np.empty((rows, width))
     for j, start in enumerate(range(0, trials, TRIAL_BLOCK)):
         if j < lo or (hi is not None and j >= hi):
             continue
-        block = table[:min(TRIAL_BLOCK, trials - start)]
-        seed.stream(domain, j).random(out=block)
-        yield start, block
+        stream = seed.stream(domain, j)
+        end = min(start + TRIAL_BLOCK, trials)
+        for at in range(start, end, rows):
+            chunk = table[:min(rows, end - at)]
+            stream.random(out=chunk)
+            yield at, chunk
 
 
 def num_blocks(trials: int) -> int:
@@ -116,15 +132,20 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
       array of masks with bit e set iff the trial's uniform in column e is
       < p[e] (so ``[x]`` draws R(x), and ``np.full(n, b)`` thins at rate b);
     - an int ``k``: ``k`` raw columns, as the block's (count, k) array;
-    - a scheme sampler (``draw_count`` and ``sample_block``): its
-      ``draw_count`` columns, decoded to ``(codes, families)``, an int64
-      family code per trial and the block's distinct families.
+    - a scheme sampler (see `SchemeSampler`): one column per entry of its
+      threshold vectors ``draws``, packed like a probability vector into a
+      (count, len(draws)) int64 array and decoded by ``sample_block`` to
+      ``(codes, families)``, an int64 family code per trial and the
+      block's distinct families.
 
-    Rows come from :func:`uniform_blocks`, so counts over disjoint
-    ``block_range`` values add up to the full-range counts.  Vector and
-    sampler columns are arrays of their own, but a raw int segment is a
-    view of the loop's one uniform table: like the table, it is valid only
-    until the next block is drawn.
+    Rows come from :func:`uniform_blocks` chunk by chunk, and every vector
+    and sampler segment is packed one chunk at a time into int64 arrays of
+    the block's own, so no block-sized float copy of them is made.  A raw
+    int segment is a view of the loop's one uniform table when the block
+    is one chunk (a loop of at most 16 columns), and otherwise is gathered
+    into one buffer of the loop; either way it is valid only until the
+    next block is decoded.  Counts over disjoint ``block_range`` values add
+    up to the full-range counts.
     """
     layout = []
     width = 0
@@ -138,18 +159,46 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
             count = segment.size
         layout.append((segment, width, width + count))
         width += count
-    for start, block in uniform_blocks(seed, domain, trials, width,
-                                       block_range):
-        columns = []
-        for segment, lo, hi in layout:
-            cols = block[:, lo:hi]
-            if isinstance(segment, int):
+    raw_width = sum(hi - lo for segment, lo, hi in layout
+                    if isinstance(segment, int))
+    buffer = None  # raw columns of the blocks drawn in more than one chunk
+    for at, chunk in uniform_blocks(seed, domain, trials, width, block_range):
+        offset = at % TRIAL_BLOCK
+        if offset == 0:
+            start, count = at, min(TRIAL_BLOCK, trials - at)
+            whole = len(chunk) == count
+            if not whole and buffer is None:
+                buffer = np.empty((min(TRIAL_BLOCK, trials), raw_width))
+            columns, packs, gathers, samplers = [], [], [], []
+            used = 0
+            for segment, lo, hi in layout:
+                if isinstance(segment, int):
+                    if whole:
+                        columns.append(chunk[:, lo:hi])
+                        continue
+                    cols = buffer[:count, used:used + segment]
+                    gathers.append((lo, hi, cols))
+                    used += segment
+                elif isinstance(segment, np.ndarray):
+                    cols = np.empty(count, dtype=np.int64)
+                    packs.append((segment, lo, cols))
+                else:
+                    cols = np.empty((count, len(segment.draws)),
+                                    dtype=np.int64)
+                    for j, vector in enumerate(segment.draws):
+                        packs.append((vector, lo, cols[:, j]))
+                        lo += vector.size
+                    samplers.append((len(columns), segment))
                 columns.append(cols)
-            elif isinstance(segment, np.ndarray):
-                columns.append(pack_mask_rows(cols < segment))
-            else:
-                columns.append(segment.sample_block(cols))
-        yield start, columns
+        rows = slice(offset, offset + len(chunk))
+        for vector, lo, cols in packs:
+            cols[rows] = pack_mask_rows(chunk[:, lo:lo + vector.size] < vector)
+        for lo, hi, cols in gathers:
+            cols[rows] = chunk[:, lo:hi]
+        if rows.stop == count:
+            for k, sampler in samplers:
+                columns[k] = sampler.sample_block(columns[k])
+            yield start, columns
 
 
 def block_states(columns: Sequence, rows: Optional[np.ndarray] = None
@@ -379,10 +428,17 @@ def pack_mask(bits: np.ndarray) -> int:
 def pack_mask_rows(bits: np.ndarray) -> np.ndarray:
     """Row-wise bitmask packing of a boolean (T, n) array into int64 masks.
 
-    Raises ValueError for n >= 64, which int64 masks cannot hold.
+    Packs eight columns at a time: each byte of the masks is one uint8
+    product of eight columns with the weights 1, 2, ..., 128, shifted into
+    place, so no (T, n) integer array is made.  Raises ValueError for
+    n >= 64, which int64 masks cannot hold.
     """
     if bits.shape[1] >= 64:
         raise ValueError(f"int64 mask packing holds at most 63 elements, "
                          f"got {bits.shape[1]}")
-    powers = (1 << np.arange(bits.shape[1], dtype=np.int64))
-    return bits.astype(np.int64) @ powers
+    octets = np.asarray(bits, dtype=bool).view(np.uint8)
+    packed = np.zeros(bits.shape[0], dtype=np.int64)
+    for j in range(0, bits.shape[1], 8):
+        byte = octets[:, j:j + 8] @ _BYTE_WEIGHTS[:bits.shape[1] - j]
+        packed |= byte.astype(np.int64) << j
+    return packed

@@ -32,6 +32,9 @@ _State = TypeVar("_State")
 _DOMAIN_CONSTRUCT = 0
 _DOMAIN_TRIALS = 1
 
+#: Bit i of each byte value v: ``_BYTE_BITS[v, i] == v >> i & 1``.
+_BYTE_BITS = np.arange(256, dtype=np.int64)[:, None] >> np.arange(8) & 1
+
 
 def ci_halfwidth(p_hat, trials: int):
     """Two-sided 99% normal-approximation half-width; elementwise on arrays."""
@@ -193,7 +196,6 @@ def selectability_counts(sampler: SchemeSampler, x: FractionalPoint,
     to the full-range counts, so workers can split ranges without changing
     the reduced result.
     """
-    shifts = np.arange(x.n, dtype=np.int64)
     counts = np.zeros(x.n, dtype=np.int64)
     for _start, (actives, (codes, families)) in trial_columns(
             seed, _DOMAIN_TRIALS, trials, [x.values, sampler], block_range):
@@ -202,7 +204,14 @@ def selectability_counts(sampler: SchemeSampler, x: FractionalPoint,
         first, inverse = group_rows([codes, actives])
         masks = np.array([families[c].selectable_mask(a) for c, a in zip(
             codes[first].tolist(), actives[first].tolist())], np.int64)
-        counts += np.bincount(inverse) @ (masks[:, None] >> shifts & 1)
+        weights = np.bincount(inverse)
+        # per mask byte, the trials of each of its 256 values: a float sum
+        # of integer weights below 2^53, so exact
+        for lo in range(0, x.n, 8):
+            hist = np.bincount(masks >> lo & 255, weights=weights,
+                               minlength=256)
+            counts[lo:lo + 8] += (hist.astype(np.int64)
+                                  @ _BYTE_BITS)[:x.n - lo]
     return counts
 
 

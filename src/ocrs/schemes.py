@@ -510,31 +510,44 @@ def graph_from_json(obj: dict) -> Graph:
 class SchemeSampler:
     """Per-trial family sampler for one bound point x.
 
-    ``sample_block`` is the one decode path: it maps each row of a
-    (trials, draw_count) uniform table to that trial's family, as
+    A sampler declares its randomness as threshold vectors, ``draws``, one
+    per leaf part: trial loops draw one uniform per entry and hand the
+    sampler each vector's packed mask (bit e set iff the uniform of entry
+    e is below it), as `core.trial_columns` packs a probability vector.
+    ``sample_block`` is the one decode path: it maps a (trials,
+    len(draws)) int64 array of those masks to each trial's family, as
     ``(codes, families)``: an int64 code per row and the block's distinct
     families, with ``families[c]`` the family of code ``c``.  Rows share a
-    code iff their families have equal ``cache_key``.  A sampler with
-    ``draw_count == 0`` gives every row code 0 and one shared family.
+    code iff their families have equal ``cache_key``.  A sampler with no
+    draws gives every row code 0 and one shared family.
     """
 
-    draw_count: int = 0
+    draws: tuple[np.ndarray, ...] = ()
 
-    def sample_block(self, rows: np.ndarray
+    @property
+    def draw_count(self) -> int:
+        """The number of uniforms a trial draws: one per threshold."""
+        return sum(vector.size for vector in self.draws)
+
+    def sample_block(self, masks: np.ndarray
                      ) -> tuple[np.ndarray, list[FeasibleFamily]]:
-        """Family codes and distinct families of a (trials, draw_count)
-        uniform table."""
+        """Family codes and distinct families of a (trials, len(draws))
+        array of packed threshold masks."""
         raise NotImplementedError
 
     def sample(self, gen: Optional[np.random.Generator] = None) -> FeasibleFamily:
-        """One family: the single-trial view of ``sample_block``."""
-        if self.draw_count == 0:
-            rows = np.empty((1, 0))
-        elif gen is None:
+        """One family: the single-trial view of ``sample_block``, from
+        ``gen.random(draw_count)``."""
+        if self.draws and gen is None:
             raise ValueError("randomized sampler needs a generator")
-        else:
-            rows = gen.random((1, self.draw_count))
-        codes, families = self.sample_block(rows)
+        masks = np.zeros((1, len(self.draws)), dtype=np.int64)
+        if self.draws:
+            row, at = gen.random((1, self.draw_count)), 0
+            for j, vector in enumerate(self.draws):
+                masks[:, j] = pack_mask_rows(row[:, at:at + vector.size]
+                                             < vector)
+                at += vector.size
+        codes, families = self.sample_block(masks)
         return families[codes[0]]
 
     def enumerate_families(self) -> list[tuple[float, FeasibleFamily]]:
@@ -548,8 +561,8 @@ class _FixedSampler(SchemeSampler):
     def __init__(self, family: FeasibleFamily):
         self.family = family
 
-    def sample_block(self, rows: np.ndarray):
-        return np.zeros(rows.shape[0], dtype=np.int64), [self.family]
+    def sample_block(self, masks: np.ndarray):
+        return np.zeros(masks.shape[0], dtype=np.int64), [self.family]
 
     def enumerate_families(self):
         return [(1.0, self.family)]
@@ -559,11 +572,10 @@ class _MatchingSampler(SchemeSampler):
     def __init__(self, graph: Graph, k_probs: np.ndarray):
         self.graph = graph
         self.k_probs = k_probs
-        self.draw_count = graph.n_edges
+        self.draws = (k_probs,)
 
-    def sample_block(self, rows: np.ndarray):
-        k_masks, codes = np.unique(pack_mask_rows(rows < self.k_probs),
-                                   return_inverse=True)
+    def sample_block(self, masks: np.ndarray):
+        k_masks, codes = np.unique(masks[:, 0], return_inverse=True)
         return (codes.reshape(-1),
                 [MatchingFamily(self.graph, k) for k in k_masks.tolist()])
 
@@ -585,13 +597,13 @@ class _MatchingSampler(SchemeSampler):
 class _KnapsackSampler(SchemeSampler):
     def __init__(self, knapsack: KnapsackConstraint, p_big: float):
         self.p_big = p_big
-        self.draw_count = 1
+        self.draws = (np.array([p_big]),)
         self._big = KnapsackFamily(knapsack, True)
         self._small = KnapsackFamily(knapsack, False)
 
-    def sample_block(self, rows: np.ndarray):
-        return ((rows[:, 0] < self.p_big).astype(np.int64),
-                [self._small, self._big])
+    def sample_block(self, masks: np.ndarray):
+        # the mask of the one threshold p_big is 1 iff the big mode is drawn
+        return masks[:, 0], [self._small, self._big]
 
     def enumerate_families(self):
         out = []
@@ -605,14 +617,14 @@ class _KnapsackSampler(SchemeSampler):
 class _IntersectionSampler(SchemeSampler):
     def __init__(self, parts: Sequence[SchemeSampler]):
         self.parts = tuple(parts)
-        self.draw_count = sum(p.draw_count for p in parts)
+        self.draws = tuple(v for p in self.parts for v in p.draws)
 
-    def sample_block(self, rows: np.ndarray):
+    def sample_block(self, masks: np.ndarray):
         columns = []
         at = 0
         for p in self.parts:
-            columns.append(p.sample_block(rows[:, at:at + p.draw_count]))
-            at += p.draw_count
+            columns.append(p.sample_block(masks[:, at:at + len(p.draws)]))
+            at += len(p.draws)
         first, codes = group_rows([part_codes for part_codes, _ in columns])
         return codes, [combine_families(list(parts))
                        for parts in block_states(columns, first)]

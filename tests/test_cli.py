@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: exit codes, reports, determinism, workers."""
 
-import functools
 import itertools
 import json
 import logging
@@ -854,7 +853,7 @@ class _NoPool:
 
 def test_pool_that_cannot_start_falls_back_to_serial(tmp_path, monkeypatch,
                                                      caplog):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(cli, "_process_pool", _NoPool)
     with caplog.at_level(logging.WARNING, logger="ocrs"):
         assert _golden_selectability_at_two_workers(
             tmp_path, *_GOLDEN_SELECTABILITY[0]) == 0
@@ -871,12 +870,26 @@ def test_spawned_workers_get_the_built_factory(tmp_path, monkeypatch, capfd,
     bound sampler and the point reach them by pickle, and the reports stay
     the golden ones with nothing logged at the default level."""
     spawn = multiprocessing.get_context("spawn")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=spawn))
+    monkeypatch.setattr(cli, "_process_pool", lambda workers: (
+        ProcessPoolExecutor(max_workers=workers, mp_context=spawn)))
     assert _golden_selectability_at_two_workers(tmp_path, name, scheme,
                                                 b) == 0
     assert capfd.readouterr().err == ""
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool modules are imported by `cli._process_pool` only, so a
+    serial command does not pay for multiprocessing, socket and
+    subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ocrs.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ocrs.cli; print(sorted({'concurrent.futures', "
+         "'multiprocessing'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command,name", [

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ocrs.core
-from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, group_rows,
-                       iter_submasks, num_blocks, ordered_sum, pack_mask,
-                       pack_mask_rows, popcounts, scale_point, trial_columns,
-                       uniform_blocks)
+from ocrs.core import (TABLE_BYTES, TRIAL_BLOCK, FractionalPoint, SeedSpec,
+                       group_rows, iter_submasks, num_blocks, ordered_sum,
+                       pack_mask, pack_mask_rows, popcounts, scale_point,
+                       trial_columns, uniform_blocks)
 from ocrs.optimize import KnapsackConstraint
 from ocrs.schemes import Graph, KnapsackFactory, MatchingFactory
 
@@ -122,31 +122,54 @@ def test_downsample_matches_scaled_sampling():
     assert stat < 24.32
 
 
+def _draw_masks(sampler, rows):
+    """A sampler's packed threshold masks of a (count, draw_count) uniform
+    table, sliced by hand: one column per threshold vector."""
+    masks = np.zeros((len(rows), len(sampler.draws)), dtype=np.int64)
+    at = 0
+    for j, vector in enumerate(sampler.draws):
+        masks[:, j] = pack_mask_rows(rows[:, at:at + vector.size] < vector)
+        at += vector.size
+    return masks
+
+
+_GRAPH4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+_K6 = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+
+
 def test_trial_columns_matches_hand_slicing():
     # a vector, a raw segment and two samplers decode to exactly what slicing
-    # the uniform rows by hand gives, over more than one block
-    graph = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    # a fresh draw of each block's uniform rows by hand gives, over more
+    # than one block; 12 columns draw each block at once, 59 in chunks
+    _check_hand_slicing(_GRAPH4, np.array([0.3, 0.9, 0.0, 0.5]))
+    _check_hand_slicing(_K6, np.linspace(0.0, 1.0, 40))
+
+
+def _check_hand_slicing(graph, x):
     matching = MatchingFactory(graph, 0.5).bind(
-        FractionalPoint([0.1] * 5), SeedSpec(6).stream(0))
+        FractionalPoint([0.1] * graph.n_edges), SeedSpec(6).stream(0))
     knapsack = KnapsackFactory(KnapsackConstraint([0.6, 0.3, 0.2]), 0.25).bind(
         FractionalPoint([0.1, 0.2, 0.1]))
-    assert matching.draw_count == 5 and knapsack.draw_count == 1
-    x = np.array([0.3, 0.9, 0.0, 0.5])
+    assert (matching.draw_count == graph.n_edges
+            and knapsack.draw_count == 1)
+    width = x.size + 2 + graph.n_edges + 1
     seed = SeedSpec(5)
     trials = TRIAL_BLOCK + 300
-    decoded = trial_columns(seed, 7, trials, [x, 2, matching, knapsack])
-    by_hand = uniform_blocks(seed, 7, trials, 4 + 2 + 5 + 1)
     blocks = 0
-    for (start, columns), (start_u, block) in zip(decoded, by_hand):
-        assert start == start_u
+    for start, columns in trial_columns(seed, 7, trials,
+                                        [x, 2, matching, knapsack]):
+        assert start == blocks * TRIAL_BLOCK
+        block = seed.stream(7, blocks).random(
+            (min(TRIAL_BLOCK, trials - start), width))
         masks, raw, fams_m, fams_k = columns
         assert masks.dtype == np.int64
-        assert np.array_equal(masks, pack_mask_rows(block[:, :4] < x))
-        assert np.array_equal(raw, block[:, 4:6])
-        assert (_family_keys(*fams_m)
-                == _family_keys(*matching.sample_block(block[:, 6:11])))
-        assert (_family_keys(*fams_k)
-                == _family_keys(*knapsack.sample_block(block[:, 11:])))
+        assert np.array_equal(masks, pack_mask_rows(block[:, :x.size] < x))
+        assert np.array_equal(raw, block[:, x.size:x.size + 2])
+        m_rows = block[:, x.size + 2:width - 1]
+        assert (_family_keys(*fams_m) == _family_keys(
+            *matching.sample_block(_draw_masks(matching, m_rows))))
+        assert (_family_keys(*fams_k) == _family_keys(
+            *knapsack.sample_block(_draw_masks(knapsack, block[:, -1:]))))
         blocks += 1
     assert blocks == 2
 
@@ -182,6 +205,38 @@ def test_trial_columns_draws_every_block_into_one_table(monkeypatch):
                                          [x, 2]):
         assert columns[1].base is drawn[-1].base
     assert len(drawn) == 4
+
+
+def test_wide_loops_draw_chunks_into_one_table_of_at_most_1_mib(monkeypatch):
+    """A loop of more than 16 columns draws each block in chunks into one
+    table of at most `TABLE_BYTES`; the raw columns of a block of more
+    than one chunk are gathered into one buffer of the loop."""
+    drawn = []
+    stream = SeedSpec.stream
+
+    class Recording:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, *args, out=None):
+            drawn.append(out)
+            return self.gen.random(*args, out=out)
+
+    monkeypatch.setattr(SeedSpec, "stream",
+                        lambda self, *path: Recording(stream(self, *path)))
+    trials = 2 * TRIAL_BLOCK + 5
+    raws = []
+    for _start, (_masks, _more, raw) in trial_columns(
+            SeedSpec(3), 1, trials, [np.full(45, 0.5), np.full(40, 0.5), 5]):
+        # the last block, of 5 trials, is one chunk and keeps its view
+        assert np.shares_memory(raw, drawn[-1]) == (len(raw) == 5)
+        raws.append(raw)
+    chunk = TABLE_BYTES // (8 * 90)
+    assert [len(out) for out in drawn] == (
+        2 * ([chunk] * (TRIAL_BLOCK // chunk) + [TRIAL_BLOCK % chunk]) + [5])
+    assert all(out.base is drawn[0].base for out in drawn)
+    assert drawn[0].base.nbytes <= TABLE_BYTES
+    assert raws[0].base is raws[1].base is not drawn[0].base
 
 
 def _family_keys(codes, families):
@@ -232,21 +287,36 @@ def test_uniform_blocks_partition_invariance():
 
 @pytest.mark.parametrize("trials, block_range", [
     (TRIAL_BLOCK, None), (2 * TRIAL_BLOCK + 300, None),
-    (3 * TRIAL_BLOCK + 1, (1, None)), (1, None)],
-    ids=["full", "partial-last", "range-from-mid-loop", "one-row"])
+    (3 * TRIAL_BLOCK + 1, (1, None)), (3 * TRIAL_BLOCK + 1, (1, 2)),
+    (1, None)],
+    ids=["full", "partial-last", "range-from-mid-loop", "range-of-one",
+         "one-row"])
 def test_uniform_blocks_match_a_fresh_draw_per_block(trials, block_range):
-    """Drawing into the loop's table gives each block the rows a fresh
-    ``random((count, width))`` on its Philox stream gives."""
+    """The chunks of each block, concatenated, are the rows a fresh
+    ``random((count, width))`` on its Philox stream gives; a loop of at
+    most 16 columns draws each block as one chunk."""
+    for width in (5, 16, 17, 90, 200):
+        _check_fresh_draws(trials, block_range, width)
+
+
+def _check_fresh_draws(trials, block_range, width):
     seed = SeedSpec(12)
-    lo = block_range[0] if block_range else 0
-    blocks = 0
-    for start, block in uniform_blocks(seed, 4, trials, 5, block_range):
-        j = start // TRIAL_BLOCK
-        count = min(TRIAL_BLOCK, trials - start)
-        assert j == lo + blocks and block.shape == (count, 5)
-        assert np.array_equal(block, seed.stream(4, j).random((count, 5)))
-        blocks += 1
-    assert blocks == num_blocks(trials) - lo
+    lo, hi = block_range or (0, None)
+    hi = num_blocks(trials) if hi is None else hi
+    chunks: dict[int, list] = {}
+    for start, chunk in uniform_blocks(seed, 4, trials, width, block_range):
+        assert chunk.shape[1] == width and chunk.nbytes <= TABLE_BYTES
+        chunks.setdefault(start // TRIAL_BLOCK, []).append(
+            (start, chunk.copy()))
+    assert list(chunks) == list(range(lo, hi))
+    for j, parts in chunks.items():
+        count = min(TRIAL_BLOCK, trials - j * TRIAL_BLOCK)
+        assert [start for start, _ in parts] == list(
+            range(j * TRIAL_BLOCK, j * TRIAL_BLOCK + count, len(parts[0][1])))
+        assert len(parts) == (1 if width <= 16 else
+                              -(-count // (TABLE_BYTES // (8 * width))))
+        assert np.array_equal(np.concatenate([c for _, c in parts]),
+                              seed.stream(4, j).random((count, width)))
 
 
 @pytest.mark.parametrize("n", [1, 63])
@@ -264,6 +334,17 @@ def test_pack_mask_rows_round_trip(n, data):
 def test_pack_mask_at_any_length(bits):
     assert pack_mask(np.array(bits, dtype=bool)) == sum(
         1 << e for e, bit in enumerate(bits) if bit)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 45, 63])
+def test_pack_mask_rows_equals_the_powers_product(n):
+    """Packing by bytes gives the masks of the (T, n) int64 product with
+    the powers of two, also on a column slice of a wider array."""
+    bits = np.random.default_rng(n).random((300, n + 3)) < 0.5
+    for cols in (bits[:, :n], bits[:, 3:]):
+        assert np.array_equal(
+            pack_mask_rows(cols),
+            cols.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64)))
 
 
 @pytest.mark.parametrize("n", [64, 65])

@@ -95,6 +95,7 @@ def _oracle_counts(factory, x, trials, seed, block_range):
 
 
 _GRAPH4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+_K10 = Graph(10, list(itertools.combinations(range(10), 2)))
 _COUNT_FACTORIES = [
     MatroidChainFactory(GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3),
                                            (0, 3)]), 0.5),
@@ -104,19 +105,24 @@ _COUNT_FACTORIES = [
                          MatchingFactory(_GRAPH4, 0.25),
                          KnapsackFactory(KnapsackConstraint(
                              [0.6, 0.4, 0.3, 0.5, 0.2]), 0.25)]),
+    # masks of two and of six bytes; K10 draws each block in six chunks
+    MatchingFactory(Graph(6, list(itertools.combinations(range(6), 2))),
+                    0.5),
+    MatchingFactory(_K10, 0.5),
 ]
 
 
 @settings(max_examples=30, deadline=None)
 @given(which=st.integers(0, len(_COUNT_FACTORIES) - 1),
-       raw=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
        trials=st.integers(1, 3 * TRIAL_BLOCK),
        seed=st.integers(0, 2 ** 32), data=st.data())
-def test_counts_equal_per_trial_loop(which, raw, trials, seed, data):
+def test_counts_equal_per_trial_loop(which, trials, seed, data):
     """Per-element counts of any block range are the per-trial sums of the
-    selectable masks' bits, on all four schemes."""
+    selectable masks' bits, on all four schemes and on masks of more than
+    one byte."""
     factory = _COUNT_FACTORIES[which]
-    x = FractionalPoint(raw)
+    x = FractionalPoint(data.draw(st.lists(
+        st.floats(0.0, 1.0), min_size=factory.n, max_size=factory.n)))
     load = factory.load(x)
     if load > factory.b:
         x = FractionalPoint(x.values * (factory.b / load * (1 - 1e-12)))
@@ -140,18 +146,31 @@ def _counts_peak_bytes(factory, x, trials: int) -> int:
         tracemalloc.stop()
 
 
+def _k10_matching() -> tuple[MatchingFactory, FractionalPoint]:
+    raw = 0.25 + 0.75 * np.random.default_rng(0).random(_K10.n_edges)
+    x = FractionalPoint(raw * (0.5 / _K10.degree_loads(raw).max()))
+    return MatchingFactory(_K10, 0.5), x
+
+
 def test_counts_memory_bounded_by_instance_not_trials():
     """Random matching families on K10: a trial that draws a new (K, active)
     state must not leave memory behind, so quadrupling the trial count
     leaves the peak where it was (a count per distinct selectable mask
     grew it by about 1 MB)."""
-    graph = Graph(10, list(itertools.combinations(range(10), 2)))
-    raw = 0.25 + 0.75 * np.random.default_rng(0).random(graph.n_edges)
-    x = FractionalPoint(raw * (0.5 / graph.degree_loads(raw).max()))
-    factory = MatchingFactory(graph, 0.5)
+    factory, x = _k10_matching()
     growth = (_counts_peak_bytes(factory, x, 65_536)
               - _counts_peak_bytes(factory, x, 16_384))
     assert growth < 64 * 2**10, growth
+
+
+@pytest.mark.parametrize("trials", [TRIAL_BLOCK, 8 * TRIAL_BLOCK])
+def test_counts_peak_stays_under_3_mib(trials):
+    """The K10 loop's 90 columns are drawn into a table of at most 1 MiB,
+    the sampler gets packed masks, and the selectable masks are reduced
+    by byte histograms, so no block-sized float table or (pairs, n) bit
+    matrix is made (a whole-block draw and the bit matrix peaked at about
+    9 MB)."""
+    assert _counts_peak_bytes(*_k10_matching(), trials) < 3 * 2**20
 
 
 def test_knapsack_counts_memory_bounded_by_instance_not_trials():

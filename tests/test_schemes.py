@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocrs.core import (FractionalPoint, SeedSpec, iter_bits, iter_submasks,
-                       pack_mask)
+                       pack_mask, pack_mask_rows)
 from ocrs.matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
                            MatroidPolytope, MatroidView, PartitionMatroid,
                            UniformMatroid, in_scaled_matroid_polytope,
@@ -882,14 +882,19 @@ def test_sample_block_codes_follow_cache_keys(name, seed, rows):
     the same row decoded on its own."""
     sampler = _SAMPLERS[name].bind(_POINT5)
     table = SeedSpec(seed).stream(0).random((rows, sampler.draw_count))
-    codes, families = sampler.sample_block(table)
+    masks = np.zeros((rows, len(sampler.draws)), dtype=np.int64)
+    at = 0
+    for j, vector in enumerate(sampler.draws):
+        masks[:, j] = pack_mask_rows(table[:, at:at + vector.size] < vector)
+        at += vector.size
+    codes, families = sampler.sample_block(masks)
     assert codes.dtype == np.int64 and codes.shape == (rows,)
     keys = [families[c].cache_key() for c in codes.tolist()]
     assert (len(set(codes.tolist())) == len(set(keys))
             == len(set(zip(codes.tolist(), keys))))
     alone = []
     for i in range(rows):
-        row_codes, row_families = sampler.sample_block(table[i:i + 1])
+        row_codes, row_families = sampler.sample_block(masks[i:i + 1])
         alone.append(row_families[row_codes[0]].cache_key())
     assert keys == alone
 
