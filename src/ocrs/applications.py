@@ -3,18 +3,19 @@
 Each pipeline solves its relaxation, converts the fractional optimum into
 activation thresholds or probing probabilities, and plays a greedy OCRS
 online.  Trials are grouped by a state key (integer key columns in the
-order-free mean loops, tuple keys in the worst-order searches), so a
-distinct state is played at most once per order and trial block, not once
-per trial.  A run only looks at the elements of one mask of its state (the
-active set in prophet, A_out in probing), so the worst-order searches play
-a state once per order of that mask, not once per permutation.
-Feasibility is asserted on every play, which covers every trial and order
-that shares it, because a run is a pure function of its key and of the
-order restricted to its mask.
+order-free probing loop, the tuple key `prophet_state_key` in prophet), so
+a distinct state is played at most once per order and trial block, not
+once per trial.  A prophet run only looks at its active elements, so the
+worst-order search plays a state once per order of its active set, not
+once per permutation, and the almighty adversary plays it once, in
+ascending value.  Feasibility is asserted on every play, which covers every
+trial and order that shares it, because a run is a pure function of its
+key and of the order restricted to its active set.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -32,6 +33,8 @@ from .optimize import (ConstraintSpec, DiscreteDistribution,
 from .schemes import (FeasibleFamily, GreedyOcrsFactory, IntersectionFactory,
                       KnapsackFactory, MatroidChainFactory, SchemeSampler,
                       run_greedy_mask)
+
+log = logging.getLogger("ocrs.applications")
 
 _DOMAIN_CONSTRUCT_OUT = 10
 _DOMAIN_CONSTRUCT_IN = 11
@@ -55,8 +58,10 @@ def default_factory(spec: ConstraintSpec, b: float) -> GreedyOcrsFactory:
 class ProphetInstance:
     """Matroid constraint plus one finite value distribution per element.
 
-    ``arrival_order`` names the evaluation policy: "worst" (search all
-    permutations), "identity", or a fixed permutation tuple.
+    ``arrival_order`` names the evaluation policy: "worst", "identity", or
+    a fixed permutation tuple.  For "worst", the ``prophet`` command
+    searches every fixed order (`prophet_worst_order`) up to 6 elements and
+    plays the almighty adversary (`prophet_almighty_value`) above.
     """
 
     matroid: Matroid
@@ -132,13 +137,17 @@ class ProphetPipeline:
         return ordered_sum(z[e] for e in iter_bits(selected))
 
 
-def prepare_prophet(instance: ProphetInstance, factory: GreedyOcrsFactory,
+def prepare_prophet(instance: ProphetInstance, factory: MatroidChainFactory,
                     seed: SeedSpec) -> ProphetPipeline:
     """Solve the relaxation and bind the scheme to the downscaled point.
 
     The scheme sees b*x, and trials keep each active element only with
     probability b, so a (b, c)-selectable scheme yields per-element
     selection probability at least b*c*x_e on the unscaled instance.
+    Its chain family F_x is the direct sum of its layer views, so it is a
+    matroid: a greedy run in any order selects a basis of F_x restricted
+    to the active set, and ascending value order selects one of least
+    value (`prophet_almighty_value`).
     """
     x, value = solve_prophet_relaxation(instance.matroid, instance.dists)
     sampler = factory.bind(scale_point(x, factory.b),
@@ -209,10 +218,10 @@ def prophet_value_under_order(pipeline: ProphetPipeline, states,
 
 
 def prophet_worst_order(pipeline: ProphetPipeline, trials: int,
-                        seed: SeedSpec, mode: str = "exhaustive",
-                        collect: Optional[list] = None
+                        seed: SeedSpec, collect: Optional[list] = None
                         ) -> tuple[AdversarySearchResult, MeanEstimate]:
-    """Worst arrival order over common random numbers, plus its mean value.
+    """Worst fixed arrival order over common random numbers, by exhaustive
+    search (at most 8 elements), plus its mean value.
 
     A run only looks at its active elements, so the search plays each
     distinct trial state once per order of its active set.
@@ -220,13 +229,41 @@ def prophet_worst_order(pipeline: ProphetPipeline, trials: int,
     distinct, trial_state = group_states(
         prophet_trial_states(pipeline, trials, seed), prophet_state_key)
     result = worst_order_value(distinct.__getitem__, pipeline.value,
-                               pipeline.instance.n, len(distinct), mode=mode,
-                               seed=seed, trial_state=trial_state,
+                               pipeline.instance.n, len(distinct),
+                               trial_state=trial_state,
                                masks=[active for _f, active, _z in distinct])
     estimate = prophet_value_under_order(pipeline, distinct,
                                          result.worst_order, collect,
                                          trial_state=trial_state)
     return result, estimate
+
+
+def prophet_almighty_value(pipeline: ProphetPipeline, trials: int,
+                           seed: SeedSpec,
+                           collect: Optional[list]) -> MeanEstimate:
+    """Mean value against the almighty adversary, who sees every coin of a
+    trial and then picks its arrival order; ``collect``, if given,
+    receives every per-trial value in trial order.
+
+    The chain family F_x is a matroid, so every order selects a basis of
+    F_x restricted to the active set, every such basis is selected by some
+    order (its elements first), and the matroid greedy in ascending value
+    finds one of least value.  So each distinct state is played once, its
+    active elements in ascending value (ties by index), and that play is
+    the minimum over every order.  Two least-value bases can hold equal
+    values at different elements, so the minimum is exact up to the order
+    of a float sum.
+    """
+    distinct, trial_state = group_states(
+        prophet_trial_states(pipeline, trials, seed), prophet_state_key)
+    # sorted is stable and iter_bits ascends, so ties go by index
+    values = [pipeline.value(state, sorted(iter_bits(state[1]),
+                                           key=state[2].__getitem__))
+              for state in distinct]
+    log.info("almighty adversary: %d trials, %d distinct states, one "
+             "ascending-value play each", len(trial_state), len(distinct))
+    return MeanEstimate.from_stream(map(values.__getitem__, trial_state),
+                                    collect)
 
 
 def brute_force_prophet_opt(instance: ProphetInstance) -> float:
@@ -452,38 +489,11 @@ def probing_mean_value(pipeline: ProbingPipeline, trials: int, seed: SeedSpec,
 
 
 def probing_block_key(columns) -> list[np.ndarray]:
-    """`probing_state_key` as key columns of a `_probing_blocks` block:
-    A_out, the active elements inside it and both family codes."""
+    """Everything a probing run's value depends on, as key columns of a
+    `_probing_blocks` block: A_out, the active elements inside it and both
+    family codes (only elements of A_out are probed)."""
     a_out, act, (codes_in, _), (codes_out, _) = columns
     return [a_out, act & a_out, codes_in, codes_out]
-
-
-def probing_state_key(state) -> tuple:
-    """Everything a probing run's value depends on: A_out, the active
-    elements inside it and both families (only elements of A_out are
-    probed)."""
-    a_out, act, fam_in, fam_out = state
-    return (a_out, act & a_out, fam_in.cache_key(), fam_out.cache_key())
-
-
-def probing_worst_order(pipeline: ProbingPipeline, trials: int,
-                        seed: SeedSpec,
-                        mode: str = "exhaustive") -> tuple[AdversarySearchResult, MeanEstimate]:
-    """Adversarial probe order search (no-deadline instances only).
-
-    A run only probes elements of A_out, so the search plays each distinct
-    trial state once per order of its A_out.
-    """
-    if pipeline.instance.deadlines is not None:
-        raise ValueError("deadline instances fix their probe order")
-    distinct, trial_state = group_states(
-        probing_trial_states(pipeline, trials, seed), probing_state_key)
-    result = worst_order_value(distinct.__getitem__, pipeline.value,
-                               pipeline.instance.n, len(distinct), mode=mode,
-                               seed=seed, trial_state=trial_state,
-                               masks=[a_out for a_out, *_rest in distinct])
-    return result, MeanEstimate.from_stream(per_trial_values(
-        pipeline.value, distinct, trial_state, result.worst_order))
 
 
 @dataclass(frozen=True)

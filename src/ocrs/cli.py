@@ -23,8 +23,9 @@ import numpy as np
 from .applications import (ProbingInstance, ProphetInstance,
                            brute_force_prophet_opt, estimate_competitive_ratio,
                            prepare_probing, prepare_prophet,
-                           probing_mean_value, prophet_trial_states,
-                           prophet_value_under_order, prophet_worst_order)
+                           probing_mean_value, prophet_almighty_value,
+                           prophet_trial_states, prophet_value_under_order,
+                           prophet_worst_order)
 from .core import (FractionalPoint, SeedSpec, field, float_list, int_list,
                    json_float, json_str, num_blocks, read_field)
 from .harness import (MeanEstimate, bind_sampler,
@@ -246,18 +247,22 @@ def cmd_prophet(args) -> int:
     log.info("prophet: b=%s bound=%s (%s) trials=%d seed=%d", args.b, bound,
              bound_expr, args.trials, args.seed)
     collect: Optional[list] = [] if args.out_csv else None
-    if instance.arrival_order == "worst":
-        mode = "exhaustive" if instance.n <= 6 else "greedy-heuristic"
-        log.info("prophet: %s worst-order search over %d elements", mode,
+    if instance.arrival_order == "worst" and instance.n > 6:
+        # past 6! orders the fixed-order search gives way to the almighty
+        # adversary, who is at least as strong
+        log.info("prophet: almighty adversary over %d elements", instance.n)
+        estimate = prophet_almighty_value(pipeline, args.trials, seed,
+                                          collect)
+        order = "almighty"
+    elif instance.arrival_order == "worst":
+        log.info("prophet: exhaustive worst-order search over %d elements",
                  instance.n)
         result, estimate = prophet_worst_order(pipeline, args.trials, seed,
-                                               mode=mode, collect=collect)
-        order = result.worst_order
+                                               collect=collect)
+        order = list(result.worst_order)
     else:
-        if isinstance(instance.arrival_order, tuple):
-            order = instance.arrival_order
-        else:
-            order = tuple(range(instance.n))
+        order = list(range(instance.n) if instance.arrival_order == "identity"
+                     else instance.arrival_order)
         states = prophet_trial_states(pipeline, args.trials, seed)
         estimate = prophet_value_under_order(pipeline, states, order,
                                              collect=collect)
@@ -266,7 +271,7 @@ def cmd_prophet(args) -> int:
     payload = {
         "relaxation_value": pipeline.relaxation_value,
         "benchmark_expected_max": benchmark,
-        "order": list(order),
+        "order": order,
         "mean": report.mean,
         "ci_halfwidth": estimate.halfwidth,
         "ratio": report.ratio,

@@ -361,11 +361,10 @@ def knapsack_deterministic_impossibility(
 
 @dataclass
 class AdversarySearchResult:
-    """Worst arrival order found and its estimated expected value."""
+    """Worst arrival order and its estimated expected value."""
 
     worst_order: tuple[int, ...]
     worst_value: float
-    mode: str
     values_by_order: dict[tuple[int, ...], float]
 
 
@@ -430,13 +429,12 @@ def grouped_values(blocks: Iterable[tuple[int, Sequence]],
 
 def worst_order_value(prepare_trial: Callable[[int], object],
                       trial_value: Callable[[object, Sequence[int]], float],
-                      n: int, trials: int,
-                      mode: str = "exhaustive",
-                      seed: Optional[SeedSpec] = None, *,
+                      n: int, trials: int, *,
                       trial_state: Optional[Sequence[int]] = None,
                       masks: Optional[Sequence[int]] = None
                       ) -> AdversarySearchResult:
-    """Minimize the estimated expected value over arrival permutations.
+    """Minimize the estimated expected value over all n! arrival orders
+    (n <= 8).
 
     Common random numbers: each trial's state is prepared once (indexed by
     trial number) and reused for every permutation, so order comparisons are
@@ -452,10 +450,12 @@ def worst_order_value(prepare_trial: Callable[[int], object],
     are grouped by mask, and each group runs once per distinct restricted
     order, so the search costs one ``trial_value`` call per distinct pair
     of state and restricted order: a state with k elements in its mask is
-    played at most k! times, not once per order.  Exhaustive mode
-    enumerates all n! orders (n <= 8); the heuristic mode hill-climbs over
-    adjacent transpositions from 8 random starting orders.
+    played at most k! times, not once per order.  The worst order is a
+    fixed order, the same for every trial; an adversary who picks each
+    trial's order after seeing its coins can do worse.
     """
+    if n > 8:
+        raise ValueError("exhaustive order search limited to n <= 8")
     states = [prepare_trial(t) for t in range(trials)]
     trial_state = np.asarray(range(trials) if trial_state is None
                              else trial_state, dtype=np.int64)
@@ -470,62 +470,25 @@ def worst_order_value(prepare_trial: Callable[[int], object],
               for mask, idx in members.items()]
     means: dict[tuple[int, ...], float] = {}
     calls = restricted_orders = 0
-
-    def mean_value(order: Sequence[int]) -> float:
-        nonlocal calls, restricted_orders
-        key = tuple(order)
-        mean = means.get(key)
-        if mean is None:
-            values = np.empty(trials)
-            for mask, idx, group, played in groups:
-                restricted = tuple(e for e in key if mask >> e & 1)
-                got = played.get(restricted)
-                if got is None:
-                    got = [trial_value(state, key) for state in group]
-                    calls += len(group)
-                    restricted_orders += 1
-                    # a restriction to all n elements is the order itself,
-                    # which `means` already keeps, so it is not stored
-                    if len(restricted) < n:
-                        played[restricted] = got
-                values[idx] = got
-            mean = means[key] = _sum_after(0.0, values[trial_state]
-                                           ) / trial_state.size
-        return mean
-
-    def finish(values: dict[tuple[int, ...], float],
-               worst: tuple[int, ...]) -> AdversarySearchResult:
-        log.info("worst-order search (%s): %d trials, %d distinct states, "
-                 "%d orders evaluated, %d value calls, one per distinct "
-                 "(state, restricted order) pair (%d restricted orders of %d "
-                 "masks)", mode, trial_state.size, trials, len(means), calls,
-                 restricted_orders, len(groups))
-        return AdversarySearchResult(worst, values[worst], mode, values)
-
-    if mode == "exhaustive":
-        if n > 8:
-            raise ValueError("exhaustive order search limited to n <= 8")
-        for perm in itertools.permutations(range(n)):
-            mean_value(perm)
-        return finish(means, min(means, key=lambda p: (means[p], p)))
-    if mode != "greedy-heuristic":
-        raise ValueError("mode must be 'exhaustive' or 'greedy-heuristic'")
-    gen = (seed or SeedSpec(0)).stream(2)
-    ends: list[tuple[int, ...]] = []
-    for _ in range(8):
-        perm = [int(v) for v in gen.permutation(n)]
-        current = mean_value(perm)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n - 1):
-                perm[i], perm[i + 1] = perm[i + 1], perm[i]
-                candidate = mean_value(perm)
-                if candidate < current - 1e-15:
-                    current = candidate
-                    improved = True
-                else:
-                    perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        ends.append(tuple(perm))
-    values = {key: means[key] for key in ends}
-    return finish(values, min(values, key=values.__getitem__))
+    values = np.empty(trials)
+    for order in itertools.permutations(range(n)):
+        for mask, idx, group, played in groups:
+            restricted = tuple(e for e in order if mask >> e & 1)
+            got = played.get(restricted)
+            if got is None:
+                got = [trial_value(state, order) for state in group]
+                calls += len(group)
+                restricted_orders += 1
+                # a restriction to all n elements is the order itself,
+                # which no later order repeats, so it is not stored
+                if len(restricted) < n:
+                    played[restricted] = got
+            values[idx] = got
+        means[order] = _sum_after(0.0, values[trial_state]) / trial_state.size
+    worst = min(means, key=lambda p: (means[p], p))
+    log.info("worst-order search (exhaustive): %d trials, %d distinct states, "
+             "%d orders evaluated, %d value calls, one per distinct "
+             "(state, restricted order) pair (%d restricted orders of %d "
+             "masks)", trial_state.size, trials, len(means), calls,
+             restricted_orders, len(groups))
+    return AdversarySearchResult(worst, means[worst], means)

@@ -75,11 +75,12 @@ class FeasibleFamily:
     def cache_key(self):
         """Hashable identity of the sampled instance: families with equal
         keys answer ``member`` and ``selectable_mask`` alike.  Only two
-        readers are left: the worst-order searches' tuple keys
-        (``applications.prophet_state_key`` and ``probing_state_key``) and
-        the benchmark's trace (``perfbench/spans.py``), which counts
-        distinct ``(cache_key, active)`` pairs.  The order-free trial loops
-        group by the samplers' integer family codes instead."""
+        readers are left: the prophet's tuple key
+        (``applications.prophet_state_key``, which the worst-order search
+        and the almighty play group by) and the benchmark's trace
+        (``perfbench/spans.py``), which counts distinct
+        ``(cache_key, active)`` pairs.  The order-free trial loops group by
+        the samplers' integer family codes instead."""
         raise NotImplementedError
 
 

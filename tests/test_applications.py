@@ -17,12 +17,12 @@ from ocrs.applications import (ProbingInstance, ProphetInstance,
                                brute_force_prophet_opt, deadline_matroid,
                                estimate_competitive_ratio, prepare_probing,
                                prepare_prophet, probe, probing_mean_value,
-                               probing_state_key, probing_trial_states,
-                               probing_worst_order, prophet_state_key,
-                               prophet_thresholds, prophet_trial_states,
-                               prophet_value_under_order, prophet_worst_order)
+                               probing_trial_states, prophet_almighty_value,
+                               prophet_state_key, prophet_thresholds,
+                               prophet_trial_states, prophet_value_under_order,
+                               prophet_worst_order)
 from ocrs.harness import MeanEstimate, group_states, per_trial_values
-from ocrs.matroids import PartitionMatroid, UniformMatroid
+from ocrs.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from ocrs.optimize import DiscreteDistribution, KnapsackConstraint
 from ocrs.schemes import FeasibleFamily, MatroidChainFactory, run_greedy_mask
 
@@ -316,54 +316,17 @@ def test_probing_ratio_bounds_small_instances():
         assert report.passes(), (inst, report)
 
 
-def test_probing_worst_order_still_meets_bound():
-    inst = ProbingInstance(p=(0.9, 0.6, 0.8), w=(3.0, 2.0, 1.0),
-                           inner=UniformMatroid(3, 1),
-                           outer=UniformMatroid(3, 2), b=0.5)
-    pipeline = prepare_probing(inst, SEED)
-    result, est = probing_worst_order(pipeline, 20_000, SEED)
-    report = estimate_competitive_ratio(est, pipeline.lp.value,
-                                        pipeline.bound, pipeline.bound_expr)
-    assert len(result.values_by_order) == 6
-    assert report.passes()
-
-
 # ---------------------------------------------------------------------------
 # worst-order search over distinct trial states
 
 
-def _literal_search(states, value, n, mode, seed):
-    """The order search as a literal loop over every trial (the reference
-    the grouped search must reproduce bit for bit)."""
-
-    def mean(order):
-        return sum(value(state, order) for state in states) / len(states)
-
+def _literal_search(states, value, n):
+    """The order search as a literal loop over every trial and order (the
+    reference the grouped search must reproduce bit for bit)."""
     values = {}
-    if mode == "exhaustive":
-        for perm in itertools.permutations(range(n)):
-            values[perm] = mean(perm)
-        return min(values, key=lambda p: (values[p], p)), values
-    gen = seed.stream(2)
-    best = None
-    for _ in range(8):
-        perm = [int(v) for v in gen.permutation(n)]
-        current = mean(perm)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n - 1):
-                perm[i], perm[i + 1] = perm[i + 1], perm[i]
-                candidate = mean(perm)
-                if candidate < current - 1e-15:
-                    current = candidate
-                    improved = True
-                else:
-                    perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        values[tuple(perm)] = current
-        if best is None or current < values[best]:
-            best = tuple(perm)
-    return best, values
+    for perm in itertools.permutations(range(n)):
+        values[perm] = sum(value(state, perm) for state in states) / len(states)
+    return min(values, key=lambda p: (values[p], p)), values
 
 
 def _prophet4(matroid):
@@ -384,19 +347,18 @@ def _prophet_partition():
     return _prophet4(PartitionMatroid([[0, 2], [1, 3]], [1, 1]))
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "greedy-heuristic"])
-def test_grouped_prophet_search_matches_per_trial_loop(mode):
+def test_grouped_prophet_search_matches_per_trial_loop():
     pipeline = _prophet_u42()
     trials = 1500
     states = prophet_trial_states(pipeline, trials, SEED)
     distinct, _ = group_states(states, prophet_state_key)
     assert len(distinct) < trials / 4
-    worst, values = _literal_search(states, pipeline.value, 4, mode, SEED)
+    worst, values = _literal_search(states, pipeline.value, 4)
     expected_collect = []
     expected = MeanEstimate.from_stream(
         (pipeline.value(state, worst) for state in states), expected_collect)
     collect = []
-    result, estimate = prophet_worst_order(pipeline, trials, SEED, mode=mode,
+    result, estimate = prophet_worst_order(pipeline, trials, SEED,
                                            collect=collect)
     assert result.values_by_order == values
     assert result.worst_order == worst
@@ -404,15 +366,13 @@ def test_grouped_prophet_search_matches_per_trial_loop(mode):
     assert collect == expected_collect
 
 
-_PROBING_KNAPSACK4 = ProbingInstance(
-    p=(0.9, 0.6, 0.8, 0.5), w=(3.0, 2.0, 10.0, 2.5),
-    inner=UniformMatroid(4, 2),
-    outer=KnapsackConstraint((0.5, 0.25, 0.6, 0.3)), b=0.5)
-
-
 @functools.lru_cache(maxsize=1)
 def _probing_knapsack4():
-    return prepare_probing(_PROBING_KNAPSACK4, SEED)
+    inst = ProbingInstance(p=(0.9, 0.6, 0.8, 0.5), w=(3.0, 2.0, 10.0, 2.5),
+                           inner=UniformMatroid(4, 2),
+                           outer=KnapsackConstraint((0.5, 0.25, 0.6, 0.3)),
+                           b=0.5)
+    return prepare_probing(inst, SEED)
 
 
 @functools.lru_cache(maxsize=1)
@@ -432,24 +392,6 @@ def _probing_deadlines4():
 @functools.lru_cache(maxsize=1)
 def _probing_deadlines4_states():
     return list(probing_trial_states(_probing_deadlines4(), 300, SEED))
-
-
-@pytest.mark.parametrize("mode", ["exhaustive", "greedy-heuristic"])
-def test_grouped_probing_search_matches_per_trial_loop(mode):
-    # a knapsack outer scheme draws a random family per trial, so the family
-    # is part of the key
-    pipeline = prepare_probing(_PROBING_KNAPSACK4, SEED)
-    trials = 1500
-    states = list(probing_trial_states(pipeline, trials, SEED))
-    distinct, _ = group_states(states, probing_state_key)
-    assert len({key[3] for key in map(probing_state_key, distinct)}) > 1
-    assert len(distinct) < trials / 4
-    worst, values = _literal_search(states, pipeline.value, 4, mode, SEED)
-    result, estimate = probing_worst_order(pipeline, trials, SEED, mode=mode)
-    assert result.values_by_order == values
-    assert result.worst_order == worst
-    assert estimate == MeanEstimate.from_stream(
-        pipeline.value(state, worst) for state in states)
 
 
 def _counting(pipeline):
@@ -481,17 +423,89 @@ def test_search_calls_trial_value_once_per_order_and_state():
     assert calls["value"] == searched + len(distinct)
 
 
-def test_probing_search_calls_trial_value_once_per_order_of_a_out():
-    pipeline = prepare_probing(_PROBING_KNAPSACK4, SEED)
-    trials = 1000
-    distinct, _ = group_states(probing_trial_states(pipeline, trials, SEED),
-                               probing_state_key)
+# ---------------------------------------------------------------------------
+# the almighty adversary, who picks each trial's order after its coins
+
+
+def _literal_minimum(pipeline, state):
+    """The almighty adversary's value of one state, literally: the least
+    value of a run over every order of its active elements."""
+    return min(pipeline.value(state, order)
+               for order in itertools.permutations(iter_bits(state[1])))
+
+
+_PROPHET_VALUES = st.sampled_from([0.0, 1.0, 1.5, 2.5, 4.0])
+_PROBS = {1: [(1.0,)], 2: [(0.5, 0.5), (0.25, 0.75)],
+          3: [(0.5, 0.25, 0.25), (0.25, 0.5, 0.25)]}
+
+
+@st.composite
+def _prophet_chains(draw):
+    """Prophet pipelines on uniform, partition and graphic chains of at
+    most 5 elements, with supports that share values across elements."""
+    kind = draw(st.sampled_from(["uniform", "partition", "graphic"]))
+    if kind == "uniform":
+        n = draw(st.integers(1, 5))
+        matroid = UniformMatroid(n, draw(st.integers(1, n)))
+    elif kind == "partition":
+        n = draw(st.integers(2, 5))
+        cut = draw(st.integers(1, n - 1))
+        matroid = PartitionMatroid(
+            [range(cut), range(cut, n)],
+            [draw(st.integers(1, cut)), draw(st.integers(1, n - cut))])
+    else:
+        edges = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                              min_size=1, max_size=5))
+        matroid = GraphicMatroid(4, edges)
+    dists = []
+    for _ in range(matroid.n):
+        support = draw(st.lists(_PROPHET_VALUES, min_size=1, max_size=3,
+                                unique=True).map(sorted))
+        dists.append(_dist(support,
+                           draw(st.sampled_from(_PROBS[len(support)]))))
+    b = draw(st.sampled_from([0.5, 0.8]))
+    return prepare_prophet(ProphetInstance(matroid, tuple(dists)),
+                           MatroidChainFactory(matroid, b),
+                           SeedSpec(draw(st.integers(0, 2 ** 32))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pipeline=_prophet_chains(), seed=st.integers(0, 2 ** 32))
+def test_almighty_play_is_the_minimum_over_every_order(pipeline, seed):
+    """Each trial's value is its state's least value over every order of
+    its active set; two least-value bases can hold equal values at
+    different elements, so their index-order sums may differ in the last
+    bits."""
+    collect = []
+    estimate = prophet_almighty_value(pipeline, 300, SeedSpec(seed), collect)
+    states = prophet_trial_states(pipeline, 300, SeedSpec(seed))
+    assert len(collect) == len(states)
+    minima = {}
+    for state, got in zip(states, collect):
+        key = prophet_state_key(state)
+        if key not in minima:
+            minima[key] = _literal_minimum(pipeline, state)
+        assert math.isclose(got, minima[key], rel_tol=1e-12), (state, got)
+    assert estimate == MeanEstimate.from_stream(collect)
+
+
+@pytest.mark.parametrize("pipeline", [_prophet_u42, _prophet_partition],
+                         ids=["u42", "partition"])
+def test_almighty_mean_at_most_worst_fixed_order(pipeline):
+    pipeline = pipeline()
+    _result, worst = prophet_worst_order(pipeline, 4000, SEED)
+    almighty = prophet_almighty_value(pipeline, 4000, SEED, None)
+    assert almighty.mean <= worst.mean
+    assert almighty.trials == worst.trials == 4000
+
+
+def test_almighty_plays_each_distinct_state_once():
+    pipeline = _prophet_u42()
+    distinct, _ = group_states(prophet_trial_states(pipeline, 1000, SEED),
+                               prophet_state_key)
     calls = _counting(pipeline)
-    probing_worst_order(pipeline, trials, SEED)
-    searched = sum(math.factorial(a_out.bit_count())
-                   for a_out, *_rest in distinct)
-    assert searched < 24 * len(distinct)
-    assert calls["value"] == searched + len(distinct)
+    prophet_almighty_value(pipeline, 1000, SEED, None)
+    assert calls["value"] == len(distinct)
 
 
 def _same_restriction(order, mask, other):
@@ -634,6 +648,14 @@ _PROBING_U6 = ProbingInstance(
     p=(0.55, 0.32, 0.57, 0.33, 0.42, 0.47),
     w=(3.22, 8.83, 2.77, 7.78, 5.88, 9.68),
     inner=UniformMatroid(6, 2), outer=UniformMatroid(6, 3), b=0.5)
+
+
+def probing_state_key(state) -> tuple:
+    """Everything a probing run's value depends on, as a tuple: A_out, the
+    active elements inside it and both families (only elements of A_out
+    are probed).  The oracle of `probing_block_key`."""
+    a_out, act, fam_in, fam_out = state
+    return (a_out, act & a_out, fam_in.cache_key(), fam_out.cache_key())
 
 
 def test_probing_mean_runs_once_per_distinct_state_of_each_block():

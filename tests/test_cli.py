@@ -3,6 +3,7 @@
 import itertools
 import json
 import logging
+import math
 import multiprocessing
 import os
 import subprocess
@@ -14,9 +15,10 @@ import pytest
 import ocrs
 from ocrs import cli
 from ocrs.applications import (ProphetInstance, prepare_prophet,
-                               prophet_worst_order)
+                               prophet_almighty_value, prophet_state_key,
+                               prophet_trial_states)
 from ocrs.cli import main
-from ocrs.core import SeedSpec
+from ocrs.core import SeedSpec, iter_bits
 from ocrs.matroids import MatroidPolytope, UniformMatroid
 from ocrs.optimize import DiscreteDistribution
 from ocrs import schemes
@@ -220,31 +222,49 @@ _PROPHET = {"matroid": _U3,
             "dists": [{"support": [0.0, 1.0], "probs": [0.5, 0.5]}] * 3}
 
 
-def test_prophet_worst_order_above_six_elements_is_heuristic(tmp_path,
-                                                             caplog):
-    # exhaustive search stops at 6 elements; above that the command runs
-    # the library's greedy-heuristic search rather than the identity order
+def test_prophet_worst_order_above_six_elements_is_almighty(tmp_path,
+                                                            caplog):
+    # exhaustive search stops at 6 elements; above that the command plays
+    # the almighty adversary, whose value of a trial is the least over
+    # every order of its active set
     obj = {"matroid": {"type": "uniform", "n": 7, "k": 2},
            "dists": [{"support": [0.0, 1.0 + 0.25 * e, 6.0 - 0.5 * e],
                       "probs": [0.6, 0.3, 0.1]} for e in range(7)]}
     inst = _write(tmp_path, "u72.json", obj)
-    out = tmp_path / "u72_out.json"
+    out, csv_out = tmp_path / "u72_out.json", tmp_path / "u72.csv"
     with caplog.at_level(logging.INFO, logger="ocrs"):
-        code = main(["prophet", inst, "--b", "0.5", "--trials", "2000",
-                     "--seed", "1", "--out-json", str(out)])
-    assert code in (0, 1)
-    assert "greedy-heuristic worst-order search over 7 elements" in caplog.text
+        assert main(["prophet", inst, "--b", "0.5", "--trials", "2000",
+                     "--seed", "1", "--out-json", str(out),
+                     "--out-csv", str(csv_out)]) == 0
+    assert "almighty adversary over 7 elements" in caplog.text
     matroid = UniformMatroid(7, 2)
     instance = ProphetInstance(matroid, tuple(
         DiscreteDistribution(d["support"], d["probs"]) for d in obj["dists"]))
     pipeline = prepare_prophet(instance, MatroidChainFactory(matroid, 0.5),
                                SeedSpec(1))
-    result, estimate = prophet_worst_order(pipeline, 2000, SeedSpec(1),
-                                           mode="greedy-heuristic")
+    collect = []
+    estimate = prophet_almighty_value(pipeline, 2000, SeedSpec(1), collect)
     payload = json.loads(out.read_text())
-    assert payload["order"] == list(result.worst_order)
-    assert payload["order"] != list(range(7))
+    assert payload["order"] == "almighty"
     assert payload["mean"] == estimate.mean
+    rows = csv_out.read_text().splitlines()
+    assert rows == ["trial,value"] + [f"{i},{v}"
+                                      for i, v in enumerate(collect)]
+    minima = {}
+    for state, value in zip(prophet_trial_states(pipeline, 2000, SeedSpec(1)),
+                            collect):
+        key = prophet_state_key(state)
+        if key not in minima:
+            minima[key] = min(pipeline.value(state, order) for order in
+                              itertools.permutations(iter_bits(state[1])))
+        assert math.isclose(value, minima[key], rel_tol=1e-12)
+    # a 6-element run still reports the worst fixed order
+    obj6 = dict(obj, matroid={"type": "uniform", "n": 6, "k": 2},
+                dists=obj["dists"][:6])
+    out6 = tmp_path / "u62_out.json"
+    assert main(["prophet", _write(tmp_path, "u62.json", obj6), "--trials",
+                 "500", "--out-json", str(out6)]) == 0
+    assert sorted(json.loads(out6.read_text())["order"]) == list(range(6))
 
 
 def test_default_log_level_keeps_stderr_quiet(tmp_path):
@@ -926,6 +946,25 @@ def test_golden_probing_lp_work(tmp_path, caplog, name, summary):
                      str(tmp_path / "out.json")]) == 0
     assert [r.getMessage() for r in caplog.records
             if r.name == "ocrs.optimize"] == [f"probing LP: {summary}"]
+
+
+@pytest.mark.parametrize("order", ["worst", "identity"])
+@pytest.mark.parametrize("name", ["prophet-u52", "prophet-u62"])
+def test_golden_prophet_reports(tmp_path, capsys, name, order):
+    """Reports and per-trial CSVs of the prophet-worst-u52 benchmark instance
+    at seed 0 and of a 6-element U(6,2) instance, the largest that the worst
+    order is searched for exhaustively, under the worst and the identity
+    order, stay byte for byte what they were when recorded; stderr stays
+    empty at the default log level."""
+    out, csv_out = tmp_path / "report.json", tmp_path / "values.csv"
+    assert main(["prophet", os.path.join(GOLDEN, f"{name}.json"), "--order",
+                 order, "--trials", "2000", "--seed", "3", "--out-json",
+                 str(out), "--out-csv", str(csv_out)]) == 0
+    assert capsys.readouterr().err == ""
+    for produced, suffix in [(out, "report.json"), (csv_out, "csv")]:
+        with open(os.path.join(GOLDEN, f"{name}.{order}.{suffix}"),
+                  "rb") as fh:
+            assert produced.read_bytes() == fh.read()
 
 
 @pytest.mark.parametrize("command,name", [

@@ -4,7 +4,6 @@ import itertools
 import logging
 import math
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -307,40 +306,13 @@ def test_worst_order_value_respects_selectability_bound():
     assert res.worst_value >= target - sd
 
 
-def test_worst_order_heuristic_mode():
-    fac = MatroidChainFactory(UniformMatroid(2, 1), 0.5)
-    fam = fac.bind(FractionalPoint([0.25, 0.25])).sample()
-    gen = SEED.stream(3)
-    states = [(fam, int(gen.integers(4))) for _ in range(1000)]
-    value = _greedy_weight([1.0, 100.0])
-    res = worst_order_value(lambda t: states[t], value, 2, 1000,
-                            mode="greedy-heuristic", seed=SEED)
-    assert res.mode == "greedy-heuristic"
-    assert res.worst_order in ((0, 1), (1, 0))
+def test_order_search_stops_above_eight_elements():
+    # 9! orders are not enumerated; no trial is prepared first
+    def prepare(t):
+        raise AssertionError("prepared a trial")
 
-
-def test_heuristic_search_evaluates_each_order_once(caplog):
-    # hill-climbing swaps back and restarts revisit orders; each distinct
-    # order is still evaluated once
-    fam = MatroidChainFactory(UniformMatroid(4, 1), 0.5).bind(
-        FractionalPoint([0.1] * 4)).sample()
-    gen = SEED.stream(5)
-    actives = [int(v) for v in gen.integers(16, size=500)]
-    value = _greedy_weight([1.0, 5.0, 20.0, 100.0])
-    calls = Counter()
-
-    def counted(state, order):
-        calls[tuple(order)] += 1
-        return value(state, order)
-
-    with caplog.at_level(logging.INFO, logger="ocrs.harness"):
-        res = worst_order_value(lambda t: (fam, actives[t]), counted, 4, 500,
-                                mode="greedy-heuristic", seed=SEED)
-    assert set(calls.values()) == {500}
-    assert f"{len(calls)} orders evaluated" in caplog.text
-    for order, mean in res.values_by_order.items():
-        assert mean == sum(value((fam, a), order) for a in actives) / 500
-    assert res.worst_value == min(res.values_by_order.values())
+    with pytest.raises(ValueError, match="limited to n <= 8"):
+        worst_order_value(prepare, lambda state, order: 0.0, 9, 10)
 
 
 def test_group_states_first_seen_order():
@@ -371,10 +343,9 @@ def test_grouped_search_equals_per_trial_search(caplog):
        actives=st.lists(st.integers(0, 15), min_size=1, max_size=40),
        weights=st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0, 100.0]),
                         min_size=4, max_size=4),
-       mode=st.sampled_from(["exhaustive", "greedy-heuristic"]),
        grouped=st.booleans())
 def test_masked_search_equals_search_over_every_element(k, actives, weights,
-                                                        mode, grouped):
+                                                        grouped):
     """Keyed by each state's active set, the search gives the same means,
     worst order and value as the search that plays every state under every
     order, with one value call per distinct (state, restricted order)."""
@@ -393,16 +364,14 @@ def test_masked_search_equals_search_over_every_element(k, actives, weights,
         return value(state, order)
 
     plain = worst_order_value(lambda i: (fam, distinct[i]), value, 4,
-                              len(distinct), mode=mode, seed=SEED,
-                              trial_state=trial_state)
+                              len(distinct), trial_state=trial_state)
     masked = worst_order_value(lambda i: (fam, distinct[i]), counted, 4,
-                               len(distinct), mode=mode, seed=SEED,
-                               trial_state=trial_state, masks=distinct)
+                               len(distinct), trial_state=trial_state,
+                               masks=distinct)
     assert masked.values_by_order == plain.values_by_order
     assert masked.worst_order == plain.worst_order
     assert masked.worst_value == plain.worst_value
-    if mode == "exhaustive":
-        assert calls == sum(math.factorial(a.bit_count()) for a in distinct)
+    assert calls == sum(math.factorial(a.bit_count()) for a in distinct)
 
 
 def test_grouped_values_run_once_per_state_of_each_block(caplog):
