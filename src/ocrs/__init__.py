@@ -37,9 +37,9 @@ from .applications import (ProbingInstance, ProphetInstance, RatioReport,
                            prophet_worst_order)
 from .submodular import (SubmodularOracle, continuous_greedy,
                          coverage_function, directed_cut, half_subsample_value,
-                         multilinear_exact, multilinear_sampled,
-                         ocrs_submodular_value, run_submodular_probing,
-                         submodular_from_json, weighted_matroid_rank)
+                         multilinear_exact, ocrs_submodular_value,
+                         run_submodular_probing, submodular_from_json,
+                         weighted_matroid_rank)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -38,8 +38,7 @@ from .optimize import (ConstraintSpec, KnapsackConstraint,
 from .schemes import GreedyOcrsFactory, MatroidChainFactory, factory_from_json
 from .submodular import (SubmodularOracle, half_subsample_value,
                          multilinear_exact, ocrs_submodular_value,
-                         require_exact, run_submodular_probing,
-                         submodular_from_json)
+                         run_submodular_probing, submodular_from_json)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -70,11 +69,14 @@ def constraint_from_json(obj: dict) -> ConstraintSpec:
     return matroid_from_json(obj)
 
 
-def _unit_float(value) -> float:
-    b = json_float(value)
-    if not 0.0 <= b <= 1.0:
+def _unit(value):
+    if not 0 <= value <= 1:
         raise ValueError("must lie in [0, 1]")
-    return b
+    return value
+
+
+def _unit_float(value) -> float:
+    return _unit(json_float(value))
 
 
 def _probing_fields(obj: dict, b: float) -> tuple:
@@ -201,18 +203,26 @@ def cmd_verify_selectability(args) -> int:
     return EXIT_PASS if report.all_pass() else EXIT_FAIL
 
 
+def _family_size(n: int) -> int:
+    # the enumeration of subfamilies is doubly exponential in n
+    if not 1 <= n <= 4:
+        raise ValueError("must lie in 1..4")
+    return n
+
+
 def cmd_impossibility(args) -> int:
-    b = read_field("--b", args.b, _rational)
-    best, witness = knapsack_deterministic_impossibility(args.n, b)
-    expected = (1 - b) ** (args.n - 1)
+    n = read_field("--n", args.n, _family_size)
+    b = read_field("--b", args.b, lambda text: _unit(_rational(text)))
+    best, witness = knapsack_deterministic_impossibility(n, b)
+    expected = (1 - b) ** (n - 1)
     payload = {
-        "n": args.n,
+        "n": n,
         "b": str(b),
         "best_selectability": str(best),
         "best_selectability_float": float(best),
         "expected": str(expected),
         "matches_closed_form": best == expected,
-        "witness_family": [sorted(e for e in range(args.n) if (m >> e) & 1)
+        "witness_family": [sorted(e for e in range(n) if (m >> e) & 1)
                            for m in witness],
     }
     _write_json(args.out_json, payload)
@@ -239,7 +249,7 @@ def cmd_prophet(args) -> int:
               read_field("order", obj.get("order", "worst"), _arrival_order))
     instance = ProphetInstance(matroid, dists, arrival_order=policy)
     seed = SeedSpec(args.seed)
-    factory = MatroidChainFactory(matroid, args.b, eps=args.eps)
+    factory = MatroidChainFactory(matroid, args.b)
     pipeline = prepare_prophet(instance, factory, seed)
     benchmark = brute_force_prophet_opt(instance)
     bound = args.b * factory.bound()
@@ -329,9 +339,9 @@ def cmd_probing(args) -> int:
 
 
 def _objective(value, probing: bool) -> SubmodularOracle:
-    """The instance's ``f``: every report's benchmark is `multilinear_exact`
-    of it, and probing needs it monotone."""
-    f = require_exact(submodular_from_json(value))
+    """The instance's ``f``, tabulated and audited; probing needs it
+    monotone."""
+    f = submodular_from_json(value)
     if probing and not f.monotone:
         raise ValueError("submodular probing needs a monotone objective")
     return f
@@ -368,7 +378,7 @@ def cmd_submodular(args) -> int:
     b = read_field("b", obj.get("b", args.b), _unit_float)
     matroid = field(obj, "matroid", matroid_from_json)
     _check_ground_size(f, {"matroid": matroid})
-    factory = MatroidChainFactory(matroid, b, eps=args.eps)
+    factory = MatroidChainFactory(matroid, b)
     if "x" in obj:
         x = _point_from_json(obj, matroid.n)
         if not in_scaled_matroid_polytope(matroid, x, b):
@@ -452,13 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="online contention resolution experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eps: bool, out_csv: bool, parallel: bool):
+    def common(p, out_csv: bool, parallel: bool):
         p.add_argument("instance", help="instance JSON file")
         p.add_argument("--b", type=_finite_float, default=0.5,
                        help="polytope scale (default 0.5)")
-        if eps:
-            p.add_argument("--eps", type=_finite_float, default=0.05,
-                           help="chain construction tolerance")
         p.add_argument("--trials", type=int, default=100000)
         p.add_argument("--seed", type=int, default=0,
                        help="master seed, in [0, 2^64)")
@@ -472,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-selectability",
                        help="estimate per-element selectability vs the bound")
-    common(p, eps=True, out_csv=True, parallel=True)
+    common(p, out_csv=True, parallel=True)
+    p.add_argument("--eps", type=_finite_float, default=0.05,
+                   help="chain construction tolerance")
     p.add_argument("--scheme", required=True,
                    choices=["matroid", "matching", "knapsack", "intersect"])
     p.add_argument("--exact", action="store_const", const=True, default=None,
@@ -485,20 +494,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", default=None)
 
     p = sub.add_parser("prophet", help="prophet pipeline competitive ratio")
-    common(p, eps=True, out_csv=True, parallel=False)
+    common(p, out_csv=True, parallel=False)
     p.add_argument("--order", choices=["worst", "identity"], default=None,
                    help="arrival order; overrides the instance's 'order' "
                         "(default: the instance's, else worst)")
 
     p = sub.add_parser("probing", help="stochastic probing pipeline, with "
                        "deadlines when the instance has them")
-    common(p, eps=False, out_csv=True, parallel=False)
+    common(p, out_csv=True, parallel=False)
     p.add_argument("--dump-lp", default=None,
                    help="write the generated LP rows and the separation "
                         "certificate to this file")
 
     p = sub.add_parser("submodular", help="submodular objective pipelines")
-    common(p, eps=True, out_csv=False, parallel=False)
+    common(p, out_csv=False, parallel=False)
 
     p = sub.add_parser("validate-matroid", help="exhaustive matroid audits")
     p.add_argument("instance")

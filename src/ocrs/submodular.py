@@ -1,9 +1,9 @@
-"""Submodular objectives: multilinear extension, subsampling bounds,
-continuous greedy, and submodular probing.
+"""Submodular objectives: the exact multilinear extension, subsampling
+bounds, continuous greedy, and submodular probing.
 
-Oracles audit submodularity (and monotonicity when claimed) exhaustively at
-construction for small ground sets; the multilinear extension has an exact
-mode (full 2^n sum) and a sampled mode with confidence half-widths.
+An oracle has at most 14 elements.  It tabulates its function once and
+audits the table at construction, so every value, the multilinear extension
+and every gradient of the ascent are exact reads of that table.
 """
 
 from __future__ import annotations
@@ -11,21 +11,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .applications import default_factory, probe, probing_block_key
 from .core import (FractionalPoint, SeedSpec, field, float_list, int_list,
-                   iter_bits, json_float, json_int, ordered_sum,
-                   pack_mask_rows, read_field, subset_probs, trial_columns)
+                   iter_bits, json_float, json_int, ordered_sum, read_field,
+                   subset_probs, trial_columns)
 from .harness import MeanEstimate, grouped_values
 from .matroids import (Matroid, in_scaled_matroid_polytope,
                        max_weight_independent)
 from .optimize import ConstraintSpec, cutting_plane_lp
 from .schemes import GreedyOcrsFactory, run_greedy_mask
 
-_AUDIT_LIMIT = 8
 _EXACT_LIMIT = 14
 
 _DOMAIN_TRIALS = 20
@@ -34,33 +33,32 @@ _DOMAIN_CONSTRUCT_OUT = 23
 
 
 class SubmodularOracle:
-    """Nonnegative set function with an audited submodularity certificate."""
+    """Nonnegative set function on at most 14 elements, tabulated once.
+
+    ``table[mask]`` is ``fn(mask)`` for every subset.  The table is audited
+    at construction: nonnegativity, then values below half the float
+    maximum, then monotonicity when claimed, then submodularity in local
+    form.  The last two compare float sums, whose rounding grows with their
+    scale, so they allow ``1e-9 * max(1, max |f|)``.
+    """
 
     def __init__(self, n: int, fn: Callable[[int], float], kind: str,
                  monotone: bool):
+        if n > _EXACT_LIMIT:
+            raise ValueError(
+                "exact multilinear evaluation limited to 14 elements")
         self.n = n
-        self._fn = fn
         self.kind = kind
         self.monotone = monotone
-        self._table: Optional[np.ndarray] = None
-        if n <= _AUDIT_LIMIT:
-            self._audit()
+        self.table = np.array([fn(mask) for mask in range(1 << n)],
+                              dtype=float)
+        self._audit()
 
     def value(self, mask: int) -> float:
-        if self._table is not None:
-            return float(self._table[mask])
-        return self._fn(mask)
-
-    def table(self) -> np.ndarray:
-        if self._table is None:
-            if self.n > _EXACT_LIMIT + 2:
-                raise ValueError("full value table too large")
-            self._table = np.array([self._fn(mask)
-                                    for mask in range(1 << self.n)])
-        return self._table
+        return float(self.table[mask])
 
     def _audit(self) -> None:
-        tab = self.table()
+        tab = self.table
         if np.any(tab < -1e-9):
             raise ValueError("function must be nonnegative")
         if tab.max() > np.finfo(float).max / 2:
@@ -69,21 +67,20 @@ class SubmodularOracle:
             raise ValueError("'f' takes values above half the float "
                              "maximum, too large to audit for "
                              "submodularity")
-        total = 1 << self.n
-        for a in range(total):
+        tol = 1e-9 * max(1.0, float(np.abs(tab).max()))
+        if self.monotone:
             for e in range(self.n):
-                bit = 1 << e
-                if a & bit:
-                    continue
-                if self.monotone and tab[a | bit] < tab[a] - 1e-9:
+                pairs = tab.reshape(-1, 2, 1 << e)
+                if np.any(pairs[:, 1] < pairs[:, 0] - tol):
                     raise ValueError("function is not monotone")
-        idx = np.arange(total)
-        a_grid = idx[:, None]
-        b_grid = idx[None, :]
-        lhs = tab[a_grid] + tab[b_grid]
-        rhs = tab[a_grid | b_grid] + tab[a_grid & b_grid]
-        if np.any(lhs < rhs - 1e-9):
-            raise ValueError("function is not submodular")
+        # f(S+e) + f(S+g) >= f(S+e+g) + f(S) for e < g and S holding
+        # neither, which is equivalent to submodularity
+        for g in range(self.n):
+            for e in range(g):
+                quad = tab.reshape(-1, 2, 1 << (g - e - 1), 2, 1 << e)
+                if np.any(quad[:, 0, :, 1] + quad[:, 1, :, 0]
+                          < quad[:, 1, :, 1] + quad[:, 0, :, 0] - tol):
+                    raise ValueError("function is not submodular")
 
 
 def coverage_function(universe_weights: Sequence[float],
@@ -167,27 +164,9 @@ def submodular_from_json(obj: dict) -> SubmodularOracle:
 # multilinear extension
 
 
-def require_exact(f: SubmodularOracle) -> SubmodularOracle:
-    """``f`` itself, if `multilinear_exact` can evaluate it; a ValueError
-    above 14 elements."""
-    if f.n > _EXACT_LIMIT:
-        raise ValueError("exact multilinear evaluation limited to 14 elements")
-    return f
-
-
 def multilinear_exact(f: SubmodularOracle, x: FractionalPoint) -> float:
     """F(x) = E[f(R(x))] by the full weighted sum over subsets."""
-    table = require_exact(f).table()
-    return float(np.dot(subset_probs(x.values, range(x.n)), table))
-
-
-def multilinear_sampled(f: SubmodularOracle, x: FractionalPoint, trials: int,
-                        seed: SeedSpec) -> MeanEstimate:
-    return MeanEstimate.from_stream(
-        f.value(mask)
-        for _start, (masks,) in trial_columns(seed, _DOMAIN_TRIALS, trials,
-                                              [x.values])
-        for mask in masks.tolist())
+    return float(np.dot(subset_probs(x.values, range(x.n)), f.table))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +230,7 @@ def _exact_marginals(f: SubmodularOracle, x: np.ndarray) -> np.ndarray:
     """Partial derivatives of the extension: E[f(S + e) - f(S)] with S drawn
     from R(x) restricted away from e.  (The raise-to-one marginal equals
     this scaled by 1 - x_e; either drives the ascent to the same bound.)"""
-    tab = f.table()
+    tab = f.table
     n = x.size
     gains = np.zeros(n)
     idx = np.arange(1 << n)
@@ -264,69 +243,51 @@ def _exact_marginals(f: SubmodularOracle, x: np.ndarray) -> np.ndarray:
     return gains
 
 
-def _sampled_marginals(f: SubmodularOracle, x: np.ndarray, samples: int,
-                       gen: np.random.Generator) -> np.ndarray:
-    n = x.size
-    gains = np.zeros(n)
-    draws = gen.random((samples, n))
-    masks = pack_mask_rows(draws < x)
-    for e in range(n):
-        bit = 1 << e
-        acc = 0.0
-        for m in masks.tolist():
-            base = m & ~bit
-            acc += f.value(base | bit) - f.value(base)
-        gains[e] = acc / samples
-    return gains
+def _ascent(f: SubmodularOracle, p: np.ndarray, b: float,
+            direction: Callable[[np.ndarray], np.ndarray],
+            check: Callable[[np.ndarray], None]) -> FractionalPoint:
+    """Continuous greedy (Calinescu, Chekuri, Pal & Vondrak 2011) on
+    F(p o x), stopped at time b, 100 steps per unit of time.
+
+    Each step adds a vertex that ``direction`` picks for the exact gains
+    of F(p o x).  The point is b / steps times the sum of the vertices so
+    far, so it stays in b times the region (a down-closed convex set), and
+    ``check`` asserts that after every step.
+    """
+    x = np.zeros(p.size)
+    if b == 0.0:
+        return FractionalPoint(x)
+    steps = max(1, round(b * 100))
+    vertex_sum = np.zeros(p.size)
+    for _ in range(steps):
+        vertex_sum += direction(_exact_marginals(f, p * x) * p)
+        # b * (vertex_sum / steps) puts a coordinate that every direction
+        # holds at b exactly
+        x = np.minimum(b * (vertex_sum / steps), 1.0)
+        check(x)
+    return FractionalPoint(x)
 
 
-def continuous_greedy(f: SubmodularOracle, matroid: Matroid, b: float,
-                      steps_per_unit: int = 100,
-                      gradient_samples: int = 500,
-                      stream: Optional[np.random.Generator] = None,
-                      exact_gradients: Optional[bool] = None) -> FractionalPoint:
+def continuous_greedy(f: SubmodularOracle, matroid: Matroid,
+                      b: float) -> FractionalPoint:
     """Ascent toward max F over the matroid polytope, stopped at time b.
 
-    Each step adds delta times the indicator of a maximum-gain independent
-    set; after k steps the point is a scaled convex combination of vertices,
-    so membership in b * P holds by construction and is asserted after
-    every step, against the matroid's rank table (ValueError above
-    EXHAUSTIVE_LIMIT elements).
+    Each direction is the indicator of a maximum-gain independent set, and
+    membership in b * P is asserted after every step against the matroid's
+    rank table.
     """
     if not f.monotone:
         raise ValueError("continuous greedy needs a monotone objective")
     if not 0.0 <= b <= 1.0:
         raise ValueError("stop time must lie in [0, 1]")
     n = matroid.n
-    x = np.zeros(n)
-    if b == 0.0:
-        return FractionalPoint(x)
-    use_exact = (exact_gradients if exact_gradients is not None
-                 else f.n <= _EXACT_LIMIT)
-    if not use_exact and stream is None:
-        raise ValueError("sampled gradients need a stream")
-    steps = max(1, round(b * steps_per_unit))
-    counts = np.zeros(n)
-    matroid.polytope()  # the step check's table: fail before any step
 
-    def point() -> np.ndarray:
-        # b * (counts / steps) keeps every coordinate at most b exactly;
-        # the average of <= steps vertex indicators stays inside b * P
-        return b * (counts / steps)
+    def direction(gains: np.ndarray) -> np.ndarray:
+        chosen = max_weight_independent(matroid, gains)
+        return np.array([chosen >> e & 1 for e in range(n)], dtype=float)
 
-    for _ in range(steps):
-        x = point()
-        if use_exact:
-            gains = _exact_marginals(f, x)
-        else:
-            gains = _sampled_marginals(f, x, gradient_samples, stream)
-        direction = max_weight_independent(matroid, gains)
-        for e in iter_bits(direction):
-            counts[e] += 1
-        assert in_scaled_matroid_polytope(matroid, FractionalPoint(point()),
-                                          b), \
-            "continuous greedy stepped outside b * P"
-    return FractionalPoint(point())
+    return _ascent(f, np.ones(n), b, direction, lambda x:
+                   _assert_scaled_membership(FractionalPoint(x), matroid, b))
 
 
 # ---------------------------------------------------------------------------
@@ -355,32 +316,22 @@ def _direction_lp(gains: np.ndarray, p: Sequence[float],
 def continuous_greedy_probing(f: SubmodularOracle, p: Sequence[float],
                               inner: ConstraintSpec, outer: ConstraintSpec,
                               b: float) -> FractionalPoint:
-    """Continuous greedy on F(p o x) over the probing feasible region, 100
-    steps per unit of time.
+    """Continuous greedy on F(p o x) over the probing feasible region.
 
     Directions are vertices of {x : p o x in P_in, x in P_out, x in [0,1]}
-    found by the exact simplex, so after stopping at time b the point
-    satisfies p o x in b*P_in and x in b*P_out simultaneously.
+    found by the exact simplex, and after every step the point satisfies
+    p o x in b*P_in and x in b*P_out simultaneously (asserted).
     """
     if not f.monotone:
         raise ValueError("submodular probing needs a monotone objective")
-    n = f.n
     pv = np.asarray(p, dtype=float)
-    x = np.zeros(n)
-    if b == 0.0:
-        return FractionalPoint(x)
-    steps = max(1, round(b * 100))
-    vertex_sum = np.zeros(n)
-    for _ in range(steps):
-        x = np.minimum(b * (vertex_sum / steps), 1.0)
-        gains = _exact_marginals(f, pv * x) * pv
-        direction = _direction_lp(gains, p, inner, outer)
-        vertex_sum += direction
-    x = np.minimum(b * (vertex_sum / steps), 1.0)
-    point = FractionalPoint(x)
-    _assert_scaled_membership(FractionalPoint(pv * x), inner, b)
-    _assert_scaled_membership(point, outer, b)
-    return point
+
+    def check(x: np.ndarray) -> None:
+        _assert_scaled_membership(FractionalPoint(pv * x), inner, b)
+        _assert_scaled_membership(FractionalPoint(x), outer, b)
+
+    return _ascent(f, pv, b,
+                   lambda gains: _direction_lp(gains, p, inner, outer), check)
 
 
 def _assert_scaled_membership(y: FractionalPoint, spec: ConstraintSpec,

@@ -629,6 +629,45 @@ def test_impossibility_b_with_zero_denominator_is_an_input_error(capsys):
         "input error: bad '--b': zero denominator in '1/0'")
 
 
+@pytest.mark.parametrize("n, b, message", [
+    ("0", "0.5", "bad '--n': must lie in 1..4"),
+    ("-1", "0.5", "bad '--n': must lie in 1..4"),
+    ("5", "0.5", "bad '--n': must lie in 1..4"),
+    ("2", "2", "bad '--b': must lie in [0, 1]"),
+    ("2", "3/2", "bad '--b': must lie in [0, 1]"),
+], ids=["n-zero", "n-negative", "n-five", "b-two", "b-three-halves"])
+def test_impossibility_out_of_range_flags_name_the_flag(capsys, n, b,
+                                                        message):
+    assert main(["impossibility", "--n", n, "--b", b]) == 2
+    assert _input_error_line(capsys) == f"input error: {message}"
+
+
+def test_submodular_audit_allows_rounding_at_large_scale(tmp_path):
+    """Coverage values are float sums.  Here f(A) + f(B) = 39603311.3 and
+    f(A | B) + f(A & B) = 39603311.300000004, one ulp apart; the audit's
+    tolerance grows with max |f|, so the coverage is accepted."""
+    path = _write(tmp_path, "inst.json", {
+        "f": {"universe_weights": [9343379.3, 1470903.3, 4379168.9,
+                                   7380092.3, 4778122.6],
+              "covers": [[1, 4], [2, 4], [0, 2], [0, 2], [0, 3]]},
+        "matroid": {"type": "uniform", "n": 5, "k": 2}})
+    assert main(["submodular", path, "--trials", "100", "--out-json",
+                 str(tmp_path / "out.json")]) == 0
+
+
+def test_submodular_values_above_half_the_float_maximum_exit_2(tmp_path,
+                                                                capsys):
+    """A 10-element objective is audited when it is built, so values too
+    large to add exit 2 there, before any trial runs."""
+    path = _write(tmp_path, "inst.json", {
+        "f": {"universe_weights": [8e307, 8e307], "covers": [[0], [1]] * 5},
+        "matroid": {"type": "uniform", "n": 10, "k": 2}})
+    assert main(["submodular", path, "--trials", "100"]) == 2
+    assert _input_error_line(capsys) == (
+        "input error: bad 'f': 'f' takes values above half the float "
+        "maximum, too large to audit for submodularity")
+
+
 def test_input_error_prints_one_stderr_line(tmp_path):
     """At the default log level an input error prints one line on stderr
     and nothing else; a subprocess sees what pytest's log capture would
@@ -782,7 +821,10 @@ def test_experiment_config_api(tmp_path, capsys):
                  "outer": _U3}, "--eps"),
     ("probing", {"p": [0.5] * 3, "w": [1.0, 2.0, 3.0], "inner": _U3,
                  "outer": _U3, "deadlines": [1, 2, 3]}, "--eps"),
-], ids=["submodular-out-csv", "probing-eps", "probing-deadlines-eps"])
+    ("prophet", _PROPHET, "--eps"),
+    ("submodular", {"f": _COVER3, "matroid": _U3}, "--eps"),
+], ids=["submodular-out-csv", "probing-eps", "probing-deadlines-eps",
+        "prophet-eps", "submodular-eps"])
 def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, command,
                                             instance, flag):
     path = _write(tmp_path, "inst.json", instance)
@@ -971,14 +1013,17 @@ def test_golden_prophet_reports(tmp_path, capsys, name, order):
     ("submodular", "submodular-probing5"),
     ("submodular", "submodular-graphic6"),
     ("submodular", "submodular-cut6"),
+    ("submodular", "submodular-cover12"),
+    ("submodular", "submodular-cut12"),
     ("validate-matroid", "validate-graphic7"),
 ])
 def test_golden_submodular_and_validate_reports(tmp_path, capsys, command,
                                                 name):
     """Reports of submodular probing with a graphic outer matroid (the
     direction LPs and the chain read one rank table), monotone submodular
-    OCRS and the half-subsample mode of a directed cut on graphic K4, and
-    the audit of K4 plus a parallel edge stay byte for byte what they were
+    OCRS and the half-subsample mode of a directed cut on graphic K4 and
+    on U(12,3) (a coverage over 20 items, and a 12-node cut), and the
+    audit of K4 plus a parallel edge stay byte for byte what they were
     when recorded."""
     out = tmp_path / "report.json"
     extra = ([] if command == "validate-matroid"

@@ -21,8 +21,7 @@ from ocrs.submodular import (_DOMAIN_CONSTRUCT_IN, _DOMAIN_CONSTRUCT_OUT,
                              continuous_greedy, continuous_greedy_probing,
                              coverage_function,
                              directed_cut, half_subsample_value,
-                             multilinear_exact, multilinear_sampled,
-                             ocrs_submodular_value,
+                             multilinear_exact, ocrs_submodular_value,
                              run_submodular_probing, submodular_from_json,
                              weighted_matroid_rank)
 
@@ -51,6 +50,74 @@ def test_oracle_audit_rejects_wrong_monotone_flag():
     cut = directed_cut(3, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         SubmodularOracle(3, cut.value, "cut", monotone=True)
+
+
+@pytest.mark.parametrize("n", [10, 14])
+def test_oracle_audit_covers_every_size(n):
+    """Above the 8 elements the audit once stopped at: |S|^2 is not
+    submodular, and the cut function of the complete graph is not
+    monotone."""
+    with pytest.raises(ValueError, match="not submodular"):
+        SubmodularOracle(n, lambda mask: float(mask.bit_count() ** 2),
+                         "square", monotone=True)
+    with pytest.raises(ValueError, match="not monotone"):
+        SubmodularOracle(n, lambda mask: float(mask.bit_count()
+                                               * (n - mask.bit_count())),
+                         "complete-cut", monotone=True)
+
+
+def _literal_audit(table, monotone):
+    """The audit's verdict by the definitions: nonnegativity, then
+    monotonicity over every (S, e) when claimed, then
+    f(A) + f(B) >= f(A | B) + f(A & B) over every pair of subsets."""
+    size = len(table)
+    if min(table) < 0:
+        return "function must be nonnegative"
+    if monotone and any(table[a | 1 << e] < table[a] for a in range(size)
+                        for e in range(size.bit_length() - 1)):
+        return "function is not monotone"
+    if any(table[a] + table[b] < table[a | b] + table[a & b]
+           for a in range(size) for b in range(size)):
+        return "function is not submodular"
+    return None
+
+
+@st.composite
+def _integer_tables(draw):
+    """Integer tables on at most 5 elements, near submodular: budgeted
+    modular terms plus directed cut arcs, with one entry moved by -1, 0
+    or +1."""
+    n = draw(st.integers(0, 5))
+    table = [0] * (1 << n)
+    for _ in range(draw(st.integers(0, 3))):
+        members = draw(st.integers(0, (1 << n) - 1))
+        budget = draw(st.integers(1, 3))
+        for mask in range(1 << n):
+            table[mask] += min(budget, (mask & members).bit_count())
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            u, v = draw(st.permutations(range(n)))[:2]
+            for mask in range(1 << n):
+                table[mask] += (mask >> u & 1) and not (mask >> v & 1)
+    mask = draw(st.integers(0, (1 << n) - 1))
+    table[mask] += draw(st.sampled_from([-1, 0, 1]))
+    return n, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_integer_tables(), monotone=st.booleans())
+def test_local_audit_matches_pairwise_definition(case, monotone):
+    """On integer values the tolerance plays no part, so the local-form
+    audit accepts and rejects exactly as the definitions do, and names
+    the same first failure."""
+    n, table = case
+    try:
+        SubmodularOracle(n, lambda mask: float(table[mask]), "table",
+                         monotone)
+        verdict = None
+    except ValueError as exc:
+        verdict = str(exc)
+    assert verdict == _literal_audit(table, monotone)
 
 
 def test_weighted_matroid_rank_is_audited():
@@ -98,15 +165,6 @@ def test_multilinear_matches_hand_sum():
                          for e in range(4))
         expect += prob * f.value(mask)
     assert multilinear_exact(f, x) == pytest.approx(expect)
-
-
-def test_multilinear_sampled_agrees_with_exact():
-    f = coverage_function(list(range(1, 11)),
-                          [[i, (i + 1) % 10] for i in range(10)])
-    x = FractionalPoint([0.3] * 10)
-    exact = multilinear_exact(f, x)
-    est = multilinear_sampled(f, x, 40_000, SEED)
-    assert abs(est.mean - exact) <= 3 * est.halfwidth
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +359,7 @@ def test_continuous_greedy_zero_time():
 
 def test_continuous_greedy_modular_takes_best_vertex():
     f = modular([3.0, 2.0, 1.0])
-    x = continuous_greedy(f, UniformMatroid(3, 1), 0.5, steps_per_unit=100)
+    x = continuous_greedy(f, UniformMatroid(3, 1), 0.5)
     assert x.values[0] == pytest.approx(0.5)
     assert x.values[1] == 0.0 and x.values[2] == 0.0
 
@@ -310,7 +368,7 @@ def test_continuous_greedy_guarantee_coverage():
     f = coverage_function([1.0, 2.0, 1.5, 0.5, 1.0],
                           [[0, 1], [1, 2], [2, 3], [3, 4]])
     m = UniformMatroid(4, 2)
-    x = continuous_greedy(f, m, 1.0, steps_per_unit=100)
+    x = continuous_greedy(f, m, 1.0)
     best_integral = max(f.value(mask) for mask in range(1 << 4)
                         if m.indep(mask))
     assert multilinear_exact(f, x) >= (1 - math.exp(-1) - 0.02) * best_integral
@@ -320,27 +378,51 @@ def test_continuous_greedy_partial_time_membership():
     f = coverage_function([1.0, 1.0, 1.0], [[0], [1], [2]])
     m = UniformMatroid(3, 2)
     for b in (0.3, 0.5, 0.75):
-        x = continuous_greedy(f, m, b, steps_per_unit=40)
+        x = continuous_greedy(f, m, b)
         assert x.values.sum() <= 2 * b + 1e-12
 
 
-@pytest.mark.parametrize("n", [13, 16])
+@pytest.mark.parametrize("n", [13, 14])
 def test_continuous_greedy_checks_every_step(monkeypatch, n):
     """The per-step membership assert covers matroids of more than 12
-    elements: a dependent direction (every element of U(n, 2)) makes the
-    first step leave b * P."""
+    elements: with a dependent direction (every element of U(n, 2)) each
+    of the 50 steps at b = 1/2 adds 0.01 to every coordinate, and the
+    8th is the first whose point, at load 0.08 n, leaves b * P."""
+    steps = []
+
+    def every_element(m, gains):
+        steps.append(gains)
+        return m.ground_mask
+
     monkeypatch.setattr("ocrs.submodular.max_weight_independent",
-                        lambda m, gains: m.ground_mask)
-    with pytest.raises(AssertionError, match="stepped outside b"):
-        continuous_greedy(modular([1.0] * n), UniformMatroid(n, 2), 0.5,
-                          steps_per_unit=1, stream=SEED.stream(9),
-                          exact_gradients=False)
+                        every_element)
+    with pytest.raises(AssertionError, match="left the scaled polytope"):
+        continuous_greedy(modular([1.0] * n), UniformMatroid(n, 2), 0.5)
+    assert len(steps) == 8
+    # the gradient of a modular objective is its weights
+    assert all(np.allclose(g, np.ones(n)) for g in steps)
 
 
 def test_continuous_greedy_beyond_the_table_raises():
-    with pytest.raises(ValueError, match="limited to 24 elements"):
-        continuous_greedy(modular([1.0] * 25), UniformMatroid(25, 2), 0.5,
-                          steps_per_unit=2, stream=SEED.stream(9))
+    with pytest.raises(ValueError, match="limited to 14 elements"):
+        continuous_greedy(modular([1.0] * 15), UniformMatroid(15, 2), 0.5)
+
+
+def test_probing_ascent_checks_every_step(monkeypatch):
+    """A direction far outside the probing region trips the membership
+    assert at the first step, not after the last."""
+    steps = []
+
+    def outside(gains, p, inner, outer):
+        steps.append(gains)
+        return np.full(len(p), 100.0)
+
+    monkeypatch.setattr("ocrs.submodular._direction_lp", outside)
+    with pytest.raises(AssertionError, match="left the scaled polytope"):
+        continuous_greedy_probing(modular([1.0, 2.0, 3.0]), [1.0] * 3,
+                                  UniformMatroid(3, 1), UniformMatroid(3, 2),
+                                  0.5)
+    assert len(steps) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +467,6 @@ def test_submodular_probing_rejects_non_monotone():
     with pytest.raises(ValueError):
         continuous_greedy_probing(cut, [0.5, 0.5], UniformMatroid(2, 1),
                                   UniformMatroid(2, 2), 0.5)
-
-
-def test_continuous_greedy_sampled_gradients():
-    f = modular([4.0, 1.0, 0.5])
-    x = continuous_greedy(f, UniformMatroid(3, 1), 0.5, steps_per_unit=20,
-                          gradient_samples=300, stream=SEED.stream(9),
-                          exact_gradients=False)
-    # sampling noise cannot flip the clear argmax on a modular objective
-    assert x.values[0] == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        continuous_greedy(f, UniformMatroid(3, 1), 0.5,
-                          exact_gradients=False)
 
 
 def test_submodular_probing_with_knapsack_inner():
