@@ -28,7 +28,7 @@ from .applications import (ProbingInstance, ProphetInstance,
                            prophet_worst_order)
 from .core import (FractionalPoint, SeedSpec, field, float_list, int_list,
                    json_float, json_str, num_blocks, read_field)
-from .harness import (MeanEstimate, bind_sampler,
+from .harness import (MeanEstimate, bind_sampler, family_size,
                       knapsack_deterministic_impossibility,
                       report_from_counts, selectability_counts)
 from .matroids import (check_matroid_axioms, in_scaled_matroid_polytope,
@@ -203,15 +203,8 @@ def cmd_verify_selectability(args) -> int:
     return EXIT_PASS if report.all_pass() else EXIT_FAIL
 
 
-def _family_size(n: int) -> int:
-    # the enumeration of subfamilies is doubly exponential in n
-    if not 1 <= n <= 4:
-        raise ValueError("must lie in 1..4")
-    return n
-
-
 def cmd_impossibility(args) -> int:
-    n = read_field("--n", args.n, _family_size)
+    n = read_field("--n", args.n, family_size)
     b = read_field("--b", args.b, lambda text: _unit(_rational(text)))
     best, witness = knapsack_deterministic_impossibility(n, b)
     expected = (1 - b) ** (n - 1)

@@ -19,8 +19,8 @@ from typing import (Callable, Hashable, Iterable, Iterator, Optional,
 
 import numpy as np
 
-from .core import (FractionalPoint, SeedSpec, block_states, group_rows,
-                   iter_bits, iter_submasks, trial_columns)
+from .core import (TABLE_BYTES, FractionalPoint, SeedSpec, block_states,
+                   group_rows, iter_bits, iter_submasks, trial_columns)
 from .schemes import FeasibleFamily, GreedyOcrsFactory, SchemeSampler
 
 Z_99 = 2.576
@@ -192,10 +192,27 @@ def selectability_counts(sampler: SchemeSampler, x: FractionalPoint,
     """Per element, the number of trials in a range of trial blocks in which
     it is selectable: an int64 array of length n.
 
-    The counts for disjoint block ranges of one `bind_sampler` sampler sum
-    to the full-range counts, so workers can split ranges without changing
-    the reduced result.
+    A sampler with no draws has one family for every trial, so a trial's
+    selectable mask depends on its active set alone.  When a dense int64
+    histogram over the 2^n active sets fits in ``TABLE_BYTES`` (n <= 17),
+    the run counts its active sets in that histogram, block by block, and
+    asks ``selectable_mask`` once per distinct active set of the run.
+    Every other sampler asks it once per distinct (family, active) pair of
+    each block.  Either way the counts are integer sums, so they are the
+    per-trial loop's exactly, and the counts for disjoint block ranges of
+    one `bind_sampler` sampler sum to the full-range counts, so workers can
+    split ranges without changing the reduced result.
     """
+    if not sampler.draws and 8 << x.n <= TABLE_BYTES:
+        hist = np.zeros(1 << x.n, dtype=np.int64)
+        for _start, (actives,) in trial_columns(
+                seed, _DOMAIN_TRIALS, trials, [x.values], block_range):
+            np.add.at(hist, actives, 1)
+        family = sampler.sample()
+        seen = np.flatnonzero(hist)
+        masks = np.array([family.selectable_mask(a) for a in seen.tolist()],
+                         np.int64)
+        return _bit_counts(masks, hist[seen], x.n)
     counts = np.zeros(x.n, dtype=np.int64)
     for _start, (actives, (codes, families)) in trial_columns(
             seed, _DOMAIN_TRIALS, trials, [x.values, sampler], block_range):
@@ -204,14 +221,19 @@ def selectability_counts(sampler: SchemeSampler, x: FractionalPoint,
         first, inverse = group_rows([codes, actives])
         masks = np.array([families[c].selectable_mask(a) for c, a in zip(
             codes[first].tolist(), actives[first].tolist())], np.int64)
-        weights = np.bincount(inverse)
-        # per mask byte, the trials of each of its 256 values: a float sum
-        # of integer weights below 2^53, so exact
-        for lo in range(0, x.n, 8):
-            hist = np.bincount(masks >> lo & 255, weights=weights,
-                               minlength=256)
-            counts[lo:lo + 8] += (hist.astype(np.int64)
-                                  @ _BYTE_BITS)[:x.n - lo]
+        counts += _bit_counts(masks, np.bincount(inverse), x.n)
+    return counts
+
+
+def _bit_counts(masks: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per element e < n, the total weight of the int64 ``masks`` with bit
+    e set: an int64 array of length n."""
+    counts = np.zeros(n, dtype=np.int64)
+    # per mask byte, the weight of each of its 256 values: a float sum of
+    # integer weights below 2^53, so exact
+    for lo in range(0, n, 8):
+        hist = np.bincount(masks >> lo & 255, weights=weights, minlength=256)
+        counts[lo:lo + 8] = (hist.astype(np.int64) @ _BYTE_BITS)[:n - lo]
     return counts
 
 
@@ -294,6 +316,14 @@ def _down_closed(family: frozenset[int]) -> bool:
                for mask in family for sub in iter_submasks(mask))
 
 
+def family_size(n: int) -> int:
+    """``n`` if `knapsack_deterministic_impossibility` takes it: the
+    enumeration of subfamilies is doubly exponential in n."""
+    if not 1 <= n <= 4:
+        raise ValueError("must lie in 1..4")
+    return n
+
+
 def knapsack_deterministic_impossibility(
         n: int, b: Fraction) -> tuple[Fraction, list[int]]:
     """Best min-element selectability over all deterministic subfamilies.
@@ -305,8 +335,7 @@ def knapsack_deterministic_impossibility(
     the per-family minimum, with a witnessing family.  Everything is exact
     rational arithmetic; the result equals (1-b)^(n-1).
     """
-    if n < 1 or n > 4:
-        raise ValueError("family enumeration is doubly exponential; n <= 4")
+    family_size(n)
     b = Fraction(b)
     if not 0 <= b <= 1:
         raise ValueError("b must lie in [0, 1]")

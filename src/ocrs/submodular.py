@@ -280,6 +280,7 @@ def continuous_greedy(f: SubmodularOracle, matroid: Matroid,
         raise ValueError("continuous greedy needs a monotone objective")
     if not 0.0 <= b <= 1.0:
         raise ValueError("stop time must lie in [0, 1]")
+    _check_ground(f, matroid.n, "the matroid")
     n = matroid.n
 
     def direction(gains: np.ndarray) -> np.ndarray:
@@ -324,6 +325,7 @@ def continuous_greedy_probing(f: SubmodularOracle, p: Sequence[float],
     """
     if not f.monotone:
         raise ValueError("submodular probing needs a monotone objective")
+    _check_ground(f, len(p), "'p'")
     pv = np.asarray(p, dtype=float)
 
     def check(x: np.ndarray) -> None:
@@ -332,6 +334,13 @@ def continuous_greedy_probing(f: SubmodularOracle, p: Sequence[float],
 
     return _ascent(f, pv, b,
                    lambda gains: _direction_lp(gains, p, inner, outer), check)
+
+
+def _check_ground(f: SubmodularOracle, size: int, name: str) -> None:
+    """A ValueError naming both sizes unless ``name`` has f's ``n``
+    elements: the ascent reads f's table at every subset of its point."""
+    if size != f.n:
+        raise ValueError(f"'f' is over {f.n} elements but {name} has {size}")
 
 
 def _assert_scaled_membership(y: FractionalPoint, spec: ConstraintSpec,

@@ -1103,15 +1103,17 @@ _K10_SEED0 = [[4, 6], [0, 8], [6, 9], [3, 8], [3, 7], [4, 7], [1, 7], [2, 9],
 
 @pytest.mark.parametrize("scheme,instance,trials,calls", [
     ("matroid", {"matroid": {"type": "graphic", "vertices": 6,
-                             "edges": _K6_SEED0}}, 600_000, 96_490),
+                             "edges": _K6_SEED0}}, 600_000, 7_813),
     ("matching", {"graph": {"vertices": 10, "edges": _K10_SEED0}}, 150_000,
      122_602),
 ], ids=["matroid-k6", "matching-k10"])
-def test_selectable_mask_runs_once_per_distinct_pair_of_each_block(
+def test_selectable_mask_runs_once_per_run_set_or_block_pair(
         tmp_path, monkeypatch, scheme, instance, trials, calls):
-    """The counting loop asks each block's distinct (family, active) pairs
-    once: 96,490 of 600,000 trials on matroid-k6 and 122,602 of 150,000 on
-    matching-k10, both at seed 0, counted by wrapping the methods."""
+    """The counting loop asks a fixed family once per distinct active set
+    of the run, and a sampled family once per distinct (family, active)
+    pair of each block: 7,813 of 600,000 trials on matroid-k6 and 122,602
+    of 150,000 on matching-k10, both at seed 0, counted by wrapping the
+    methods."""
     count = 0
     for cls in (schemes.MatroidChainFamily, schemes.MatchingFamily):
         method = cls.selectable_mask

@@ -93,6 +93,18 @@ def _oracle_counts(factory, x, trials, seed, block_range):
     return counts
 
 
+class _UniformChainFactory(MatroidChainFactory):
+    """An exact chain on U(n, k), with the load of U(n, k)'s polytope in
+    closed form: point fitting enumerates subsets up to 16 elements only."""
+
+    def __init__(self, n: int, k: int, b: float):
+        super().__init__(UniformMatroid(n, k), b, exact=True)
+        self.k = k
+
+    def load(self, x: FractionalPoint) -> float:
+        return max(float(x.values.max()), float(x.values.sum()) / self.k)
+
+
 _GRAPH4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 _K10 = Graph(10, list(itertools.combinations(range(10), 2)))
 _COUNT_FACTORIES = [
@@ -108,6 +120,11 @@ _COUNT_FACTORIES = [
     MatchingFactory(Graph(6, list(itertools.combinations(range(6), 2))),
                     0.5),
     MatchingFactory(_K10, 0.5),
+    # a fixed family: one run-level histogram of active sets, at its
+    # 1 MiB limit on 17 elements; 18 elements count block by block
+    _UniformChainFactory(17, 3, 0.5),
+    _UniformChainFactory(18, 3, 0.5),
+    MatchingFactory(_GRAPH4, 0.5, deterministic=True),
 ]
 
 
@@ -117,8 +134,8 @@ _COUNT_FACTORIES = [
        seed=st.integers(0, 2 ** 32), data=st.data())
 def test_counts_equal_per_trial_loop(which, trials, seed, data):
     """Per-element counts of any block range are the per-trial sums of the
-    selectable masks' bits, on all four schemes and on masks of more than
-    one byte."""
+    selectable masks' bits, on all four schemes, on masks of more than one
+    byte, and on fixed families counted by either path."""
     factory = _COUNT_FACTORIES[which]
     x = FractionalPoint(data.draw(st.lists(
         st.floats(0.0, 1.0), min_size=factory.n, max_size=factory.n)))
@@ -140,6 +157,16 @@ def _counts_peak_bytes(factory, x, trials: int) -> int:
     tracemalloc.start()
     try:
         selectability_counts(bind_sampler(factory, x, SEED), x, trials, SEED)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _counting_peak_bytes(sampler, x, trials: int) -> int:
+    """`_counts_peak_bytes` of a bound sampler: the count alone."""
+    tracemalloc.start()
+    try:
+        selectability_counts(sampler, x, trials, SEED)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -170,6 +197,25 @@ def test_counts_peak_stays_under_3_mib(trials):
     matrix is made (a whole-block draw and the bit matrix peaked at about
     9 MB)."""
     assert _counts_peak_bytes(*_k10_matching(), trials) < 3 * 2**20
+
+
+def test_fixed_family_counts_memory_bounded_by_instance_not_trials():
+    """A fixed family counts the run's active sets in one histogram of at
+    most 1 MiB: on the K6 chain quadrupling the trial count leaves the
+    peak where it was, and on U(17, 3), at the histogram's limit, the
+    count peaks under 3 MiB (the exact chain's own lookups, built by the
+    bind, are not counted)."""
+    k6 = GraphicMatroid(6, list(itertools.combinations(range(6), 2)))
+    factory = MatroidChainFactory(k6, 0.5)
+    x = FractionalPoint(np.full(15, 0.5 * 5 / 15))
+    sampler = bind_sampler(factory, x, SEED)
+    growth = (_counting_peak_bytes(sampler, x, 65_536)
+              - _counting_peak_bytes(sampler, x, 16_384))
+    assert growth < 64 * 2**10, growth
+    factory = _UniformChainFactory(17, 3, 0.5)
+    x = FractionalPoint(np.full(17, 0.5 * 3 / 17 * (1 - 1e-12)))
+    peak = _counting_peak_bytes(bind_sampler(factory, x, SEED), x, 65_536)
+    assert peak < 3 * 2**20, peak
 
 
 def test_knapsack_counts_memory_bounded_by_instance_not_trials():
@@ -244,8 +290,10 @@ def test_impossibility_witness_down_closed():
 
 
 def test_impossibility_rejects_large_n():
-    with pytest.raises(ValueError):
-        knapsack_deterministic_impossibility(5, Fraction(1, 2))
+    """n outside 1..4 is refused with the text the CLI's ``--n`` prints."""
+    for n in (0, -1, 5):
+        with pytest.raises(ValueError, match=r"^must lie in 1\.\.4$"):
+            knapsack_deterministic_impossibility(n, Fraction(1, 2))
 
 
 def _greedy_weight(weights):

@@ -408,6 +408,26 @@ def test_continuous_greedy_beyond_the_table_raises():
         continuous_greedy(modular([1.0] * 15), UniformMatroid(15, 2), 0.5)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_continuous_greedy_rejects_a_matroid_off_the_ground_set(n):
+    """The ascent reads f's table at the matroid's subsets: U(2, 1) would
+    leave the heaviest element of a 3-element coverage unseen, and U(4, 1)
+    would read past the table."""
+    f = coverage_function([1.0, 2.0, 3.0], [[0], [1], [2]])
+    with pytest.raises(ValueError, match=f"^'f' is over 3 elements but "
+                                         f"the matroid has {n}$"):
+        continuous_greedy(f, UniformMatroid(n, 1), 0.5)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_probing_ascent_rejects_p_off_the_ground_set(n):
+    f = coverage_function([1.0, 2.0, 3.0], [[0], [1], [2]])
+    with pytest.raises(ValueError, match=f"^'f' is over 3 elements but "
+                                         f"'p' has {n}$"):
+        continuous_greedy_probing(f, [0.5] * n, UniformMatroid(n, 1),
+                                  UniformMatroid(n, 2), 0.5)
+
+
 def test_probing_ascent_checks_every_step(monkeypatch):
     """A direction far outside the probing region trips the membership
     assert at the first step, not after the last."""
