@@ -26,15 +26,15 @@ from .applications import (ProbingInstance, ProphetInstance,
                            probing_mean_value, prophet_almighty_value,
                            prophet_trial_states, prophet_value_under_order,
                            prophet_worst_order)
-from .core import (FractionalPoint, SeedSpec, field, float_list, int_list,
-                   json_float, json_str, num_blocks, read_field)
+from .core import (FractionalPoint, SeedSpec, field, float_list, ground_size,
+                   int_list, json_float, json_str, num_blocks, read_field)
 from .harness import (MeanEstimate, bind_sampler, family_size,
                       knapsack_deterministic_impossibility,
                       report_from_counts, selectability_counts)
 from .matroids import (check_matroid_axioms, in_scaled_matroid_polytope,
                        matroid_from_json, random_point_in_polytope)
-from .optimize import (ConstraintSpec, KnapsackConstraint,
-                       distribution_from_json)
+from .optimize import (ConstraintSpec, distribution_from_json,
+                       knapsack_from_json)
 from .schemes import GreedyOcrsFactory, MatroidChainFactory, factory_from_json
 from .submodular import (SubmodularOracle, half_subsample_value,
                          multilinear_exact, ocrs_submodular_value,
@@ -65,7 +65,7 @@ def _load_json(path: str) -> dict:
 def constraint_from_json(obj: dict) -> ConstraintSpec:
     """A matroid descriptor, or ``{"type": "knapsack", "sizes": [...]}``."""
     if field(obj, "type", json_str) == "knapsack":
-        return KnapsackConstraint(field(obj, "sizes", float_list))
+        return knapsack_from_json(obj)
     return matroid_from_json(obj)
 
 
@@ -86,6 +86,7 @@ def _probing_fields(obj: dict, b: float) -> tuple:
         p = float_list(value)
         if not p:
             raise ValueError("must be nonempty")
+        ground_size(len(p))
         return p
 
     return (field(obj, "p", probabilities),

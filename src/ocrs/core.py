@@ -425,17 +425,26 @@ def pack_mask(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def ground_size(n: int) -> int:
+    """``n`` if a ground set of ``n`` elements fits the trial loops, which
+    pack each trial's subset of it into one int64 mask: n <= 63.  Instance
+    readers check each ground set where they parse it, so the error names
+    the field."""
+    if n >= 64:
+        raise ValueError(f"a ground set of {n} elements; int64 mask packing "
+                         f"holds at most 63 elements")
+    return n
+
+
 def pack_mask_rows(bits: np.ndarray) -> np.ndarray:
     """Row-wise bitmask packing of a boolean (T, n) array into int64 masks.
 
     Packs eight columns at a time: each byte of the masks is one uint8
     product of eight columns with the weights 1, 2, ..., 128, shifted into
     place, so no (T, n) integer array is made.  Raises ValueError for
-    n >= 64, which int64 masks cannot hold.
+    n >= 64, which int64 masks cannot hold (see `ground_size`).
     """
-    if bits.shape[1] >= 64:
-        raise ValueError(f"int64 mask packing holds at most 63 elements, "
-                         f"got {bits.shape[1]}")
+    ground_size(bits.shape[1])
     octets = np.asarray(bits, dtype=bool).view(np.uint8)
     packed = np.zeros(bits.shape[0], dtype=np.int64)
     for j in range(0, bits.shape[1], 8):

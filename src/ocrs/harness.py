@@ -197,11 +197,14 @@ def selectability_counts(sampler: SchemeSampler, x: FractionalPoint,
     histogram over the 2^n active sets fits in ``TABLE_BYTES`` (n <= 17),
     the run counts its active sets in that histogram, block by block, and
     asks ``selectable_mask`` once per distinct active set of the run.
-    Every other sampler asks it once per distinct (family, active) pair of
-    each block.  Either way the counts are integer sums, so they are the
-    per-trial loop's exactly, and the counts for disjoint block ranges of
-    one `bind_sampler` sampler sum to the full-range counts, so workers can
-    split ranges without changing the reduced result.
+    Every other sampler gives each block's selectable masks by
+    `SchemeSampler.selectable_rows`, one row per trial: array passes for
+    random matchings, one ``selectable_mask`` call per distinct (family,
+    active) pair of the block for the other schemes.  Either way the counts
+    are integer sums, so they are the per-trial loop's exactly, and the
+    counts for disjoint block ranges of one `bind_sampler` sampler sum to
+    the full-range counts, so workers can split ranges without changing
+    the reduced result.
     """
     if not sampler.draws and 8 << x.n <= TABLE_BYTES:
         hist = np.zeros(1 << x.n, dtype=np.int64)
@@ -216,18 +219,16 @@ def selectability_counts(sampler: SchemeSampler, x: FractionalPoint,
     counts = np.zeros(x.n, dtype=np.int64)
     for _start, (actives, (codes, families)) in trial_columns(
             seed, _DOMAIN_TRIALS, trials, [x.values, sampler], block_range):
-        # one selectable_mask call per distinct (family, active) pair,
-        # weighted by the number of trials that share it
-        first, inverse = group_rows([codes, actives])
-        masks = np.array([families[c].selectable_mask(a) for c, a in zip(
-            codes[first].tolist(), actives[first].tolist())], np.int64)
-        counts += _bit_counts(masks, np.bincount(inverse), x.n)
+        counts += _bit_counts(
+            sampler.selectable_rows(actives, codes, families), None, x.n)
     return counts
 
 
-def _bit_counts(masks: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+def _bit_counts(masks: np.ndarray, weights: Optional[np.ndarray],
+                n: int) -> np.ndarray:
     """Per element e < n, the total weight of the int64 ``masks`` with bit
-    e set: an int64 array of length n."""
+    e set (each mask weighing 1 if ``weights`` is None): an int64 array of
+    length n."""
     counts = np.zeros(n, dtype=np.int64)
     # per mask byte, the weight of each of its 256 values: a float sum of
     # integer weights below 2^53, so exact

@@ -27,8 +27,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, field, int_list, iter_bits, json_int,
-                   json_str, popcounts, subset_sums)
+from .core import (FractionalPoint, field, ground_size, int_list, iter_bits,
+                   json_int, json_str, popcounts, subset_sums)
 
 log = logging.getLogger("ocrs.matroids")
 
@@ -133,6 +133,12 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self.ground_mask)
 
+    def load(self, values: np.ndarray) -> Optional[float]:
+        """The smallest s with ``values`` in s * P in closed form, or None
+        if the class has none; the polytope's ``min_scale`` enumerates
+        subsets instead."""
+        return None
+
     def size(self) -> int:
         return self.ground_mask.bit_count()
 
@@ -156,6 +162,9 @@ class UniformMatroid(Matroid):
 
     def _fill_ranks(self) -> np.ndarray:
         return np.minimum(popcounts(self.n), min(self.k, self.n))
+
+    def load(self, values: np.ndarray) -> float:
+        return _block_load([(self.ground_mask, self.k)], values)
 
 
 class PartitionMatroid(Matroid):
@@ -201,6 +210,27 @@ class PartitionMatroid(Matroid):
             counts = popcounts(self.n, bm)
             ranks += np.minimum(counts, min(c, bm.bit_count()), out=counts)
         return ranks
+
+    def load(self, values: np.ndarray) -> float:
+        return _block_load(zip(self.block_masks, self.capacities), values)
+
+
+def _block_load(blocks: Iterable[tuple[int, int]],
+                values: np.ndarray) -> float:
+    """The load of a partition into (block mask, capacity) pairs: the
+    largest max(max x_B, x(B) / c) over its blocks B of capacity c >= 1 (a
+    uniform matroid is one block with c = k).
+
+    That is ``min_scale`` for any x that is 0 on the loops, the blocks of
+    capacity 0; an x positive on a loop is in no s * P, and the schemes
+    refuse it when they bind.
+    """
+    load = 0.0
+    for block, capacity in blocks:
+        if capacity and block:
+            x_block = values[list(iter_bits(block))]
+            load = max(load, x_block.max(), x_block.sum() / capacity)
+    return float(load)
 
 
 class GraphicMatroid(Matroid):
@@ -638,7 +668,8 @@ def random_point_in_polytope(m: Matroid, b: float,
 
 
 def matroid_from_json(obj: dict) -> Matroid:
-    """Build a matroid from its JSON descriptor (see README for shapes)."""
+    """Build a matroid from its JSON descriptor (see README for shapes); a
+    ground set of 64 or more elements is refused (see `ground_size`)."""
     kind = field(obj, "type", json_str)
 
     def int_lists(value) -> list[list[int]]:
@@ -647,24 +678,29 @@ def matroid_from_json(obj: dict) -> Matroid:
     def size(value) -> int:
         if json_int(value) < 0:
             raise ValueError("must be nonnegative")
-        return value
+        # before the matroid builds its ground mask of n bits
+        return ground_size(value)
 
     if kind == "uniform":
-        return UniformMatroid(field(obj, "n", size), field(obj, "k", json_int))
-    if kind == "partition":
-        return PartitionMatroid(field(obj, "blocks", int_lists),
-                                field(obj, "capacities", int_list))
-    if kind == "graphic":
-        return GraphicMatroid(field(obj, "vertices", json_int),
-                              field(obj, "edges", edge_list))
-    if kind == "laminar":
-        return LaminarMatroid(field(obj, "n", size),
-                              field(obj, "sets", int_lists),
-                              field(obj, "capacities", int_list))
-    if kind == "explicit":
-        return ExplicitMatroid(field(obj, "n", size),
-                               field(obj, "bases", int_lists))
-    raise ValueError(f"unknown matroid type {kind!r}")
+        matroid = UniformMatroid(field(obj, "n", size),
+                                 field(obj, "k", json_int))
+    elif kind == "partition":
+        matroid = PartitionMatroid(field(obj, "blocks", int_lists),
+                                   field(obj, "capacities", int_list))
+    elif kind == "graphic":
+        matroid = GraphicMatroid(field(obj, "vertices", json_int),
+                                 field(obj, "edges", edge_list))
+    elif kind == "laminar":
+        matroid = LaminarMatroid(field(obj, "n", size),
+                                 field(obj, "sets", int_lists),
+                                 field(obj, "capacities", int_list))
+    elif kind == "explicit":
+        matroid = ExplicitMatroid(field(obj, "n", size),
+                                  field(obj, "bases", int_lists))
+    else:
+        raise ValueError(f"unknown matroid type {kind!r}")
+    ground_size(matroid.n)
+    return matroid
 
 
 def edge_list(value) -> list[tuple[int, int]]:

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, field, float_list, iter_bits,
-                   ordered_sum, pack_mask)
+from .core import (FractionalPoint, field, float_list, ground_size,
+                   iter_bits, ordered_sum, pack_mask)
 from .matroids import EXHAUSTIVE_LIMIT, Matroid
 
 log = logging.getLogger("ocrs.optimize")
@@ -289,6 +289,17 @@ class KnapsackConstraint:
     def load(self, values: Sequence[float]) -> float:
         """The occupancy ``sizes . values``, added from the first element."""
         return float(ordered_sum(s * v for s, v in zip(self.sizes, values)))
+
+
+def knapsack_from_json(obj: dict) -> KnapsackConstraint:
+    """The knapsack of an instance object's ``sizes``, one per element of
+    the ground set (see `ground_size`)."""
+    def sizes(value) -> list[float]:
+        sizes = float_list(value)
+        ground_size(len(sizes))
+        return sizes
+
+    return KnapsackConstraint(field(obj, "sizes", sizes))
 
 
 ConstraintSpec = Matroid | KnapsackConstraint

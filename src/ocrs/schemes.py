@@ -5,8 +5,9 @@ a sampler; the sampler decodes a block of per-trial uniform rows into one
 down-closed feasible subfamily per trial, given as an integer family code
 per trial plus the block's distinct families (a sampler that draws no
 columns reuses a single family).  Families answer membership and a fast
-`selectable_mask` query; the online loop selects an arriving active element
-iff adding it keeps the selected set in the subfamily.
+`selectable_mask` query, and samplers give a block's selectable masks at
+once; the online loop selects an arriving active element iff adding it
+keeps the selected set in the subfamily.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, block_states, field, float_list,
+from .core import (FractionalPoint, block_states, field, ground_size,
                    group_rows, iter_bits, json_int, json_str, ordered_sum,
                    pack_mask, pack_mask_rows, popcounts, subset_probs,
                    subset_sums)
 from .matroids import (EXHAUSTIVE_LIMIT, Matroid, MatroidPolytope,
                        MatroidView, edge_list, in_scaled_matroid_polytope,
                        matroid_from_json)
-from .optimize import KnapsackConstraint
+from .optimize import KnapsackConstraint, knapsack_from_json
 
 #: Above this many ground elements, chain span probabilities switch from
 #: the exact rank-table sums to Monte-Carlo estimation.
@@ -183,8 +184,11 @@ class MatchingFamily(FeasibleFamily):
 
         Adjacency is symmetric, so OR-ing the neighbourhoods of the few
         active edges of K equals asking each edge of K for an active
-        neighbour.  The bits are walked inline rather than by `iter_bits`:
-        this is the per-pair call of every matching trial loop.
+        neighbour.  The mask is K AND, over the active edges e of K, the
+        whole graph's ``selectable_mask(1 << e)``: the matching sampler's
+        ``selectable_rows`` computes the trial loops' masks that way, by
+        array passes, and this call serves online play, the brute-force
+        oracles and the survivor masks themselves.
         """
         adj = self.graph.adjacent_edges
         blocked = 0
@@ -500,8 +504,14 @@ class Graph:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    return Graph(field(obj, "vertices", json_int),
-                 field(obj, "edges", edge_list))
+    """The graph of an instance object; its edges are the ground set (see
+    `ground_size`)."""
+    def edges(value) -> list[tuple[int, int]]:
+        pairs = edge_list(value)
+        ground_size(len(pairs))
+        return pairs
+
+    return Graph(field(obj, "vertices", json_int), field(obj, "edges", edges))
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +531,8 @@ class SchemeSampler:
     families, with ``families[c]`` the family of code ``c``.  Rows share a
     code iff their families have equal ``cache_key``.  A sampler with no
     draws gives every row code 0 and one shared family.
+    ``selectable_rows`` maps a block's active masks and decoded families
+    to each trial's selectable mask, the counting loop's one query.
     """
 
     draws: tuple[np.ndarray, ...] = ()
@@ -551,6 +563,21 @@ class SchemeSampler:
         codes, families = self.sample_block(masks)
         return families[codes[0]]
 
+    def selectable_rows(self, actives: np.ndarray, codes: np.ndarray,
+                        families: Sequence[FeasibleFamily]) -> np.ndarray:
+        """Each trial's selectable mask, as an int64 row per trial of a
+        block: ``families[codes[i]].selectable_mask(actives[i])`` for the
+        trial's active mask and its ``sample_block`` family.
+
+        By default one ``selectable_mask`` call per distinct (code,
+        active) pair of the block; the matching sampler computes the rows
+        by array passes instead.
+        """
+        first, inverse = group_rows([codes, actives])
+        masks = np.array([families[c].selectable_mask(a) for c, a in zip(
+            codes[first].tolist(), actives[first].tolist())], np.int64)
+        return masks[inverse]
+
     def enumerate_families(self) -> list[tuple[float, FeasibleFamily]]:
         """All (probability, family) outcomes; for brute-force oracles."""
         raise NotImplementedError
@@ -570,15 +597,42 @@ class _FixedSampler(SchemeSampler):
 
 
 class _MatchingSampler(SchemeSampler):
+    """Random matching families: the edge set K is drawn edge by edge with
+    the probabilities ``k_probs``."""
+
     def __init__(self, graph: Graph, k_probs: np.ndarray):
         self.graph = graph
         self.k_probs = k_probs
         self.draws = (k_probs,)
+        full = MatchingFamily(graph, (1 << graph.n_edges) - 1)
+        # the survivor mask of e: the edges that an active e leaves
+        # selectable in the whole graph; the last entry, all ones, is for
+        # no edge
+        self._survivors = [full.selectable_mask(1 << e)
+                           for e in range(graph.n_edges)] + [-1]
 
     def sample_block(self, masks: np.ndarray):
         k_masks, codes = np.unique(masks[:, 0], return_inverse=True)
         return (codes.reshape(-1),
                 [MatchingFamily(self.graph, k) for k in k_masks.tolist()])
+
+    def selectable_rows(self, actives, codes, families):
+        """``MatchingFamily.selectable_mask`` is K & ~OR of the active
+        edges' neighbourhoods in K, which is K AND the survivor masks of
+        the active edges of K.  Each pass ANDs in every row's lowest
+        pending edge, so a block takes one numpy pass per edge of its
+        largest |A & K|, and no per-trial call."""
+        # int64 here rather than at bind: a graph of 64 or more edges
+        # binds, and its trial loop refuses it when packing the masks
+        survivors = np.array(self._survivors, dtype=np.int64)
+        rows = np.array([f.k_mask for f in families], dtype=np.int64)[codes]
+        pending = actives & rows
+        while pending.any():
+            low = pending & -pending
+            # the exponent of 2^e is e + 1, and that of 0 is 0
+            rows &= survivors[np.frexp(low)[1] - 1]
+            pending ^= low
+        return rows
 
     def enumerate_families(self):
         m = self.graph.n_edges
@@ -690,13 +744,18 @@ class MatroidChainFactory(GreedyOcrsFactory):
         return 1.0 - self.b
 
     def load(self, x: FractionalPoint) -> float:
-        """The polytope oracle's ``min_scale``; it enumerates subsets, so
-        it is limited to 16 elements."""
-        if self.matroid.size() > 16:
+        """The polytope oracle's ``min_scale`` up to 16 elements (it
+        enumerates subsets), and the matroid's closed-form `Matroid.load`
+        above."""
+        if self.matroid.size() <= 16:
+            return self.matroid.polytope().min_scale(x.values)
+        load = self.matroid.load(x.values)
+        if load is None:
             raise SchemeError(
                 "supply an explicit 'x'; point fitting enumerates subsets "
-                "and is limited to 16 elements")
-        return self.matroid.polytope().min_scale(x.values)
+                "and is limited to 16 elements, except on uniform and "
+                "partition matroids")
+        return load
 
     def bind(self, x, stream=None) -> SchemeSampler:
         chain = matroid_chain_decompose(self.matroid, x, self.b, eps=self.eps,
@@ -821,8 +880,7 @@ def factory_from_json(kind: str, obj: dict, b: float, eps: float,
         return MatchingFactory(field(obj, "graph", graph_from_json), b,
                                deterministic=deterministic)
     if kind == "knapsack":
-        return KnapsackFactory(KnapsackConstraint(
-            field(obj, "sizes", float_list)), b)
+        return KnapsackFactory(knapsack_from_json(obj), b)
     if kind == "intersect":
         def part(value) -> GreedyOcrsFactory:
             scheme = field(value, "scheme", json_str)

@@ -26,6 +26,9 @@ from ocrs.schemes import MatroidChainFactory
 
 K4 = {"matroid": {"type": "graphic", "vertices": 4,
                   "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}}
+#: 66 edges: more elements than an int64 mask holds
+_K12 = {"vertices": 12,
+        "edges": [[u, v] for u in range(12) for v in range(u + 1, 12)]}
 
 
 def _write(tmp_path, name, payload):
@@ -136,12 +139,32 @@ def test_workers_below_one_is_an_input_error(tmp_path):
                  "--trials", "100", "--workers", "0"]) == 2
 
 
-def test_ground_set_of_64_or_more_is_an_input_error(tmp_path):
-    edges = [[u, v] for u in range(12) for v in range(u + 1, 12)]
-    inst = _write(tmp_path, "k12.json",
-                  {"graph": {"vertices": 12, "edges": edges}})
+def test_ground_set_of_64_or_more_is_an_input_error(tmp_path, capsys):
+    """K12 has 66 edges: refused where the graph is parsed, naming the
+    field, before any point is fitted or any sampler bound."""
+    inst = _write(tmp_path, "k12.json", {"graph": _K12})
     assert main(["verify-selectability", "--scheme", "matching", inst,
                  "--trials", "100"]) == 2
+    assert _input_error_line(capsys) == (
+        "input error: bad 'graph': bad 'edges': a ground set of 66 elements; "
+        "int64 mask packing holds at most 63 elements")
+
+
+def test_intersect_fits_its_point_on_a_17_element_uniform_matroid(tmp_path):
+    """Above 16 elements a uniform matroid's load has a closed form, so an
+    intersect instance with no 'x' fits its drawn point into b * P and
+    runs."""
+    sizes = [0.05 * (1 + e % 5) for e in range(17)]
+    inst = _write(tmp_path, "u17.json", {"parts": [
+        {"scheme": "matroid",
+         "matroid": {"type": "uniform", "n": 17, "k": 3}},
+        {"scheme": "knapsack", "sizes": sizes}]})
+    out = tmp_path / "out.json"
+    assert main(["verify-selectability", inst, "--scheme", "intersect",
+                 "--trials", "2000", "--out-json", str(out)]) == 0
+    x = json.loads(out.read_text())["x"]
+    assert max(max(x), sum(x) / 3,
+               sum(s * v for s, v in zip(sizes, x))) <= 0.5
 
 
 def test_impossibility_command(tmp_path, capsys):
@@ -549,6 +572,14 @@ def _submodular6_p0(value):
      "'f'"),
     ("submodular", dict(_PROBING3, f={"arcs": [[0, 1, 1.0], [1, 2, 1.0]]}),
      [], "'f'"),
+    ("verify-selectability", {"graph": _K12}, ["--scheme", "matching"],
+     "'edges'"),
+    ("verify-selectability", {"matroid": {"type": "uniform", "n": 70,
+                                          "k": 3}}, _MATROID, "'matroid'"),
+    ("verify-selectability", {"matroid": dict(_K12, type="graphic")},
+     _MATROID, "'matroid'"),
+    ("verify-selectability", {"sizes": [0.01] * 64}, _KNAPSACK, "'sizes'"),
+    ("probing", dict(_PROBING3, p=[0.5] * 64), [], "'p'"),
     *[(command, instance, [*extra, "--seed", seed], "--seed")
       for command, instance, extra in _SEEDED
       for seed in ("-1", str(1 << 64))],
@@ -585,6 +616,8 @@ def _submodular6_p0(value):
         "prophet-matroid-empty", "submodular-matroid-empty",
         "probing-p-empty", "submodular-probing-p-empty",
         "coverage-above-exact-limit", "submodular-probing-cut",
+        "graph-edges-66", "uniform-matroid-70", "graphic-matroid-66",
+        "knapsack-sizes-64", "probing-p-64",
         *[f"{command}-seed-{where}" for command, _i, _e in _SEEDED
           for where in ("negative", "2-to-64")]])
 def test_wrong_type_or_value_fields_exit_2_naming_the_field(
@@ -1105,14 +1138,15 @@ _K10_SEED0 = [[4, 6], [0, 8], [6, 9], [3, 8], [3, 7], [4, 7], [1, 7], [2, 9],
     ("matroid", {"matroid": {"type": "graphic", "vertices": 6,
                              "edges": _K6_SEED0}}, 600_000, 7_813),
     ("matching", {"graph": {"vertices": 10, "edges": _K10_SEED0}}, 150_000,
-     122_602),
+     45),
 ], ids=["matroid-k6", "matching-k10"])
 def test_selectable_mask_runs_once_per_run_set_or_block_pair(
         tmp_path, monkeypatch, scheme, instance, trials, calls):
     """The counting loop asks a fixed family once per distinct active set
-    of the run, and a sampled family once per distinct (family, active)
-    pair of each block: 7,813 of 600,000 trials on matroid-k6 and 122,602
-    of 150,000 on matching-k10, both at seed 0, counted by wrapping the
+    of the run: 7,813 of 600,000 trials on matroid-k6 at seed 0.  A
+    matching asks once per edge, for its survivor mask when it is bound,
+    and computes every trial's row from those by array passes: 45 calls
+    for 150,000 trials on matching-k10 at seed 0.  Counted by wrapping the
     methods."""
     count = 0
     for cls in (schemes.MatroidChainFamily, schemes.MatchingFamily):

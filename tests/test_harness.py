@@ -93,18 +93,6 @@ def _oracle_counts(factory, x, trials, seed, block_range):
     return counts
 
 
-class _UniformChainFactory(MatroidChainFactory):
-    """An exact chain on U(n, k), with the load of U(n, k)'s polytope in
-    closed form: point fitting enumerates subsets up to 16 elements only."""
-
-    def __init__(self, n: int, k: int, b: float):
-        super().__init__(UniformMatroid(n, k), b, exact=True)
-        self.k = k
-
-    def load(self, x: FractionalPoint) -> float:
-        return max(float(x.values.max()), float(x.values.sum()) / self.k)
-
-
 _GRAPH4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 _K10 = Graph(10, list(itertools.combinations(range(10), 2)))
 _COUNT_FACTORIES = [
@@ -116,15 +104,19 @@ _COUNT_FACTORIES = [
                          MatchingFactory(_GRAPH4, 0.25),
                          KnapsackFactory(KnapsackConstraint(
                              [0.6, 0.4, 0.3, 0.5, 0.2]), 0.25)]),
-    # masks of two and of six bytes; K10 draws each block in six chunks
+    # masks of two and of six bytes; K10 draws each block in six chunks,
+    # and both count by the matching kernel
     MatchingFactory(Graph(6, list(itertools.combinations(range(6), 2))),
                     0.5),
     MatchingFactory(_K10, 0.5),
     # a fixed family: one run-level histogram of active sets, at its
     # 1 MiB limit on 17 elements; 18 elements count block by block
-    _UniformChainFactory(17, 3, 0.5),
-    _UniformChainFactory(18, 3, 0.5),
+    MatroidChainFactory(UniformMatroid(17, 3), 0.5),
+    MatroidChainFactory(UniformMatroid(18, 3), 0.5),
     MatchingFactory(_GRAPH4, 0.5, deterministic=True),
+    # the deterministic matching above 17 edges: a fixed family counted
+    # block by block
+    MatchingFactory(_K10, 0.5, deterministic=True),
 ]
 
 
@@ -212,7 +204,7 @@ def test_fixed_family_counts_memory_bounded_by_instance_not_trials():
     growth = (_counting_peak_bytes(sampler, x, 65_536)
               - _counting_peak_bytes(sampler, x, 16_384))
     assert growth < 64 * 2**10, growth
-    factory = _UniformChainFactory(17, 3, 0.5)
+    factory = MatroidChainFactory(UniformMatroid(17, 3), 0.5)
     x = FractionalPoint(np.full(17, 0.5 * 3 / 17 * (1 - 1e-12)))
     peak = _counting_peak_bytes(bind_sampler(factory, x, SEED), x, 65_536)
     assert peak < 3 * 2**20, peak

@@ -20,10 +20,10 @@ from ocrs.schemes import (_TOL, ChainConstructionError, ChainDecomposition,
                           Graph, IntersectionFactory, KnapsackFactory,
                           KnapsackFamily, MatchingFactory, MatchingFamily,
                           MatroidChainFactory, MatroidChainFamily,
-                          PolytopeMembershipError,
-                          combine_families, factory_from_json,
-                          _mc_sample_count, graph_from_json,
-                          matroid_chain_decompose, run_greedy_mask)
+                          PolytopeMembershipError, combine_families,
+                          factory_from_json, _mc_sample_count,
+                          graph_from_json, matroid_chain_decompose,
+                          run_greedy_mask)
 from ocrs.harness import brute_force_selectability, _quantifier_selectable
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -699,6 +699,46 @@ def test_factory_ground_size_and_load():
                                        KnapsackConstraint([0.5]), 0.5)])
 
 
+@st.composite
+def _block_matroids(draw):
+    """A uniform or partition matroid on at most 12 elements, capacities 0
+    (loops) and above the block size included, with a point that is 0 on
+    its loops."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        m = UniformMatroid(n, draw(st.integers(0, n + 1)))
+    else:
+        labels = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))
+                      if n > 1 else set())
+        blocks = [labels[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n])]
+        m = PartitionMatroid(blocks, [draw(st.integers(0, len(block) + 1))
+                                      for block in blocks])
+    x = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    x[list(iter_bits(m.loops()))] = 0.0
+    return m, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_matroids())
+def test_block_load_equals_min_scale(case):
+    """The closed-form load of a uniform or partition matroid equals the
+    polytope oracle's subset enumeration."""
+    m, x = case
+    assert abs(m.load(x) - m.polytope().min_scale(x)) <= 1e-12
+
+
+def test_load_above_16_elements_has_a_closed_form_or_is_refused():
+    x = FractionalPoint([0.1] * 16 + [0.3])
+    assert MatroidChainFactory(UniformMatroid(17, 3), 0.5).load(x) == (
+        pytest.approx(1.9 / 3))
+    parts = PartitionMatroid([range(10), range(10, 17)], [2, 1])
+    assert MatroidChainFactory(parts, 0.5).load(x) == pytest.approx(0.9)
+    path = GraphicMatroid(18, [(v, v + 1) for v in range(17)])
+    with pytest.raises(ValueError, match="uniform and partition"):
+        MatroidChainFactory(path, 0.5).load(x)
+
+
 def test_intersection_requires_common_b():
     with pytest.raises(ValueError):
         IntersectionFactory([MatroidChainFactory(UniformMatroid(2, 1), 0.5),
@@ -791,6 +831,40 @@ def test_matching_selectable_matches_per_edge_rule(case):
     fam = MatchingFamily(graph, k_mask)
     assert fam.selectable_mask(active_mask) == _per_edge_selectable(
         graph, k_mask, active_mask)
+
+
+@st.composite
+def _matching_blocks(draw):
+    """A multigraph of up to 63 edges, parallel ones included, with a
+    block of K and active columns; empty and full masks are drawn often."""
+    vertices = draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(0, vertices - 1),
+                     st.integers(0, vertices - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, min_size=1, max_size=63))
+    full = (1 << len(edges)) - 1
+    mask = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    rows = draw(st.integers(1, 40))
+    column = st.lists(mask, min_size=rows, max_size=rows)
+    return (Graph(vertices, edges), np.array(draw(column), dtype=np.int64),
+            np.array(draw(column), dtype=np.int64))
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@settings(max_examples=200, deadline=None)
+@given(_matching_blocks())
+def test_matching_selectable_rows_equal_per_trial_calls(deterministic, case):
+    """A matching sampler's ``selectable_rows`` gives, trial by trial, the
+    selectable mask of the trial's family at its active set: the array
+    kernel for random edge sets K, and the default per-pair path for the
+    deterministic scheme's K of every edge."""
+    graph, k_column, actives = case
+    sampler = MatchingFactory(graph, 1.0, deterministic=deterministic).bind(
+        FractionalPoint([0.0] * graph.n_edges))
+    codes, families = sampler.sample_block(k_column[:, None])
+    rows = sampler.selectable_rows(actives, codes, families)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [families[c].selectable_mask(a) for c, a in zip(
+        codes.tolist(), actives.tolist())]
 
 
 def test_factory_from_json_descriptors():
