@@ -9,9 +9,10 @@ activation masks, raw columns and sampled family codes, and order-free
 loops group a block's trials by integer key columns with
 :func:`group_rows`.  A loop draws all its blocks, in row chunks, into one
 uniform table of at most ``TABLE_BYTES`` (see :func:`uniform_blocks`);
-probability vectors and the samplers' threshold vectors are packed chunk
-by chunk into int64 masks of the block's own, and a raw column is valid
-until the next block is decoded.
+each chunk's threshold columns, the probability vectors' and the
+samplers', are compared once, against the loop's concatenated threshold
+row, and packed into int64 masks of the block's own, and a raw column is
+valid until the next block is decoded.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-#: The weights of the eight columns that `pack_mask_rows` packs into a byte.
-_BYTE_WEIGHTS = (1 << np.arange(8)).astype(np.uint8)
 
 #: Trials are grouped into fixed-size blocks; block j of a loop draws from the
 #: derived stream (domain, j) and trial i consumes row (i mod BLOCK) of the
@@ -135,30 +134,46 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
     - a scheme sampler (see `SchemeSampler`): one column per entry of its
       threshold vectors ``draws``, packed like a probability vector into a
       (count, len(draws)) int64 array and decoded by ``sample_block`` to
-      ``(codes, families)``, an int64 family code per trial and the
-      block's distinct families.
+      ``(codes, families)``, an int64 family code per trial and an object
+      that ``families[code]`` gives each code's family from.
 
-    Rows come from :func:`uniform_blocks` chunk by chunk, and every vector
-    and sampler segment is packed one chunk at a time into int64 arrays of
-    the block's own, so no block-sized float copy of them is made.  A raw
-    int segment is a view of the loop's one uniform table when the block
-    is one chunk (a loop of at most 16 columns), and otherwise is gathered
-    into one buffer of the loop; either way it is valid only until the
-    next block is decoded.  Counts over disjoint ``block_range`` values add
-    up to the full-range counts.
+    Rows come from :func:`uniform_blocks` chunk by chunk.  Each chunk is
+    compared once, over the columns from the first threshold column to the
+    last, against the loop's concatenated threshold row (raw columns
+    outside that span are never compared), and every vector and sampler
+    segment is packed from column slices of that one boolean array into
+    int64 arrays of the block's own, so no block-sized float copy of them
+    is made.  A raw int segment is a view of the loop's one uniform table
+    when the block is one chunk (a loop of at most 16 columns), and
+    otherwise is gathered into one buffer of the loop; either way it is
+    valid only until the next block is decoded.  Counts over disjoint
+    ``block_range`` values add up to the full-range counts.
     """
     layout = []
+    thresholds = []  # (first column, vector) of every threshold vector
     width = 0
     for segment in segments:
         if hasattr(segment, "sample_block"):
             count = segment.draw_count
+            at = width
+            for vector in segment.draws:
+                thresholds.append((at, vector))
+                at += vector.size
         elif isinstance(segment, int):
             count = segment
         else:
             segment = np.asarray(segment, dtype=float)
             count = segment.size
+            thresholds.append((width, segment))
         layout.append((segment, width, width + count))
         width += count
+    # the span of the threshold columns and the row they are compared with;
+    # a raw column inside the span compares with 0 and is never read
+    first = min((at for at, _ in thresholds), default=0)
+    last = max((at + vector.size for at, vector in thresholds), default=0)
+    threshold_row = np.zeros(last - first)
+    for at, vector in thresholds:
+        threshold_row[at - first:at - first + vector.size] = vector
     raw_width = sum(hi - lo for segment, lo, hi in layout
                     if isinstance(segment, int))
     buffer = None  # raw columns of the blocks drawn in more than one chunk
@@ -181,18 +196,21 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
                     used += segment
                 elif isinstance(segment, np.ndarray):
                     cols = np.empty(count, dtype=np.int64)
-                    packs.append((segment, lo, cols))
+                    packs.append((lo - first, hi - first, cols))
                 else:
                     cols = np.empty((count, len(segment.draws)),
                                     dtype=np.int64)
+                    lo -= first
                     for j, vector in enumerate(segment.draws):
-                        packs.append((vector, lo, cols[:, j]))
+                        packs.append((lo, lo + vector.size, cols[:, j]))
                         lo += vector.size
                     samplers.append((len(columns), segment))
                 columns.append(cols)
         rows = slice(offset, offset + len(chunk))
-        for vector, lo, cols in packs:
-            cols[rows] = pack_mask_rows(chunk[:, lo:lo + vector.size] < vector)
+        if packs:
+            below = chunk[:, first:last] < threshold_row
+            for lo, hi, cols in packs:
+                cols[rows] = pack_mask_rows(below[:, lo:hi])
         for lo, hi, cols in gathers:
             cols[rows] = chunk[:, lo:hi]
         if rows.stop == count:
@@ -439,15 +457,18 @@ def ground_size(n: int) -> int:
 def pack_mask_rows(bits: np.ndarray) -> np.ndarray:
     """Row-wise bitmask packing of a boolean (T, n) array into int64 masks.
 
-    Packs eight columns at a time: each byte of the masks is one uint8
-    product of eight columns with the weights 1, 2, ..., 128, shifted into
-    place, so no (T, n) integer array is made.  Raises ValueError for
-    n >= 64, which int64 masks cannot hold (see `ground_size`).
+    Copies the bits into a zeroed (T, 8 * ceil(n / 8)) array, so each row
+    fills whole bytes, packs that with one flat ``np.packbits`` call
+    (little bit order) and widens each row's bytes to an int64, so no
+    (T, n) integer array is made.  Raises ValueError for n >= 64, which
+    int64 masks cannot hold (see `ground_size`).
     """
-    ground_size(bits.shape[1])
-    octets = np.asarray(bits, dtype=bool).view(np.uint8)
-    packed = np.zeros(bits.shape[0], dtype=np.int64)
-    for j in range(0, bits.shape[1], 8):
-        byte = octets[:, j:j + 8] @ _BYTE_WEIGHTS[:bits.shape[1] - j]
-        packed |= byte.astype(np.int64) << j
-    return packed
+    count, n = bits.shape
+    ground_size(n)
+    width = -(-n // 8)
+    padded = np.zeros((count, 8 * width), dtype=bool)
+    padded[:, :n] = bits
+    octets = np.zeros((count, 8), dtype=np.uint8)
+    octets[:, :width] = np.packbits(padded, bitorder="little").reshape(
+        count, width)
+    return octets.view("<i8").reshape(count).astype(np.int64, copy=False)

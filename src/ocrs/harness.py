@@ -198,8 +198,8 @@ def selectability_counts(sampler: SchemeSampler, x: FractionalPoint,
     the run counts its active sets in that histogram, block by block, and
     asks ``selectable_mask`` once per distinct active set of the run.
     Every other sampler gives each block's selectable masks by
-    `SchemeSampler.selectable_rows`, one row per trial: array passes for
-    random matchings, one ``selectable_mask`` call per distinct (family,
+    `SchemeSampler.selectable_rows`, one row per trial: byte-table gathers
+    for random matchings, one ``selectable_mask`` call per distinct (family,
     active) pair of the block for the other schemes.  Either way the counts
     are integer sums, so they are the per-trial loop's exactly, and the
     counts for disjoint block ranges of one `bind_sampler` sampler sum to

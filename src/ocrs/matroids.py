@@ -217,9 +217,10 @@ class PartitionMatroid(Matroid):
 
 def _block_load(blocks: Iterable[tuple[int, int]],
                 values: np.ndarray) -> float:
-    """The load of a partition into (block mask, capacity) pairs: the
-    largest max(max x_B, x(B) / c) over its blocks B of capacity c >= 1 (a
-    uniform matroid is one block with c = k).
+    """The load of (block mask, capacity) pairs: the largest max(max x_B,
+    x(B) / c) over the blocks B of capacity c >= 1 (a partition's blocks; a
+    uniform matroid is one block with c = k, and a laminar family's sets
+    come with the ground set as a block of capacity n).
 
     That is ``min_scale`` for any x that is 0 on the loops, the blocks of
     capacity 0; an x positive on a loop is in no s * P, and the schemes
@@ -327,6 +328,15 @@ class LaminarMatroid(Matroid):
                     raise ValueError("family is not laminar")
         self.set_masks = tuple(masks)
         self.capacities = tuple(int(c) for c in capacities)
+
+    def load(self, values: np.ndarray) -> float:
+        """The largest x(S) / c over the sets S of capacity c >= 1 and max
+        x_e over the ground set, as `_block_load` gives them with the
+        ground set as a block of capacity n.  The constraint matrix of a
+        laminar family with the singletons added is totally unimodular, so
+        those rows and x >= 0 are the whole polytope."""
+        return _block_load([(self.ground_mask, self.n),
+                            *zip(self.set_masks, self.capacities)], values)
 
     def _indep(self, mask: int) -> bool:
         return all((mask & sm).bit_count() <= c

@@ -3,11 +3,11 @@
 Each scheme is a factory that, bound to a fractional point x in b*P, yields
 a sampler; the sampler decodes a block of per-trial uniform rows into one
 down-closed feasible subfamily per trial, given as an integer family code
-per trial plus the block's distinct families (a sampler that draws no
-columns reuses a single family).  Families answer membership and a fast
-`selectable_mask` query, and samplers give a block's selectable masks at
-once; the online loop selects an arriving active element iff adding it
-keeps the selected set in the subfamily.
+per trial plus an object that indexes the families by code (a sampler
+that draws no columns reuses a single family).  Families answer
+membership and a fast `selectable_mask` query, and samplers give a
+block's selectable masks at once; the online loop selects an arriving
+active element iff adding it keeps the selected set in the subfamily.
 """
 
 from __future__ import annotations
@@ -186,9 +186,9 @@ class MatchingFamily(FeasibleFamily):
         active edges of K equals asking each edge of K for an active
         neighbour.  The mask is K AND, over the active edges e of K, the
         whole graph's ``selectable_mask(1 << e)``: the matching sampler's
-        ``selectable_rows`` computes the trial loops' masks that way, by
-        array passes, and this call serves online play, the brute-force
-        oracles and the survivor masks themselves.
+        ``selectable_rows`` computes the trial loops' masks that way, from
+        byte tables of those survivor masks, and this call serves online
+        play, the brute-force oracles and the survivor masks themselves.
         """
         adj = self.graph.adjacent_edges
         blocked = 0
@@ -527,10 +527,13 @@ class SchemeSampler:
     e is below it), as `core.trial_columns` packs a probability vector.
     ``sample_block`` is the one decode path: it maps a (trials,
     len(draws)) int64 array of those masks to each trial's family, as
-    ``(codes, families)``: an int64 code per row and the block's distinct
-    families, with ``families[c]`` the family of code ``c``.  Rows share a
-    code iff their families have equal ``cache_key``.  A sampler with no
-    draws gives every row code 0 and one shared family.
+    ``(codes, families)``: a nonnegative int64 code per row and anything
+    that can be indexed by a code, with ``families[c]`` the family of code
+    ``c``.  Rows share a code iff their families have equal ``cache_key``,
+    but codes need not be dense: a random matching's codes are the K masks
+    themselves, and its ``families`` makes ``MatchingFamily(graph, k)``
+    when code k is asked for.  A sampler with no draws gives every row
+    code 0 and one shared family.
     ``selectable_rows`` maps a block's active masks and decoded families
     to each trial's selectable mask, the counting loop's one query.
     """
@@ -542,10 +545,9 @@ class SchemeSampler:
         """The number of uniforms a trial draws: one per threshold."""
         return sum(vector.size for vector in self.draws)
 
-    def sample_block(self, masks: np.ndarray
-                     ) -> tuple[np.ndarray, list[FeasibleFamily]]:
-        """Family codes and distinct families of a (trials, len(draws))
-        array of packed threshold masks."""
+    def sample_block(self, masks: np.ndarray) -> tuple[np.ndarray, object]:
+        """Family codes and the families they index, of a (trials,
+        len(draws)) array of packed threshold masks."""
         raise NotImplementedError
 
     def sample(self, gen: Optional[np.random.Generator] = None) -> FeasibleFamily:
@@ -564,14 +566,14 @@ class SchemeSampler:
         return families[codes[0]]
 
     def selectable_rows(self, actives: np.ndarray, codes: np.ndarray,
-                        families: Sequence[FeasibleFamily]) -> np.ndarray:
+                        families) -> np.ndarray:
         """Each trial's selectable mask, as an int64 row per trial of a
         block: ``families[codes[i]].selectable_mask(actives[i])`` for the
         trial's active mask and its ``sample_block`` family.
 
         By default one ``selectable_mask`` call per distinct (code,
         active) pair of the block; the matching sampler computes the rows
-        by array passes instead.
+        from byte tables instead.
         """
         first, inverse = group_rows([codes, actives])
         masks = np.array([families[c].selectable_mask(a) for c, a in zip(
@@ -596,42 +598,54 @@ class _FixedSampler(SchemeSampler):
         return [(1.0, self.family)]
 
 
+class _MatchingFamilies:
+    """The matching families of a graph, indexed by edge set: ``self[k]``
+    is ``MatchingFamily(graph, k)``, made when it is asked for."""
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+
+    def __getitem__(self, k_mask) -> MatchingFamily:
+        return MatchingFamily(self.graph, int(k_mask))
+
+
 class _MatchingSampler(SchemeSampler):
     """Random matching families: the edge set K is drawn edge by edge with
-    the probabilities ``k_probs``."""
+    the probabilities ``k_probs``.  A trial's family code is its K mask
+    itself, so ``sample_block`` decodes nothing."""
 
     def __init__(self, graph: Graph, k_probs: np.ndarray):
+        # codes and survivor tables are int64 masks of the edges
+        m = ground_size(graph.n_edges)
         self.graph = graph
         self.k_probs = k_probs
         self.draws = (k_probs,)
-        full = MatchingFamily(graph, (1 << graph.n_edges) - 1)
-        # the survivor mask of e: the edges that an active e leaves
-        # selectable in the whole graph; the last entry, all ones, is for
-        # no edge
-        self._survivors = [full.selectable_mask(1 << e)
-                           for e in range(graph.n_edges)] + [-1]
+        self.families = _MatchingFamilies(graph)
+        full = MatchingFamily(graph, (1 << m) - 1)
+        # entry b of byte table j is the AND, over the set bits i of b, of
+        # the survivor mask of edge 8j + i: the edges that an active edge
+        # leaves selectable in the whole graph; filled by doubling
+        self._tables = np.full((-(-m // 8), 256), -1, dtype=np.int64)
+        for e in range(m):
+            table, half = self._tables[e // 8], 1 << e % 8
+            np.bitwise_and(table[:half], full.selectable_mask(1 << e),
+                           out=table[half:2 * half])
 
     def sample_block(self, masks: np.ndarray):
-        k_masks, codes = np.unique(masks[:, 0], return_inverse=True)
-        return (codes.reshape(-1),
-                [MatchingFamily(self.graph, k) for k in k_masks.tolist()])
+        return masks[:, 0], self.families
 
     def selectable_rows(self, actives, codes, families):
         """``MatchingFamily.selectable_mask`` is K & ~OR of the active
         edges' neighbourhoods in K, which is K AND the survivor masks of
-        the active edges of K.  Each pass ANDs in every row's lowest
-        pending edge, so a block takes one numpy pass per edge of its
-        largest |A & K|, and no per-trial call."""
-        # int64 here rather than at bind: a graph of 64 or more edges
-        # binds, and its trial loop refuses it when packing the masks
-        survivors = np.array(self._survivors, dtype=np.int64)
-        rows = np.array([f.k_mask for f in families], dtype=np.int64)[codes]
-        pending = actives & rows
-        while pending.any():
-            low = pending & -pending
-            # the exponent of 2^e is e + 1, and that of 0 is 0
-            rows &= survivors[np.frexp(low)[1] - 1]
-            pending ^= low
+        the active edges of K.  Byte j of A & K picks the AND of its
+        edges' survivor masks from byte table j, so a block takes one
+        gather per byte of the edge masks, and no per-trial call."""
+        pending = actives & codes
+        rows = codes.copy()
+        for j, table in enumerate(self._tables):
+            rows &= table[pending >> 8 * j & 255]
         return rows
 
     def enumerate_families(self):
@@ -753,8 +767,8 @@ class MatroidChainFactory(GreedyOcrsFactory):
         if load is None:
             raise SchemeError(
                 "supply an explicit 'x'; point fitting enumerates subsets "
-                "and is limited to 16 elements, except on uniform and "
-                "partition matroids")
+                "and is limited to 16 elements, except on uniform, "
+                "partition and laminar matroids")
         return load
 
     def bind(self, x, stream=None) -> SchemeSampler:

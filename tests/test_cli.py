@@ -167,6 +167,24 @@ def test_intersect_fits_its_point_on_a_17_element_uniform_matroid(tmp_path):
                sum(s * v for s, v in zip(sizes, x))) <= 0.5
 
 
+def test_intersect_fits_its_point_on_a_17_element_laminar_matroid(tmp_path):
+    """A laminar matroid's load has a closed form too, so the same run on
+    a 17-element nested family exits 0 (it was refused)."""
+    sizes = [0.05 * (1 + e % 5) for e in range(17)]
+    sets = [list(range(10)), [0, 1, 2], list(range(10, 17)), [16]]
+    inst = _write(tmp_path, "laminar17.json", {"parts": [
+        {"scheme": "matroid",
+         "matroid": {"type": "laminar", "n": 17, "sets": sets,
+                     "capacities": [3, 1, 2, 1]}},
+        {"scheme": "knapsack", "sizes": sizes}]})
+    out = tmp_path / "out.json"
+    assert main(["verify-selectability", inst, "--scheme", "intersect",
+                 "--trials", "2000", "--out-json", str(out)]) == 0
+    x = json.loads(out.read_text())["x"]
+    assert max(max(x), sum(x[:10]) / 3, sum(x[:3]), sum(x[10:]) / 2,
+               sum(s * v for s, v in zip(sizes, x))) <= 0.5
+
+
 def test_impossibility_command(tmp_path, capsys):
     assert main(["impossibility", "--n", "3", "--b", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

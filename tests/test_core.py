@@ -15,8 +15,10 @@ from ocrs.core import (TABLE_BYTES, TRIAL_BLOCK, FractionalPoint, SeedSpec,
                        group_rows, iter_submasks, num_blocks, ordered_sum,
                        pack_mask, pack_mask_rows, popcounts, scale_point,
                        trial_columns, uniform_blocks)
+from ocrs.matroids import UniformMatroid
 from ocrs.optimize import KnapsackConstraint
-from ocrs.schemes import Graph, KnapsackFactory, MatchingFactory
+from ocrs.schemes import (Graph, KnapsackFactory, MatchingFactory,
+                          MatroidChainFactory)
 
 
 def _masks(seed, domain, trials, segments, block_range=None):
@@ -138,9 +140,11 @@ _K6 = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
 
 
 def test_trial_columns_matches_hand_slicing():
-    # a vector, a raw segment and two samplers decode to exactly what slicing
-    # a fresh draw of each block's uniform rows by hand gives, over more
-    # than one block; 12 columns draw each block at once, 59 in chunks
+    # raw segments before and between the threshold columns, a vector, a
+    # vector of thresholds 0 and 1, a draw-free sampler and two drawing
+    # samplers decode to exactly what slicing a fresh draw of each block's
+    # uniform rows by hand gives, over more than one block; 15 columns
+    # draw each block at once, 62 in chunks
     _check_hand_slicing(_GRAPH4, np.array([0.3, 0.9, 0.0, 0.5]))
     _check_hand_slicing(_K6, np.linspace(0.0, 1.0, 40))
 
@@ -148,30 +152,59 @@ def test_trial_columns_matches_hand_slicing():
 def _check_hand_slicing(graph, x):
     matching = MatchingFactory(graph, 0.5).bind(
         FractionalPoint([0.1] * graph.n_edges), SeedSpec(6).stream(0))
+    chain = MatroidChainFactory(UniformMatroid(3, 1), 0.5).bind(
+        FractionalPoint([0.1] * 3))
     knapsack = KnapsackFactory(KnapsackConstraint([0.6, 0.3, 0.2]), 0.25).bind(
         FractionalPoint([0.1, 0.2, 0.1]))
-    assert (matching.draw_count == graph.n_edges
+    assert (matching.draw_count == graph.n_edges and chain.draw_count == 0
             and knapsack.draw_count == 1)
-    width = x.size + 2 + graph.n_edges + 1
+    edges = np.array([0.0, 1.0])
+    width = 3 + x.size + 2 + graph.n_edges + 1 + 2
     seed = SeedSpec(5)
     trials = TRIAL_BLOCK + 300
     blocks = 0
-    for start, columns in trial_columns(seed, 7, trials,
-                                        [x, 2, matching, knapsack]):
+    for start, columns in trial_columns(
+            seed, 7, trials, [3, x, 2, matching, chain, knapsack, edges]):
         assert start == blocks * TRIAL_BLOCK
         block = seed.stream(7, blocks).random(
             (min(TRIAL_BLOCK, trials - start), width))
-        masks, raw, fams_m, fams_k = columns
+        lead, masks, raw, fams_m, fams_c, fams_k, edge_masks = columns
         assert masks.dtype == np.int64
-        assert np.array_equal(masks, pack_mask_rows(block[:, :x.size] < x))
-        assert np.array_equal(raw, block[:, x.size:x.size + 2])
-        m_rows = block[:, x.size + 2:width - 1]
-        assert (_family_keys(*fams_m) == _family_keys(
-            *matching.sample_block(_draw_masks(matching, m_rows))))
+        assert np.array_equal(lead, block[:, :3])
+        at = 3 + x.size
+        assert np.array_equal(masks, pack_mask_rows(block[:, 3:at] < x))
+        assert np.array_equal(raw, block[:, at:at + 2])
+        m_rows = block[:, at + 2:at + 2 + graph.n_edges]
+        m_masks = _draw_masks(matching, m_rows)
+        # a matching's codes are its K masks
+        assert np.array_equal(fams_m[0], m_masks[:, 0])
+        assert (_family_keys(*fams_m)
+                == _family_keys(*matching.sample_block(m_masks)))
+        assert not fams_c[0].any() and fams_c[1][0] is chain.family
         assert (_family_keys(*fams_k) == _family_keys(
-            *knapsack.sample_block(_draw_masks(knapsack, block[:, -1:]))))
+            *knapsack.sample_block(_draw_masks(knapsack, block[:, -3:-2]))))
+        # a threshold of 0 never draws its element and one of 1 always does
+        assert edge_masks.tolist() == [0b10] * len(block)
         blocks += 1
     assert blocks == 2
+
+
+@pytest.mark.parametrize("segments", [[3, 2], [10, 10]], ids=["one-chunk",
+                                                              "chunked"])
+def test_raw_only_layout_is_never_compared_or_packed(monkeypatch, segments):
+    """A loop of raw columns only gives the table's rows as they are drawn,
+    and packs nothing."""
+    def refuse(bits):
+        raise AssertionError("a raw-only layout packed a mask")
+
+    monkeypatch.setattr(ocrs.core, "pack_mask_rows", refuse)
+    seed = SeedSpec(2)
+    trials = TRIAL_BLOCK + 7
+    for j, (start, columns) in enumerate(trial_columns(seed, 4, trials,
+                                                       segments)):
+        block = seed.stream(4, j).random(
+            (min(TRIAL_BLOCK, trials - start), sum(segments)))
+        assert np.array_equal(np.hstack(columns), block)
 
 
 def test_trial_columns_draws_every_block_into_one_table(monkeypatch):
@@ -319,14 +352,21 @@ def _check_fresh_draws(trials, block_range, width):
                               seed.stream(4, j).random((count, width)))
 
 
-@pytest.mark.parametrize("n", [1, 63])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 63])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_pack_mask_rows_round_trip(n, data):
+    """Every width that fills a byte, stops short of one or spills into
+    the next, on zero rows too and on a strided column slice."""
     rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
-                              min_size=1, max_size=6))
-    packed = pack_mask_rows(np.array(rows, dtype=bool)).tolist()
-    assert packed == [sum(1 << e for e in range(n) if row[e]) for row in rows]
+                              min_size=0, max_size=6))
+    bits = np.array(rows, dtype=bool).reshape(len(rows), n)
+    expected = [sum(1 << e for e in range(n) if row[e]) for row in rows]
+    assert pack_mask_rows(bits).tolist() == expected
+    # the same bits as every other column of a wider array
+    wide = np.zeros((len(rows), 2 * n), dtype=bool)
+    wide[:, ::2] = bits
+    assert pack_mask_rows(wide[:, ::2]).tolist() == expected
 
 
 @settings(max_examples=60, deadline=None)

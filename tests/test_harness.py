@@ -22,8 +22,8 @@ from ocrs.harness import (_DOMAIN_CONSTRUCT, _DOMAIN_TRIALS, MeanEstimate,
 from ocrs.matroids import GraphicMatroid, UniformMatroid
 from ocrs.optimize import KnapsackConstraint
 from ocrs.schemes import (Graph, IntersectionFactory, KnapsackFactory,
-                          MatchingFactory, MatroidChainFactory,
-                          run_greedy_mask)
+                          MatchingFactory, MatchingFamily,
+                          MatroidChainFactory, run_greedy_mask)
 
 SEED = SeedSpec(101)
 
@@ -168,6 +168,25 @@ def _k10_matching() -> tuple[MatchingFactory, FractionalPoint]:
     raw = 0.25 + 0.75 * np.random.default_rng(0).random(_K10.n_edges)
     x = FractionalPoint(raw * (0.5 / _K10.degree_loads(raw).max()))
     return MatchingFactory(_K10, 0.5), x
+
+
+def test_matching_counts_make_no_family_after_bind(monkeypatch):
+    """A random matching's trial codes are its K masks and its rows come
+    from byte tables, so counting K10 makes no `MatchingFamily` once the
+    sampler is bound (it made one per distinct K of each block)."""
+    factory, x = _k10_matching()
+    sampler = bind_sampler(factory, x, SEED)
+    made = 0
+    init = MatchingFamily.__init__
+
+    def counting(self, *args):
+        nonlocal made
+        made += 1
+        init(self, *args)
+
+    monkeypatch.setattr(MatchingFamily, "__init__", counting)
+    counts = selectability_counts(sampler, x, 2 * TRIAL_BLOCK + 5, SEED)
+    assert made == 0 and counts.sum() > 0
 
 
 def test_counts_memory_bounded_by_instance_not_trials():

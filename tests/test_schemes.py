@@ -728,14 +728,47 @@ def test_block_load_equals_min_scale(case):
     assert abs(m.load(x) - m.polytope().min_scale(x)) <= 1e-12
 
 
+@st.composite
+def _laminar_matroids(draw):
+    """A laminar matroid on at most 12 elements: intervals of a shuffled
+    ground set kept while they nest in or miss the ones before, with
+    capacities from 0 (its elements are loops) to above the set size, and
+    a point that is 0 on its loops."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.permutations(range(n)))
+    sets, capacities = [], []
+    for lo, hi in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                          st.integers(1, n)), max_size=8)):
+        block = set(labels[lo:max(lo + 1, hi)])
+        if all(block <= s or s <= block or not block & s for s in sets):
+            sets.append(block)
+            capacities.append(draw(st.integers(0, len(block) + 1)))
+    m = LaminarMatroid(n, sets, capacities)
+    x = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    x[list(iter_bits(m.loops()))] = 0.0
+    return m, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laminar_matroids())
+def test_laminar_load_equals_min_scale(case):
+    """A laminar family's rows with the singletons' form a totally
+    unimodular matrix, so the largest x(S) / c and x_e is the polytope
+    oracle's subset enumeration."""
+    m, x = case
+    assert abs(m.load(x) - m.polytope().min_scale(x)) <= 1e-12
+
+
 def test_load_above_16_elements_has_a_closed_form_or_is_refused():
     x = FractionalPoint([0.1] * 16 + [0.3])
     assert MatroidChainFactory(UniformMatroid(17, 3), 0.5).load(x) == (
         pytest.approx(1.9 / 3))
     parts = PartitionMatroid([range(10), range(10, 17)], [2, 1])
     assert MatroidChainFactory(parts, 0.5).load(x) == pytest.approx(0.9)
+    nested = LaminarMatroid(17, [range(10), range(3), [16]], [2, 1, 1])
+    assert MatroidChainFactory(nested, 0.5).load(x) == pytest.approx(0.5)
     path = GraphicMatroid(18, [(v, v + 1) for v in range(17)])
-    with pytest.raises(ValueError, match="uniform and partition"):
+    with pytest.raises(ValueError, match="uniform, partition and laminar"):
         MatroidChainFactory(path, 0.5).load(x)
 
 
@@ -834,19 +867,32 @@ def test_matching_selectable_matches_per_edge_rule(case):
 
 
 @st.composite
-def _matching_blocks(draw):
-    """A multigraph of up to 63 edges, parallel ones included, with a
-    block of K and active columns; empty and full masks are drawn often."""
+def _matching_blocks(draw, edges=st.integers(1, 63)):
+    """A multigraph of ``edges`` edges (up to 63 by default), parallel ones
+    included, with a block of K and active columns; empty and full masks
+    are drawn often."""
     vertices = draw(st.integers(2, 12))
     pair = st.tuples(st.integers(0, vertices - 1),
                      st.integers(0, vertices - 1)).filter(lambda e: e[0] != e[1])
-    edges = draw(st.lists(pair, min_size=1, max_size=63))
-    full = (1 << len(edges)) - 1
+    m = draw(edges)
+    pairs = draw(st.lists(pair, min_size=m, max_size=m))
+    full = (1 << m) - 1
     mask = st.one_of(st.just(0), st.just(full), st.integers(0, full))
     rows = draw(st.integers(1, 40))
     column = st.lists(mask, min_size=rows, max_size=rows)
-    return (Graph(vertices, edges), np.array(draw(column), dtype=np.int64),
+    return (Graph(vertices, pairs), np.array(draw(column), dtype=np.int64),
             np.array(draw(column), dtype=np.int64))
+
+
+def _check_selectable_rows(sampler, k_column, actives):
+    """``selectable_rows`` against the trials' own ``selectable_mask``
+    calls, on the families that ``sample_block`` decodes K to."""
+    codes, families = sampler.sample_block(k_column[:, None])
+    rows = sampler.selectable_rows(actives, codes, families)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [families[c].selectable_mask(a) for c, a in zip(
+        codes.tolist(), actives.tolist())]
+    return codes
 
 
 @pytest.mark.parametrize("deterministic", [False, True])
@@ -854,17 +900,27 @@ def _matching_blocks(draw):
 @given(_matching_blocks())
 def test_matching_selectable_rows_equal_per_trial_calls(deterministic, case):
     """A matching sampler's ``selectable_rows`` gives, trial by trial, the
-    selectable mask of the trial's family at its active set: the array
-    kernel for random edge sets K, and the default per-pair path for the
+    selectable mask of the trial's family at its active set: the byte
+    tables for random edge sets K, and the default per-pair path for the
     deterministic scheme's K of every edge."""
     graph, k_column, actives = case
-    sampler = MatchingFactory(graph, 1.0, deterministic=deterministic).bind(
+    _check_selectable_rows(
+        MatchingFactory(graph, 1.0, deterministic=deterministic).bind(
+            FractionalPoint([0.0] * graph.n_edges)), k_column, actives)
+
+
+@pytest.mark.parametrize("edges", [1, 7, 8, 9, 16, 17, 45, 63])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matching_byte_tables_at_every_last_table_size(edges, data):
+    """The byte tables give the per-trial masks when the last table is
+    full, short of full or holds one edge, and a random matching's codes
+    are the K column itself."""
+    graph, k_column, actives = data.draw(_matching_blocks(st.just(edges)))
+    sampler = MatchingFactory(graph, 1.0).bind(
         FractionalPoint([0.0] * graph.n_edges))
-    codes, families = sampler.sample_block(k_column[:, None])
-    rows = sampler.selectable_rows(actives, codes, families)
-    assert rows.dtype == np.int64
-    assert rows.tolist() == [families[c].selectable_mask(a) for c, a in zip(
-        codes.tolist(), actives.tolist())]
+    assert np.array_equal(_check_selectable_rows(sampler, k_column, actives),
+                          k_column)
 
 
 def test_factory_from_json_descriptors():
