@@ -5,16 +5,20 @@ activation thresholds or probing probabilities, and plays a greedy OCRS
 online.  Trials are grouped by a state key (integer key columns in the
 order-free probing loop, the tuple key `prophet_state_key` in prophet), so
 a distinct state is played at most once per order and trial block, not
-once per trial.  A prophet run only looks at its active elements, so the
-worst-order search plays a state once per order of its active set, not
-once per permutation, and the almighty adversary plays it once, in
-ascending value.  Feasibility is asserted on every play, which covers every
-trial and order that shares it, because a run is a pure function of its
-key and of the order restricted to its active set.
+once per trial.  Prophet trials are decoded and grouped block by block
+with numpy, and trials with equal full states share one state tuple, so
+`harness.group_states` keys each distinct tuple once.  A prophet run only
+looks at its active elements, so the worst-order search plays a state once
+per order of its active set, not once per permutation, and takes every
+order's mean from one table of those values; the almighty adversary plays
+it once, in ascending value.  Feasibility is asserted on every play, which
+covers every trial and order that shares it, because a run is a pure
+function of its key and of the order restricted to its active set.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -22,10 +26,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (FractionalPoint, SeedSpec, block_states, iter_bits,
-                   ordered_sum, pack_mask_rows, scale_point, trial_columns)
+from .core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, block_states,
+                   group_rows, iter_bits, ordered_sum, pack_mask_rows,
+                   scale_point, trial_columns)
 from .harness import (AdversarySearchResult, MeanEstimate, group_states,
-                      grouped_values, per_trial_values, worst_order_value)
+                      grouped_values, worst_order_value)
 from .matroids import LaminarMatroid, Matroid, max_weight_independent
 from .optimize import (ConstraintSpec, DiscreteDistribution,
                        KnapsackConstraint, ProbingLpResult,
@@ -166,27 +171,49 @@ def prophet_trial_states(pipeline: ProphetPipeline, trials: int,
     active when its value beats its threshold, or ties it and the coin falls
     below the tie probability, and its downsampling coin keeps it.  Values
     are the distributions' own support floats.
+
+    Each block is decoded with numpy, into every element's value index (a
+    small unsigned int, compared with the threshold's index) and the active
+    mask, and its trials are grouped by `group_rows` on (family
+    code, active mask, value indices).  Each distinct state of the run (the
+    same family object, active mask and values) is one ``(family, active,
+    z)`` tuple, and every trial that has it holds a reference to that
+    tuple, so the list costs one reference per trial and one tuple per
+    distinct state.
     """
-    n = pipeline.instance.n
-    states = []
-    # equal value vectors share one tuple, so memory grows with the distinct
-    # vectors rather than with the trials
-    shared: dict[tuple[float, ...], tuple[float, ...]] = {}
+    dists = pipeline.instance.dists
+    n = len(dists)
+    supports = [d.support for d in dists]
+    # each threshold q as support indices (supports ascend): a value beats q
+    # iff its index is at least ``above``, and ties it iff its index is
+    # ``at`` (-1 when q is no support value)
+    above, at, tie = [], [], []
+    for support, (q, p) in zip(supports, pipeline.thresholds):
+        k = bisect.bisect_right(support, q)
+        above.append([k])
+        at.append([k - 1 if k and support[k - 1] == q else -1])
+        tie.append([p])
+    above, at, tie = np.array(above), np.array(at), np.array(tie)
+    index_type = np.min_scalar_type(max(map(len, supports)) - 1)
+    states: list[tuple[FeasibleFamily, int, tuple[float, ...]]] = []
+    # each distinct state of the run, as its own key
+    shared: dict[tuple, tuple[FeasibleFamily, int, tuple[float, ...]]] = {}
     for _start, (u, coins, kept, (codes, families)) in trial_columns(
             seed, _DOMAIN_TRIALS, trials,
             [n, n, np.full(n, pipeline.b), pipeline.sampler]):
-        beats = np.zeros(u.shape, dtype=bool)
-        values = []
-        for e, d in enumerate(pipeline.instance.dists):
-            q, tie = pipeline.thresholds[e]
-            index = d.quantile_index(u[:, e])
-            realized = np.asarray(d.support)[index]
-            beats[:, e] = ((realized > q)
-                           | ((realized == q) & (coins[:, e] < tie)))
-            values.append([d.support[i] for i in index.tolist()])
-        for c, a, k, z in zip(codes.tolist(), pack_mask_rows(beats).tolist(),
-                              kept.tolist(), zip(*values)):
-            states.append((families[c], a & k, shared.setdefault(z, z)))
+        index = np.empty((n, len(u)), dtype=index_type)
+        for e, d in enumerate(dists):
+            index[e] = d.quantile_index(u[:, e])
+        beats = (index >= above) | ((index == at) & (coins.T < tie))
+        active = pack_mask_rows(beats.T) & kept
+        first, inverse = group_rows([codes, active, *index])
+        block = []
+        for c, a, idx in zip(codes[first].tolist(), active[first].tolist(),
+                             index[:, first].T.tolist()):
+            state = (families[c], a, tuple(map(tuple.__getitem__, supports,
+                                               idx)))
+            block.append(shared.setdefault(state, state))
+        states.extend(map(block.__getitem__, inverse.tolist()))
     return states
 
 
@@ -209,12 +236,25 @@ def prophet_value_under_order(pipeline: ProphetPipeline, states,
 
     One run per distinct state; with ``trial_state``, ``states`` are already
     the distinct states of `group_states` and ``trial_state`` maps trials to
-    them.
+    them.  The moments are added by `MeanEstimate.from_blocks`, a
+    ``TRIAL_BLOCK`` of trials at a time: the same left-to-right sums as
+    `MeanEstimate.from_stream` over every trial.
     """
     if trial_state is None:
         states, trial_state = group_states(states, prophet_state_key)
-    return MeanEstimate.from_stream(
-        per_trial_values(pipeline.value, states, trial_state, order), collect)
+    return MeanEstimate.from_blocks(
+        _trial_blocks([pipeline.value(state, order) for state in states],
+                      trial_state), collect)
+
+
+def _trial_blocks(values: list, trial_state: Sequence[int]
+                  ) -> Iterator[tuple[list, np.ndarray]]:
+    """`MeanEstimate.from_blocks` blocks of the trials of `group_states`,
+    ``TRIAL_BLOCK`` trials each: trial t has value
+    ``values[trial_state[t]]``."""
+    for lo in range(0, len(trial_state), TRIAL_BLOCK):
+        yield values, np.asarray(trial_state[lo:lo + TRIAL_BLOCK],
+                                 dtype=np.int64)
 
 
 def prophet_worst_order(pipeline: ProphetPipeline, trials: int,
@@ -262,7 +302,7 @@ def prophet_almighty_value(pipeline: ProphetPipeline, trials: int,
               for state in distinct]
     log.info("almighty adversary: %d trials, %d distinct states, one "
              "ascending-value play each", len(trial_state), len(distinct))
-    return MeanEstimate.from_stream(map(values.__getitem__, trial_state),
+    return MeanEstimate.from_blocks(_trial_blocks(values, trial_state),
                                     collect)
 
 

@@ -27,7 +27,8 @@ from .applications import (ProbingInstance, ProphetInstance,
                            prophet_trial_states, prophet_value_under_order,
                            prophet_worst_order)
 from .core import (FractionalPoint, SeedSpec, field, float_list, ground_size,
-                   int_list, json_float, json_str, num_blocks, read_field)
+                   int_list, iter_bits, json_float, json_str, num_blocks,
+                   read_field)
 from .harness import (MeanEstimate, bind_sampler, family_size,
                       knapsack_deterministic_impossibility,
                       report_from_counts, selectability_counts)
@@ -150,8 +151,10 @@ def _default_point(instance: dict, factory: GreedyOcrsFactory,
     gen = seed.stream(99)
     if isinstance(factory, MatroidChainFactory):
         return random_point_in_polytope(factory.matroid, factory.b, gen)
-    raw = FractionalPoint(0.25 + 0.75 * gen.random(factory.n))
-    return _fit_point_to_factory(raw, factory)
+    raw = 0.25 + 0.75 * gen.random(factory.n)
+    # a loop is in no feasible set, so every point of P is 0 on it
+    raw[list(iter_bits(factory.loops))] = 0.0
+    return _fit_point_to_factory(FractionalPoint(raw), factory)
 
 
 def _process_pool(workers: int):

@@ -405,28 +405,29 @@ def group_states(states: Iterable[_State],
     among them.
 
     Trials with equal keys share an index, and the first of them stands for
-    all; the key must hold everything a trial's value depends on.
+    all; the key must hold everything a trial's value depends on.  The key
+    is memoised by object identity, so a state object that recurs (as the
+    shared tuples of `applications.prophet_trial_states` do) is keyed once,
+    not once per trial.  The memo holds every object it has keyed, so no id
+    is reused for another object during the call, and the memo is exact.
     """
     index: dict[Hashable, int] = {}
+    seen: dict[int, int] = {}
+    held: list[_State] = []
     distinct: list[_State] = []
     trial_state = []
     for state in states:
-        k = key(state)
-        i = index.get(k)
+        i = seen.get(id(state))
         if i is None:
-            i = index[k] = len(distinct)
-            distinct.append(state)
+            k = key(state)
+            i = index.get(k)
+            if i is None:
+                i = index[k] = len(distinct)
+                distinct.append(state)
+            seen[id(state)] = i
+            held.append(state)
         trial_state.append(i)
     return distinct, trial_state
-
-
-def per_trial_values(trial_value: Callable[[_State, Sequence[int]], float],
-                     distinct: Sequence[_State], trial_state: Sequence[int],
-                     order: Sequence[int]) -> Iterator[float]:
-    """Values of every trial in trial order, from one ``trial_value`` call
-    per distinct state."""
-    values = [trial_value(state, order) for state in distinct]
-    return map(values.__getitem__, trial_state)
 
 
 def grouped_values(blocks: Iterable[tuple[int, Sequence]],
@@ -471,54 +472,110 @@ def worst_order_value(prepare_trial: Callable[[int], object],
     free of sampling noise.  With ``trial_state`` (from `group_states`), the
     ``trials`` prepared states are the distinct ones and trial t has state
     ``trial_state[t]``; each order's mean is still summed over the trials in
-    trial order (by a sequential ``np.cumsum``), so grouping leaves every
-    value unchanged.
+    trial order, left to right, so grouping leaves every value unchanged.
 
     ``masks[i]``, if given, holds the elements whose relative order state
     i's value can depend on (default: every element); the caller vouches
     that two orders with equal restriction to it give equal values.  States
     are grouped by mask, and each group runs once per distinct restricted
-    order, so the search costs one ``trial_value`` call per distinct pair
-    of state and restricted order: a state with k elements in its mask is
-    played at most k! times, not once per order.  The worst order is a
-    fixed order, the same for every trial; an adversary who picks each
-    trial's order after seeing its coins can do worse.
+    order (`restricted_order_ids`), with the first order that gives it, so
+    the search costs one ``trial_value`` call per distinct pair of state
+    and restricted order: a state with k elements in its mask is played at
+    most k! times, not once per order.  The calls come in the order of an
+    order-by-order scan.  Their values form a value table of states by
+    orders, and every order's sum is taken from that table at once (see
+    `_order_sums`).  The worst order is a fixed order, the same for every
+    trial; an adversary who picks each trial's order after seeing its coins
+    can do worse.
     """
     if n > 8:
         raise ValueError("exhaustive order search limited to n <= 8")
     states = [prepare_trial(t) for t in range(trials)]
     trial_state = np.asarray(range(trials) if trial_state is None
                              else trial_state, dtype=np.int64)
+    orders = list(itertools.permutations(range(n)))
+    order_rows = np.array(orders, dtype=np.int64)
     members: dict[int, list[int]] = {}
     for i, mask in enumerate([(1 << n) - 1] * trials if masks is None
                              else masks):
         members.setdefault(mask, []).append(i)
-    # per mask: its states' indices and states, and their values by
-    # restricted order
-    groups = [(mask, np.asarray(idx, dtype=np.int64),
-               [states[i] for i in idx], {})
+    # per mask: its states, the first order of each restricted order and
+    # each order's restricted-order id
+    groups = [(np.asarray(idx, dtype=np.int64),
+               *restricted_order_ids(order_rows, mask))
               for mask, idx in members.items()]
-    means: dict[tuple[int, ...], float] = {}
-    calls = restricted_orders = 0
-    values = np.empty(trials)
-    for order in itertools.permutations(range(n)):
-        for mask, idx, group, played in groups:
-            restricted = tuple(e for e in order if mask >> e & 1)
-            got = played.get(restricted)
-            if got is None:
-                got = [trial_value(state, order) for state in group]
-                calls += len(group)
-                restricted_orders += 1
-                # a restriction to all n elements is the order itself,
-                # which no later order repeats, so it is not stored
-                if len(restricted) < n:
-                    played[restricted] = got
-            values[idx] = got
-        means[order] = _sum_after(0.0, values[trial_state]) / trial_state.size
+    # a state's values by restricted order, played as the scan of the orders
+    # meets each (mask, restricted order) pair first
+    values = [np.empty((idx.size, first.size)) for idx, first, _ids in groups]
+    plays = sorted((p, g, r) for g, (_idx, first, _ids) in enumerate(groups)
+                   for r, p in enumerate(first.tolist()))
+    calls = 0
+    for p, g, r in plays:
+        group = groups[g][0].tolist()
+        values[g][:, r] = [trial_value(states[i], orders[p]) for i in group]
+        calls += len(group)
+    sums = _order_sums(groups, values, trial_state, trials, len(orders))
+    means = dict(zip(orders, (sums / trial_state.size).tolist()))
     worst = min(means, key=lambda p: (means[p], p))
     log.info("worst-order search (exhaustive): %d trials, %d distinct states, "
              "%d orders evaluated, %d value calls, one per distinct "
              "(state, restricted order) pair (%d restricted orders of %d "
              "masks)", trial_state.size, trials, len(means), calls,
-             restricted_orders, len(groups))
+             len(plays), len(groups))
     return AdversarySearchResult(worst, means[worst], means)
+
+
+def restricted_order_ids(orders: np.ndarray, mask: int
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The restrictions of permutation rows to the elements of a mask, as
+    integer codes.
+
+    ``orders`` is a (count, n) int64 array of permutations of range(n).
+    Returns ``(first, ids)``: ``ids[p]`` numbers row p's restriction (its
+    elements inside ``mask``, in their order in the row) by first
+    appearance, and ``first[r]`` is the first row whose restriction has
+    number r.  A restriction is a row of elements, coded by `group_rows`.
+    """
+    inside = (mask >> orders & 1).astype(bool)
+    restricted = orders[inside].reshape(len(orders), int(inside[0].sum()))
+    return group_rows(list(restricted.T)
+                      or [np.zeros(len(orders), dtype=np.int64)])
+
+
+#: Bytes of trial rows that `_order_sums` gathers at a time.
+_SUM_CHUNK_BYTES = 1 << 18
+
+
+def _order_sums(groups: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                values: Sequence[np.ndarray], trial_state: np.ndarray,
+                states: int, orders: int) -> np.ndarray:
+    """Per order, the sum of the values of the trials, added left to right
+    in trial order as `_sum_after` adds them.
+
+    ``groups`` and ``values`` are `worst_order_value`'s: state
+    ``groups[g][0][i]`` has value ``values[g][i, groups[g][2][p]]`` under
+    order p.  The (states, orders) value table is filled a band of orders
+    at a time, of at most ``TABLE_BYTES`` (the whole table on small
+    searches).  Its trial rows are gathered in chunks of at most
+    ``_SUM_CHUNK_BYTES``; the running sums are added to a chunk's first row
+    and the chunk is reduced down axis 0, which adds its rows one by one.
+    One order, a (rows, 1) chunk, is summed by ``np.cumsum`` instead, as
+    ``np.add.reduce`` sums a contiguous axis pairwise.
+    """
+    sums = np.zeros(orders)
+    width = max(1, min(orders, TABLE_BYTES // (8 * states)))
+    for lo in range(0, orders, width):
+        band = slice(lo, min(lo + width, orders))
+        table = np.empty((states, band.stop - lo))
+        for (idx, _first, ids), by_restriction in zip(groups, values):
+            table[idx] = by_restriction[:, ids[band]]
+        rows = max(1, _SUM_CHUNK_BYTES // (8 * table.shape[1]))
+        running = sums[band]
+        for at in range(0, trial_state.size, rows):
+            chunk = table[trial_state[at:at + rows]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                chunk[0] += running
+                running = (np.add.reduce(chunk, axis=0) if chunk.shape[1] > 1
+                           else np.cumsum(chunk, axis=0)[-1])
+        sums[band] = running
+    return sums

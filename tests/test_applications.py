@@ -6,13 +6,14 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, iter_bits,
-                       num_blocks, uniform_blocks)
+                       num_blocks, ordered_sum, uniform_blocks)
 from ocrs.applications import (ProbingInstance, ProphetInstance,
                                brute_force_prophet_opt, deadline_matroid,
                                estimate_competitive_ratio, prepare_probing,
@@ -21,7 +22,9 @@ from ocrs.applications import (ProbingInstance, ProphetInstance,
                                prophet_state_key, prophet_thresholds,
                                prophet_trial_states, prophet_value_under_order,
                                prophet_worst_order)
-from ocrs.harness import MeanEstimate, group_states, per_trial_values
+from ocrs import harness
+from ocrs.harness import (MeanEstimate, _sum_after, group_states,
+                          worst_order_value)
 from ocrs.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from ocrs.optimize import DiscreteDistribution, KnapsackConstraint
 from ocrs.schemes import FeasibleFamily, MatroidChainFactory, run_greedy_mask
@@ -79,14 +82,13 @@ def test_activation_marginals_monte_carlo():
         assert abs(freq[e] - target) <= 4 * math.sqrt(max(target, 1e-4) / 50_000) + 1e-3
 
 
-def test_prophet_trial_states_match_per_trial_reference():
-    # the block-wise decode equals a per-element loop over each uniform row
-    # (value quantile, tie coin and downsampling coin per element), and the
-    # values are the distributions' own support floats
+def _check_trial_states_match_per_trial_reference(dists):
+    """The block-wise decode equals a per-element loop over each uniform
+    row (value quantile, tie coin and downsampling coin per element), and
+    the values are the distributions' own support floats; returns the
+    pipeline."""
     from ocrs.applications import _DOMAIN_TRIALS
 
-    dists = (_dist([0.0, 1.0, 2.0], [0.5, 0.3, 0.2]),
-             _dist([1.0, 3.0], [0.6, 0.4]), _dist([0.5, 4.0], [0.9, 0.1]))
     inst = ProphetInstance(UniformMatroid(3, 1), dists)
     pipeline = prepare_prophet(inst, MatroidChainFactory(inst.matroid, 0.5),
                                SEED)
@@ -106,6 +108,23 @@ def test_prophet_trial_states_match_per_trial_reference():
                 expect |= 1 << e
         assert active == expect
         assert all(v is w for v, w in zip(z, expect_z))
+    return pipeline
+
+
+def test_prophet_trial_states_match_per_trial_reference():
+    _check_trial_states_match_per_trial_reference((
+        _dist([0.0, 1.0, 2.0], [0.5, 0.3, 0.2]),
+        _dist([1.0, 3.0], [0.6, 0.4]), _dist([0.5, 4.0], [0.9, 0.1])))
+
+
+def test_prophet_trial_states_match_reference_on_wide_supports():
+    """300 atoms take two-byte value indices and one atom a single value;
+    a tie coin far from 0 and 1 makes ties decide some trials (the tie
+    coins of the other reference case are 0 or within 1e-15 of 0)."""
+    pipeline = _check_trial_states_match_per_trial_reference((
+        _dist([0.5 * i for i in range(300)], [1 / 300] * 300),
+        _dist([2.0], [1.0]), _dist([1.0, 3.0], [0.6, 0.4])))
+    assert any(0.01 < tie < 0.99 for _q, tie in pipeline.thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +341,60 @@ def test_probing_ratio_bounds_small_instances():
 
 def _literal_search(states, value, n):
     """The order search as a literal loop over every trial and order (the
-    reference the grouped search must reproduce bit for bit)."""
+    reference the grouped search must reproduce bit for bit), each mean
+    added left to right."""
     values = {}
     for perm in itertools.permutations(range(n)):
-        values[perm] = sum(value(state, perm) for state in states) / len(states)
+        values[perm] = (ordered_sum(value(state, perm) for state in states)
+                        / len(states))
     return min(values, key=lambda p: (values[p], p)), values
+
+
+def _first_and_last(state, order):
+    """A value that depends on the order of the state's mask alone: twice
+    the value of its first element in ``order`` plus that of its last."""
+    mask, z = state
+    inside = [e for e in order if mask >> e & 1]
+    return 2.0 * z[inside[0]] + z[inside[-1]] if inside else 0.0
+
+
+_SUM_VALUES = st.one_of(st.floats(-1e300, 1e300),
+                        st.sampled_from([0.0, -0.0, 1.0, 1e16, -1e16, 1e308,
+                                         math.inf, -math.inf]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4),
+       chunk_bytes=st.sampled_from([8, 24, 40, 1 << 18]),
+       table_bytes=st.sampled_from([8, 64, 1 << 20]), masked=st.booleans())
+def test_order_sums_equal_per_order_sums_and_literal_search(
+        data, n, chunk_bytes, table_bytes, masked):
+    """Every order's mean is the left-to-right sum over the trials, bit for
+    bit (inf and nan included), whatever the chunk of trial rows and the
+    band of orders, also at one order and at trial counts that are no
+    multiple of the chunk."""
+    distinct = data.draw(st.lists(
+        st.tuples(st.integers(0, (1 << n) - 1),
+                  st.tuples(*[_SUM_VALUES] * n)),
+        min_size=1, max_size=6))
+    trial_state = data.draw(st.lists(st.integers(0, len(distinct) - 1),
+                                     min_size=1, max_size=40))
+    with mock.patch.object(harness, "_SUM_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(harness, "TABLE_BYTES", table_bytes):
+        result = worst_order_value(
+            distinct.__getitem__, _first_and_last, n, len(distinct),
+            trial_state=trial_state,
+            masks=[mask for mask, _z in distinct] if masked else None)
+    states = [distinct[i] for i in trial_state]
+    worst, literal = _literal_search(states, _first_and_last, n)
+    per_order = {order: _sum_after(0.0, np.array(
+        [_first_and_last(state, order) for state in states]))
+        / len(states) for order in literal}
+    got = {order: repr(v) for order, v in result.values_by_order.items()}
+    assert got == {order: repr(v) for order, v in literal.items()}
+    assert got == {order: repr(v) for order, v in per_order.items()}
+    assert list(result.values_by_order) == list(literal)
+    assert result.worst_order == worst
 
 
 def _prophet4(matroid):
@@ -421,6 +489,27 @@ def test_search_calls_trial_value_once_per_order_and_state():
     assert searched < 24 * len(distinct)
     # then the worst order once more for the report
     assert calls["value"] == searched + len(distinct)
+
+
+def _prophet_peak_bytes(pipeline, trials: int) -> int:
+    tracemalloc.start()
+    try:
+        prophet_worst_order(pipeline, trials, SEED)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prophet_worst_order_memory_grows_by_a_reference_per_trial():
+    """Trials share one tuple per distinct state, and the order sums and
+    the mean take bounded chunks of trials, so quadrupling the trial count
+    adds little more than the per-trial lists of references and indices
+    (each trial still holds one of each until the search is keyed by
+    blocks)."""
+    pipeline = _prophet_u42()
+    growth = (_prophet_peak_bytes(pipeline, 65_536)
+              - _prophet_peak_bytes(pipeline, 16_384))
+    assert growth < 2 ** 20, growth
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +614,13 @@ def _outcome(value, state, order):
 
 
 _VALUES = st.sampled_from([0.0, 0.5, 1.5, 4.0])
+
+
+def per_trial_values(trial_value, distinct, trial_state, order):
+    """Values of every trial in trial order, from one ``trial_value`` call
+    per distinct state: the oracle of the grouped means."""
+    values = [trial_value(state, order) for state in distinct]
+    return map(values.__getitem__, trial_state)
 
 
 @settings(max_examples=60, deadline=None)

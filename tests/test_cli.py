@@ -185,6 +185,25 @@ def test_intersect_fits_its_point_on_a_17_element_laminar_matroid(tmp_path):
                sum(s * v for s, v in zip(sizes, x))) <= 0.5
 
 
+def test_intersect_default_point_is_zero_on_a_loop(tmp_path):
+    """A capacity-0 set makes element 16 a loop; the drawn point is 0 on
+    it before fitting, so the run exits 0 (it exited 2, the point being
+    positive on the loop)."""
+    sizes = [0.05 * (1 + e % 5) for e in range(17)]
+    sets = [list(range(10)), [0, 1, 2], list(range(10, 17)), [16]]
+    inst = _write(tmp_path, "loop17.json", {"parts": [
+        {"scheme": "matroid",
+         "matroid": {"type": "laminar", "n": 17, "sets": sets,
+                     "capacities": [3, 1, 2, 0]}},
+        {"scheme": "knapsack", "sizes": sizes}]})
+    out = tmp_path / "out.json"
+    assert main(["verify-selectability", inst, "--scheme", "intersect",
+                 "--trials", "2000", "--out-json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["x"][16] == 0.0
+    assert payload["all_pass"]
+
+
 def test_impossibility_command(tmp_path, capsys):
     assert main(["impossibility", "--n", "3", "--b", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

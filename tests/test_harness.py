@@ -18,7 +18,8 @@ from ocrs.harness import (_DOMAIN_CONSTRUCT, _DOMAIN_TRIALS, MeanEstimate,
                           ci_halfwidth, estimate_selectability, group_states,
                           grouped_values,
                           knapsack_deterministic_impossibility,
-                          selectability_counts, worst_order_value)
+                          restricted_order_ids, selectability_counts,
+                          worst_order_value)
 from ocrs.matroids import GraphicMatroid, UniformMatroid
 from ocrs.optimize import KnapsackConstraint
 from ocrs.schemes import (Graph, IntersectionFactory, KnapsackFactory,
@@ -381,6 +382,76 @@ def test_group_states_first_seen_order():
     assert trial_state == [0, 1, 0, 2, 1]
 
 
+def _literal_grouping(states, key):
+    """`group_states` as a literal dict loop that keys every trial."""
+    index, distinct, trial_state = {}, [], []
+    for state in states:
+        k = key(state)
+        if k not in index:
+            index[k] = len(distinct)
+            distinct.append(state)
+        trial_state.append(index[k])
+    return distinct, trial_state
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       made=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                     min_size=1, max_size=8))
+def test_group_states_memo_equals_literal_grouping(data, made):
+    """Trials that share one object, equal but distinct objects and
+    objects with equal keys but other contents group as the literal loop
+    groups them: the same distinct objects, in first-seen order, and the
+    same indices; the key runs once per distinct object."""
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(made) - 1),
+                                         st.booleans()),
+                               min_size=1, max_size=50))
+    # a fresh tuple equal to the shared one, or the shared one itself
+    states = [tuple(list(made[i])) if copy else made[i]
+              for i, copy in picks]
+    keyed = []
+
+    def key(state):
+        keyed.append(state)
+        return state[0]
+
+    distinct, trial_state = group_states(states, key)
+    expected, expected_index = _literal_grouping(states, lambda s: s[0])
+    assert trial_state == expected_index
+    assert len(distinct) == len(expected)
+    assert all(a is b for a, b in zip(distinct, expected))
+    assert len(keyed) == len({id(s) for s in states})
+
+
+def test_group_states_memo_survives_transient_objects():
+    """A generator whose objects die after use may hand a new object the
+    id of an old one; the memo holds what it saw, so no id is reused."""
+    def fresh():
+        for k in [0, 1, 0, 2, 1, 3] * 50:
+            yield [k]
+
+    distinct, trial_state = group_states(fresh(), lambda s: s[0])
+    assert [s[0] for s in distinct] == [0, 1, 2, 3]
+    assert trial_state == [0, 1, 0, 2, 1, 3] * 50
+
+
+def test_restricted_order_ids_equal_the_tuple_loop():
+    """On every mask up to 6 elements: each order's restriction numbered
+    by first appearance, and the first order of each, as the loop over
+    restricted tuples numbers them."""
+    for n in range(7):
+        orders = list(itertools.permutations(range(n)))
+        rows = np.array(orders, dtype=np.int64)
+        for mask in range(1 << n):
+            seen: dict[tuple, int] = {}
+            ids = [seen.setdefault(tuple(e for e in order if mask >> e & 1),
+                                   len(seen)) for order in orders]
+            first = [ids.index(r) for r in range(len(seen))]
+            got_first, got_ids = restricted_order_ids(rows, mask)
+            assert got_ids.tolist() == ids, (n, mask)
+            assert got_first.tolist() == first, (n, mask)
+
+
 def test_grouped_search_equals_per_trial_search(caplog):
     fac = MatroidChainFactory(UniformMatroid(3, 1), 0.5)
     fam = fac.bind(FractionalPoint([0.15, 0.15, 0.15])).sample()
@@ -469,6 +540,15 @@ def test_mean_estimate_moments():
 def test_order_means_sum_left_to_right():
     values = [1e16, 1.0, -1e16]
     res = worst_order_value(lambda t: t, lambda t, order: values[t], 1, 3)
+    assert res.values_by_order == {(0,): 0.0}
+
+
+def test_one_order_means_sum_left_to_right_past_eight_trials():
+    """At one order the trial rows are (rows, 1) chunks, which
+    ``np.add.reduce`` would sum pairwise, eight partial sums at a time."""
+    values = [1e16] + [1.0] * 16 + [-1e16]
+    res = worst_order_value(lambda t: t, lambda t, order: values[t], 1,
+                            len(values))
     assert res.values_by_order == {(0,): 0.0}
 
 
