@@ -7,12 +7,15 @@ runs and worker counts.  Every trial loop takes its randomness from
 :func:`trial_columns`, which decodes the per-trial uniform rows into
 activation masks, raw columns and sampled family codes, and order-free
 loops group a block's trials by integer key columns with
-:func:`group_rows`.  A loop draws all its blocks, in row chunks, into one
-uniform table of at most ``TABLE_BYTES`` (see :func:`uniform_blocks`);
-each chunk's threshold columns, the probability vectors' and the
-samplers', are compared once, against the loop's concatenated threshold
-row, and packed into int64 masks of the block's own, and a raw column is
-valid until the next block is decoded.
+:func:`group_rows`, by tables over the key's values when it spans no more
+of them than the block has trials, so without a sort.  A loop draws all
+its blocks, in row chunks, with one Philox generator re-keyed per block,
+into one uniform table of at most ``TABLE_BYTES`` (see
+:func:`uniform_blocks`); each chunk is compared once, against the loop's
+concatenated threshold row, and its threshold columns, the probability
+vectors' and the samplers', are packed into int64 masks of the block's
+own (one pack of their whole span when it has at most 63 columns), and a
+raw column is valid until the next block is decoded.
 """
 
 from __future__ import annotations
@@ -70,9 +73,23 @@ class SeedSpec:
         return key
 
     def stream(self, *path: int) -> np.random.Generator:
-        key = np.array([self.master_seed, self.stream_key(*path)],
-                       dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self._key(path)))
+
+    def rekey(self, generator: np.random.Generator, *path: int) -> None:
+        """Restart ``generator``, one that `stream` made, as a fresh
+        ``stream(*path)``: its Philox takes the key of ``path``, counter 0
+        and an empty buffer, so it draws what a new generator of that path
+        draws, at a fraction of the cost of building one."""
+        generator.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": self._key(path)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+
+    def _key(self, path: tuple[int, ...]) -> np.ndarray:
+        return np.array([self.master_seed, self.stream_key(*path)],
+                        dtype=np.uint64)
 
     def child(self, index: int) -> "SeedSpec":
         """Derived SeedSpec for a sub-experiment (same mixing rule)."""
@@ -97,15 +114,21 @@ def uniform_blocks(seed: SeedSpec, domain: int, trials: int, width: int,
     columns draws each block as one chunk.  The loop allocates one table of
     at most ``TABLE_BYTES`` and draws every chunk into its leading rows, so
     a yielded ``U`` is valid only until the next chunk is drawn; a consumer
-    that keeps rows past that copies them.
+    that keeps rows past that copies them.  The loop builds one generator,
+    for its first block, and re-keys it for each later block (see
+    `SeedSpec.rekey`).
     """
     lo, hi = block_range if block_range is not None else (0, None)
     rows = min(TRIAL_BLOCK, trials, max(1, TABLE_BYTES // (8 * max(width, 1))))
     table = np.empty((rows, width))
+    stream = None
     for j, start in enumerate(range(0, trials, TRIAL_BLOCK)):
         if j < lo or (hi is not None and j >= hi):
             continue
-        stream = seed.stream(domain, j)
+        if stream is None:
+            stream = seed.stream(domain, j)
+        else:
+            seed.rekey(stream, domain, j)
         end = min(start + TRIAL_BLOCK, trials)
         for at in range(start, end, rows):
             chunk = table[:min(rows, end - at)]
@@ -138,12 +161,18 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
       that ``families[code]`` gives each code's family from.
 
     Rows come from :func:`uniform_blocks` chunk by chunk.  Each chunk is
-    compared once, over the columns from the first threshold column to the
-    last, against the loop's concatenated threshold row (raw columns
-    outside that span are never compared), and every vector and sampler
-    segment is packed from column slices of that one boolean array into
-    int64 arrays of the block's own, so no block-sized float copy of them
-    is made.  A raw int segment is a view of the loop's one uniform table
+    compared once with the loop's threshold row, the vectors' and
+    samplers' thresholds in their columns and 0 in every raw column (so a
+    raw column compares false and is never read).  The chunk's rows
+    compare as long flat runs against that row tiled over about
+    ``TRIAL_BLOCK`` thresholds, so numpy's inner loop is not one row
+    short.  The span from the first threshold column to the last, if it
+    has at most 63 columns, is packed once, by `pack_mask_rows`, and each
+    vector's and sampler's masks are cut out of that one int64 array by a
+    shift and an AND; a wider span packs every segment from column slices
+    of the boolean array.  Either way the masks are int64 arrays of the
+    block's own, and no block-sized float copy of the threshold columns is
+    made.  A raw int segment is a view of the loop's one uniform table
     when the block is one chunk (a loop of at most 16 columns), and
     otherwise is gathered into one buffer of the loop; either way it is
     valid only until the next block is decoded.  Counts over disjoint
@@ -167,13 +196,17 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
             thresholds.append((width, segment))
         layout.append((segment, width, width + count))
         width += count
-    # the span of the threshold columns and the row they are compared with;
-    # a raw column inside the span compares with 0 and is never read
+    # the span of the threshold columns, and the row every chunk row is
+    # compared with (a raw column compares with 0)
     first = min((at for at, _ in thresholds), default=0)
     last = max((at + vector.size for at, vector in thresholds), default=0)
-    threshold_row = np.zeros(last - first)
+    span = last - first
+    threshold_row = np.zeros(width)
     for at, vector in thresholds:
-        threshold_row[at - first:at - first + vector.size] = vector
+        threshold_row[at:at + vector.size] = vector
+    # the row repeated over about TRIAL_BLOCK thresholds, so that numpy's
+    # inner loop runs that long rather than one row
+    tiled = np.tile(threshold_row, (max(1, TRIAL_BLOCK // max(width, 1)), 1))
     raw_width = sum(hi - lo for segment, lo, hi in layout
                     if isinstance(segment, int))
     buffer = None  # raw columns of the blocks drawn in more than one chunk
@@ -208,15 +241,37 @@ def trial_columns(seed: SeedSpec, domain: int, trials: int,
                 columns.append(cols)
         rows = slice(offset, offset + len(chunk))
         if packs:
-            below = chunk[:, first:last] < threshold_row
-            for lo, hi, cols in packs:
-                cols[rows] = pack_mask_rows(below[:, lo:hi])
+            below = _compare(chunk, tiled)[:, first:last]
+            if span < 64:
+                # one pack of the span; each mask is a bit field of it
+                packed = pack_mask_rows(below)
+                for lo, hi, cols in packs:
+                    np.right_shift(packed, lo, out=cols[rows])
+                    np.bitwise_and(cols[rows], (1 << (hi - lo)) - 1,
+                                   out=cols[rows])
+            else:
+                for lo, hi, cols in packs:
+                    cols[rows] = pack_mask_rows(below[:, lo:hi])
         for lo, hi, cols in gathers:
             cols[rows] = chunk[:, lo:hi]
         if rows.stop == count:
             for k, sampler in samplers:
                 columns[k] = sampler.sample_block(columns[k])
             yield start, columns
+
+
+def _compare(chunk: np.ndarray, tiled: np.ndarray) -> np.ndarray:
+    """``chunk < tiled[0]`` as a bool array, for ``tiled`` the threshold row
+    repeated ``len(tiled)`` times: the chunk's leading whole tiles of rows
+    compare as long flat runs, and the rest row by row."""
+    tile = len(tiled)
+    whole = len(chunk) - len(chunk) % tile
+    runs = (whole // tile, tiled.size)
+    below = np.empty(chunk.shape, dtype=bool)
+    np.less(chunk[:whole].reshape(runs), tiled.reshape(-1),
+            out=below[:whole].reshape(runs))
+    np.less(chunk[whole:], tiled[0], out=below[whole:])
+    return below
 
 
 def block_states(columns: Sequence, rows: Optional[np.ndarray] = None
@@ -248,8 +303,15 @@ def group_rows(columns: Sequence[np.ndarray]
     constant column adds nothing); when the product of the radices would
     pass 2^63, the key so far is re-ranked densely by ``np.unique`` first,
     so the grouping is exact at any width.
+
+    A key that spans at most as many values as the block has trials is
+    grouped without a sort, by tables of that span: each value's first
+    trial by ``np.minimum.at``, the first trials in trial order, and
+    ``inverse`` by one gather of each value's rank.  A wider key is ranked
+    by ``np.unique`` first, so no table is longer than the block.
     """
-    key = np.zeros(len(columns[0]), dtype=np.int64)
+    trials = len(columns[0])
+    key = np.zeros(trials, dtype=np.int64)
     span = 1
     for column in columns:
         column = np.asarray(column, dtype=np.int64)
@@ -264,15 +326,17 @@ def group_rows(columns: Sequence[np.ndarray]
                 radix, column = _dense_rank(column)
         key = column if span == 1 else key * radix + column
         span *= radix
-    count, inverse = _dense_rank(key)
-    # the first trial of each group (np.unique's return_index would sort
-    # the whole block a second time, stably)
-    first = np.full(count, inverse.size, dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(inverse.size))
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
+    if span > trials:
+        span, key = _dense_rank(key)
+    # tables over the key's span, at most one entry per trial: each key's
+    # first trial, then the groups in the order their first trials come
+    index = np.arange(trials)
+    first = np.full(span, trials, dtype=np.int64)
+    np.minimum.at(first, key, index)
+    leads = np.flatnonzero(first[key] == index)
+    rank = np.empty(span, dtype=np.int64)
+    rank[key[leads]] = np.arange(leads.size)
+    return leads, rank[key]
 
 
 def _dense_rank(column: np.ndarray) -> tuple[int, np.ndarray]:
@@ -457,18 +521,19 @@ def ground_size(n: int) -> int:
 def pack_mask_rows(bits: np.ndarray) -> np.ndarray:
     """Row-wise bitmask packing of a boolean (T, n) array into int64 masks.
 
-    Copies the bits into a zeroed (T, 8 * ceil(n / 8)) array, so each row
-    fills whole bytes, packs that with one flat ``np.packbits`` call
-    (little bit order) and widens each row's bytes to an int64, so no
-    (T, n) integer array is made.  Raises ValueError for n >= 64, which
-    int64 masks cannot hold (see `ground_size`).
+    Copies the bits into a zeroed (T, 8 * w) array, for the fewest bytes w
+    of 1, 2, 4 or 8 that hold n bits, packs that with one flat
+    ``np.packbits`` call (little bit order) and widens the w-byte
+    little-endian words to int64, so no (T, n) integer array is made.
+    Raises ValueError for n >= 64, which int64 masks cannot hold (see
+    `ground_size`).
     """
     count, n = bits.shape
     ground_size(n)
-    width = -(-n // 8)
+    width = 1
+    while 8 * width < n:
+        width *= 2
     padded = np.zeros((count, 8 * width), dtype=bool)
     padded[:, :n] = bits
-    octets = np.zeros((count, 8), dtype=np.uint8)
-    octets[:, :width] = np.packbits(padded, bitorder="little").reshape(
-        count, width)
-    return octets.view("<i8").reshape(count).astype(np.int64, copy=False)
+    return np.packbits(padded, bitorder="little").view(
+        f"<u{width}").astype(np.int64)

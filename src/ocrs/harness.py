@@ -440,9 +440,12 @@ def grouped_values(blocks: Iterable[tuple[int, Sequence]],
 
     ``key`` maps a block's columns to nonnegative int64 key columns that
     hold everything a trial's value depends on; trials with equal keys are
-    grouped by `group_rows`.  ``trial_value`` runs once per distinct key of
-    a block, on the state (see `block_states`) of its first trial, so
-    memory is bounded by one block, not by the trial count.
+    grouped by `group_rows`, which needs no sort when the key spans no more
+    values than the block has trials (probing on six elements with fixed
+    families: A_out and its active elements span at most 2^12).
+    ``trial_value`` runs once per distinct key of a block, on the state
+    (see `block_states`) of its first trial, so memory is bounded by one
+    block, not by the trial count.
     """
     trials = blocks_seen = calls = widest = 0
     for _start, columns in blocks:

@@ -22,7 +22,7 @@ from ocrs.applications import (ProbingInstance, ProphetInstance,
                                prophet_state_key, prophet_thresholds,
                                prophet_trial_states, prophet_value_under_order,
                                prophet_worst_order)
-from ocrs import harness
+from ocrs import core, harness
 from ocrs.harness import (MeanEstimate, _sum_after, group_states,
                           worst_order_value)
 from ocrs.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
@@ -774,6 +774,23 @@ def test_probing_mean_runs_once_per_distinct_state_of_each_block():
                  for _ in range(num_blocks(trials))]
     assert per_block == [27] * 37
     assert calls == sum(per_block) == 999
+
+
+def test_probing_blocks_group_without_a_sort(monkeypatch):
+    """A probing-u6 block's key (A_out, its active elements and two family
+    codes) spans at most 2^12 values, fewer than the block has trials, so
+    every block of the 300,000-trial run, its 5,088-trial tail too, is
+    grouped by tables, with no `_dense_rank` sort."""
+    seed = SeedSpec(0)
+    pipeline = prepare_probing(_PROBING_U6, seed)
+    sorts = []
+    dense_rank = core._dense_rank
+    monkeypatch.setattr(core, "_dense_rank",
+                        lambda column: sorts.append(column.size)
+                        or dense_rank(column))
+    estimate = probing_mean_value(pipeline, 300_000, seed)
+    assert estimate.trials == 300_000
+    assert sorts == []
 
 
 def _probing_peak_bytes(pipeline, trials: int) -> int:

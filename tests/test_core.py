@@ -189,6 +189,69 @@ def _check_hand_slicing(graph, x):
     assert blocks == 2
 
 
+# thresholds at and next to both ends of [0, 1): 5e-324 draws an element
+# only on a uniform of exactly 0, and 1 - 2^-53 on every uniform but the
+# largest
+_EDGES = [0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0]
+
+
+def _thresholds(n, salt):
+    """``n`` thresholds: the edge values, then values spread over (0, 1)."""
+    spread = np.random.default_rng(salt).random(n)
+    return np.concatenate([_EDGES, spread])[:n]
+
+
+@pytest.mark.parametrize("segments", [
+    [_thresholds(1, 1)],
+    [2, _thresholds(8, 2)],
+    [_thresholds(4, 3), _thresholds(5, 4)],
+    [_thresholds(20, 5), 3, _thresholds(40, 6)],
+    [3, 3, _thresholds(5, 7), 1, _thresholds(6, 8), 2],
+    [_thresholds(45, 9), _thresholds(45, 10)]],
+    ids=["span-1-whole-row", "span-8-after-raw", "span-9-whole-row",
+         "span-63-raw-inside", "prophet-layout", "span-90-per-segment"])
+def test_trial_columns_decodes_like_hand_slicing_at_every_span(
+        monkeypatch, segments):
+    """Every vector decodes to the masks of a fresh draw of its block's
+    rows sliced by hand, and every raw segment to the rows' columns: one
+    pack of the span per chunk, cut into bit fields (spans of 1 to 63
+    columns, raw columns inside the span or outside it), one pack per
+    segment and chunk (90 columns), and the tiled compare on blocks of
+    TRIAL_BLOCK trials and of a 300-trial tail, which are not all whole
+    numbers of tiles."""
+    packs = []
+    pack = ocrs.core.pack_mask_rows
+    monkeypatch.setattr(ocrs.core, "pack_mask_rows",
+                        lambda bits: packs.append(bits.shape) or pack(bits))
+    ends = np.cumsum([s if isinstance(s, int) else s.size
+                      for s in segments])
+    width = int(ends[-1])
+    vectors = [(end - s.size, end) for s, end in zip(segments, ends.tolist())
+               if not isinstance(s, int)]
+    span = vectors[-1][1] - vectors[0][0]
+    seed = SeedSpec(14)
+    trials = TRIAL_BLOCK + 300
+    chunks = sum(1 for _ in uniform_blocks(seed, 9, trials, width))
+    blocks = 0
+    for start, columns in trial_columns(seed, 9, trials, segments):
+        block = seed.stream(9, blocks).random(
+            (min(TRIAL_BLOCK, trials - start), width))
+        at = 0
+        for segment, column in zip(segments, columns):
+            if isinstance(segment, int):
+                assert np.array_equal(column, block[:, at:at + segment])
+                at += segment
+                continue
+            below = block[:, at:at + segment.size] < segment
+            powers = 1 << np.arange(segment.size, dtype=np.int64)
+            assert column.dtype == np.int64
+            assert np.array_equal(column, below.astype(np.int64) @ powers)
+            at += segment.size
+        blocks += 1
+    assert blocks == 2
+    assert len(packs) == chunks * (1 if span < 64 else len(vectors))
+
+
 @pytest.mark.parametrize("segments", [[3, 2], [10, 10]], ids=["one-chunk",
                                                               "chunked"])
 def test_raw_only_layout_is_never_compared_or_packed(monkeypatch, segments):
@@ -219,6 +282,7 @@ def test_trial_columns_draws_every_block_into_one_table(monkeypatch):
     class Recording:
         def __init__(self, gen):
             self.gen = gen
+            self.bit_generator = gen.bit_generator  # re-keyed per block
 
         def random(self, *args, out=None):
             table = self.gen.random(*args, out=out)
@@ -250,6 +314,7 @@ def test_wide_loops_draw_chunks_into_one_table_of_at_most_1_mib(monkeypatch):
     class Recording:
         def __init__(self, gen):
             self.gen = gen
+            self.bit_generator = gen.bit_generator  # re-keyed per block
 
         def random(self, *args, out=None):
             drawn.append(out)
@@ -352,12 +417,15 @@ def _check_fresh_draws(trials, block_range, width):
                               seed.stream(4, j).random((count, width)))
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 63])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 32, 33, 63])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_pack_mask_rows_round_trip(n, data):
     """Every width that fills a byte, stops short of one or spills into
-    the next, on zero rows too and on a strided column slice."""
+    the next, and so of each packed word size of 1, 2, 4 and 8 bytes, on
+    zero rows too and on a strided column slice."""
+    empty = pack_mask_rows(np.zeros((0, n), dtype=bool))
+    assert empty.dtype == np.int64 and empty.shape == (0,)
     rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
                               min_size=0, max_size=6))
     bits = np.array(rows, dtype=bool).reshape(len(rows), n)
@@ -444,8 +512,76 @@ def test_group_rows_redensifies_wide_keys(monkeypatch):
     assert (first.tolist(), inverse.tolist()) == ([0, 1, 4, 5],
                                                   [0, 1, 0, 1, 2, 3])
     # before the second and before the fourth column, both the key so far
-    # and the column are too wide to pack together; then the final grouping
-    assert len(dense) == 5
+    # and the column are too wide to pack together; the final key spans 6
+    # values over 6 trials, so it groups by tables, without a sort
+    assert len(dense) == 4
+
+
+def _counting_dense_rank(monkeypatch):
+    """Record the size of every `_dense_rank` call of `group_rows`."""
+    calls = []
+    original = ocrs.core._dense_rank
+
+    def counting(column):
+        calls.append(column.size)
+        return original(column)
+
+    monkeypatch.setattr(ocrs.core, "_dense_rank", counting)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(radices=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       short=st.booleans(), wide=st.booleans(),
+       constant=st.integers(0, 2 ** 62), data=st.data())
+def test_group_rows_matches_oracle_on_both_sides_of_the_dense_switch(
+        radices, short, wide, constant, data):
+    """Keys that span exactly as many values as the block has trials, or
+    one more, group by tables or by a sort, and both equal the oracle;
+    so do blocks of one row, constant columns and columns that need the
+    2^63 re-rank."""
+    span = math.prod(radices)
+    rows = max(1, span - short)
+    columns = []
+    for radix in radices:
+        lo = data.draw(st.sampled_from([0, 5, 2 ** 62 - radix]))
+        values = data.draw(st.lists(st.integers(0, radix - 1),
+                                    min_size=rows, max_size=rows))
+        # both ends of the radix, where the rows leave room for them
+        ends = data.draw(st.permutations(range(rows)))[:2]
+        for at, value in zip(ends, (0, radix - 1)):
+            values[at] = value
+        columns.append(np.array(values, dtype=np.int64) + lo)
+    columns.append(np.full(rows, constant, dtype=np.int64))
+    if wide:
+        columns += [np.array(data.draw(st.lists(
+            st.sampled_from([0, 2 ** 62]), min_size=rows, max_size=rows)),
+            dtype=np.int64) for _ in range(2)]
+    with pytest.MonkeyPatch.context() as patch:
+        dense = _counting_dense_rank(patch)
+        first, inverse = group_rows(columns)
+    assert (first.tolist(), inverse.tolist()) == _group_oracle(columns)
+    assert first.dtype == inverse.dtype == np.int64
+    if not wide:
+        spanned = math.prod(int(c.max() - c.min()) + 1 for c in columns)
+        assert dense == ([rows] if spanned > rows else [])
+
+
+def test_group_rows_sorts_keys_wider_than_the_block(monkeypatch):
+    """A key that spans more values than the block has trials is ranked
+    by one sort, so no table is longer than the block: a span of 2^40
+    over 3 trials would not fit in memory as a table."""
+    dense = _counting_dense_rank(monkeypatch)
+    for column, expected in (([0, 4, 0, 3], ([0, 1, 3], [0, 1, 0, 2])),
+                             ([0, 2 ** 40, 0], ([0, 1], [0, 1, 0]))):
+        columns = [np.array(column, dtype=np.int64)]
+        first, inverse = group_rows(columns)
+        assert (first.tolist(), inverse.tolist()) == expected
+    assert dense == [4, 3]
+    # a span of exactly the block length takes the tables
+    first, inverse = group_rows([np.array([7, 4, 7, 5], dtype=np.int64)])
+    assert (first.tolist(), inverse.tolist()) == ([0, 1, 3], [0, 1, 0, 2])
+    assert dense == [4, 3]
 
 
 def test_ordered_sum_adds_left_to_right():
