@@ -32,9 +32,8 @@ from .applications import (ProbingInstance, ProphetInstance, RatioReport,
                            brute_force_prophet_opt, deadline_matroid,
                            estimate_competitive_ratio, prepare_probing,
                            prepare_prophet, probe, probing_mean_value,
-                           probing_trial_states, prophet_almighty_value,
-                           prophet_thresholds, prophet_trial_states,
-                           prophet_worst_order)
+                           prophet_almighty_value, prophet_thresholds,
+                           prophet_trial_states, prophet_worst_order)
 from .submodular import (SubmodularOracle, continuous_greedy,
                          coverage_function, directed_cut, half_subsample_value,
                          multilinear_exact, ocrs_submodular_value,

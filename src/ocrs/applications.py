@@ -2,18 +2,20 @@
 
 Each pipeline solves its relaxation, converts the fractional optimum into
 activation thresholds or probing probabilities, and plays a greedy OCRS
-online.  Trials are grouped by a state key (integer key columns in the
-order-free probing loop, the tuple key `prophet_state_key` in prophet), so
-a distinct state is played at most once per order and trial block, not
-once per trial.  Prophet trials are decoded and grouped block by block
-with numpy, and trials with equal full states share one state tuple, so
-`harness.group_states` keys each distinct tuple once.  A prophet run only
-looks at its active elements, so the worst-order search plays a state once
-per order of its active set, not once per permutation, and takes every
-order's mean from one table of those values; the almighty adversary plays
-it once, in ascending value.  Feasibility is asserted on every play, which
-covers every trial and order that shares it, because a run is a pure
-function of its key and of the order restricted to its active set.
+online.  Trials are grouped by integer key columns of what a run reads, so
+a distinct state is played at most once per order, not once per trial.
+The order-free probing loop groups each trial block on its own.  Prophet
+trials are decoded and grouped block by block with numpy, on the family
+code, the active mask and the value indices of the active elements; each
+distinct key of the run is one shared state tuple, so
+`harness.group_states` groups the per-trial list by object identity.  A
+prophet run only looks at its active elements, so the worst-order search
+plays a state once per order of its active set, not once per permutation,
+and takes every order's mean from one table of those values; the almighty
+adversary plays it once, in ascending value.  Feasibility is asserted on
+every play, which covers every trial and order that shares it, because a
+run is a pure function of its key and of the order restricted to its
+active set.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, block_states,
-                   group_rows, iter_bits, ordered_sum, pack_mask_rows,
-                   scale_point, trial_columns)
+from .core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, group_rows,
+                   iter_bits, ordered_sum, pack_mask_rows, scale_point,
+                   trial_columns)
 from .harness import (AdversarySearchResult, MeanEstimate, group_states,
-                      grouped_values, worst_order_value)
+                      grouped_values, passes_with_margin, worst_order_value)
 from .matroids import LaminarMatroid, Matroid, max_weight_independent
 from .optimize import (ConstraintSpec, DiscreteDistribution,
                        KnapsackConstraint, ProbingLpResult,
@@ -174,12 +176,17 @@ def prophet_trial_states(pipeline: ProphetPipeline, trials: int,
 
     Each block is decoded with numpy, into every element's value index (a
     small unsigned int, compared with the threshold's index) and the active
-    mask, and its trials are grouped by `group_rows` on (family
-    code, active mask, value indices).  Each distinct state of the run (the
-    same family object, active mask and values) is one ``(family, active,
-    z)`` tuple, and every trial that has it holds a reference to that
-    tuple, so the list costs one reference per trial and one tuple per
-    distinct state.
+    mask, and its trials are grouped by `group_rows` on what a play reads:
+    the family code, the active mask and each element's value index, set to
+    0 where the element is inactive (a play sums values only over selected,
+    so active, elements).  The run keeps one dict of those int keys, and
+    each distinct key is one ``(family, active, z)`` tuple, in which an
+    inactive element's ``z`` entry is its least support value; every trial
+    with that key holds a reference to that tuple.  So the list costs one
+    reference per trial and one tuple per distinct play key, and equal keys
+    share one object: ``group_states(states, id)`` groups the list exactly.
+    Prophet samplers are chain samplers, with one family (code 0) in every
+    block, so a code names the same family across the run.
     """
     dists = pipeline.instance.dists
     n = len(dists)
@@ -196,8 +203,9 @@ def prophet_trial_states(pipeline: ProphetPipeline, trials: int,
     above, at, tie = np.array(above), np.array(at), np.array(tie)
     index_type = np.min_scalar_type(max(map(len, supports)) - 1)
     states: list[tuple[FeasibleFamily, int, tuple[float, ...]]] = []
-    # each distinct state of the run, as its own key
-    shared: dict[tuple, tuple[FeasibleFamily, int, tuple[float, ...]]] = {}
+    # the state of each distinct play key of the run
+    shared: dict[tuple[int, ...], tuple[FeasibleFamily, int,
+                                         tuple[float, ...]]] = {}
     for _start, (u, coins, kept, (codes, families)) in trial_columns(
             seed, _DOMAIN_TRIALS, trials,
             [n, n, np.full(n, pipeline.b), pipeline.sampler]):
@@ -206,24 +214,20 @@ def prophet_trial_states(pipeline: ProphetPipeline, trials: int,
             index[e] = d.quantile_index(u[:, e])
         beats = (index >= above) | ((index == at) & (coins.T < tie))
         active = pack_mask_rows(beats.T) & kept
+        for e in range(n):
+            index[e] *= (active >> e & 1).astype(index_type)
         first, inverse = group_rows([codes, active, *index])
         block = []
-        for c, a, idx in zip(codes[first].tolist(), active[first].tolist(),
-                             index[:, first].T.tolist()):
-            state = (families[c], a, tuple(map(tuple.__getitem__, supports,
-                                               idx)))
-            block.append(shared.setdefault(state, state))
+        for key in zip(codes[first].tolist(), active[first].tolist(),
+                       *index[:, first].tolist()):
+            state = shared.get(key)
+            if state is None:
+                c, a, *idx = key
+                state = shared[key] = (families[c], a, tuple(
+                    map(tuple.__getitem__, supports, idx)))
+            block.append(state)
         states.extend(map(block.__getitem__, inverse.tolist()))
     return states
-
-
-def prophet_state_key(state) -> tuple:
-    """Everything a prophet run's value depends on: the family, the active
-    mask and the values of the active elements (the selection is a subset
-    of the active mask)."""
-    family, active, z = state
-    return (family.cache_key(), active,
-            tuple(map(z.__getitem__, iter_bits(active))))
 
 
 def prophet_value_under_order(pipeline: ProphetPipeline, states,
@@ -234,14 +238,16 @@ def prophet_value_under_order(pipeline: ProphetPipeline, states,
     """Mean value over trial states in one order; ``collect``, if given,
     receives every per-trial value in trial order.
 
-    One run per distinct state; with ``trial_state``, ``states`` are already
-    the distinct states of `group_states` and ``trial_state`` maps trials to
+    One run per distinct state object: ``states`` is a list such as
+    `prophet_trial_states` gives, in which trials with equal play keys
+    share one object.  With ``trial_state``, ``states`` are already the
+    distinct states of `group_states` and ``trial_state`` maps trials to
     them.  The moments are added by `MeanEstimate.from_blocks`, a
     ``TRIAL_BLOCK`` of trials at a time: the same left-to-right sums as
     `MeanEstimate.from_stream` over every trial.
     """
     if trial_state is None:
-        states, trial_state = group_states(states, prophet_state_key)
+        states, trial_state = group_states(states, id)
     return MeanEstimate.from_blocks(
         _trial_blocks([pipeline.value(state, order) for state in states],
                       trial_state), collect)
@@ -267,7 +273,9 @@ def prophet_worst_order(pipeline: ProphetPipeline, trials: int,
     distinct trial state once per order of its active set.
     """
     distinct, trial_state = group_states(
-        prophet_trial_states(pipeline, trials, seed), prophet_state_key)
+        prophet_trial_states(pipeline, trials, seed), id)
+    # one int64 index per trial, not a list of references and an array
+    trial_state = np.asarray(trial_state, dtype=np.int64)
     result = worst_order_value(distinct.__getitem__, pipeline.value,
                                pipeline.instance.n, len(distinct),
                                trial_state=trial_state,
@@ -295,7 +303,7 @@ def prophet_almighty_value(pipeline: ProphetPipeline, trials: int,
     of a float sum.
     """
     distinct, trial_state = group_states(
-        prophet_trial_states(pipeline, trials, seed), prophet_state_key)
+        prophet_trial_states(pipeline, trials, seed), id)
     # sorted is stable and iter_bits ascends, so ties go by index
     values = [pipeline.value(state, sorted(iter_bits(state[1]),
                                            key=state[2].__getitem__))
@@ -497,17 +505,6 @@ def probe(order: Sequence[int], a_out: int, act: int, fam_in: FeasibleFamily,
     return probed, selected
 
 
-def probing_trial_states(pipeline: ProbingPipeline, trials: int,
-                         seed: SeedSpec) -> Iterator[tuple[int, int, FeasibleFamily, FeasibleFamily]]:
-    """Per-trial (A_out, active, inner family, outer family), in trial order.
-
-    A_out is drawn from R(b*x*), the active set from R(p), then the inner
-    and outer families.
-    """
-    for _start, columns in _probing_blocks(pipeline, trials, seed):
-        yield from block_states(columns)
-
-
 def _probing_blocks(pipeline: ProbingPipeline, trials: int, seed: SeedSpec
                     ) -> Iterator[tuple[int, list]]:
     return trial_columns(seed, _DOMAIN_TRIALS, trials,
@@ -549,7 +546,7 @@ class RatioReport:
     trials: int
 
     def passes(self) -> bool:
-        return self.ratio + 3 * self.ci_halfwidth >= self.bound - 1e-15
+        return passes_with_margin(self.ratio, self.ci_halfwidth, self.bound)
 
 
 def estimate_competitive_ratio(estimate: MeanEstimate, benchmark: float,

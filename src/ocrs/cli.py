@@ -31,15 +31,17 @@ from .core import (FractionalPoint, SeedSpec, field, float_list, ground_size,
                    read_field)
 from .harness import (MeanEstimate, bind_sampler, family_size,
                       knapsack_deterministic_impossibility,
-                      report_from_counts, selectability_counts)
+                      passes_with_margin, report_from_counts,
+                      selectability_counts)
 from .matroids import (check_matroid_axioms, in_scaled_matroid_polytope,
                        matroid_from_json, random_point_in_polytope)
 from .optimize import (ConstraintSpec, distribution_from_json,
                        knapsack_from_json)
 from .schemes import GreedyOcrsFactory, MatroidChainFactory, factory_from_json
-from .submodular import (SubmodularOracle, half_subsample_value,
-                         multilinear_exact, ocrs_submodular_value,
-                         run_submodular_probing, submodular_from_json)
+from .submodular import (SubmodularOracle, _check_ground,
+                         half_subsample_value, multilinear_exact,
+                         ocrs_submodular_value, run_submodular_probing,
+                         submodular_from_json)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -352,12 +354,13 @@ def cmd_submodular(args) -> int:
              f.monotone, args.trials, args.seed)
     if "p" in obj:
         p, inner, outer, b = _probing_fields(obj, args.b)
-        _check_ground_size(f, {"inner": inner, "outer": outer})
+        _check_ground(f, inner.n, "'inner'")
+        _check_ground(f, outer.n, "'outer'")
         result = run_submodular_probing(f, p, inner, outer, b, args.trials,
                                         seed)
         _check_finite(result.estimate, "f")
-        ok = (result.estimate.mean + 3 * result.estimate.halfwidth
-              >= result.target - 1e-15)
+        ok = passes_with_margin(result.estimate.mean,
+                                result.estimate.halfwidth, result.target)
         payload = {
             "mode": "probing",
             "x_tilde": result.x_tilde.values.tolist(),
@@ -374,7 +377,7 @@ def cmd_submodular(args) -> int:
         return EXIT_PASS if ok else EXIT_FAIL
     b = read_field("b", obj.get("b", args.b), _unit_float)
     matroid = field(obj, "matroid", matroid_from_json)
-    _check_ground_size(f, {"matroid": matroid})
+    _check_ground(f, matroid.n, "'matroid'")
     factory = MatroidChainFactory(matroid, b)
     if "x" in obj:
         x = _point_from_json(obj, matroid.n)
@@ -392,7 +395,7 @@ def cmd_submodular(args) -> int:
         mode = "half-subsample"
     _check_finite(estimate, "f")
     benchmark = constant * multilinear_exact(f, x)
-    ok = estimate.mean + 3 * estimate.halfwidth >= benchmark - 1e-15
+    ok = passes_with_margin(estimate.mean, estimate.halfwidth, benchmark)
     payload = {
         "mode": mode,
         "x": x.values.tolist(),
@@ -406,13 +409,6 @@ def cmd_submodular(args) -> int:
     }
     _write_json(args.out_json, payload)
     return EXIT_PASS if ok else EXIT_FAIL
-
-
-def _check_ground_size(f, constraints: dict) -> None:
-    for name, spec in constraints.items():
-        if spec.n != f.n:
-            raise ValueError(f"'f' is over {f.n} elements but '{name}' has "
-                             f"{spec.n}")
 
 
 def cmd_validate_matroid(args) -> int:

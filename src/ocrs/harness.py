@@ -36,6 +36,13 @@ _DOMAIN_TRIALS = 1
 _BYTE_BITS = np.arange(256, dtype=np.int64)[:, None] >> np.arange(8) & 1
 
 
+def passes_with_margin(value: float, halfwidth: float, target: float) -> bool:
+    """The pass rule of an estimated mean or ratio against its target: the
+    value plus three 99% half-widths reaches the target, less 1e-15 for
+    rounding."""
+    return value + 3 * halfwidth >= target - 1e-15
+
+
 def ci_halfwidth(p_hat, trials: int):
     """Two-sided 99% normal-approximation half-width; elementwise on arrays."""
     return Z_99 * np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / trials)
@@ -406,26 +413,21 @@ def group_states(states: Iterable[_State],
 
     Trials with equal keys share an index, and the first of them stands for
     all; the key must hold everything a trial's value depends on.  The key
-    is memoised by object identity, so a state object that recurs (as the
-    shared tuples of `applications.prophet_trial_states` do) is keyed once,
-    not once per trial.  The memo holds every object it has keyed, so no id
-    is reused for another object during the call, and the memo is exact.
+    runs once per trial, with no memo.  ``key=id`` groups by object
+    identity: that is exact when the caller holds every state for the call
+    (as the list of `applications.prophet_trial_states` does, in which
+    trials with equal play keys share one object), so that no id is reused
+    by another object.
     """
     index: dict[Hashable, int] = {}
-    seen: dict[int, int] = {}
-    held: list[_State] = []
     distinct: list[_State] = []
     trial_state = []
     for state in states:
-        i = seen.get(id(state))
+        k = key(state)
+        i = index.get(k)
         if i is None:
-            k = key(state)
-            i = index.get(k)
-            if i is None:
-                i = index[k] = len(distinct)
-                distinct.append(state)
-            seen[id(state)] = i
-            held.append(state)
+            i = index[k] = len(distinct)
+            distinct.append(state)
         trial_state.append(i)
     return distinct, trial_state
 

@@ -75,14 +75,11 @@ class FeasibleFamily:
 
     def cache_key(self):
         """Hashable identity of the sampled instance: families with equal
-        keys answer ``member`` and ``selectable_mask`` alike.  Only two
-        readers are left: the prophet's tuple key
-        (``applications.prophet_state_key``, which the worst-order search
-        and the almighty play group by, once per distinct state object of
-        ``applications.prophet_trial_states``) and the benchmark's trace
-        (``perfbench/spans.py``), which counts distinct
-        ``(cache_key, active)`` pairs.  The order-free trial loops group by
-        the samplers' integer family codes instead."""
+        keys answer ``member`` and ``selectable_mask`` alike.  Its one
+        reader outside the tests is the benchmark's trace
+        (``perfbench/spans.py``), which counts distinct ``(cache_key,
+        active)`` pairs.  Every trial loop, the prophet's included, groups
+        by the samplers' integer family codes instead."""
         raise NotImplementedError
 
 

@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import json
 import math
+import os
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -12,16 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, iter_bits,
-                       num_blocks, ordered_sum, uniform_blocks)
+from ocrs.core import (TRIAL_BLOCK, FractionalPoint, SeedSpec, block_states,
+                       iter_bits, num_blocks, ordered_sum, uniform_blocks)
 from ocrs.applications import (ProbingInstance, ProphetInstance,
-                               brute_force_prophet_opt, deadline_matroid,
-                               estimate_competitive_ratio, prepare_probing,
-                               prepare_prophet, probe, probing_mean_value,
-                               probing_trial_states, prophet_almighty_value,
-                               prophet_state_key, prophet_thresholds,
-                               prophet_trial_states, prophet_value_under_order,
-                               prophet_worst_order)
+                               _probing_blocks, brute_force_prophet_opt,
+                               deadline_matroid, estimate_competitive_ratio,
+                               prepare_probing, prepare_prophet, probe,
+                               probing_mean_value, prophet_almighty_value,
+                               prophet_thresholds, prophet_trial_states,
+                               prophet_value_under_order, prophet_worst_order)
 from ocrs import core, harness
 from ocrs.harness import (MeanEstimate, _sum_after, group_states,
                           worst_order_value)
@@ -34,6 +35,26 @@ SEED = SeedSpec(202)
 
 def _dist(support, probs):
     return DiscreteDistribution(support, probs)
+
+
+def prophet_state_key(state) -> tuple:
+    """Everything a prophet run's value depends on, as a tuple: the
+    family, the active mask and the values of the active elements (the
+    selection is a subset of the active mask).  The oracle of the play keys
+    of `prophet_trial_states`."""
+    family, active, z = state
+    return (family.cache_key(), active,
+            tuple(map(z.__getitem__, iter_bits(active))))
+
+
+def probing_trial_states(pipeline, trials, seed):
+    """Per-trial (A_out, active, inner family, outer family), in trial
+    order: every trial of the blocks that `probing_mean_value` groups.
+
+    A_out is drawn from R(b*x*), the active set from R(p), then the inner
+    and outer families."""
+    for _start, columns in _probing_blocks(pipeline, trials, seed):
+        yield from block_states(columns)
 
 
 def classic_instance():
@@ -85,8 +106,9 @@ def test_activation_marginals_monte_carlo():
 def _check_trial_states_match_per_trial_reference(dists):
     """The block-wise decode equals a per-element loop over each uniform
     row (value quantile, tie coin and downsampling coin per element), and
-    the values are the distributions' own support floats; returns the
-    pipeline."""
+    the values are the distributions' own support floats: an active
+    element's drawn value, an inactive element's least support value;
+    returns the pipeline."""
     from ocrs.applications import _DOMAIN_TRIALS
 
     inst = ProphetInstance(UniformMatroid(3, 1), dists)
@@ -107,7 +129,8 @@ def _check_trial_states_match_per_trial_reference(dists):
             if beats and row[6 + e] < 0.5:
                 expect |= 1 << e
         assert active == expect
-        assert all(v is w for v, w in zip(z, expect_z))
+        assert all(v is (w if active >> e & 1 else d.support[0])
+                   for e, (v, w, d) in enumerate(zip(z, expect_z, dists)))
     return pipeline
 
 
@@ -491,25 +514,45 @@ def test_search_calls_trial_value_once_per_order_and_state():
     assert calls["value"] == searched + len(distinct)
 
 
-def _prophet_peak_bytes(pipeline, trials: int) -> int:
+def _prophet_peak_bytes(pipeline, trials: int, seed: SeedSpec = SEED) -> int:
     tracemalloc.start()
     try:
-        prophet_worst_order(pipeline, trials, SEED)
+        prophet_worst_order(pipeline, trials, seed)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_prophet_worst_order_memory_grows_by_a_reference_per_trial():
-    """Trials share one tuple per distinct state, and the order sums and
-    the mean take bounded chunks of trials, so quadrupling the trial count
-    adds little more than the per-trial lists of references and indices
-    (each trial still holds one of each until the search is keyed by
-    blocks)."""
+    """Trials share one tuple per distinct play key, and the order sums
+    and the mean take bounded chunks of trials, so quadrupling the trial
+    count adds little more than the per-trial lists of references and
+    indices (each trial still holds one of each until the search is keyed
+    by blocks)."""
     pipeline = _prophet_u42()
     growth = (_prophet_peak_bytes(pipeline, 65_536)
               - _prophet_peak_bytes(pipeline, 16_384))
     assert growth < 2 ** 20, growth
+
+
+def test_prophet_worst_order_memory_with_many_support_atoms():
+    """With ten atoms per element nearly every trial has its own full
+    state, but inactive elements' values are no part of a play key: on
+    U(6,3) at seed 0, 100,000 trials have 6,214 keys, and quadrupling the
+    trial count from 16,384 adds the per-trial lists and the keys that the
+    added trials meet first, not a state per trial.  A first run fills
+    CPython's tuple free lists (about 0.4 MB here), which tracemalloc
+    counts as held and later runs reuse, so both runs are measured after
+    one."""
+    matroid = UniformMatroid(6, 3)
+    atoms = _dist([float(v) for v in range(10)], [0.1] * 10)
+    seed = SeedSpec(0)
+    pipeline = prepare_prophet(ProphetInstance(matroid, (atoms,) * 6),
+                               MatroidChainFactory(matroid, 0.5), seed)
+    prophet_worst_order(pipeline, 16_384, seed)
+    growth = (_prophet_peak_bytes(pipeline, 65_536, seed)
+              - _prophet_peak_bytes(pipeline, 16_384, seed))
+    assert growth < 2 * 2 ** 20, growth
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +599,47 @@ def _prophet_chains(draw):
     return prepare_prophet(ProphetInstance(matroid, tuple(dists)),
                            MatroidChainFactory(matroid, b),
                            SeedSpec(draw(st.integers(0, 2 ** 32))))
+
+
+def _check_one_object_per_play_key(states):
+    """Trials share one state object iff they share a play key, and
+    grouping by identity groups as a literal loop keyed by
+    `prophet_state_key` does; returns the number of keys."""
+    first: dict[tuple, int] = {}
+    for t, state in enumerate(states):
+        key = prophet_state_key(state)
+        assert state is states[first.setdefault(key, t)], (t, key)
+    assert len({id(state) for state in states}) == len(first)
+    distinct, trial_state = group_states(states, id)
+    keys = list(first)
+    assert len(distinct) == len(first)
+    assert all(a is states[t] for a, t in zip(distinct, first.values()))
+    assert trial_state == [keys.index(prophet_state_key(state))
+                           for state in states]
+    return len(first)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pipeline=_prophet_chains(), seed=st.integers(0, 2 ** 32))
+def test_trial_states_are_one_object_per_play_key(pipeline, seed):
+    _check_one_object_per_play_key(
+        prophet_trial_states(pipeline, 300, SeedSpec(seed)))
+
+
+def test_worst_u52_trial_states_are_one_object_per_play_key():
+    """The benchmark's prophet-worst-u52 instance at seed 0 (the
+    `prophet-u52` golden): 8,192 trials over 147 play keys, and no more
+    state objects."""
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           "prophet-u52.json")) as fh:
+        obj = json.load(fh)
+    matroid = UniformMatroid(obj["matroid"]["n"], obj["matroid"]["k"])
+    instance = ProphetInstance(matroid, tuple(
+        _dist(d["support"], d["probs"]) for d in obj["dists"]))
+    pipeline = prepare_prophet(instance, MatroidChainFactory(matroid, 0.5),
+                               SeedSpec(0))
+    states = prophet_trial_states(pipeline, 8192, SeedSpec(0))
+    assert _check_one_object_per_play_key(states) == 147
 
 
 @settings(max_examples=40, deadline=None)
