@@ -380,7 +380,8 @@ class ProbingInstance:
 
 def deadline_matroid(deadlines: Sequence[int], n: int) -> LaminarMatroid:
     """Laminar matroid of deadline-respecting probe sets: at most d elements
-    with deadline at most d, for every d."""
+    with deadline at most d, for every d.  Where no deadline binds, the
+    family is empty and the matroid is free."""
     sets = []
     caps = []
     for d in sorted(set(deadlines)):
@@ -388,10 +389,6 @@ def deadline_matroid(deadlines: Sequence[int], n: int) -> LaminarMatroid:
         if len(members) > d:
             sets.append(members)
             caps.append(d)
-    if not sets:
-        # vacuous constraints; a free matroid keeps the scheme machinery uniform
-        sets = [list(range(n))]
-        caps = [n]
     return LaminarMatroid(n, sets, caps)
 
 
@@ -405,7 +402,8 @@ class ProbingPipeline:
     bound: float
     bound_expr: str
     outer_point: FractionalPoint
-    laminar: Optional[LaminarMatroid] = None
+    #: the deadline matroid, None without deadlines
+    laminar: Optional[LaminarMatroid]
     inner_member: Callable[[int], bool] = field(init=False, repr=False)
     outer_member: Callable[[int], bool] = field(init=False, repr=False)
 

@@ -379,12 +379,9 @@ def cmd_submodular(args) -> int:
     matroid = field(obj, "matroid", matroid_from_json)
     _check_ground(f, matroid.n, "'matroid'")
     factory = MatroidChainFactory(matroid, b)
-    if "x" in obj:
-        x = _point_from_json(obj, matroid.n)
-        if not in_scaled_matroid_polytope(matroid, x, b):
-            raise ValueError("'x' is outside b * P")
-    else:
-        x = random_point_in_polytope(matroid, b, seed.stream(99))
+    x = _default_point(obj, factory, seed)
+    if "x" in obj and not in_scaled_matroid_polytope(matroid, x, b):
+        raise ValueError("'x' is outside b * P")
     if f.monotone:
         estimate = ocrs_submodular_value(f, factory, x, args.trials, seed)
         constant = factory.bound()

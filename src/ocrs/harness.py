@@ -131,12 +131,12 @@ class SelectabilityReport:
     bound: float
     bound_expr: str
     construction_slack: float
-    scheme: str = ""
-    b: float = float("nan")
-    seed: Optional[int] = None
+    scheme: str
+    b: float
+    seed: int
     #: mask of loops: they never arrive, so the bound does not cover them
     #: and each is held to 0
-    loops: int = 0
+    loops: int
     passes: np.ndarray = field(init=False)
     element_bounds: np.ndarray = field(init=False)
 
@@ -247,7 +247,7 @@ def _bit_counts(masks: np.ndarray, weights: Optional[np.ndarray],
 
 def report_from_counts(counts: np.ndarray, trials: int,
                        factory: GreedyOcrsFactory, seed: SeedSpec,
-                       scheme: str = "") -> SelectabilityReport:
+                       scheme: str) -> SelectabilityReport:
     estimates = counts / trials
     return SelectabilityReport(estimates=estimates,
                                halfwidths=ci_halfwidth(estimates, trials),

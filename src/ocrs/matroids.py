@@ -1,7 +1,11 @@
 """Matroid oracles: independence, rank, contraction/restriction views.
 
 The independence query is the primitive; rank is derived by the matroid
-greedy and memoized per subset bitmask (desk scale, n <= ~24).
+greedy and memoized per subset bitmask (desk scale, n <= ~24).  Uniform
+and partition matroids are laminar families (one set; disjoint sets that
+cover the ground set), so :class:`LaminarMatroid` holds the one
+independence test, closed-form rank, rank-table fill and load of all
+three.
 Oracles are immutable after construction; memo dicts only cache pure
 functions, so concurrent readers always observe consistent results.
 
@@ -143,97 +147,6 @@ class Matroid:
         return self.ground_mask.bit_count()
 
 
-class UniformMatroid(Matroid):
-    """All subsets of size at most ``k`` are independent."""
-
-    kind = "uniform"
-
-    def __init__(self, n: int, k: int):
-        if k < 0:
-            raise ValueError("rank bound must be nonnegative")
-        super().__init__(n)
-        self.k = k
-
-    def _indep(self, mask: int) -> bool:
-        return mask.bit_count() <= self.k
-
-    def _rank(self, mask: int) -> int:
-        return min(mask.bit_count(), self.k)
-
-    def _fill_ranks(self) -> np.ndarray:
-        return np.minimum(popcounts(self.n), min(self.k, self.n))
-
-    def load(self, values: np.ndarray) -> float:
-        return _block_load([(self.ground_mask, self.k)], values)
-
-
-class PartitionMatroid(Matroid):
-    """Per-block cardinality caps over a partition of the ground set."""
-
-    kind = "partition"
-
-    def __init__(self, blocks: Sequence[Iterable[int]],
-                 capacities: Sequence[int]):
-        block_masks = []
-        seen = 0
-        top = -1
-        for block in blocks:
-            m = 0
-            for e in block:
-                if seen >> e & 1:
-                    raise ValueError("blocks must be disjoint")
-                m |= 1 << e
-                top = max(top, e)
-            seen |= m
-            block_masks.append(m)
-        if len(capacities) != len(block_masks):
-            raise ValueError("one capacity per block required")
-        _check_capacities(capacities)
-        n = top + 1
-        if seen != (1 << n) - 1:
-            raise ValueError("blocks must cover the ground set")
-        super().__init__(n)
-        self.block_masks = tuple(block_masks)
-        self.capacities = tuple(int(c) for c in capacities)
-
-    def _indep(self, mask: int) -> bool:
-        return all((mask & bm).bit_count() <= c
-                   for bm, c in zip(self.block_masks, self.capacities))
-
-    def _rank(self, mask: int) -> int:
-        return sum(min((mask & bm).bit_count(), c)
-                   for bm, c in zip(self.block_masks, self.capacities))
-
-    def _fill_ranks(self) -> np.ndarray:
-        ranks = np.zeros(1 << self.n, dtype=np.uint8)
-        for bm, c in zip(self.block_masks, self.capacities):
-            counts = popcounts(self.n, bm)
-            ranks += np.minimum(counts, min(c, bm.bit_count()), out=counts)
-        return ranks
-
-    def load(self, values: np.ndarray) -> float:
-        return _block_load(zip(self.block_masks, self.capacities), values)
-
-
-def _block_load(blocks: Iterable[tuple[int, int]],
-                values: np.ndarray) -> float:
-    """The load of (block mask, capacity) pairs: the largest max(max x_B,
-    x(B) / c) over the blocks B of capacity c >= 1 (a partition's blocks; a
-    uniform matroid is one block with c = k, and a laminar family's sets
-    come with the ground set as a block of capacity n).
-
-    That is ``min_scale`` for any x that is 0 on the loops, the blocks of
-    capacity 0; an x positive on a loop is in no s * P, and the schemes
-    refuse it when they bind.
-    """
-    load = 0.0
-    for block, capacity in blocks:
-        if capacity and block:
-            x_block = values[list(iter_bits(block))]
-            load = max(load, x_block.max(), x_block.sum() / capacity)
-    return float(load)
-
-
 class GraphicMatroid(Matroid):
     """Forests of a multigraph; ground set elements are edges."""
 
@@ -303,7 +216,14 @@ class GraphicMatroid(Matroid):
 
 
 class LaminarMatroid(Matroid):
-    """Capacity bounds on a laminar (nested-or-disjoint) family of sets."""
+    """Capacity bounds on a laminar (nested-or-disjoint) family of sets.
+
+    The sets form a tree, built once: equal sets are one node with the
+    least capacity, each capacity is capped at the set size, and the
+    ground set, uncapped, is the root, so uncovered elements are free.
+    ``rank``, the rank table and ``load`` read that tree;
+    `UniformMatroid` and `PartitionMatroid` are laminar families too.
+    """
 
     kind = "laminar"
 
@@ -328,51 +248,121 @@ class LaminarMatroid(Matroid):
                     raise ValueError("family is not laminar")
         self.set_masks = tuple(masks)
         self.capacities = tuple(int(c) for c in capacities)
-
-    def load(self, values: np.ndarray) -> float:
-        """The largest x(S) / c over the sets S of capacity c >= 1 and max
-        x_e over the ground set, as `_block_load` gives them with the
-        ground set as a block of capacity n.  The constraint matrix of a
-        laminar family with the singletons added is totally unimodular, so
-        those rows and x >= 0 are the whole polytope."""
-        return _block_load([(self.ground_mask, self.n),
-                            *zip(self.set_masks, self.capacities)], values)
+        caps = {self.ground_mask: n}
+        for sm, c in zip(self.set_masks, self.capacities):
+            caps[sm] = min(caps.get(sm, c), c, sm.bit_count())
+        # ascending size puts children first and the root last; the
+        # smallest set that contains a set is its parent
+        order = sorted(caps, key=int.bit_count)
+        kids: list[list[int]] = [[] for _ in order]
+        for i, sm in enumerate(order[:-1]):
+            kids[next(j for j in range(i + 1, len(order))
+                      if not sm & ~order[j])].append(i)
+        #: (own elements, child positions largest first, capacity) per
+        #: node, children before parents
+        self._nodes: list[tuple[int, tuple[int, ...], int]] = []
+        for sm, below in zip(order, kids):
+            below.sort(key=lambda i: order[i].bit_count(), reverse=True)
+            own = sm
+            for i in below:
+                own &= ~order[i]
+            self._nodes.append((own, tuple(below), caps[sm]))
 
     def _indep(self, mask: int) -> bool:
         return all((mask & sm).bit_count() <= c
                    for sm, c in zip(self.set_masks, self.capacities))
 
+    def _rank(self, mask: int) -> int:
+        """Nested mins up the tree: r_A(S) is the least of A's capacity and
+        the children's ranks plus |S & A - children|."""
+        ranks: list[int] = []
+        for own, below, cap in self._nodes:
+            r = (mask & own).bit_count()
+            for i in below:
+                r += ranks[i]
+            ranks.append(r if r < cap else cap)  # min(), without the call
+        return ranks[-1]
+
     def _fill_ranks(self) -> np.ndarray:
-        """Nested mins up the laminar tree: r_A(S) is the least of A's
-        capacity and the children's ranks plus |S & A - children|.  The
-        ground set, uncapped, is the root, so uncovered elements are free;
-        equal sets are one node with the least capacity."""
+        """`_rank` on every subset at once, one uint8 table per node."""
         n = self.n
-        caps = {self.ground_mask: n}
-        for sm, c in zip(self.set_masks, self.capacities):
-            caps[sm] = min(caps.get(sm, c), c, sm.bit_count())
-        # the smallest set that contains a set is its parent
-        order = sorted(caps, key=int.bit_count)
-        children: dict[int, list[int]] = {sm: [] for sm in order}
-        for i, sm in enumerate(order[:-1]):
-            parent = next(p for p in order[i + 1:] if not sm & ~p)
-            children[parent].append(sm)
 
-        def fill(sm: int) -> np.ndarray:
+        def fill(node: int) -> np.ndarray:
             # the largest child's table is the running sum; every other
-            # child has at most half of sm's elements, so at most
+            # child has at most half of the node's elements, so at most
             # log2(n) + 1 tables are alive at once
-            kids = sorted(children[sm], key=int.bit_count, reverse=True)
-            own = sm
-            for kid in kids:
-                own &= ~kid
-            ranks = fill(kids[0]) if kids else np.zeros(1 << n, np.uint8)
+            own, below, cap = self._nodes[node]
+            ranks = fill(below[0]) if below else np.zeros(1 << n, np.uint8)
             ranks += popcounts(n, own)
-            for kid in kids[1:]:
+            for kid in below[1:]:
                 ranks += fill(kid)
-            return np.minimum(ranks, caps[sm], out=ranks)
+            return np.minimum(ranks, cap, out=ranks)
 
-        return fill(self.ground_mask)
+        return fill(len(self._nodes) - 1)
+
+    def load(self, values: np.ndarray) -> float:
+        """The largest x_e and x(S) / c over the sets S of capacity c >= 1.
+        The constraint matrix of a laminar family with the singletons added
+        is totally unimodular, so those rows and x >= 0 are the whole
+        polytope.  That is ``min_scale`` for any x that is 0 on the loops;
+        an x positive on a loop is in no s * P, and the schemes refuse it
+        when they bind."""
+        return max(float(values.max(initial=0.0)),
+                   _block_load(zip(self.set_masks, self.capacities), values))
+
+
+def _block_load(blocks: Iterable[tuple[int, int]],
+                values: np.ndarray) -> float:
+    """The largest x(B) / c over the (set mask B, capacity c) pairs with
+    c >= 1 and B nonempty, 0.0 if there are none."""
+    load = 0.0
+    for block, capacity in blocks:
+        if capacity and block:
+            load = max(load, values[list(iter_bits(block))].sum() / capacity)
+    return float(load)
+
+
+class UniformMatroid(LaminarMatroid):
+    """All subsets of size at most ``k`` are independent: the laminar
+    family of the ground set alone, with capacity ``k``."""
+
+    kind = "uniform"
+
+    def __init__(self, n: int, k: int):
+        if k < 0:
+            raise ValueError("rank bound must be nonnegative")
+        super().__init__(n, [range(n)], [k])
+        self.k = k
+
+
+class PartitionMatroid(LaminarMatroid):
+    """Per-block cardinality caps over a partition of the ground set: the
+    laminar family of the blocks."""
+
+    kind = "partition"
+
+    def __init__(self, blocks: Sequence[Iterable[int]],
+                 capacities: Sequence[int]):
+        block_masks = []
+        seen = 0
+        top = -1
+        for block in blocks:
+            m = 0
+            for e in block:
+                if seen >> e & 1:
+                    raise ValueError("blocks must be disjoint")
+                m |= 1 << e
+                top = max(top, e)
+            seen |= m
+            block_masks.append(m)
+        if len(capacities) != len(block_masks):
+            raise ValueError("one capacity per block required")
+        _check_capacities(capacities)
+        n = top + 1
+        if seen != (1 << n) - 1:
+            raise ValueError("blocks must cover the ground set")
+        super().__init__(n, [list(iter_bits(m)) for m in block_masks],
+                         capacities)
 
 
 class ExplicitMatroid(Matroid):

@@ -911,6 +911,12 @@ def test_deadline_matroid_structure():
     assert m2.indep(0b01) and not m2.indep(0b11)
 
 
+def test_deadline_matroid_that_binds_nothing_is_free():
+    m = deadline_matroid((2, 3, 6, 6, 4, 5), 6)
+    assert m.set_masks == ()
+    assert m.indep(0b111111) and m.rank(0b111111) == 6
+
+
 def test_deadline_vacuous_reduces_to_plain_probing():
     base = dict(p=(0.9, 0.6), w=(3.0, 2.0), inner=UniformMatroid(2, 1),
                 outer=UniformMatroid(2, 2), b=0.5)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrs.core import FractionalPoint, SeedSpec, iter_bits, iter_submasks
+from ocrs.core import (FractionalPoint, SeedSpec, iter_bits, iter_submasks,
+                       popcounts)
 from ocrs.matroids import (ExplicitMatroid, GraphicMatroid, LaminarMatroid,
                            Matroid, MatroidPolytope, MatroidView,
                            PartitionMatroid, UniformMatroid,
@@ -572,6 +573,112 @@ def test_laminar_fill_matches_indep_fill(data, n):
                               max_size=len(sets)))
     _assert_fill_matches_indep(LaminarMatroid(n, [sorted(s) for s in sets],
                                               caps))
+
+
+@st.composite
+def _laminar_families(draw):
+    """A laminar matroid on at most 10 elements: intervals of a random
+    order of some elements, kept when nested in or disjoint from every
+    earlier one, with equal sets, empty sets, capacity 0 and capacities
+    above the set size."""
+    n = draw(st.integers(0, 10))
+    covered = draw(st.permutations(range(n)))
+    covered = covered[:draw(st.integers(0, n))]
+    sets = []
+    for _ in range(draw(st.integers(0, 8))):
+        lo = draw(st.integers(0, len(covered)))
+        s = set(covered[lo:draw(st.integers(lo, len(covered)))])
+        if all(not s & t or s <= t or t <= s for t in sets):
+            sets.append(s)
+        if sets and draw(st.booleans()):
+            sets.append(draw(st.sampled_from(sets)))
+    caps = [draw(st.integers(0, len(s) + 2)) for s in sets]
+    return LaminarMatroid(n, [sorted(s) for s in sets], caps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_laminar_families())
+def test_laminar_rank_equals_the_greedy_and_the_table(m):
+    """The closed-form rank against the base class's memoised greedy and
+    the rank table, on every subset."""
+    ranks = m.polytope().ranks
+    for mask in range(1 << m.n):
+        assert m.rank(mask) == Matroid._rank(m, mask) == ranks[mask]
+
+
+def test_uniform_and_partition_are_laminar_families():
+    """Both classes are laminar matroids that define only ``__init__``."""
+    for cls in (UniformMatroid, PartitionMatroid):
+        assert issubclass(cls, LaminarMatroid)
+        assert {name for name, value in vars(cls).items()
+                if callable(value)} == {"__init__"}
+
+
+def _blocks_load(blocks, x):
+    """A uniform or partition matroid's load as (block mask, capacity)
+    pairs: the largest max(max x_B, x(B) / c) over the blocks of capacity
+    c >= 1."""
+    load = 0.0
+    for block, capacity in blocks:
+        if capacity and block:
+            x_block = x[list(iter_bits(block))]
+            load = max(load, x_block.max(), x_block.sum() / capacity)
+    return float(load)
+
+
+def _assert_blocks_closed_forms(m, blocks, data):
+    """rank, indep, the rank table and the load of ``m`` against the
+    per-block formulas; the load exactly, on a point 0 on the loops."""
+    n = m.n
+    for mask in range(1 << n):
+        counts = [(mask & bm).bit_count() for bm, _ in blocks]
+        assert m.rank(mask) == sum(min(k, c)
+                                   for k, (_, c) in zip(counts, blocks))
+        assert m.indep(mask) == all(k <= c
+                                    for k, (_, c) in zip(counts, blocks))
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for bm, c in blocks:
+        table += np.minimum(popcounts(n, bm), min(c, bm.bit_count()))
+    assert np.array_equal(m._fill_ranks(), table)
+    x = np.array(data.draw(st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+        st.floats(0.0, 1.0).map(lambda v: [v] * n))), dtype=float)
+    x[list(iter_bits(m.loops()))] = 0.0
+    assert m.load(x) == _blocks_load(blocks, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 10), k=st.integers(0, 12))
+def test_uniform_matches_its_closed_forms(data, n, k):
+    m = UniformMatroid(n, k)
+    _assert_blocks_closed_forms(m, [((1 << n) - 1, k)], data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10))
+def test_partition_matches_its_closed_forms(data, n):
+    """Random blocks in random element order, capacities from 0 to above
+    the block size."""
+    order = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else [])
+    blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    caps = [data.draw(st.integers(0, len(b) + 1)) for b in blocks]
+    m = PartitionMatroid(blocks, caps)
+    masks = [sum(1 << e for e in b) for b in blocks]
+    _assert_blocks_closed_forms(m, list(zip(masks, caps)), data)
+
+
+def test_laminar_load_is_exact_on_a_constant_point():
+    """x(E) / n read 1 ulp above max x_e here; the load takes max x_e."""
+    m = LaminarMatroid(18, [range(9), range(9, 18)], [17, 11])
+    assert m.load(np.full(18, 0.05)) == 0.05
+
+
+def test_load_counts_a_positive_loop_at_its_coordinate():
+    """A point positive on a loop is in no s * P; the load still counts
+    the loop's coordinate, so such a point is never read as fitting."""
+    m = PartitionMatroid([[0, 1], [2]], [1, 0])
+    assert m.load(np.array([0.1, 0.2, 0.7])) == 0.7
 
 
 @settings(max_examples=60, deadline=None)

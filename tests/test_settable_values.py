@@ -11,7 +11,7 @@ import os
 
 import ocrs
 
-LIMIT = 44
+LIMIT = 38
 
 
 def _dataclass_field_names(tree: ast.Module) -> set[str]:
